@@ -262,7 +262,7 @@ def product_algebra(B: FinAlgebra, C: FinAlgebra) -> Tuple[FinAlgebra, AlgebraMa
 
 # -- algebra file format -------------------------------------------------
 
-_TERM = re.compile(r"^\s*(-?\d+(?:/\d+)?)\s*\*\s*([A-Za-z0-9_]+)\s*$")
+_TERM = re.compile(r"^\s*(-?\d+(?:/\d+)?)\s*\*\s*([A-Za-z0-9_.]+)\s*$")
 
 
 def _parse_combo(text: str, labels: Tuple[str, ...]) -> Vec:
@@ -281,7 +281,11 @@ def _parse_combo(text: str, labels: Tuple[str, ...]) -> Vec:
         m = _TERM.match(part)
         if not m:
             raise ValueError(f"cannot parse term {part!r}")
-        coeff, label = Fraction(m.group(1)), m.group(2)
+        try:
+            coeff = Fraction(m.group(1))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {part!r}") from None
+        label = m.group(2)
         if label not in labels:
             raise ValueError(f"unknown label {label!r}")
         d[label] = d.get(label, Fraction(0)) + coeff

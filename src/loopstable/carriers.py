@@ -12,7 +12,7 @@ polynomial extension ``C[u]`` used by homotopies.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict
 
 
 class Carrier:
@@ -51,9 +51,6 @@ class Carrier:
     def contains(self, x: Any) -> bool:
         """Structural membership validation (may be expensive)."""
         raise NotImplementedError
-
-    def describe(self) -> str:
-        return self.name
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
@@ -161,12 +158,6 @@ class PolyExtension(Carrier):
 
     def zero(self):
         return ()
-
-    def embed(self, c):
-        """The constant polynomial ``c``."""
-        if self.base.is_zero(c):
-            return ()
-        return ((0, c),)
 
     def monomial(self, k: int, c):
         if self.base.is_zero(c):

@@ -12,7 +12,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .algebras import BUILTIN_ALGEBRAS, FinAlgebra, parse_algebra_file
+from .algebras import BUILTIN_ALGEBRAS, parse_algebra_file
 from .verifier import (
     ALIASES,
     CATALOG,
@@ -40,15 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20, metavar="N",
                    help="samples per check; 0 skips every check")
     p.add_argument("--seed", type=int, default=0, metavar="N")
-    p.add_argument("--max-degree", type=int, default=2, metavar="N",
-                   help="degree cap for certificate search")
-    p.add_argument("--j-depth", type=int, default=2, metavar="N",
-                   help="kernel-tower depth cap")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--list", action="store_true",
                    help="list catalog ids and exit")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker threads; report order stays catalog order")
     return p
 
 
@@ -88,8 +82,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.samples < 0 or args.jobs < 1:
-        print("error: --samples must be >= 0 and --jobs >= 1", file=sys.stderr)
+    if args.samples < 0:
+        print("error: --samples must be >= 0", file=sys.stderr)
         return 2
 
     cfg = CheckConfig(
@@ -97,12 +91,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         algebra=algebra,
         samples=args.samples,
         seed=args.seed,
-        max_degree=args.max_degree,
-        j_depth=args.j_depth,
     )
     checks = args.check if args.check else ["all"]
     try:
-        report = run_suite(checks, cfg, jobs=args.jobs)
+        report = run_suite(checks, cfg)
     except UnknownCheckError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ from itertools import product as iproduct
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .algebras import FinAlgebra
-from .carriers import Carrier, PolyExtension, PullbackCarrier, Rationals
+from .carriers import Carrier, PolyExtension, PullbackCarrier
 from .funalg import (
     Element,
     FunctionAlgebra,
@@ -65,7 +65,6 @@ from .simplicial import (
 )
 from .tensorj import (
     Morphism,
-    TensorAlgebra,
     identity_morphism,
     j_kernel,
     j_of,
@@ -674,58 +673,6 @@ class HomotopyCertificate:
                             f"{self.name}: link {link.name} not multiplicative"
                         )
 
-    def holds(self, samples: int = 20, seed: int = 0) -> bool:
-        try:
-            self.verify(samples=samples, seed=seed)
-            return True
-        except CertificateError:
-            return False
-
-
-def certificate_text(cert: HomotopyCertificate, samples: int = 20, seed: int = 0) -> str:
-    lines = [
-        "homotopy-certificate",
-        f"name: {cert.name}",
-        f"provenance: {cert.provenance}",
-        f"source: {cert.left.source.name}",
-        f"target: {cert.left.target.name}",
-        f"left: {cert.left.name}",
-        f"right: {cert.right.name}",
-        f"links: {len(cert.chain)}",
-    ]
-    for i, link in enumerate(cert.chain, 1):
-        lines.append(f"link {i}: {link.name}")
-    lines.append(f"samples: {samples}")
-    lines.append(f"seed: {seed}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_certificate_text(text: str) -> Dict[str, Any]:
-    lines = [l for l in text.strip().splitlines() if l.strip()]
-    if not lines or lines[0].strip() != "homotopy-certificate":
-        raise ValueError("not a homotopy certificate record")
-    out: Dict[str, Any] = {"links": []}
-    for line in lines[1:]:
-        key, _, val = line.partition(":")
-        key, val = key.strip(), val.strip()
-        if key.startswith("link "):
-            out["links"].append(val)
-        elif key in ("samples", "seed"):
-            out[key] = int(val)
-        elif key != "links":
-            out[key] = val
-    return out
-
-
-def write_certificate(path: str, cert: HomotopyCertificate, samples: int = 20, seed: int = 0) -> None:
-    with open(path, "w") as fh:
-        fh.write(certificate_text(cert, samples, seed))
-
-
-def read_certificate(path: str) -> Dict[str, Any]:
-    with open(path) as fh:
-        return parse_certificate_text(fh.read())
-
 
 # -- mapping paths --------------------------------------------------------
 
@@ -1228,13 +1175,6 @@ class TriangleData:
 
 # -- homotopy search ------------------------------------------------------
 
-CERTIFICATE_REGISTRY: Dict[str, Callable[..., HomotopyCertificate]] = {
-    "path-contraction": pb_contraction_certificate,
-    "square-contraction": square_contraction_certificate,
-    "rotation": tr2_certificate,
-    "splitting-interpolation": splitting_homotopy,
-}
-
 
 def _substitution_candidates(degree_cap: int, coeffs=(-1, 0, 1)):
     monos = [
@@ -1257,8 +1197,6 @@ def search_homotopy(
     right: Morphism,
     sampler: Callable[[random.Random], Any],
     *,
-    key: Optional[str] = None,
-    registry_args: Tuple = (),
     fa: Optional[FunctionAlgebra] = None,
     degree_cap: int = 2,
     samples: int = 8,
@@ -1266,10 +1204,10 @@ def search_homotopy(
 ) -> Optional[HomotopyCertificate]:
     """Derive an elementary-homotopy certificate between two morphisms.
 
-    Tries, in order: exact sample equality (empty chain); a registered
-    shipped certificate; a bounded-degree search over one-variable
-    substitution homotopies on interval-type function algebras.  Returns
-    None when nothing is found.
+    Tries, in order: exact sample equality (empty chain); when ``fa`` is
+    given and both morphisms are endomorphisms of it, a bounded-degree
+    search over one-variable substitution homotopies.  Returns None when
+    nothing is found.
     """
     rng = random.Random(seed)
     xs = [sampler(rng) for _ in range(samples)]
@@ -1283,10 +1221,6 @@ def search_homotopy(
             sampler=sampler,
             provenance="trivial",
         )
-    if key is not None and key in CERTIFICATE_REGISTRY:
-        cert = CERTIFICATE_REGISTRY[key](*registry_args)
-        cert.provenance = "shipped"
-        return cert
     if fa is not None and left.source is fa and left.target is fa:
         for g in _substitution_candidates(degree_cap):
             try:

@@ -8,29 +8,24 @@ degenerate simplices are recovered by degeneracy substitution.
 
 Provides restriction (pullback along simplicial maps), the transition map
 (pullback along the last-vertex map), the multiplication morphisms μ, path
-concatenation, the reversal ω, deterministic samplers, and the small
-integral-lattice computations (decomposition over ``Z^(K,L)_r``).
+concatenation, the reversal ω and deterministic samplers.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from .carriers import Carrier, RAT
-from .linalg import invert, nullspace, rref
 from .poly import (
     CPoly,
     QPoly,
     cp_add,
     cp_constant,
-    cp_degree,
-    cp_from_scalar,
     cp_is_zero,
     cp_map_coeffs,
     cp_mul,
-    cp_neg,
     cp_scale,
     cp_subst,
     cp_zero,
@@ -38,15 +33,12 @@ from .poly import (
     monotone_images,
     qp_add,
     qp_const,
-    qp_mul,
     qp_scale,
     qp_sub,
     qp_var,
     word_alpha,
 )
 from .simplicial import (
-    BoxProduct,
-    FinSimplicialSet,
     FormalSimplex,
     SimplicialMap,
     SimplicialPair,
@@ -205,11 +197,6 @@ def pullback_along(
     return tgt.canon({b: src.value(x, smap.apply(nd(b))) for b in tgt.sset.bases()})
 
 
-def restrict(src: FunctionAlgebra, x: Element, smap: SimplicialMap, tgt: FunctionAlgebra) -> Element:
-    """Public name for pullback of functions along a simplicial map."""
-    return pullback_along(src, x, smap, tgt)
-
-
 def transition(src: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
     """Pullback along the last-vertex map; raises the subdivision index."""
     tgt = function_algebra(src.base, src.pair0, src.r + 1, src.relative)
@@ -352,24 +339,9 @@ def flat_pair_from_profile(profile: Tuple[str, ...]) -> SimplicialPair:
     return SimplicialPair(total, sub, name=total.name, coords=profile)
 
 
-def cube_pair(n: int) -> SimplicialPair:
-    """𝔖_n in profile form (used by all carriers)."""
-    return flat_pair_from_profile(("both",) * n)
-
-
-def path_space_pair(n: int) -> SimplicialPair:
-    """𝔖_n □ (I,{1}) in profile form (carrier of the path extension)."""
-    return flat_pair_from_profile(("both",) * n + ("one",))
-
-
 def interval_pair() -> SimplicialPair:
     """(I, ∅) in profile form (mapping cylinders)."""
     return flat_pair_from_profile(("free",))
-
-
-def relative_interval_pair() -> SimplicialPair:
-    """(I, {1}) in profile form."""
-    return flat_pair_from_profile(("one",))
 
 
 # -- interval structure: endpoints, ω, concatenation ---------------------
@@ -603,139 +575,3 @@ def sample_element(
             P = sfa.mul(P, combo)
         total = fa0.add(total, scalar_to_base(fa0, P, b))
     return transition_n(fa0, total, fa.r)[1]
-
-
-# -- integral lattice (decomposition over Z^(K,L)_r) ---------------------
-
-
-def lattice_basis(pair0: SimplicialPair, r: int, max_degree: int) -> List[Element]:
-    """Basis of the scalar families of total degree ≤ max_degree."""
-    sfa = scalar_algebra(pair0, r, relative=True)
-    sset, sub = sfa.sset, sfa.space.sub
-    slots: List[Tuple[Any, Tuple[int, ...]]] = []
-    for b in sset.bases():
-        if b in sub:
-            continue
-        p = sset.dims[b]
-        for e in _monomials(p, max_degree):
-            slots.append((b, e))
-    index = {se: i for i, se in enumerate(slots)}
-    rows: List[List[Fraction]] = []
-
-    def add_row(lin: Dict[Tuple[Any, Tuple[int, ...]], Fraction]):
-        row = [Fraction(0)] * len(slots)
-        for se, c in lin.items():
-            row[index[se]] += c
-        rows.append(row)
-
-    for b in sset.bases():
-        q = sset.dims[b]
-        if q == 0:
-            continue
-        for i in range(q + 1):
-            face = sset.faces[b][i]
-            y, w = face.base, face.word
-            # For each output monomial: (δ_i^* of b's poly) − (word^* of y's poly) = 0
-            lin_per_out: Dict[Tuple[int, ...], Dict] = {}
-            if b not in sub:
-                imgs = monotone_images(delta_alpha(i, q), q, q - 1)
-                for e in _monomials(q, max_degree):
-                    mono: QPoly = (((e), Fraction(1)),)
-                    sub_poly = _qp_subst_mono(mono, imgs, q - 1)
-                    for e2, c in sub_poly:
-                        lin_per_out.setdefault(e2, {})[(b, e)] = (
-                            lin_per_out.get(e2, {}).get((b, e), Fraction(0)) + c
-                        )
-            if y not in sub:
-                qy = sset.dims[y]
-                pdim = qy + len(w)
-                imgs = monotone_images(word_alpha(w, pdim), qy, pdim)
-                for e in _monomials(qy, max_degree):
-                    mono = ((e, Fraction(1)),)
-                    sub_poly = _qp_subst_mono(mono, imgs, pdim)
-                    for e2, c in sub_poly:
-                        lin_per_out.setdefault(e2, {})[(y, e)] = (
-                            lin_per_out.get(e2, {}).get((y, e), Fraction(0)) - c
-                        )
-            for _, lin in sorted(lin_per_out.items()):
-                add_row(lin)
-
-    basis = nullspace(rows, len(slots))
-    out = []
-    for v in basis:
-        parts: Dict[Any, Dict[Tuple[int, ...], Fraction]] = {}
-        for (b, e), c in zip(slots, v):
-            if c:
-                parts.setdefault(b, {})[e] = c
-        out.append(
-            tuple(
-                sorted(
-                    ((b, tuple(sorted(d.items()))) for b, d in parts.items()),
-                    key=lambda kv: repr(kv[0]),
-                )
-            )
-        )
-    return out
-
-
-def _qp_subst_mono(mono: QPoly, images: Sequence[QPoly], nvars_out: int) -> QPoly:
-    from .poly import qp_subst
-
-    return qp_subst(mono, images, nvars_out)
-
-
-def _monomials(nvars: int, max_degree: int) -> List[Tuple[int, ...]]:
-    if nvars == 0:
-        return [()]
-    out = []
-
-    def rec(prefix, remaining, left):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for k in range(left + 1):
-            rec(prefix + [k], remaining - 1, left - k)
-
-    rec([], nvars, max_degree)
-    return sorted(out)
-
-
-def decompose(
-    fa: FunctionAlgebra, x: Element, basis: List[Element]
-) -> List[Tuple[Any, Element]]:
-    """Write ``x = Σ c_i ⊗ e_i`` over the scalar lattice basis.
-
-    Returns the list of (carrier coefficient, basis element) pairs;
-    raises if the decomposition does not exist or is not exact.
-    """
-    slots = sorted(
-        {(b, e) for el in basis for b, poly in el for e, _ in poly},
-        key=repr,
-    )
-    mat = []
-    for el in basis:
-        d = {(b, e): c for b, poly in el for e, c in poly}
-        mat.append([d.get(s, Fraction(0)) for s in slots])
-    _, pivots = rref(mat)
-    if len(pivots) != len(basis):
-        raise ValueError("lattice basis is linearly dependent")
-    square = [[mat[i][j] for j in pivots] for i in range(len(basis))]
-    inv = invert([list(col) for col in zip(*square)])
-    xd = {(b, e): c for b, poly in x for e, c in poly}
-    xs = [xd.get(slots[j], fa.base.zero()) for j in pivots]
-    coeffs = []
-    for i in range(len(basis)):
-        c = fa.base.zero()
-        for j in range(len(basis)):
-            c = fa.base.add(c, fa.base.scale(inv[i][j], xs[j]))
-        coeffs.append(c)
-    recon = fa.zero()
-    for c, el in zip(coeffs, basis):
-        recon = fa.add(recon, scalar_to_base(fa, el, c))
-    if recon != x:
-        raise ValueError("element does not decompose over the lattice basis")
-    return list(zip(coeffs, basis))
-
-
-def lattice_rank(pair0: SimplicialPair, r: int, max_degree: int) -> int:
-    return len(lattice_basis(pair0, r, max_degree))

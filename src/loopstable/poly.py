@@ -99,20 +99,6 @@ def qp_subst(p: QPoly, images: Sequence[QPoly], nvars_out: int) -> QPoly:
     return out
 
 
-def qp_eval(p: QPoly, point: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for e, c in p:
-        v = c
-        for x, k in zip(point, e):
-            v *= Fraction(x) ** k
-        total += v
-    return total
-
-
-def qp_degree(p: QPoly) -> int:
-    return max((sum(e) for e, _ in p), default=-1)
-
-
 # -- carrier polynomials ------------------------------------------------
 
 
@@ -215,11 +201,6 @@ def monotone_images(alpha: Sequence[int], q: int, p: int) -> List[QPoly]:
 def delta_alpha(i: int, q: int) -> Tuple[int, ...]:
     """The coface ``δ_i : [q−1] → [q]`` as an image tuple."""
     return tuple(j if j < i else j + 1 for j in range(q))
-
-
-def sigma_alpha(j: int, q: int) -> Tuple[int, ...]:
-    """The codegeneracy ``σ_j : [q+1] → [q]`` as an image tuple."""
-    return tuple(k if k <= j else k - 1 for k in range(q + 2))
 
 
 def word_alpha(word: Sequence[int], top: int) -> Tuple[int, ...]:

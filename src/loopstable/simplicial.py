@@ -36,10 +36,6 @@ class FormalSimplex:
     word: Word
     base: Any
 
-    @property
-    def is_nondegenerate(self) -> bool:
-        return not self.word
-
 
 def nd(base: Any) -> FormalSimplex:
     """The nondegenerate formal simplex on ``base``."""
@@ -224,9 +220,8 @@ def nerve(
     elements: Iterable[Any],
     leq: Callable[[Any, Any], bool],
     name: str = "",
-    dim_bound: Optional[int] = None,
 ) -> FinSimplicialSet:
-    """Nerve of a finite poset, truncated at ``dim_bound`` if given.
+    """Nerve of a finite poset.
 
     Nondegenerate ``p``-simplices are the strict chains ``(x_0 < ... < x_p)``,
     stored as tuples; ``d_i`` deletes the ``i``-th entry.
@@ -235,14 +230,11 @@ def nerve(
     strictly_above: Dict[Any, List[Any]] = {
         e: [f for f in elems if f != e and leq(e, f)] for e in elems
     }
-    max_len = len(elems) if dim_bound is None else dim_bound + 1
     chains: List[Tuple[Any, ...]] = [(e,) for e in elems]
     frontier = chains[:]
     while frontier:
         nxt = []
         for c in frontier:
-            if len(c) >= max_len:
-                continue
             for e in strictly_above[c[-1]]:
                 nxt.append(c + (e,))
         chains.extend(nxt)
@@ -395,7 +387,7 @@ def _tuple_leq(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def cube(n: int, dim_bound: Optional[int] = None) -> SimplicialPair:
+def cube(n: int) -> SimplicialPair:
     """The pair 𝔖_n = (I^n, ∂I^n): the n-cube with its full boundary.
 
     Vertices are 0/1 tuples of length n; nondegenerate simplices are chains
@@ -406,7 +398,7 @@ def cube(n: int, dim_bound: Optional[int] = None) -> SimplicialPair:
     if n > MAX_CUBE_DIM:
         raise ValueError(f"cube dimension {n} exceeds bound {MAX_CUBE_DIM}")
     verts = [tuple(bits) for bits in _bits(n)]
-    total = nerve(verts, _tuple_leq, name=f"I^{n}", dim_bound=dim_bound)
+    total = nerve(verts, _tuple_leq, name=f"I^{n}")
     if n == 0:
         return SimplicialPair(total, frozenset(), name="S_0")
     sub = frozenset(
@@ -456,7 +448,7 @@ def path_pair(n: int) -> SimplicialPair:
 
 
 def product(
-    K: FinSimplicialSet, L: FinSimplicialSet, dim_bound: Optional[int] = None
+    K: FinSimplicialSet, L: FinSimplicialSet
 ) -> Tuple[FinSimplicialSet, SimplicialMap, SimplicialMap]:
     """Product of two poset nerves, with its two projections."""
     if K.poset is None or L.poset is None:
@@ -467,7 +459,7 @@ def product(
     def leq(x, y):
         return kleq(x[0], y[0]) and lleq(x[1], y[1])
 
-    P = nerve(elems, leq, name=f"({K.name}x{L.name})", dim_bound=dim_bound)
+    P = nerve(elems, leq, name=f"({K.name}x{L.name})")
     pr1 = SimplicialMap.from_vertex_map(P, K, lambda v: v[0], name="pr1")
     pr2 = SimplicialMap.from_vertex_map(P, L, lambda v: v[1], name="pr2")
     return P, pr1, pr2
@@ -480,11 +472,9 @@ class BoxProduct:
     pr2: SimplicialMap
 
 
-def box_product(
-    P: SimplicialPair, Q: SimplicialPair, dim_bound: Optional[int] = None
-) -> BoxProduct:
+def box_product(P: SimplicialPair, Q: SimplicialPair) -> BoxProduct:
     """(K,L) □ (K',L') = (K×K', K×L' ∪ L×K')."""
-    total, pr1, pr2 = product(P.total, Q.total, dim_bound=dim_bound)
+    total, pr1, pr2 = product(P.total, Q.total)
     sub = frozenset(
         c for c in total.bases()
         if pr1.apply(nd(c)).base in P.sub or pr2.apply(nd(c)).base in Q.sub
@@ -529,8 +519,7 @@ def subdivide(K: FinSimplicialSet) -> FinSimplicialSet:
     def leq(a, b):
         return a == b or a in K.face_closure(b)
 
-    return nerve(elems, leq, name=f"sd({K.name})",
-                 dim_bound=K.top_dim)
+    return nerve(elems, leq, name=f"sd({K.name})")
 
 
 def last_vertex_map(K: FinSimplicialSet, sdK: Optional[FinSimplicialSet] = None) -> SimplicialMap:

@@ -275,14 +275,6 @@ class Morphism:
             f"({self.name} . {other.name})",
         )
 
-    def scaled(self, a) -> "Morphism":
-        a = Fraction(a)
-        return Morphism(
-            self.source, self.target,
-            lambda x: self.target.scale(a, self.fn(x)),
-            f"({a})*{self.name}",
-        )
-
     def __repr__(self):
         return f"<Morphism {self.name}: {self.source.name} -> {self.target.name}>"
 

@@ -4,7 +4,7 @@ Each check replays one construction of the engine — presentations,
 composition laws, exchange morphisms, classifying maps, homotopy
 certificates — exactly, on deterministic samples.  A check either passes,
 fails with a replayable counterexample, is skipped (zero samples), or
-reports the provenance of a machine-found certificate.
+reports NOT-FOUND together with the search it ran.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -79,14 +78,12 @@ from .tensorj import (
     lambda_,
     sample_j_element,
     sample_j_elements,
-    tensor_algebra,
     word_image,
 )
 
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
-SEARCH_DERIVED = "SEARCH-DERIVED"
 NOT_FOUND = "NOT-FOUND"
 
 V0, V1, EDGE = ((0,),), ((1,),), ((0,), (1,))
@@ -101,16 +98,12 @@ class CheckConfig:
     algebra: Carrier = field(default_factory=dual_numbers)
     samples: int = 20
     seed: int = 0
-    max_degree: int = 2
-    j_depth: int = 2
 
     def echo(self) -> Dict[str, Any]:
         return {
             "algebra": self.algebra_name,
             "samples": self.samples,
             "seed": self.seed,
-            "max_degree": self.max_degree,
-            "j_depth": self.j_depth,
         }
 
 
@@ -582,8 +575,8 @@ def check_star_unit(cfg: CheckConfig) -> Tuple[str, str]:
 def check_star_lambda(cfg: CheckConfig) -> Tuple[str, str]:
     """The two composites of λ with the degree-shift unit: one is λ on
     the nose; the other carries the crossing sign and resolves to the
-    reversed exchange composite.  The comparison of the latter with the
-    loop classifier of the kernel is attempted by certificate search."""
+    reversed exchange composite.  The latter is compared with the loop
+    classifier of the kernel by exact equality on a few samples."""
     A = cfg.algebra
     JA = j_kernel(A)
     lam = lambda_(A)
@@ -616,23 +609,23 @@ def check_star_lambda(cfg: CheckConfig) -> Tuple[str, str]:
             _fail(cfg, "star-lambda-identities",
                   f"resolved composite deviates from the reversed exchange "
                   f"at sample {i}", element=x)
-    # compare against the loop classifier of the kernel by search
+    # compare against the loop classifier of the kernel; without fa=
+    # search_homotopy tests exact equality only
     lamJ = lambda_(JA)
     it = iter(xs2)
+    n = min(len(xs2), 4)
     cert = search_homotopy(
         hres.rep, lamJ,
         lambda rng: next(it),
-        degree_cap=cfg.max_degree,
-        samples=min(len(xs2), 4),
+        samples=n,
         seed=cfg.seed,
     )
     if cert is None:
         return NOT_FOUND, (
-            "unit and sign identities exact; no certificate found relating "
-            "the left composite to the kernel's loop classifier within caps"
+            "unit and sign identities exact; an exact equality test found "
+            "the left composite unequal to the kernel's loop classifier "
+            f"(samples tested: {n}); no homotopy search was run"
         )
-    if cert.provenance == "search-derived":
-        return SEARCH_DERIVED, "left composite related by a searched certificate"
     return PASS, "left composite equal to the kernel's loop classifier"
 
 
@@ -837,19 +830,7 @@ class Report:
         return "\n".join(lines)
 
 
-def run_suite(
-    check_ids: List[str], cfg: CheckConfig, jobs: int = 1
-) -> Report:
-    """Run the requested checks (in catalog order) and assemble a report.
-
-    With jobs > 1 the checks execute on a thread pool; each check is
-    internally deterministic and the report order is the catalog order
-    regardless of completion order.
-    """
-    ids = resolve_check_ids(check_ids)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda cid: run_check(cid, cfg), ids))
-    else:
-        results = [run_check(cid, cfg) for cid in ids]
+def run_suite(check_ids: List[str], cfg: CheckConfig) -> Report:
+    """Run the requested checks (in catalog order) and assemble a report."""
+    results = [run_check(cid, cfg) for cid in resolve_check_ids(check_ids)]
     return Report(config=cfg.echo(), results=results)

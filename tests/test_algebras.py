@@ -1,0 +1,67 @@
+"""The algebra definition file format."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from loopstable.algebras import (
+    BUILTIN_ALGEBRAS,
+    FinAlgebra,
+    format_algebra_file,
+    parse_algebra_file,
+    product_algebra,
+)
+
+
+def _truncated_poly(n: int) -> FinAlgebra:
+    """Q[x]/(x^n) on the basis x0 .. x(n-1)."""
+    table = {
+        (f"x{i}", f"x{j}"): ((f"x{i + j}", Fraction(1)),)
+        for i in range(n) for j in range(n) if i + j < n
+    }
+    return FinAlgebra(f"Q[x]/(x^{n})", [f"x{i}" for i in range(n)], table,
+                      unit=(("x0", Fraction(1)),))
+
+
+def _null(n: int) -> FinAlgebra:
+    return FinAlgebra(f"null{n}", [f"n{i}" for i in range(n)], {}, unit=None)
+
+
+_factors = st.one_of(
+    st.sampled_from(sorted(BUILTIN_ALGEBRAS)).map(lambda k: BUILTIN_ALGEBRAS[k]()),
+    st.integers(1, 3).map(_truncated_poly),
+    st.integers(1, 3).map(_null),
+)
+_bases = st.one_of(
+    _factors,
+    st.tuples(_factors, _factors).map(lambda bc: product_algebra(*bc)[0]),
+)
+_scalars = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(
+    lambda c: c != 0
+)
+
+
+@st.composite
+def small_algebras(draw) -> FinAlgebra:
+    """A random small associative algebra: a built-in, truncated
+    polynomial, null or product algebra under a random rescaling of its
+    basis, which keeps it associative and spreads its structure constants
+    over signed fractions."""
+    A = draw(_bases)
+    c = {l: draw(_scalars) for l in A.labels}
+    # e'_l = c_l e_l, so e'_i e'_j = sum_k (c_i c_j / c_k) k_ij^k e'_k
+    table = {
+        (i, j): tuple((k, c[i] * c[j] / c[k] * v) for k, v in prod)
+        for (i, j), prod in A.table.items()
+    }
+    unit = None
+    if A.unit is not None:
+        unit = tuple((k, v / c[k]) for k, v in A.unit)
+    return FinAlgebra(A.name, A.labels, table, unit=unit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras())
+def test_file_format_roundtrip(A):
+    B = parse_algebra_file(format_algebra_file(A))
+    assert (B.name, B.labels, B.table, B.unit) == (A.name, A.labels, A.table, A.unit)

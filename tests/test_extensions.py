@@ -12,13 +12,11 @@ from loopstable.extensions import (
     HomotopyCertificate,
     TriangleData,
     alternate_path_splitting,
-    certificate_text,
     classifying_map,
     mapping_cylinder,
     mapping_path,
     make_extension,
     naturality_check,
-    parse_certificate_text,
     path_extension,
     pb_contraction_certificate,
     phi,
@@ -285,14 +283,6 @@ class TestCertificates:
         s2 = alternate_path_splitting(B, E.mid)
         cert = splitting_homotopy(E, s2)
         cert.verify(samples=20, seed=17)
-
-    def test_text_roundtrip(self):
-        cert = pb_contraction_certificate(B)
-        text = certificate_text(cert, samples=12, seed=3)
-        rec = parse_certificate_text(text)
-        assert rec["name"] == cert.name
-        assert rec["links"] == [cert.chain[0].name]
-        assert rec["samples"] == 12 and rec["seed"] == 3
 
     def test_bad_certificate_detected(self):
         # swapping the endpoints must fail verification

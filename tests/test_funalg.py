@@ -1,5 +1,5 @@
-"""Function-algebra layer: families, restriction, transition, μ, ω,
-concatenation, and the integral lattice."""
+"""Function-algebra layer: families, restriction, transition, μ, ω and
+concatenation."""
 
 import random
 from fractions import Fraction as F
@@ -15,17 +15,13 @@ from loopstable.funalg import (
     constant_function,
     d0,
     d1,
-    decompose,
     function_algebra,
     interval_pair,
-    lattice_basis,
-    lattice_rank,
     make_element,
     mu,
     mu_flat,
     omega,
     pullback_along,
-    restrict,
     sample_element,
     scalar_algebra,
     scalar_to_base,
@@ -97,7 +93,7 @@ class TestRestrict:
         t = affine_coordinate(scalar_algebra(interval_pair(), 0), 0)
         x = scalar_to_base(faI, t, BX)
         fa0 = function_algebra(B, point(), 0)
-        y = restrict(faI, x, interval_endpoint(1), fa0)
+        y = pullback_along(faI, x, interval_endpoint(1), fa0)
         assert fa0.vertex_value(y, (0,)) == BX
 
     def test_identity(self):
@@ -105,7 +101,7 @@ class TestRestrict:
         x = scalar_to_base(
             faI, affine_coordinate(scalar_algebra(interval_pair(), 0), 0), BX
         )
-        assert restrict(faI, x, identity_map(faI.sset), faI) == x
+        assert pullback_along(faI, x, identity_map(faI.sset), faI) == x
 
     def test_coordinate_along_bottom_edge(self):
         from loopstable.funalg import flat_pair_from_profile
@@ -117,7 +113,7 @@ class TestRestrict:
         incl = SimplicialMap.from_vertex_map(
             faI.sset, fa2.sset, lambda v: (v[0], 0), name="bottom"
         )
-        assert restrict(fa2, t1, incl, faI) == affine_coordinate(faI, 0)
+        assert pullback_along(fa2, t1, incl, faI) == affine_coordinate(faI, 0)
 
     def test_restrict_is_multiplicative(self):
         fa = function_algebra(B, S1, 0)
@@ -363,40 +359,3 @@ class TestMu:
 def _tsq_minus_t(sfa, i):
     h = affine_coordinate(sfa, i)
     return sfa.sub(sfa.mul(h, h), h)
-
-
-class TestLattice:
-    def test_interval_rank_is_degree_minus_one(self):
-        for d in (2, 3, 4):
-            assert lattice_rank(S1, 0, d) == d - 1
-
-    def test_subdivided_interval_rank(self):
-        # two halves with degree ≤ 2, glued at the barycenter, vanishing at
-        # both global endpoints: 3 + 3 + 1 − 4 = 3
-        assert lattice_rank(S1, 1, 2) == 3
-
-    def test_unique_decomposition(self):
-        fa = function_algebra(B, S1, 0)
-        basis = lattice_basis(S1, 0, 3)
-        assert len(basis) == 2
-        sfa = scalar_algebra(S1, 0)
-        h = affine_coordinate(sfa, 0)
-        one = constant_function(sfa, F(1))
-        q2 = sfa.sub(sfa.mul(h, h), h)
-        q3 = sfa.mul(sfa.mul(h, h), sfa.sub(h, one))
-        x = fa.add(scalar_to_base(fa, q2, BX), scalar_to_base(fa, q3, B1))
-        pieces = decompose(fa, x, basis)
-        recon = fa.zero()
-        for c, el in pieces:
-            recon = fa.add(recon, scalar_to_base(fa, el, c))
-        assert recon == x
-        assert decompose(fa, x, basis) == pieces
-
-    def test_out_of_span_rejected(self):
-        fa = function_algebra(B, S1, 0)
-        basis = lattice_basis(S1, 0, 3)
-        sfa = scalar_algebra(S1, 0)
-        h = affine_coordinate(sfa, 0)
-        q4 = sfa.mul(_tsq_minus_t(sfa, 0), sfa.mul(h, h))  # degree 4
-        with pytest.raises(ValueError):
-            decompose(fa, scalar_to_base(fa, q4, BX), basis)

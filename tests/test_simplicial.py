@@ -191,16 +191,16 @@ class TestBoxProduct:
     @pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1)])
     def test_symmetry(self, i, j):
         mk = lambda n: cube(n) if n else standard_simplex(0)
-        b1 = box_product(mk(i), mk(j), dim_bound=3)
-        b2 = box_product(mk(j), mk(i), dim_bound=3)
+        b1 = box_product(mk(i), mk(j))
+        b2 = box_product(mk(j), mk(i))
         self._iso_pairs(b1.pair, b2.pair, lambda v: (v[1], v[0]))
 
     @pytest.mark.parametrize("dims", [(0, 1, 1), (1, 1, 1), (1, 0, 2)])
     def test_associativity(self, dims):
         mk = lambda n: cube(n) if n else standard_simplex(0)
         i, j, k = dims
-        left = box_product(box_product(mk(i), mk(j)).pair, mk(k), dim_bound=3)
-        right = box_product(mk(i), box_product(mk(j), mk(k)).pair, dim_bound=3)
+        left = box_product(box_product(mk(i), mk(j)).pair, mk(k))
+        right = box_product(mk(i), box_product(mk(j), mk(k)).pair)
         self._iso_pairs(
             left.pair, right.pair, lambda v: (v[0][0], (v[0][1], v[1]))
         )
@@ -254,7 +254,7 @@ class TestProduct:
         assert count(P, 2) == 2
 
     def test_product_validates(self):
-        P, _, _ = product(cube(1).total, cube(2).total, dim_bound=3)
+        P, _, _ = product(cube(1).total, cube(2).total)
         P.validate()
 
 

@@ -30,9 +30,12 @@ class TestCatalog:
         assert len(report.results) == len(CATALOG)
         assert not report.failed
         statuses = {r.check: r.status for r in report.results}
-        assert statuses["star-lambda-identities"] in (
-            "PASS", "SEARCH-DERIVED", "NOT-FOUND"
-        )
+        assert statuses["star-lambda-identities"] in ("PASS", "NOT-FOUND")
+        if statuses["star-lambda-identities"] == "NOT-FOUND":
+            # the detail names the search that was run
+            (r,) = [r for r in report.results if r.check == "star-lambda-identities"]
+            assert "exact equality test" in r.detail
+            assert "samples tested: 4" in r.detail
         for cid, st in statuses.items():
             if cid != "star-lambda-identities":
                 assert st == "PASS", (cid, st)
@@ -55,11 +58,6 @@ class TestCatalog:
         report = run_suite(["all"], _cfg(samples=0))
         assert all(r.status == "SKIPPED" for r in report.results)
         assert not report.failed
-
-    def test_parallel_matches_serial(self):
-        a = run_suite(["all"], _cfg(), jobs=1)
-        b = run_suite(["all"], _cfg(), jobs=4)
-        assert a.to_json(include_timing=False) == b.to_json(include_timing=False)
 
 
 class TestDeterminism:
@@ -128,10 +126,14 @@ class TestCLI:
         assert cli.main(["--check", "bogus"]) == 2
         assert "valid ids" in capsys.readouterr().err
 
-    def test_exit_two_on_bad_algebra(self):
+    def test_exit_two_on_bad_algebra(self, tmp_path, capsys):
         assert cli.main(["--algebra", "builtin:nope"]) == 2
         assert cli.main(["--algebra", "nocolon"]) == 2
         assert cli.main(["--algebra", "file:/does/not/exist.alg"]) == 2
+        bad = tmp_path / "bad.alg"
+        bad.write_text("basis: 1\n1*1 = 1/0*1\n")
+        assert cli.main(["--algebra", f"file:{bad}"]) == 2
+        assert "zero denominator" in capsys.readouterr().err
 
     def test_exit_one_on_failure(self, monkeypatch):
         monkeypatch.setattr(kkcat, "crossing_sign", lambda n2, n3: 1)
