@@ -17,7 +17,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product as iproduct
+from functools import cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .algebras import FinAlgebra
@@ -90,14 +90,10 @@ def _eq(car: Carrier, x, y) -> bool:
     return x == y
 
 
-_PX_CACHE: Dict[int, PolyExtension] = {}
-
-
+@cache
 def poly_carrier(car: Carrier) -> PolyExtension:
-    """``car[u]``: the one-homotopy-variable extension, cached."""
-    if id(car) not in _PX_CACHE:
-        _PX_CACHE[id(car)] = PolyExtension(car)
-    return _PX_CACHE[id(car)]
+    """``car[u]``: the one-homotopy-variable extension, one per carrier."""
+    return PolyExtension(car)
 
 
 def px_reverse(px: PolyExtension, x):
@@ -185,34 +181,31 @@ def poly_family(fa: FunctionAlgebra, d: Dict[Tuple[int, ...], Any]) -> Element:
     return fa.canon(parts)
 
 
-_MONOMIAL_CACHE: Dict[Tuple, Any] = {}
+@cache
+def _coordinate_images(fa: FunctionAlgebra, bsx, ncoords: int):
+    """The cube coordinates t_i in the affine coordinates of one simplex."""
+    p = fa.sset.dims[bsx]
+    verts = [flatten_vertex(v[0]) for v in fa.sset.vertices(nd(bsx))]
+    images = []
+    for i in range(ncoords):
+        poly = qp_const(verts[0][i], p)
+        for j in range(1, p + 1):
+            poly = qp_add(
+                poly,
+                qp_scale(Fraction(verts[j][i] - verts[0][i]), qp_var(j, p)),
+            )
+        images.append(poly)
+    return tuple(images)
 
 
+@cache
 def _monomial_on_simplex(fa: FunctionAlgebra, bsx, e: Tuple[int, ...], ncoords: int):
     """Π t_i^{e_i} expressed in the affine coordinates of one simplex."""
-    key = (id(fa), bsx, e)
-    if key in _MONOMIAL_CACHE:
-        return _MONOMIAL_CACHE[key]
-    p = fa.sset.dims[bsx]
-    ikey = (id(fa), bsx)
-    images = _MONOMIAL_CACHE.get(ikey)
-    if images is None:
-        verts = [flatten_vertex(v[0]) for v in fa.sset.vertices(nd(bsx))]
-        images = []
-        for i in range(ncoords):
-            poly = qp_const(verts[0][i], p)
-            for j in range(1, p + 1):
-                poly = qp_add(
-                    poly,
-                    qp_scale(Fraction(verts[j][i] - verts[0][i]), qp_var(j, p)),
-                )
-            images.append(poly)
-        _MONOMIAL_CACHE[ikey] = images
-    qp = qp_const(1, p)
+    images = _coordinate_images(fa, bsx, ncoords)
+    qp = qp_const(1, fa.sset.dims[bsx])
     for i, ei in enumerate(e):
         if ei:
             qp = qp_mul(qp, qp_pow(images[i], ei))
-    _MONOMIAL_CACHE[key] = qp
     return qp
 
 
@@ -255,23 +248,23 @@ def _p2_mul(a: Poly2, b: Poly2) -> Poly2:
     return {k: c for k, c in out.items() if c}
 
 
-def _p2_pow(g: Poly2, e: int, cache: Dict[int, Poly2]) -> Poly2:
-    if e not in cache:
+def _p2_pow(g: Poly2, e: int, memo: Dict[int, Poly2]) -> Poly2:
+    if e not in memo:
         if e == 0:
-            cache[e] = {(0, 0): Fraction(1)}
+            memo[e] = {(0, 0): Fraction(1)}
         else:
-            cache[e] = _p2_mul(_p2_pow(g, e - 1, cache), g)
-    return cache[e]
+            memo[e] = _p2_mul(_p2_pow(g, e - 1, memo), g)
+    return memo[e]
 
 
 def _compose1(
     base: Carrier, qdict: Dict[int, Any], g: Poly2
 ) -> Dict[int, Dict[int, Any]]:
     """q(g(t, u)) for q(t) = Σ c_e t^e, split by u-power."""
-    cache: Dict[int, Poly2] = {}
+    memo: Dict[int, Poly2] = {}
     out: Dict[int, Dict[int, Any]] = {}
     for e, c in qdict.items():
-        for (i, k), a in _p2_pow(g, e, cache).items():
+        for (i, k), a in _p2_pow(g, e, memo).items():
             tp = out.setdefault(k, {})
             v = base.scale(a, c)
             tp[i] = base.add(tp[i], v) if i in tp else v
@@ -1176,39 +1169,16 @@ class TriangleData:
 # -- homotopy search ------------------------------------------------------
 
 
-def _substitution_candidates(degree_cap: int, coeffs=(-1, 0, 1)):
-    monos = [
-        (i, j)
-        for i in range(degree_cap + 1)
-        for j in range(degree_cap + 1)
-        if (i, j) != (0, 0)
-    ]
-    cands = []
-    for choice in iproduct(coeffs, repeat=len(monos)):
-        g = {m: Fraction(c) for m, c in zip(monos, choice) if c}
-        if g:
-            cands.append(g)
-    cands.sort(key=len)
-    return cands
-
-
 def search_homotopy(
     left: Morphism,
     right: Morphism,
     sampler: Callable[[random.Random], Any],
     *,
-    fa: Optional[FunctionAlgebra] = None,
-    degree_cap: int = 2,
     samples: int = 8,
     seed: int = 0,
 ) -> Optional[HomotopyCertificate]:
-    """Derive an elementary-homotopy certificate between two morphisms.
-
-    Tries, in order: exact sample equality (empty chain); when ``fa`` is
-    given and both morphisms are endomorphisms of it, a bounded-degree
-    search over one-variable substitution homotopies.  Returns None when
-    nothing is found.
-    """
+    """The empty-chain certificate when the two morphisms agree exactly on
+    ``samples`` sampled inputs, else None.  No homotopy is searched for."""
     rng = random.Random(seed)
     xs = [sampler(rng) for _ in range(samples)]
     tgt = left.target
@@ -1221,37 +1191,4 @@ def search_homotopy(
             sampler=sampler,
             provenance="trivial",
         )
-    if fa is not None and left.source is fa and left.target is fa:
-        for g in _substitution_candidates(degree_cap):
-            try:
-                link = Morphism(
-                    fa,
-                    poly_carrier(fa),
-                    lambda x, g=g: compose_interval(fa, x, g),
-                    f"substitution{sorted(g.items())}",
-                )
-                px = link.target
-                ok = True
-                for x in xs[:2]:
-                    v = link(x)
-                    if not _eq(tgt, px.evaluate(v, 0), left(x)):
-                        ok = False
-                        break
-                    if not _eq(tgt, px.evaluate(v, 1), right(x)):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                cert = HomotopyCertificate(
-                    name=f"derived[{left.name}~{right.name}]",
-                    left=left,
-                    right=right,
-                    chain=[link],
-                    sampler=sampler,
-                    provenance="search-derived",
-                )
-                cert.verify(samples=samples, seed=seed)
-                return cert
-            except (ValueError, CertificateError):
-                continue
     return None

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from typing import Any, Dict, Sequence, Tuple
 
 from .carriers import Carrier, RAT
@@ -174,17 +175,20 @@ class FunctionAlgebra(Carrier):
         return p[0][1] if p else self.base.zero()
 
 
-_FA_CACHE: Dict[Tuple[int, str, int, bool], FunctionAlgebra] = {}
+_function_algebra = cache(FunctionAlgebra)
 
 
 def function_algebra(
     base: Carrier, pair0: SimplicialPair, r: int, relative: bool = True
 ) -> FunctionAlgebra:
-    """Cached constructor (pairs are identified by their canonical names)."""
-    key = (id(base), pair0.name, r, relative)
-    if key not in _FA_CACHE:
-        _FA_CACHE[key] = FunctionAlgebra(base, pair0, r, relative)
-    return _FA_CACHE[key]
+    """The algebra ``base^(pair0)_r``, built once per argument tuple.
+
+    Keys are the argument objects: the carrier by identity, the pair by its
+    total (by identity) and subobject, so two pairs that share only a name
+    get distinct algebras.  Interning the pair constructors is what keeps
+    the carriers of two calls such as ``cube(1)`` the same object.
+    """
+    return _function_algebra(base, pair0, r, relative)
 
 
 # -- restriction and transition -----------------------------------------
@@ -227,7 +231,19 @@ def tower_map(
 # -- the multiplication morphism μ --------------------------------------
 
 
-_MU_CACHE: Dict[Tuple, Tuple] = {}
+@cache
+def _mu_plan(outer: FunctionAlgebra):
+    """The target of μ on ``outer``, the inner algebra at level r+s and the
+    two subdivided projections of the box product."""
+    inner = outer.base
+    B, r, s = inner.base, inner.r, outer.r
+    bp = box_product(inner.pair0, outer.pair0)
+    target = function_algebra(B, bp.pair, r + s, relative=True)
+    inner_rs = function_algebra(B, inner.pair0, r + s, inner.relative)
+    outer_rs = function_algebra(inner, outer.pair0, r + s, outer.relative)
+    prK = tower_map(bp.pr1, target.levels, inner_rs.levels, r + s)
+    prK2 = tower_map(bp.pr2, target.levels, outer_rs.levels, r + s)
+    return target, inner_rs, prK, prK2
 
 
 def mu(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
@@ -243,16 +259,7 @@ def mu(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
     if not isinstance(inner, FunctionAlgebra):
         raise ValueError("mu needs a function algebra of function algebras")
     B, r, s = inner.base, inner.r, outer.r
-    key = (id(B), inner.pair0.name, outer.pair0.name, r, s, inner.relative)
-    if key not in _MU_CACHE:
-        bp = box_product(inner.pair0, outer.pair0)
-        target = function_algebra(B, bp.pair, r + s, relative=True)
-        inner_rs = function_algebra(B, inner.pair0, r + s, inner.relative)
-        outer_rs = function_algebra(inner, outer.pair0, r + s, outer.relative)
-        prK = tower_map(bp.pr1, target.levels, inner_rs.levels, r + s)
-        prK2 = tower_map(bp.pr2, target.levels, outer_rs.levels, r + s)
-        _MU_CACHE[key] = (target, inner_rs, prK, prK2)
-    target, inner_rs, prK, prK2 = _MU_CACHE[key]
+    target, inner_rs, prK, prK2 = _mu_plan(outer)
     outer_rs_fa, x2 = transition_n(outer, x, r)
     tcache: Dict[Element, Element] = {}
     parts: Dict[Any, CPoly] = {}
@@ -273,23 +280,18 @@ def mu(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
     return target, target.canon(parts)
 
 
-_MAP_CACHE: Dict[Tuple, SimplicialMap] = {}
-
-
+@cache
 def unflatten_map(
     flat: FunctionAlgebra, nested: FunctionAlgebra, split: int
 ) -> SimplicialMap:
     """sd^r of the canonical iso ``I^{a+b} → I^a × I^b`` (vertexwise split)."""
-    key = ("unflatten", flat.name, nested.name, split)
-    if key not in _MAP_CACHE:
-        f0 = SimplicialMap.from_vertex_map(
-            flat.levels[0].total,
-            nested.levels[0].total,
-            lambda v: (v[:split], v[split:]),
-            name="unflatten",
-        )
-        _MAP_CACHE[key] = tower_map(f0, flat.levels, nested.levels, flat.r)
-    return _MAP_CACHE[key]
+    f0 = SimplicialMap.from_vertex_map(
+        flat.levels[0].total,
+        nested.levels[0].total,
+        lambda v: (v[:split], v[split:]),
+        name="unflatten",
+    )
+    return tower_map(f0, flat.levels, nested.levels, flat.r)
 
 
 def mu_flat(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
@@ -307,12 +309,14 @@ def mu_flat(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Elemen
     return target, pullback_along(box_fa, y, g, target)
 
 
+@cache
 def flat_pair_from_profile(profile: Tuple[str, ...]) -> SimplicialPair:
     """The pair on ``I^n`` whose subobject is described per coordinate:
     ``both`` (full boundary), ``one`` (the 1-face), ``free`` (nothing).
 
-    Dispatches to the canonical constructors where one exists, so that
-    algebra caching by pair name stays coherent.
+    Interned like the constructors it dispatches to where one exists, so
+    that a profile always gives the same pair object and hence the same
+    carriers.
     """
     from .simplicial import _bits, _tuple_leq, cube, nerve, path_pair
 
@@ -397,28 +401,26 @@ def omega(fa: FunctionAlgebra, x: Element) -> Element:
     return pullback_along(fa, x, rev, fa)
 
 
+@cache
 def _interval_inclusions(fa: FunctionAlgebra) -> Tuple[SimplicialMap, SimplicialMap]:
     """sd^r of the two copies I → sd I (both oriented toward the barycenter).
 
     Returns maps from ``fa``'s level-r total into the level-(r+1) total.
     """
-    key = ("incl", fa.pair0.name, fa.r)
-    if key not in _MAP_CACHE:
-        tgt = function_algebra(fa.base, fa.pair0, fa.r + 1, fa.relative)
-        I0 = fa.levels[0].total
-        sdI = tgt.levels[1].total
-        v0, v1, edge = ((0,),), ((1,),), ((0,), (1,))
-        j1 = SimplicialMap.from_vertex_map(
-            I0, sdI, lambda v: v0 if v == (0,) else edge, name="copy1"
-        )
-        j2 = SimplicialMap.from_vertex_map(
-            I0, sdI, lambda v: v1 if v == (0,) else edge, name="copy2"
-        )
-        _MAP_CACHE[key] = (
-            tower_map(j1, fa.levels, tgt.levels[1:], fa.r),
-            tower_map(j2, fa.levels, tgt.levels[1:], fa.r),
-        )
-    return _MAP_CACHE[key]
+    tgt = function_algebra(fa.base, fa.pair0, fa.r + 1, fa.relative)
+    I0 = fa.levels[0].total
+    sdI = tgt.levels[1].total
+    v0, v1, edge = ((0,),), ((1,),), ((0,), (1,))
+    j1 = SimplicialMap.from_vertex_map(
+        I0, sdI, lambda v: v0 if v == (0,) else edge, name="copy1"
+    )
+    j2 = SimplicialMap.from_vertex_map(
+        I0, sdI, lambda v: v1 if v == (0,) else edge, name="copy2"
+    )
+    return (
+        tower_map(j1, fa.levels, tgt.levels[1:], fa.r),
+        tower_map(j2, fa.levels, tgt.levels[1:], fa.r),
+    )
 
 
 def concatenate(fa: FunctionAlgebra, x: Element, y: Element) -> Tuple[FunctionAlgebra, Element]:

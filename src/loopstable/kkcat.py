@@ -10,7 +10,7 @@ finite products.
 """
 
 from dataclasses import dataclass, replace
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 from .algebras import FinAlgebra, product_algebra
 from .carriers import Carrier
@@ -28,7 +28,7 @@ from .funalg import (
     omega,
     pullback_along,
 )
-from .simplicial import SimplicialMap, cube, swap_map
+from .simplicial import SimplicialMap, cube
 from .tensorj import (
     Morphism,
     identity_morphism,

@@ -17,6 +17,7 @@ monotone vertex maps while the validation layer stays fully general.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 Word = Tuple[int, ...]
@@ -346,7 +347,11 @@ def identity_map(sset: FinSimplicialSet) -> SimplicialMap:
 
 @dataclass(frozen=True)
 class SimplicialPair:
-    """A simplicial set with a (possibly empty) face-closed subset of bases."""
+    """A simplicial set with a (possibly empty) face-closed subset of bases.
+
+    Pairs compare and hash by the identity of ``total``, the subobject and
+    the name, which makes them keys of the carrier caches.
+    """
 
     total: FinSimplicialSet
     sub: FrozenSet[Any]
@@ -372,7 +377,11 @@ def sub_simplicial_set(pair: SimplicialPair, name: str = "") -> FinSimplicialSet
 
 # -- standard objects ----------------------------------------------------
 
+# The pair constructors are interned: equal arguments give the same pair
+# object, so the carriers built on two calls' pairs are the same object too.
 
+
+@cache
 def standard_simplex(p: int) -> SimplicialPair:
     """Δ^p as a pair with empty subobject."""
     total = nerve(range(p + 1), lambda a, b: a <= b, name=f"Delta^{p}")
@@ -387,6 +396,7 @@ def _tuple_leq(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+@cache
 def cube(n: int) -> SimplicialPair:
     """The pair 𝔖_n = (I^n, ∂I^n): the n-cube with its full boundary.
 
@@ -420,6 +430,7 @@ def interval() -> FinSimplicialSet:
     return cube(1).total
 
 
+@cache
 def interval_rel_one() -> SimplicialPair:
     """The pair (I, {1}): the interval relative to its 1-endpoint."""
     total = cube(1).total
@@ -427,6 +438,7 @@ def interval_rel_one() -> SimplicialPair:
                           coords=("one",))
 
 
+@cache
 def path_pair(n: int) -> SimplicialPair:
     """The pair 𝔖_n □ (I, {1}) presented on the flat cube I^{n+1}.
 
@@ -472,6 +484,7 @@ class BoxProduct:
     pr2: SimplicialMap
 
 
+@cache
 def box_product(P: SimplicialPair, Q: SimplicialPair) -> BoxProduct:
     """(K,L) □ (K',L') = (K×K', K×L' ∪ L×K')."""
     total, pr1, pr2 = product(P.total, Q.total)

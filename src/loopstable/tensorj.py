@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .algebras import FinAlgebra
@@ -207,23 +208,18 @@ def based_key_element(car: Carrier, k):
     raise ValueError(f"carrier {car.name} has no canonical basis")
 
 
-_T_CACHE: Dict[Tuple[int, bool], TensorAlgebra] = {}
-_J_CACHE: Dict[int, JKernel] = {}
+_tensor_algebra = cache(TensorAlgebra)
 
 
 def tensor_algebra(base: Carrier, formal: Optional[bool] = None) -> TensorAlgebra:
-    f = not is_based(base) if formal is None else formal
-    key = (id(base), f)
-    if key not in _T_CACHE:
-        _T_CACHE[key] = TensorAlgebra(base, formal=f)
-    return _T_CACHE[key]
+    """T(base), one per carrier (by identity) and flavor."""
+    return _tensor_algebra(base, not is_based(base) if formal is None else formal)
 
 
+@cache
 def j_kernel(base: Carrier) -> JKernel:
-    key = id(base)
-    if key not in _J_CACHE:
-        _J_CACHE[key] = JKernel(tensor_algebra(base))
-    return _J_CACHE[key]
+    """J(base), one per carrier (by identity)."""
+    return JKernel(tensor_algebra(base))
 
 
 def j_tower(base: Carrier, depth: int) -> List[Carrier]:

@@ -609,8 +609,8 @@ def check_star_lambda(cfg: CheckConfig) -> Tuple[str, str]:
             _fail(cfg, "star-lambda-identities",
                   f"resolved composite deviates from the reversed exchange "
                   f"at sample {i}", element=x)
-    # compare against the loop classifier of the kernel; without fa=
-    # search_homotopy tests exact equality only
+    # compare against the loop classifier of the kernel; search_homotopy
+    # tests exact equality only
     lamJ = lambda_(JA)
     it = iter(xs2)
     n = min(len(xs2), 4)

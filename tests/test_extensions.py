@@ -20,7 +20,6 @@ from loopstable.extensions import (
     path_extension,
     pb_contraction_certificate,
     phi,
-    poly_carrier,
     search_homotopy,
     splitting_homotopy,
     square_contraction_certificate,
@@ -50,7 +49,6 @@ from loopstable.tensorj import (
     sample_j_element,
     tensor_algebra,
     word_image,
-    zero_morphism,
 )
 
 B = dual_numbers()
@@ -395,18 +393,6 @@ class TestSearch:
         assert cert is not None and cert.provenance == "trivial"
         assert cert.chain == []
 
-    def test_derives_contraction(self):
-        fa = function_algebra(B, interval_rel_one(), 0)
-        cert = search_homotopy(
-            identity_morphism(fa),
-            zero_morphism(fa, fa),
-            lambda rng: sample_element(fa, rng),
-            fa=fa,
-            degree_cap=2,
-        )
-        assert cert is not None and cert.provenance == "search-derived"
-        cert.verify(samples=10, seed=30)
-
     def test_not_found(self):
         fa = function_algebra(B, cube(1), 0)
         double = Morphism(fa, fa, lambda x: fa.scale(F(2), x), "double")
@@ -414,8 +400,6 @@ class TestSearch:
             identity_morphism(fa),
             double,
             lambda rng: sample_element(fa, rng),
-            fa=fa,
-            degree_cap=1,
         )
         assert cert is None
 

@@ -26,17 +26,17 @@ from loopstable.funalg import (
     scalar_algebra,
     scalar_to_base,
     transition,
-    transition_n,
     vanishing_scalar,
 )
 from loopstable.simplicial import (
     SimplicialMap,
+    SimplicialPair,
     cube,
     identity_map,
     interval_endpoint,
     point,
-    standard_simplex,
 )
+from loopstable.tensorj import tensor_algebra
 
 B = dual_numbers()
 BX = B.basis_vec("x")
@@ -354,6 +354,28 @@ class TestMu:
         tgt, m = mu(outer, x)
         assert tgt.r == 1
         tgt.check(m)
+
+
+class TestCarrierIdentity:
+    def test_pairs_sharing_a_name_get_distinct_algebras(self):
+        I = cube(1).total
+        free = SimplicialPair(I, frozenset(), name="X")
+        rel = SimplicialPair(I, frozenset({((1,),)}), name="X")
+        fa_free = function_algebra(RAT, free, 0)
+        fa_rel = function_algebra(RAT, rel, 0)
+        assert fa_free is not fa_rel
+        assert fa_free.subset == frozenset()
+        assert fa_rel.subset == frozenset({((1,),)})
+
+    def test_interned_constructors(self):
+        assert cube(2) is cube(2)
+        fa = function_algebra(B, cube(1), 0)
+        assert function_algebra(B, cube(1), 0, True) is fa
+        assert function_algebra(B, cube(1), 0, relative=True) is fa
+        assert tensor_algebra(B) is tensor_algebra(B, formal=False)
+        outer = function_algebra(function_algebra(B, S1, 0), S1, 0)
+        x = sample_element(outer, random.Random(43), degree=1, terms=1)
+        assert mu_flat(outer, x)[0] is mu_flat(outer, x)[0]
 
 
 def _tsq_minus_t(sfa, i):
