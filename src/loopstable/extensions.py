@@ -5,8 +5,12 @@ extension (counit-kernel inclusion into the tensor algebra), path extensions
 with their t0-splitting, classifying maps of split extensions, mapping paths
 and their projections, the comparison map into a double mapping path, mapping
 cylinders, and the three-map tower used to rotate composable morphisms, with
-all accompanying elementary-homotopy certificates (explicit one-variable
-polynomial interpolations that are verified exactly on samples).
+all accompanying elementary-homotopy certificates, verified exactly on
+samples.  Each elementary homotopy is a polynomial substitution h(t, u):
+read the family's global polynomial (:func:`~loopstable.funalg.global_poly`),
+substitute the images of h (:func:`~loopstable.poly.cp_subst`), and split
+the result by powers of the homotopy variable u into families
+(:func:`~loopstable.funalg.poly_family`).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .algebras import FinAlgebra
-from .carriers import Carrier, PolyExtension, PullbackCarrier
+from .carriers import RAT, Carrier, PolyExtension, PullbackCarrier
 from .funalg import (
     Element,
     FunctionAlgebra,
@@ -31,38 +35,29 @@ from .funalg import (
     d0,
     d1,
     function_algebra,
+    global_poly,
     interval_pair,
     mu_flat,
     omega,
+    poly_family,
     pullback_along,
     sample_element,
     scalar_algebra,
     scalar_to_base,
     transition_n,
     tower_map,
-    vanishing_scalar,
 )
 from .poly import (
-    cp_add,
-    cp_constant,
-    cp_from_scalar,
+    CPoly,
+    cp_flatten,
+    cp_map_coeffs,
     cp_subst,
-    cp_zero,
     qp_add,
-    qp_const,
     qp_mul,
-    qp_pow,
-    qp_scale,
+    qp_sub,
     qp_var,
 )
-from .simplicial import (
-    SimplicialMap,
-    cube,
-    flatten_vertex,
-    interval_rel_one,
-    nd,
-    path_pair,
-)
+from .simplicial import SimplicialMap, cube, interval_rel_one, path_pair
 from .tensorj import (
     Morphism,
     identity_morphism,
@@ -75,10 +70,6 @@ from .tensorj import (
     word_image,
     zero_morphism,
 )
-
-V0 = ((0,),)
-V1 = ((1,),)
-EDGE = ((0,), (1,))
 
 PATH_EXT_BOUND = 2
 
@@ -132,194 +123,37 @@ def paused_gc():
             gc.enable()
 
 
-# -- polynomial presentations of interval and square families ------------
+# -- elementary homotopies as polynomial substitutions -------------------
 
-
-def _interval_poly(fa: FunctionAlgebra, x: Element) -> Dict[int, Any]:
-    """The edge polynomial q(t) of a one-coordinate level-0 family."""
-    if fa.r != 0 or len(fa.pair0.coords or ()) != 1:
-        raise ValueError("interval presentation needs a one-coordinate r=0 space")
-    edge = dict(x).get(EDGE, ())
-    return {e[0]: c for e, c in edge}
-
-
-def _interval_family(fa: FunctionAlgebra, coeffs: Dict[int, Any]) -> Element:
-    """The family with edge polynomial Σ c_k t^k (endpoints derived)."""
-    base = fa.base
-    v0 = coeffs.get(0, base.zero())
-    v1 = base.zero()
-    for c in coeffs.values():
-        v1 = base.add(v1, c)
-    edge = tuple(
-        sorted(((k,), c) for k, c in coeffs.items() if not base.is_zero(c))
-    )
-    return fa.canon(
-        {
-            V0: cp_constant(base, v0, 0),
-            V1: cp_constant(base, v1, 0),
-            EDGE: edge,
-        }
-    )
-
-
-def poly_family(fa: FunctionAlgebra, d: Dict[Tuple[int, ...], Any]) -> Element:
-    """The family of a global polynomial Σ c_e Π t_i^{e_i} on a flat cube.
-
-    Evaluates the polynomial simplexwise through the affine coordinate
-    expressions; canonicalization verifies the vanishing conditions.
-    """
-    if fa.r != 0 or fa.pair0.coords is None:
-        raise ValueError("polynomial families need a flat r=0 space")
-    ncoords = len(fa.pair0.coords)
-    parts = {}
-    for bsx in fa.sset.bases():
-        acc = cp_zero()
-        for e, c in d.items():
-            qp = _monomial_on_simplex(fa, bsx, e, ncoords)
-            acc = cp_add(fa.base, acc, cp_from_scalar(fa.base, qp, c))
-        parts[bsx] = acc
-    return fa.canon(parts)
-
-
-@cache
-def _coordinate_images(fa: FunctionAlgebra, bsx, ncoords: int):
-    """The cube coordinates t_i in the affine coordinates of one simplex."""
-    p = fa.sset.dims[bsx]
-    verts = [flatten_vertex(v[0]) for v in fa.sset.vertices(nd(bsx))]
-    images = []
-    for i in range(ncoords):
-        poly = qp_const(verts[0][i], p)
-        for j in range(1, p + 1):
-            poly = qp_add(
-                poly,
-                qp_scale(Fraction(verts[j][i] - verts[0][i]), qp_var(j, p)),
-            )
-        images.append(poly)
-    return tuple(images)
-
-
-@cache
-def _monomial_on_simplex(fa: FunctionAlgebra, bsx, e: Tuple[int, ...], ncoords: int):
-    """Π t_i^{e_i} expressed in the affine coordinates of one simplex."""
-    images = _coordinate_images(fa, bsx, ncoords)
-    qp = qp_const(1, fa.sset.dims[bsx])
-    for i, ei in enumerate(e):
-        if ei:
-            qp = qp_mul(qp, qp_pow(images[i], ei))
-    return qp
-
-
-_SQ_TOP = ((0, 0), (1, 0), (1, 1))
-
-
-def _square_poly(fa: FunctionAlgebra, x: Element) -> Dict[Tuple[int, int], Any]:
-    """The global polynomial p(t, s) of a two-coordinate level-0 family.
-
-    Read off the triangle 00 ≤ 10 ≤ 11, where the barycentric variables
-    invert affinely: x1 = t − s, x2 = s.
-    """
-    if fa.r != 0 or len(fa.pair0.coords or ()) != 2:
-        raise ValueError("square presentation needs a two-coordinate r=0 space")
-    stored = dict(x).get(_SQ_TOP, ())
-    t_minus_s = qp_add(qp_var(1, 2), qp_scale(Fraction(-1), qp_var(2, 2)))
-    images = [t_minus_s, qp_var(2, 2)]
-    out = cp_subst(fa.base, stored, images, 2)
-    return {e: c for e, c in out}
-
-
-# -- small rational polynomials in (t, u) used by the homotopies ---------
-
-Poly2 = Dict[Tuple[int, int], Fraction]
-
+# a coordinate t and the homotopy variable u
+T, U = qp_var(1, 2), qp_var(2, 2)
 # 1 − (1−t)(1−u) = t + u − tu
-G_SHRINK: Poly2 = {(1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(-1)}
+G_SHRINK = qp_sub(qp_add(T, U), qp_mul(T, U))
 # (1−t)·u
-G_TAIL: Poly2 = {(0, 1): Fraction(1), (1, 1): Fraction(-1)}
+G_TAIL = qp_sub(U, qp_mul(T, U))
 # t·u
-G_SCALE: Poly2 = {(1, 1): Fraction(1)}
+G_SCALE = qp_mul(T, U)
+# (t, s, u) ↦ (t, 1 − (1−s)(1−u))
+SQUARE_SHRINK = (
+    qp_var(1, 3),
+    cp_subst(RAT, G_SHRINK, (qp_var(2, 3), qp_var(3, 3)), 3),
+)
 
 
-def _p2_mul(a: Poly2, b: Poly2) -> Poly2:
-    out: Poly2 = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, Fraction(0)) + c1 * c2
-    return {k: c for k, c in out.items() if c}
+def _substitute(p: CPoly, images, out: FunctionAlgebra) -> Dict[int, Element]:
+    """p(h(t, u)) on ``out``, split by the power of u.
 
-
-def _p2_pow(g: Poly2, e: int, memo: Dict[int, Poly2]) -> Poly2:
-    if e not in memo:
-        if e == 0:
-            memo[e] = {(0, 0): Fraction(1)}
-        else:
-            memo[e] = _p2_mul(_p2_pow(g, e - 1, memo), g)
-    return memo[e]
-
-
-def _compose1(
-    base: Carrier, qdict: Dict[int, Any], g: Poly2
-) -> Dict[int, Dict[int, Any]]:
-    """q(g(t, u)) for q(t) = Σ c_e t^e, split by u-power."""
-    memo: Dict[int, Poly2] = {}
-    out: Dict[int, Dict[int, Any]] = {}
-    for e, c in qdict.items():
-        for (i, k), a in _p2_pow(g, e, memo).items():
-            tp = out.setdefault(k, {})
-            v = base.scale(a, c)
-            tp[i] = base.add(tp[i], v) if i in tp else v
-    return out
-
-
-def _px_from_tpolys(fa: FunctionAlgebra, d: Dict[int, Dict[int, Any]]):
-    px = poly_carrier(fa)
-    out = px.zero()
-    for k, tp in d.items():
-        out = px.add(out, px.monomial(k, _interval_family(fa, tp)))
-    return out
-
-
-def compose_interval(
-    xfa: FunctionAlgebra, x: Element, g: Poly2, out_fa: Optional[FunctionAlgebra] = None
-):
-    """x(g(t, u)) as an element of ``out_fa[u]`` (default: ``xfa[u]``)."""
-    tgt = out_fa or xfa
-    return _px_from_tpolys(tgt, _compose1(xfa.base, _interval_poly(xfa, x), g))
-
-
-# -- generic family sampler over arbitrary base carriers -----------------
-
-
-def sampled_family(
-    fa: FunctionAlgebra,
-    rng: random.Random,
-    base_sampler: Optional[Callable] = None,
-    degree: int = 2,
-    terms: int = 2,
-) -> Element:
-    """Like the built-in cube sampler, but with a custom coefficient sampler
-    (required over pullback or other non-built-in base carriers)."""
-    if base_sampler is None:
-        return sample_element(fa, rng, degree, terms)
-    pair0 = fa.pair0
-    sfa = scalar_algebra(pair0, 0, relative=False)
-    if fa.relative:
-        V = vanishing_scalar(pair0)
-    else:
-        V = constant_function(sfa, Fraction(1))
-    handles = [affine_coordinate(sfa, i) for i in range(len(pair0.coords))]
-    fa0 = function_algebra(fa.base, pair0, 0, fa.relative)
-    total = fa0.zero()
-    for _ in range(terms):
-        bel = base_sampler(rng)
-        P = V
-        for _ in range(rng.randint(0, max(degree - 1, 0))):
-            combo = constant_function(sfa, Fraction(rng.randint(-2, 2)))
-            for h in handles:
-                combo = sfa.add(combo, sfa.scale(Fraction(rng.randint(-2, 2)), h))
-            P = sfa.mul(P, combo)
-        total = fa0.add(total, scalar_to_base(fa0, P, bel))
-    return transition_n(fa0, total, fa.r)[1]
+    ``p`` is a global polynomial (:func:`~loopstable.funalg.global_poly`)
+    with coefficients in ``out.base``; ``images[i]`` replaces its i-th
+    variable and is a scalar polynomial in the coordinates of ``out``
+    followed by u.  The result maps each power k of u to its coefficient
+    family on ``out``.
+    """
+    nvars = len(out.pair0.coords) + 1
+    by_u: Dict[int, list] = {}
+    for e, c in cp_subst(out.base, p, images, nvars):
+        by_u.setdefault(e[-1], []).append((e[:-1], c))
+    return {k: poly_family(out, tuple(q)) for k, q in by_u.items()}
 
 
 # -- extension records ----------------------------------------------------
@@ -387,17 +221,15 @@ class ExtensionData:
                         )
 
 
-def make_extension(validate: bool = True, samples: int = 4, seed: int = 0, **kw):
+def make_extension(**kw) -> ExtensionData:
     ext = ExtensionData(**kw)
-    if validate:
-        ext.validate(samples=samples, seed=seed)
+    ext.validate()
     return ext
 
 
-def with_splitting(E: ExtensionData, s2: Morphism, validate: bool = True):
+def with_splitting(E: ExtensionData, s2: Morphism) -> ExtensionData:
     ext = replace(E, s=s2, name=f"{E.name}<{s2.name}>")
-    if validate:
-        ext.validate()
+    ext.validate()
     return ext
 
 
@@ -607,23 +439,11 @@ class HomotopyCertificate:
     sampler: Callable[[random.Random], Any]
     provenance: str = "shipped"
 
-    def verify(
-        self,
-        samples: int = 20,
-        seed: int = 0,
-        multiplicative: bool = True,
-        multiplicative_pairs: Optional[int] = None,
-    ) -> None:
+    def verify(self, samples: int = 20, seed: int = 0) -> None:
         with paused_gc():
-            self._verify(samples, seed, multiplicative, multiplicative_pairs)
+            self._verify(samples, seed)
 
-    def _verify(
-        self,
-        samples: int,
-        seed: int,
-        multiplicative: bool,
-        multiplicative_pairs: Optional[int] = None,
-    ) -> None:
+    def _verify(self, samples: int, seed: int) -> None:
         rng = random.Random(seed)
         tgt = self.left.target
         xs = [self.sampler(rng) for _ in range(max(samples, 2))]
@@ -649,22 +469,18 @@ class HomotopyCertificate:
                     raise CertificateError(
                         f"{self.name}: links {i},{i + 1} do not chain at {x!r}"
                     )
-        if multiplicative:
-            src = self.left.source
-            pairs = list(zip(xs[::2], xs[1::2]))
-            if multiplicative_pairs is not None:
-                pairs = pairs[:multiplicative_pairs]
-            for x, y in pairs:
-                for link in self.chain:
-                    px = link.target
-                    if not _eq(px, link(src.add(x, y)), px.add(link(x), link(y))):
-                        raise CertificateError(
-                            f"{self.name}: link {link.name} not additive"
-                        )
-                    if not _eq(px, link(src.mul(x, y)), px.mul(link(x), link(y))):
-                        raise CertificateError(
-                            f"{self.name}: link {link.name} not multiplicative"
-                        )
+        src = self.left.source
+        for x, y in zip(xs[::2], xs[1::2]):
+            for link in self.chain:
+                px = link.target
+                if not _eq(px, link(src.add(x, y)), px.add(link(x), link(y))):
+                    raise CertificateError(
+                        f"{self.name}: link {link.name} not additive"
+                    )
+                if not _eq(px, link(src.mul(x, y)), px.mul(link(x), link(y))):
+                    raise CertificateError(
+                        f"{self.name}: link {link.name} not multiplicative"
+                    )
 
 
 # -- mapping paths --------------------------------------------------------
@@ -720,7 +536,7 @@ def mapping_path(
 
     def mid_sample(rng):
         a = source_sampler(rng)
-        extra = sampled_family(loop, rng, base_sampler=target_sampler, terms=1)
+        extra = sample_element(loop, rng, terms=1, base_sampler=target_sampler)
         p = PBr.add(s_path(f(a)), PBr.canon(dict(extra)))
         return car.make(p, a)
 
@@ -733,7 +549,7 @@ def mapping_path(
         s=section,
         name=f"MP[{f.name}]_{r}",
         into_kernel=into_kernel,
-        kernel_sampler=lambda rng: sampled_family(
+        kernel_sampler=lambda rng: sample_element(
             loop, rng, base_sampler=target_sampler
         ),
         quotient_sampler=source_sampler,
@@ -808,17 +624,19 @@ def tr2_certificate(f: Morphism, ph: Optional[PhiData] = None) -> HomotopyCertif
     left = mp_pi.iota
 
     def H(q):
-        qd = _interval_poly(loopA, q)
-        pa = _compose1(A, qd, G_SHRINK)
-        qf = {i: f(c) for i, c in qd.items()}
-        pb = _compose1(Bc, qf, G_TAIL)
-        out = px.zero()
-        for k in set(pa) | set(pb) | set(qd):
-            pa_k = _interval_family(PA, pa.get(k, {}))
-            pb_k = _interval_family(PB, pb.get(k, {}))
-            a_k = qd.get(k, A.zero())
-            out = px.add(out, px.monomial(k, Ppi.make(pa_k, Pf.make(pb_k, a_k))))
-        return out
+        qp = global_poly(loopA, q)
+        pa = _substitute(qp, (G_SHRINK,), PA)
+        pb = _substitute(cp_map_coeffs(Bc, qp, f), (G_TAIL,), PB)
+        qu = {k: c for (k,), c in qp}  # q(u)
+        return px._norm(
+            {
+                k: Ppi.make(
+                    pa.get(k, PA.zero()),
+                    Pf.make(pb.get(k, PB.zero()), qu.get(k, A.zero())),
+                )
+                for k in set(pa) | set(pb) | set(qu)
+            }
+        )
 
     link = Morphism(loopA, px, H, "rotation-interpolation")
     return HomotopyCertificate(
@@ -833,10 +651,11 @@ def tr2_certificate(f: Morphism, ph: Optional[PhiData] = None) -> HomotopyCertif
 def pb_contraction_certificate(B: Carrier, name: str = "") -> HomotopyCertificate:
     """Contraction of the based path algebra: H(p) = p(1−(1−t)(1−u))."""
     fa = function_algebra(B, interval_rel_one(), 0)
+    px = poly_carrier(fa)
     link = Morphism(
         fa,
-        poly_carrier(fa),
-        lambda x: compose_interval(fa, x, G_SHRINK),
+        px,
+        lambda x: px._norm(_substitute(global_poly(fa, x), (G_SHRINK,), fa)),
         "endpoint-shrink",
     )
     return HomotopyCertificate(
@@ -854,22 +673,12 @@ def square_contraction_certificate(B: Carrier) -> HomotopyCertificate:
     fa = function_algebra(B, path_pair(1), 0)
     px = poly_carrier(fa)
 
-    def H(x):
-        d2 = _square_poly(fa, x)
-        qcache: Dict[int, Poly2] = {}
-        acc: Dict[int, Dict[Tuple[int, int], Any]] = {}
-        for (i, j), c in d2.items():
-            for (js, k), a in _p2_pow(G_SHRINK, j, qcache).items():
-                tp = acc.setdefault(k, {})
-                key = (i, js)
-                v = B.scale(a, c)
-                tp[key] = B.add(tp[key], v) if key in tp else v
-        out = px.zero()
-        for k, d in acc.items():
-            out = px.add(out, px.monomial(k, poly_family(fa, d)))
-        return out
-
-    link = Morphism(fa, px, H, "second-coordinate-shrink")
+    link = Morphism(
+        fa,
+        px,
+        lambda x: px._norm(_substitute(global_poly(fa, x), SQUARE_SHRINK, fa)),
+        "second-coordinate-shrink",
+    )
     return HomotopyCertificate(
         name=f"square-contraction[{B.name}]",
         left=identity_morphism(fa),
@@ -947,13 +756,13 @@ def mapping_cylinder(
 
     def H(z):
         p, b = z
-        comp = dict(compose_interval(CI, p, G_SCALE))
-        out = px.zero()
-        for k in set(comp) | {0}:
-            pk = comp.get(k, CI.zero())
-            pair = car.make(pk, b if k == 0 else B.zero())
-            out = px.add(out, px.monomial(k, pair))
-        return out
+        comp = _substitute(global_poly(CI, p), (G_SCALE,), CI)
+        return px._norm(
+            {
+                k: car.make(comp.get(k, CI.zero()), b if k == 0 else B.zero())
+                for k in set(comp) | {0}
+            }
+        )
 
     retract = HomotopyCertificate(
         name=f"cylinder-retract[{g.name}]",
@@ -1045,57 +854,37 @@ def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
     def section_fn(v):
         y, z = v
         yb = apply_to_coefficients(PB, y, C, b)
-        comp = _compose1(C, _interval_poly(PC, yb), G_SHRINK)
-        yd = _interval_poly(PB, y)
-        coeffs = {}
-        for j in set(comp) | set(yd):
-            pc_j = _interval_family(PC, comp.get(j, {}))
-            coeffs[j] = Pb.make(pc_j, yd.get(j, Bc.zero()))
-        rho = _interval_family(faPPb, coeffs)
+        pc = _substitute(global_poly(PC, yb), (G_SHRINK,), PC)
+        yu = {k: c for (k,), c in global_poly(PB, y)}  # y(u)
+        rho = poly_family(
+            faPPb,
+            tuple(
+                ((k,), Pb.make(pc.get(k, PC.zero()), yu.get(k, Bc.zero())))
+                for k in set(pc) | set(yu)
+            ),
+        )
         return Peta.make(rho, Pc.make(yb, z))
 
     section_theta = Morphism(Pa, Peta, section_fn, "path-thickening")
 
-    def _square_of(rho) -> Dict[Tuple[int, int], Any]:
-        out: Dict[Tuple[int, int], Any] = {}
-        for j, pb in _interval_poly(faPPb, rho).items():
-            for i, cc in _interval_poly(PC, pb[0]).items():
-                key = (i, j)
-                out[key] = C.add(out[key], cc) if key in out else cc
-        return out
-
     px_c = poly_carrier(Pc)
 
-    def _assemble(acc: Dict[int, Dict[int, Any]], z):
-        out = px_c.zero()
-        ks = set(acc) | {0}
-        for k in ks:
-            pc_k = _interval_family(PC, acc.get(k, {}))
-            out = px_c.add(
-                out, px_c.monomial(k, Pc.make(pc_k, z if k == 0 else A.zero()))
-            )
-        return out
-
-    def H1_fn(zel):
+    def sweep(zel, images):
+        """The square ρ(t')(t) at (t, t') := images."""
         rho, w = zel
-        acc: Dict[int, Dict[int, Any]] = {}
-        for (i, j), cc in _square_of(rho).items():
-            tp = acc.setdefault(i, {})
-            key = i + j
-            tp[key] = C.add(tp[key], cc) if key in tp else cc
-        return _assemble(acc, w[1])
+        square = cp_flatten(
+            C, global_poly(faPPb, rho), lambda pb: global_poly(PC, pb[0])
+        )
+        parts = _substitute(square, images, PC)
+        return px_c._norm(
+            {
+                k: Pc.make(parts.get(k, PC.zero()), w[1] if k == 0 else A.zero())
+                for k in set(parts) | {0}
+            }
+        )
 
-    def H2_fn(zel):
-        rho, w = zel
-        acc: Dict[int, Dict[int, Any]] = {}
-        for (i, j), cc in _square_of(rho).items():
-            tp = acc.setdefault(j, {})
-            key = i + j
-            tp[key] = C.add(tp[key], cc) if key in tp else cc
-        return _assemble(acc, w[1])
-
-    H1 = Morphism(Peta, px_c, H1_fn, "diagonal-sweep-1")
-    H2 = Morphism(Peta, px_c, H2_fn, "diagonal-sweep-2")
+    H1 = Morphism(Peta, px_c, lambda zel: sweep(zel, (G_SCALE, T)), "diagonal-sweep-1")
+    H2 = Morphism(Peta, px_c, lambda zel: sweep(zel, (T, G_SCALE)), "diagonal-sweep-2")
 
     def peta_sample(rng):
         return mp_eta.mid_sampler(rng)
@@ -1111,17 +900,12 @@ def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
     K = function_algebra(C, path_pair(1), 0)
 
     def embed_fn(x):
-        d2 = _square_poly(K, x)
-        per_s: Dict[int, Dict[int, Any]] = {}
-        for (i, j), cc in d2.items():
-            per_s.setdefault(j, {})[i] = cc
-        coeffs = {
-            j: Pb.make(_interval_family(PC, tp), Bc.zero())
-            for j, tp in per_s.items()
-        }
-        rho = _interval_family(faPPb, coeffs)
-        q0 = _interval_family(PC, per_s.get(0, {}))
-        return Peta.make(rho, Pc.make(q0, A.zero()))
+        # x(t, s) by powers of s
+        per_s = _substitute(global_poly(K, x), (T, U), PC)
+        rho = poly_family(
+            faPPb, tuple(((j,), Pb.make(q, Bc.zero())) for j, q in per_s.items())
+        )
+        return Peta.make(rho, Pc.make(per_s.get(0, PC.zero()), A.zero()))
 
     ker_embed = Morphism(K, Peta, embed_fn, "square-as-double-path")
 

@@ -8,7 +8,10 @@ degenerate simplices are recovered by degeneracy substitution.
 
 Provides restriction (pullback along simplicial maps), the transition map
 (pullback along the last-vertex map), the multiplication morphisms μ, path
-concatenation, the reversal ω and deterministic samplers.
+concatenation, the reversal ω, deterministic samplers, and the
+global-polynomial presentation of families on a flat cube at r = 0
+(:func:`global_poly` and its inverse :func:`poly_family`), through which
+every elementary homotopy is a polynomial substitution.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from .carriers import Carrier, RAT
 from .poly import (
@@ -40,6 +43,7 @@ from .poly import (
     word_alpha,
 )
 from .simplicial import (
+    FinSimplicialSet,
     FormalSimplex,
     SimplicialMap,
     SimplicialPair,
@@ -264,7 +268,6 @@ def mu(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
     tcache: Dict[Element, Element] = {}
     parts: Dict[Any, CPoly] = {}
     for z in target.sset.bases():
-        p = target.sset.dims[z]
         a = prK.apply(nd(z))
         b = prK2.apply(nd(z))
         Q = outer_rs_fa.value(x2, b)  # coefficients are inner elements at r
@@ -477,21 +480,64 @@ def constant_function(fa: FunctionAlgebra, c) -> Element:
     )
 
 
+@cache
+def _coordinate_table(sset: FinSimplicialSet) -> Dict[Any, Tuple[QPoly, ...]]:
+    """For each simplex of a flat cube, the cube coordinates t_i as affine
+    polynomials in the coordinates of that simplex."""
+    table = {}
+    for b in sset.bases():
+        p = sset.dims[b]
+        verts = [flatten_vertex(v[0]) for v in sset.vertices(nd(b))]
+        images = []
+        for i in range(len(verts[0])):
+            poly: QPoly = qp_const(verts[0][i], p)
+            for j in range(1, p + 1):
+                poly = qp_add(
+                    poly, qp_scale(Fraction(verts[j][i] - verts[0][i]), qp_var(j, p))
+                )
+            images.append(poly)
+        table[b] = tuple(images)
+    return table
+
+
 def affine_coordinate(sfa: FunctionAlgebra, i: int) -> Element:
     """The i-th cube coordinate as a scalar function (r = 0 spaces)."""
     if sfa.r != 0:
         raise ValueError("build coordinates at r = 0, then transition")
-    parts: Dict[Any, CPoly] = {}
-    for b in sfa.sset.bases():
-        p = sfa.sset.dims[b]
-        verts = [flatten_vertex(v[0]) for v in sfa.sset.vertices(nd(b))]
-        poly: QPoly = qp_const(verts[0][i], p)
-        for j in range(1, p + 1):
-            poly = qp_add(
-                poly, qp_scale(Fraction(verts[j][i] - verts[0][i]), qp_var(j, p))
-            )
-        parts[b] = poly
-    return sfa.canon(parts)
+    return sfa.canon({b: imgs[i] for b, imgs in _coordinate_table(sfa.sset).items()})
+
+
+def poly_family(fa: FunctionAlgebra, p: CPoly) -> Element:
+    """The family of a global polynomial ``p`` in the cube coordinates
+    ``t_1..t_n`` of a flat r = 0 space.
+
+    Evaluates ``p`` simplexwise through the affine coordinate images;
+    canonicalization checks the vanishing conditions.
+    """
+    if fa.r != 0:
+        raise ValueError("polynomial families need a flat r=0 space")
+    return fa.canon(
+        {
+            b: cp_subst(fa.base, p, imgs, fa.sset.dims[b])
+            for b, imgs in _coordinate_table(fa.sset).items()
+        }
+    )
+
+
+def global_poly(fa: FunctionAlgebra, x: Element) -> CPoly:
+    """The global polynomial of a family on a flat r = 0 cube, in the cube
+    coordinates ``t_1..t_n``; the inverse of :func:`poly_family`.
+
+    Read off the top chain 0…0 < 10…0 < … < 1…1, whose simplex coordinates
+    invert affinely: x_i = t_i − t_{i+1} and x_n = t_n.
+    """
+    n = len(fa.pair0.coords)
+    top = tuple(tuple(int(i < j) for i in range(n)) for j in range(n + 1))
+    if fa.r != 0 or n == 0 or top not in fa.sset.dims:
+        raise ValueError("global polynomials need a flat r=0 cube")
+    images = [qp_sub(qp_var(i, n), qp_var(i + 1, n)) for i in range(1, n)]
+    images.append(qp_var(n, n))
+    return cp_subst(fa.base, dict(x).get(top, cp_zero()), images, n)
 
 
 def vanishing_scalar(pair0: SimplicialPair) -> Element:
@@ -551,11 +597,14 @@ def sample_element(
     rng: random.Random,
     degree: int = 2,
     terms: int = 2,
+    base_sampler: Optional[Callable[[random.Random], Any]] = None,
 ) -> Element:
     """Deterministic random element of a cube-like function algebra.
 
     Sums of ``b · V · (affine combinations of coordinates)`` transitioned to
-    the requested subdivision level, where V is the vanishing generator.
+    the requested subdivision level, where V is the vanishing generator and
+    ``b`` is drawn by ``base_sampler`` (needed over pullback or other
+    carriers without a built-in sampler).
     """
     pair0 = fa.pair0
     if pair0.coords is None:
@@ -566,7 +615,7 @@ def sample_element(
     fa0 = function_algebra(fa.base, pair0, 0, fa.relative)
     total = fa0.zero()
     for _ in range(terms):
-        b = random_base_element(fa.base, rng)
+        b = base_sampler(rng) if base_sampler else random_base_element(fa.base, rng)
         P = V
         for _ in range(rng.randint(0, max(degree - 1, 0))):
             combo = constant_function(sfa, Fraction(rng.randint(-2, 2)))

@@ -4,7 +4,8 @@ Two layers share one representation ``tuple[(exponent-tuple, coefficient)]``,
 sorted by exponents with zero coefficients dropped:
 
 - *scalar* polynomials (``qp_``): coefficients are :class:`~fractions.Fraction`;
-  used for substitution images and integral function families;
+  used for substitution images, such as the coordinates of a simplex or the
+  homotopies h(t, u);
 - *carrier* polynomials (``cp_``): coefficients are elements of an arbitrary
   :class:`~loopstable.carriers.Carrier`; used for polynomial function families.
 
@@ -15,6 +16,7 @@ eliminated via ``t_0 = 1 − Σ t_i``); exponent tuples have length ``n``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 Exps = Tuple[int, ...]
@@ -87,15 +89,17 @@ def qp_pow(p: QPoly, k: int) -> QPoly:
     return out
 
 
-def qp_subst(p: QPoly, images: Sequence[QPoly], nvars_out: int) -> QPoly:
-    """Substitute ``t_i := images[i-1]`` into ``p``."""
-    out = qp_zero()
-    for e, c in p:
-        term = qp_const(c, nvars_out)
-        for i, k in enumerate(e):
-            if k:
-                term = qp_mul(term, qp_pow(images[i], k))
-        out = qp_add(out, term)
+@cache
+def qp_monomial(images: Tuple[QPoly, ...], e: Exps, nvars: int) -> QPoly:
+    """``Π images[i]^{e_i}``, a polynomial in ``nvars`` variables.
+
+    Cached by value: the same few images (simplex coordinates, face and
+    degeneracy substitutions, homotopies) recur across every family.
+    """
+    out = qp_const(1, nvars)
+    for img, k in zip(images, e):
+        if k:
+            out = qp_mul(out, qp_pow(img, k))
     return out
 
 
@@ -117,10 +121,6 @@ def cp_add(car, p: CPoly, q: CPoly) -> CPoly:
     return _cp_norm(car, d)
 
 
-def cp_neg(car, p: CPoly) -> CPoly:
-    return tuple((e, car.neg(c)) for e, c in p)
-
-
 def cp_scale(car, a, p: CPoly) -> CPoly:
     a = Fraction(a)
     if a == 0:
@@ -138,11 +138,6 @@ def cp_mul(car, p: CPoly, q: CPoly) -> CPoly:
     return _cp_norm(car, d)
 
 
-def cp_from_scalar(car, q: QPoly, c: Any) -> CPoly:
-    """``c · q`` with ``c`` a carrier element and ``q`` scalar."""
-    return _cp_norm(car, {e: car.scale(a, c) for e, a in q})
-
-
 def cp_constant(car, c: Any, nvars: int) -> CPoly:
     if car.is_zero(c):
         return ()
@@ -153,15 +148,23 @@ def cp_map_coeffs(tgt_car, p: CPoly, fn: Callable[[Any], Any]) -> CPoly:
     return _cp_norm(tgt_car, {e: fn(c) for e, c in p})
 
 
-def cp_subst(car, p: CPoly, images: Sequence[QPoly], nvars_out: int) -> CPoly:
-    """Substitute scalar polynomials for the variables of a carrier poly."""
+def cp_flatten(car, p: CPoly, inner: Callable[[Any], CPoly]) -> CPoly:
+    """``Σ_e inner(c_e) · t^e`` as one polynomial in the variables of the
+    ``inner`` polynomials followed by those of ``p`` (the polynomial form
+    of the flattening μ)."""
     d: Dict[Exps, Any] = {}
     for e, c in p:
-        term = qp_const(1, nvars_out)
-        for i, k in enumerate(e):
-            if k:
-                term = qp_mul(term, qp_pow(images[i], k))
-        for e2, a in term:
+        for e2, c2 in inner(c):
+            d[e2 + e] = c2
+    return _cp_norm(car, d)
+
+
+def cp_subst(car, p: CPoly, images: Sequence[QPoly], nvars_out: int) -> CPoly:
+    """Substitute scalar polynomials for the variables of a carrier poly."""
+    images = tuple(images)
+    d: Dict[Exps, Any] = {}
+    for e, c in p:
+        for e2, a in qp_monomial(images, e, nvars_out):
             v = car.scale(a, c)
             d[e2] = car.add(d[e2], v) if e2 in d else v
     return _cp_norm(car, d)
@@ -169,10 +172,6 @@ def cp_subst(car, p: CPoly, images: Sequence[QPoly], nvars_out: int) -> CPoly:
 
 def cp_is_zero(car, p: CPoly) -> bool:
     return all(car.is_zero(c) for c in dict(p).values())
-
-
-def cp_degree(p: CPoly) -> int:
-    return max((sum(e) for e, _ in p), default=-1)
 
 
 # -- simplicial operator substitution images ----------------------------

@@ -8,14 +8,11 @@ contention rather than the work done here.
 import time
 from fractions import Fraction
 
-import pytest
-
 from loopstable import kkcat
 from loopstable.algebras import (
     BUILTIN_ALGEBRAS,
     FinAlgebra,
     dual_numbers,
-    rationals,
 )
 from loopstable.extensions import (
     pb_contraction_certificate,

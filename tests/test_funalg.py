@@ -1,6 +1,7 @@
 """Function-algebra layer: families, restriction, transition, μ, ω and
 concatenation."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -16,24 +17,30 @@ from loopstable.funalg import (
     d0,
     d1,
     function_algebra,
+    global_poly,
     interval_pair,
     make_element,
     mu,
     mu_flat,
     omega,
+    poly_family,
     pullback_along,
+    random_base_element,
     sample_element,
     scalar_algebra,
     scalar_to_base,
     transition,
     vanishing_scalar,
 )
+from loopstable.poly import cp_add, cp_flatten, cp_subst, qp_mul, qp_var
 from loopstable.simplicial import (
     SimplicialMap,
     SimplicialPair,
     cube,
     identity_map,
     interval_endpoint,
+    interval_rel_one,
+    path_pair,
     point,
 )
 from loopstable.tensorj import tensor_algebra
@@ -376,6 +383,72 @@ class TestCarrierIdentity:
         outer = function_algebra(function_algebra(B, S1, 0), S1, 0)
         x = sample_element(outer, random.Random(43), degree=1, terms=1)
         assert mu_flat(outer, x)[0] is mu_flat(outer, x)[0]
+
+
+def _random_global_poly(pair, rng):
+    """b₁·V·q₁ + b₂·V·q₂: V the pair's vanishing generator, q_i random
+    scalar polynomials of degree at most 2, b_i random dual numbers."""
+    n = len(pair.coords)
+    V = global_poly(scalar_algebra(pair, 0), vanishing_scalar(pair))
+    out = ()
+    for _ in range(2):
+        q = tuple(
+            (e, F(rng.randint(-2, 2)))
+            for e in itertools.product(range(3), repeat=n)
+            if sum(e) <= 2
+        )
+        b = random_base_element(B, rng)
+        out = cp_add(B, out, tuple((e, B.scale(c, b)) for e, c in qp_mul(V, q)))
+    return out
+
+
+class TestGlobalPoly:
+    PAIRS = [cube(1), interval_rel_one(), path_pair(1), cube(2)]
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
+    def test_poly_family_roundtrip(self, pair):
+        fa = function_algebra(B, pair, 0)
+        rng = random.Random(61)
+        for _ in range(5):
+            p = _random_global_poly(pair, rng)
+            x = fa.check(poly_family(fa, p))
+            assert global_poly(fa, x) == p
+        n = len(pair.coords)
+        with pytest.raises(ValueError):
+            poly_family(fa, (((0,) * n, B1),))
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
+    def test_affine_coordinate_is_poly_family(self, pair):
+        sfa = scalar_algebra(pair, 0)
+        n = len(pair.coords)
+        for i in range(n):
+            assert affine_coordinate(sfa, i) == poly_family(sfa, qp_var(i + 1, n))
+
+    def test_rejects_subdivided_and_non_cube_spaces(self):
+        with pytest.raises(ValueError):
+            global_poly(function_algebra(B, S1, 1), ())
+        with pytest.raises(ValueError):
+            global_poly(function_algebra(B, point(), 0), ())
+
+    @pytest.mark.parametrize("pair", [cube(1), interval_rel_one()], ids=lambda p: p.name)
+    def test_flatten_is_mu_on_global_polys(self, pair):
+        inner = function_algebra(B, pair, 0)
+        outer = function_algebra(inner, pair, 0)
+        rng = random.Random(62)
+        for _ in range(3):
+            x = sample_element(outer, rng)
+            flat = cp_flatten(B, global_poly(outer, x), lambda c: global_poly(inner, c))
+            assert flat == global_poly(*mu_flat(outer, x))
+
+    def test_substitution_expands_the_square(self):
+        # c·t² at t := 1 − (1−t)(1−u) = t + u − tu
+        shrink = (((0, 1), F(1)), ((1, 0), F(1)), ((1, 1), F(-1)))
+        c = B.add(B1, BX)
+        got = cp_subst(B, (((2,), c),), [shrink], 2)
+        expected = {
+            (2, 0): 1, (0, 2): 1, (2, 2): 1, (1, 1): 2, (2, 1): -2, (1, 2): -2,
+        }
+        assert got == tuple(sorted((e, B.scale(k, c)) for e, k in expected.items()))
 
 
 def _tsq_minus_t(sfa, i):

@@ -1,13 +1,16 @@
-"""Every name a ``loopstable`` module imports is used in that module."""
+"""Every name a ``loopstable`` module or a test module imports is used in
+that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "loopstable"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "loopstable"
 # __init__.py imports only to re-export
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def _annotation_names(node: ast.AST):

@@ -5,24 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopstable.simplicial import (
-    FormalSimplex,
     SimplicialMap,
     box_product,
     coface,
     cube,
     flatten_iso,
     identity_map,
-    interval_endpoint,
     interval_rel_one,
     interval_reversal,
     iterated_sd,
-    last_vertex_map,
     named_map,
     nd,
     nerve,
     product,
     standard_simplex,
-    sub_simplicial_set,
     subdivide,
     subdivide_map,
     subdivide_pair,

@@ -32,7 +32,6 @@ from loopstable.tensorj import (
     sample_j_elements,
     sigma,
     tensor_algebra,
-    word_image,
 )
 
 B = dual_numbers()

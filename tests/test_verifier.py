@@ -8,7 +8,6 @@ import pytest
 from loopstable import cli, kkcat
 from loopstable.algebras import FinAlgebra, dual_numbers, format_algebra_file
 from loopstable.verifier import (
-    ALIASES,
     CATALOG,
     CheckConfig,
     UnknownCheckError,
