@@ -5,14 +5,16 @@ Python values; the carrier object interprets them (arithmetic, zero test,
 membership).  Concrete carriers: finite-dimensional algebras
 (:mod:`loopstable.algebras`), polynomial function algebras
 (:mod:`loopstable.funalg`), tensor algebras and J-kernels
-(:mod:`loopstable.tensorj`); here live the generic pullback and the
-polynomial extension ``C[u]`` used by homotopies.
+(:mod:`loopstable.tensorj`), and the homotopy carrier ``C[u]``
+(:mod:`loopstable.extensions`); here live the ground field ``RAT``, the
+coefficient carrier of scalar polynomials, and the generic pullback.  This
+module imports nothing from the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable, Dict
+from typing import Any, Callable
 
 
 class Carrier:
@@ -142,64 +144,3 @@ class PullbackCarrier(Carrier):
         if not self.over.can_decide_zero:
             return True
         return self.over.eq(self.lmap(l), self.rmap(r))
-
-
-class PolyExtension(Carrier):
-    """``C[u]``: polynomials in one homotopy variable with C coefficients.
-
-    Elements are sorted tuples ``((k, c_k), ...)`` with nonzero ``c_k``.
-    """
-
-    def __init__(self, base: Carrier, var: str = "u") -> None:
-        self.base = base
-        self.var = var
-        self.name = f"{base.name}[{var}]"
-        self.can_decide_zero = base.can_decide_zero
-
-    def zero(self):
-        return ()
-
-    def monomial(self, k: int, c):
-        if self.base.is_zero(c):
-            return ()
-        return ((k, c),)
-
-    def _norm(self, d: Dict[int, Any]):
-        return tuple(sorted((k, c) for k, c in d.items() if not self.base.is_zero(c)))
-
-    def add(self, x, y):
-        d = dict(x)
-        for k, c in y:
-            d[k] = self.base.add(d[k], c) if k in d else c
-        return self._norm(d)
-
-    def scale(self, a, x):
-        a = Fraction(a)
-        if a == 0:
-            return ()
-        return self._norm({k: self.base.scale(a, c) for k, c in x})
-
-    def mul(self, x, y):
-        d: Dict[int, Any] = {}
-        for k1, c1 in x:
-            for k2, c2 in y:
-                c = self.base.mul(c1, c2)
-                k = k1 + k2
-                d[k] = self.base.add(d[k], c) if k in d else c
-        return self._norm(d)
-
-    def is_zero(self, x):
-        return all(self.base.is_zero(c) for _, c in x)
-
-    def evaluate(self, x, at: Fraction):
-        """Evaluate at a rational value of the homotopy variable."""
-        at = Fraction(at)
-        out = self.base.zero()
-        for k, c in x:
-            out = self.base.add(out, self.base.scale(at ** k, c))
-        return out
-
-    def contains(self, x):
-        return isinstance(x, tuple) and all(
-            isinstance(k, int) and k >= 0 and self.base.contains(c) for k, c in x
-        )

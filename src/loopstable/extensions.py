@@ -10,13 +10,14 @@ samples.  Each elementary homotopy is a polynomial substitution h(t, u):
 read the family's global polynomial (:func:`~loopstable.funalg.global_poly`),
 substitute the images of h (:func:`~loopstable.poly.cp_subst`), and split
 the result by powers of the homotopy variable u into families
-(:func:`~loopstable.funalg.poly_family`).
+(:func:`~loopstable.funalg.poly_family`).  The homotopy carrier ``C[u]``
+(:class:`PolyExtension`) holds one-variable carrier polynomials and does
+its arithmetic with :mod:`loopstable.poly`.
 """
 
 from __future__ import annotations
 
 import gc
-import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -25,11 +26,10 @@ from functools import cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .algebras import FinAlgebra
-from .carriers import RAT, Carrier, PolyExtension, PullbackCarrier
+from .carriers import RAT, Carrier, PullbackCarrier
 from .funalg import (
     Element,
     FunctionAlgebra,
-    affine_coordinate,
     apply_to_coefficients,
     constant_function,
     d0,
@@ -48,13 +48,16 @@ from .funalg import (
     tower_map,
 )
 from .poly import (
+    ONE_MINUS_T,
     CPoly,
+    cp_add,
     cp_flatten,
+    cp_is_zero,
     cp_map_coeffs,
+    cp_mul,
+    cp_scale,
     cp_subst,
-    qp_add,
-    qp_mul,
-    qp_sub,
+    qp_const,
     qp_var,
 )
 from .simplicial import SimplicialMap, cube, interval_rel_one, path_pair
@@ -81,28 +84,65 @@ def _eq(car: Carrier, x, y) -> bool:
     return x == y
 
 
+class PolyExtension(Carrier):
+    """``C[u]``: polynomials in one homotopy variable with C coefficients.
+
+    Elements are one-variable carrier polynomials ``(((k,), c_k), ...)``
+    (:mod:`loopstable.poly`) with nonzero ``c_k``.
+    """
+
+    def __init__(self, base: Carrier) -> None:
+        self.base = base
+        self.name = f"{base.name}[u]"
+        self.can_decide_zero = base.can_decide_zero
+
+    def zero(self):
+        return ()
+
+    def from_powers(self, d: Dict[int, Any]):
+        """The element ``Σ_k d[k]·u^k``."""
+        base = self.base
+        return tuple(sorted(((k,), c) for k, c in d.items() if not base.is_zero(c)))
+
+    def add(self, x, y):
+        return cp_add(self.base, x, y)
+
+    def scale(self, a, x):
+        return cp_scale(self.base, a, x)
+
+    def mul(self, x, y):
+        return cp_mul(self.base, x, y)
+
+    def is_zero(self, x):
+        return cp_is_zero(self.base, x)
+
+    def evaluate(self, x, at: Fraction):
+        """Evaluate at a rational value of the homotopy variable."""
+        value = cp_subst(self.base, x, (qp_const(at, 0),), 0)
+        return value[0][1] if value else self.base.zero()
+
+    def contains(self, x):
+        return isinstance(x, tuple) and all(
+            isinstance(e, tuple) and len(e) == 1 and isinstance(e[0], int)
+            and e[0] >= 0 and self.base.contains(c)
+            for e, c in x
+        )
+
+
 @cache
 def poly_carrier(car: Carrier) -> PolyExtension:
     """``car[u]``: the one-homotopy-variable extension, one per carrier."""
     return PolyExtension(car)
 
 
-def px_reverse(px: PolyExtension, x):
-    """The substitution u ↦ 1 − u on a polynomial carrier element."""
-    base = px.base
-    d: Dict[int, Any] = {}
-    for k, c in x:
-        for j in range(k + 1):
-            coef = Fraction(math.comb(k, j) * (-1) ** j)
-            v = base.scale(coef, c)
-            d[j] = base.add(d[j], v) if j in d else v
-    return px._norm(d)
-
-
 def reversed_link(link: Morphism) -> Morphism:
+    """The link followed by the substitution u ↦ 1 − u."""
     px = link.target
     return Morphism(
-        link.source, px, lambda x: px_reverse(px, link(x)), f"rev({link.name})"
+        link.source,
+        px,
+        lambda x: cp_subst(px.base, link(x), (ONE_MINUS_T,), 1),
+        f"rev({link.name})",
     )
 
 
@@ -127,12 +167,12 @@ def paused_gc():
 
 # a coordinate t and the homotopy variable u
 T, U = qp_var(1, 2), qp_var(2, 2)
-# 1 − (1−t)(1−u) = t + u − tu
-G_SHRINK = qp_sub(qp_add(T, U), qp_mul(T, U))
-# (1−t)·u
-G_TAIL = qp_sub(U, qp_mul(T, U))
 # t·u
-G_SCALE = qp_mul(T, U)
+G_SCALE = cp_mul(RAT, T, U)
+# 1 − (1−t)(1−u) = t + u − tu
+G_SHRINK = cp_add(RAT, cp_add(RAT, T, U), cp_scale(RAT, -1, G_SCALE))
+# (1−t)·u
+G_TAIL = cp_add(RAT, U, cp_scale(RAT, -1, G_SCALE))
 # (t, s, u) ↦ (t, 1 − (1−s)(1−u))
 SQUARE_SHRINK = (
     qp_var(1, 3),
@@ -352,10 +392,7 @@ def path_extension(n: int, B: Carrier, r: int = 0) -> ExtensionData:
             mid, quotient, lambda x: pullback_along(mid, x, fr, quotient), "ev-t0"
         )
         outer = function_algebra(quotient, interval_rel_one(), 0, relative=True)
-        sfa = scalar_algebra(interval_rel_one(), 0)
-        one_minus = sfa.sub(
-            constant_function(sfa, Fraction(1)), affine_coordinate(sfa, 0)
-        )
+        one_minus = poly_family(scalar_algebra(interval_rel_one(), 0), ONE_MINUS_T)
 
         def split(x):
             return mu_flat(outer, scalar_to_base(outer, one_minus, x))[1]
@@ -377,7 +414,7 @@ def alternate_path_splitting(B: Carrier, fa_path: FunctionAlgebra) -> Morphism:
     """b ↦ b(1 − t²): a second module splitting of the 0-index path
     extension, used for splitting-independence interpolation."""
     sfa = scalar_algebra(fa_path.pair0, 0)
-    h = affine_coordinate(sfa, 0)
+    h = poly_family(sfa, qp_var(1, 1))
     scal0 = sfa.sub(constant_function(sfa, Fraction(1)), sfa.mul(h, h))
     scal = transition_n(sfa, scal0, fa_path.r)[1]
     return Morphism(
@@ -396,12 +433,10 @@ def splitting_homotopy(E: ExtensionData, s2: Morphism) -> "HomotopyCertificate":
 
     def shat(l):
         lo = E.s(l)
-        hi = E.mid.sub(s2(l), lo)
-        return px_mid.add(px_mid.monomial(0, lo), px_mid.monomial(1, hi))
+        return px_mid.from_powers({0: lo, 1: E.mid.sub(s2(l), lo)})
 
     def H(x):
-        w = word_image(ta, x, shat, px_mid)
-        return px_ker._norm({k: E.into_kernel(c) for k, c in w})
+        return cp_map_coeffs(E.kernel, word_image(ta, x, shat, px_mid), E.into_kernel)
 
     left = classifying_map(E)
     right = classifying_map(with_splitting(E, s2))
@@ -628,7 +663,7 @@ def tr2_certificate(f: Morphism, ph: Optional[PhiData] = None) -> HomotopyCertif
         pa = _substitute(qp, (G_SHRINK,), PA)
         pb = _substitute(cp_map_coeffs(Bc, qp, f), (G_TAIL,), PB)
         qu = {k: c for (k,), c in qp}  # q(u)
-        return px._norm(
+        return px.from_powers(
             {
                 k: Ppi.make(
                     pa.get(k, PA.zero()),
@@ -655,7 +690,7 @@ def pb_contraction_certificate(B: Carrier, name: str = "") -> HomotopyCertificat
     link = Morphism(
         fa,
         px,
-        lambda x: px._norm(_substitute(global_poly(fa, x), (G_SHRINK,), fa)),
+        lambda x: px.from_powers(_substitute(global_poly(fa, x), (G_SHRINK,), fa)),
         "endpoint-shrink",
     )
     return HomotopyCertificate(
@@ -676,7 +711,7 @@ def square_contraction_certificate(B: Carrier) -> HomotopyCertificate:
     link = Morphism(
         fa,
         px,
-        lambda x: px._norm(_substitute(global_poly(fa, x), SQUARE_SHRINK, fa)),
+        lambda x: px.from_powers(_substitute(global_poly(fa, x), SQUARE_SHRINK, fa)),
         "second-coordinate-shrink",
     )
     return HomotopyCertificate(
@@ -723,8 +758,7 @@ def mapping_cylinder(
     iota = Morphism(
         Pg, car, lambda z: car.make(CI.canon(dict(z[0])), z[1]), "incl"
     )
-    sfa = scalar_algebra(interval_pair(), 0)
-    tcoord = affine_coordinate(sfa, 0)
+    tcoord = poly_family(scalar_algebra(interval_pair(), 0), qp_var(1, 1))
     s_Z = Morphism(
         C, car, lambda c: car.make(scalar_to_base(CI, tcoord, c), B.zero()), "c->(ct,0)"
     )
@@ -757,7 +791,7 @@ def mapping_cylinder(
     def H(z):
         p, b = z
         comp = _substitute(global_poly(CI, p), (G_SCALE,), CI)
-        return px._norm(
+        return px.from_powers(
             {
                 k: car.make(comp.get(k, CI.zero()), b if k == 0 else B.zero())
                 for k in set(comp) | {0}
@@ -876,7 +910,7 @@ def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
             C, global_poly(faPPb, rho), lambda pb: global_poly(PC, pb[0])
         )
         parts = _substitute(square, images, PC)
-        return px_c._norm(
+        return px_c.from_powers(
             {
                 k: Pc.make(parts.get(k, PC.zero()), w[1] if k == 0 else A.zero())
                 for k in set(parts) | {0}

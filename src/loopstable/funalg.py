@@ -21,9 +21,11 @@ from fractions import Fraction
 from functools import cache
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from .carriers import Carrier, RAT
+from .algebras import FinAlgebra
+from .carriers import RAT, Carrier, Rationals
 from .poly import (
     CPoly,
+    ONE_MINUS_T,
     QPoly,
     cp_add,
     cp_constant,
@@ -35,10 +37,7 @@ from .poly import (
     cp_zero,
     delta_alpha,
     monotone_images,
-    qp_add,
     qp_const,
-    qp_scale,
-    qp_sub,
     qp_var,
     word_alpha,
 )
@@ -47,12 +46,18 @@ from .simplicial import (
     FormalSimplex,
     SimplicialMap,
     SimplicialPair,
+    _bits,
+    _tuple_leq,
     box_product,
+    cube,
     flatten_vertex,
     interval_rel_one,
+    interval_reversal,
     iterated_sd,
     last_vertex_map,
     nd,
+    nerve,
+    path_pair,
     standard_simplex,
     subdivide_map,
 )
@@ -321,8 +326,6 @@ def flat_pair_from_profile(profile: Tuple[str, ...]) -> SimplicialPair:
     that a profile always gives the same pair object and hence the same
     carriers.
     """
-    from .simplicial import _bits, _tuple_leq, cube, nerve, path_pair
-
     n = len(profile)
     if n == 0:
         return standard_simplex(0)
@@ -391,15 +394,12 @@ def omega(fa: FunctionAlgebra, x: Element) -> Element:
     if fa.r == 0:
         v0, v1, edge = ((0,),), ((1,),), ((0,), (1,))
         d = dict(x)
-        flip = [qp_sub(qp_const(1, 1), qp_var(1, 1))]
         parts = {
             v0: d.get(v1, cp_zero()),
             v1: d.get(v0, cp_zero()),
-            edge: cp_subst(fa.base, d.get(edge, cp_zero()), flip, 1),
+            edge: cp_subst(fa.base, d.get(edge, cp_zero()), (ONE_MINUS_T,), 1),
         }
         return fa.canon(parts)
-    from .simplicial import interval_reversal
-
     rev = interval_reversal(fa.r)
     return pullback_along(fa, x, rev, fa)
 
@@ -492,19 +492,12 @@ def _coordinate_table(sset: FinSimplicialSet) -> Dict[Any, Tuple[QPoly, ...]]:
         for i in range(len(verts[0])):
             poly: QPoly = qp_const(verts[0][i], p)
             for j in range(1, p + 1):
-                poly = qp_add(
-                    poly, qp_scale(Fraction(verts[j][i] - verts[0][i]), qp_var(j, p))
+                poly = cp_add(
+                    RAT, poly, cp_scale(RAT, verts[j][i] - verts[0][i], qp_var(j, p))
                 )
             images.append(poly)
         table[b] = tuple(images)
     return table
-
-
-def affine_coordinate(sfa: FunctionAlgebra, i: int) -> Element:
-    """The i-th cube coordinate as a scalar function (r = 0 spaces)."""
-    if sfa.r != 0:
-        raise ValueError("build coordinates at r = 0, then transition")
-    return sfa.canon({b: imgs[i] for b, imgs in _coordinate_table(sfa.sset).items()})
 
 
 def poly_family(fa: FunctionAlgebra, p: CPoly) -> Element:
@@ -535,7 +528,10 @@ def global_poly(fa: FunctionAlgebra, x: Element) -> CPoly:
     top = tuple(tuple(int(i < j) for i in range(n)) for j in range(n + 1))
     if fa.r != 0 or n == 0 or top not in fa.sset.dims:
         raise ValueError("global polynomials need a flat r=0 cube")
-    images = [qp_sub(qp_var(i, n), qp_var(i + 1, n)) for i in range(1, n)]
+    images = [
+        cp_add(RAT, qp_var(i, n), cp_scale(RAT, -1, qp_var(i + 1, n)))
+        for i in range(1, n)
+    ]
     images.append(qp_var(n, n))
     return cp_subst(fa.base, dict(x).get(top, cp_zero()), images, n)
 
@@ -545,9 +541,10 @@ def vanishing_scalar(pair0: SimplicialPair) -> Element:
     the product of (t_i² − t_i) for 'both' coordinates and (t_i − 1) for
     'one' coordinates (constant 1 if the profile is empty/free)."""
     sfa = scalar_algebra(pair0, 0, relative=False)
+    n = len(pair0.coords)
     out = constant_function(sfa, Fraction(1))
     for i, kind in enumerate(pair0.coords):
-        h = affine_coordinate(sfa, i)
+        h = poly_family(sfa, qp_var(i + 1, n))
         if kind == "both":
             out = sfa.mul(out, sfa.sub(sfa.mul(h, h), h))
         elif kind == "one":
@@ -577,9 +574,6 @@ def make_element(fa: FunctionAlgebra, b, scalar: Element) -> Element:
 
 
 def random_base_element(B: Carrier, rng: random.Random):
-    from .algebras import FinAlgebra
-    from .carriers import Rationals
-
     if isinstance(B, Rationals):
         return Fraction(rng.randint(-3, 3))
     if isinstance(B, FunctionAlgebra):
@@ -607,11 +601,12 @@ def sample_element(
     carriers without a built-in sampler).
     """
     pair0 = fa.pair0
-    if pair0.coords is None:
+    n = len(pair0.coords)
+    if not n:
         raise ValueError(f"no sampler for pair {pair0.name}")
     sfa = scalar_algebra(pair0, 0, relative=False)
     V = vanishing_scalar(pair0) if fa.relative else constant_function(sfa, Fraction(1))
-    handles = [affine_coordinate(sfa, i) for i in range(len(pair0.coords))]
+    handles = [poly_family(sfa, qp_var(i + 1, n)) for i in range(n)]
     fa0 = function_algebra(fa.base, pair0, 0, fa.relative)
     total = fa0.zero()
     for _ in range(terms):

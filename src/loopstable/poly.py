@@ -1,13 +1,14 @@
-"""Exact polynomial utilities.
+"""Exact polynomial utilities: one sparse arithmetic over any carrier.
 
-Two layers share one representation ``tuple[(exponent-tuple, coefficient)]``,
-sorted by exponents with zero coefficients dropped:
-
-- *scalar* polynomials (``qp_``): coefficients are :class:`~fractions.Fraction`;
-  used for substitution images, such as the coordinates of a simplex or the
-  homotopies h(t, u);
-- *carrier* polynomials (``cp_``): coefficients are elements of an arbitrary
-  :class:`~loopstable.carriers.Carrier`; used for polynomial function families.
+A polynomial is a tuple ``((exponent-tuple, coefficient), ...)`` sorted by
+exponents with zero coefficients dropped; the ``cp_`` functions do its
+arithmetic with the coefficients interpreted by a
+:class:`~loopstable.carriers.Carrier`.  A *scalar* polynomial (``QPoly``)
+is a carrier polynomial over :data:`~loopstable.carriers.RAT`, with
+:class:`~fractions.Fraction` coefficients; scalar polynomials are the
+substitution images, such as the coordinates of a simplex or the
+homotopies h(t, u).  Carrier polynomials over other carriers are the
+values of polynomial function families.
 
 Variables are ``t_1 .. t_n`` (the simplex coordinate ``t_0`` is always
 eliminated via ``t_0 = 1 − Σ t_i``); exponent tuples have length ``n``.
@@ -17,17 +18,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Sequence, Tuple
+
+from .carriers import RAT
 
 Exps = Tuple[int, ...]
-QPoly = Tuple[Tuple[Exps, Fraction], ...]
 CPoly = Tuple[Tuple[Exps, Any], ...]
+QPoly = CPoly  # over RAT: Fraction coefficients
 
 # -- scalar polynomials -------------------------------------------------
-
-
-def qp_zero() -> QPoly:
-    return ()
 
 
 def qp_const(c, nvars: int) -> QPoly:
@@ -45,50 +44,6 @@ def qp_var(i: int, nvars: int) -> QPoly:
     return ((exps, Fraction(1)),)
 
 
-def _qp_norm(d: Dict[Exps, Fraction]) -> QPoly:
-    return tuple(sorted((e, c) for e, c in d.items() if c != 0))
-
-
-def qp_add(p: QPoly, q: QPoly) -> QPoly:
-    d: Dict[Exps, Fraction] = dict(p)
-    for e, c in q:
-        d[e] = d.get(e, Fraction(0)) + c
-    return _qp_norm(d)
-
-
-def qp_neg(p: QPoly) -> QPoly:
-    return tuple((e, -c) for e, c in p)
-
-
-def qp_sub(p: QPoly, q: QPoly) -> QPoly:
-    return qp_add(p, qp_neg(q))
-
-
-def qp_scale(a, p: QPoly) -> QPoly:
-    a = Fraction(a)
-    if a == 0:
-        return ()
-    return tuple((e, a * c) for e, c in p)
-
-
-def qp_mul(p: QPoly, q: QPoly) -> QPoly:
-    d: Dict[Exps, Fraction] = {}
-    for e1, c1 in p:
-        for e2, c2 in q:
-            e = tuple(a + b for a, b in zip(e1, e2))
-            d[e] = d.get(e, Fraction(0)) + c1 * c2
-    return _qp_norm(d)
-
-
-def qp_pow(p: QPoly, k: int) -> QPoly:
-    if k == 0:
-        raise ValueError("no unit degree-0 context; use qp_const explicitly")
-    out = p
-    for _ in range(k - 1):
-        out = qp_mul(out, p)
-    return out
-
-
 @cache
 def qp_monomial(images: Tuple[QPoly, ...], e: Exps, nvars: int) -> QPoly:
     """``Π images[i]^{e_i}``, a polynomial in ``nvars`` variables.
@@ -98,8 +53,8 @@ def qp_monomial(images: Tuple[QPoly, ...], e: Exps, nvars: int) -> QPoly:
     """
     out = qp_const(1, nvars)
     for img, k in zip(images, e):
-        if k:
-            out = qp_mul(out, qp_pow(img, k))
+        for _ in range(k):
+            out = cp_mul(RAT, out, img)
     return out
 
 
@@ -174,27 +129,34 @@ def cp_is_zero(car, p: CPoly) -> bool:
     return all(car.is_zero(c) for c in dict(p).values())
 
 
+#: 1 − t in one variable: the reversal t ↦ 1 − t and the path splitting
+ONE_MINUS_T = cp_add(RAT, qp_const(1, 1), cp_scale(RAT, -1, qp_var(1, 1)))
+
+
 # -- simplicial operator substitution images ----------------------------
 
 
-def monotone_images(alpha: Sequence[int], q: int, p: int) -> List[QPoly]:
+@cache
+def monotone_images(alpha: Tuple[int, ...], q: int, p: int) -> Tuple[QPoly, ...]:
     """Images of ``t_1..t_q`` under the pullback of a monotone ``α: [p]→[q]``.
 
-    ``t_i ↦ Σ_{α(j)=i} t'_j`` with ``t'_0 = 1 − Σ_{j≥1} t'_j``.
+    ``t_i ↦ Σ_{α(j)=i} t'_j`` with ``t'_0 = 1 − Σ_{j≥1} t'_j``.  Cached:
+    the arguments are small int tuples, and every degeneracy value and
+    face test of a family asks for one of a few operators.
     """
     if len(alpha) != p + 1:
         raise ValueError("operator has wrong arity")
-    t0 = qp_const(1, p)
-    for j in range(1, p + 1):
-        t0 = qp_sub(t0, qp_var(j, p))
+    t = [qp_const(1, p)] + [qp_var(j, p) for j in range(1, p + 1)]
+    for v in t[1:]:
+        t[0] = cp_add(RAT, t[0], cp_scale(RAT, -1, v))
     images = []
     for i in range(1, q + 1):
-        img = qp_zero()
+        img = cp_zero()
         for j, a in enumerate(alpha):
             if a == i:
-                img = qp_add(img, t0 if j == 0 else qp_var(j, p))
+                img = cp_add(RAT, img, t[j])
         images.append(img)
-    return images
+    return tuple(images)
 
 
 def delta_alpha(i: int, q: int) -> Tuple[int, ...]:

@@ -425,11 +425,6 @@ def _bits(n: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def interval() -> FinSimplicialSet:
-    """The interval I = Δ^1 presented on vertices (0,), (1,)."""
-    return cube(1).total
-
-
 @cache
 def interval_rel_one() -> SimplicialPair:
     """The pair (I, {1}): the interval relative to its 1-endpoint."""

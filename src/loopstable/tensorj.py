@@ -30,14 +30,15 @@ from .carriers import Carrier
 from .funalg import (
     FunctionAlgebra,
     apply_to_coefficients,
-    constant_function,
-    affine_coordinate,
     function_algebra,
+    poly_family,
     sample_element,
     scalar_algebra,
     scalar_to_base,
     random_base_element,
+    transition_n,
 )
+from .poly import ONE_MINUS_T
 from .simplicial import cube, interval_rel_one
 
 Word = Tuple[Any, ...]
@@ -321,12 +322,7 @@ def j_of_n(f: Morphism, n: int) -> Morphism:
 def path_splitting(B: Carrier, fa_path: FunctionAlgebra) -> Morphism:
     """b ↦ b(1−t) into functions on (I,{1}) (vanishing at the 1-endpoint)."""
     sfa = scalar_algebra(fa_path.pair0, 0)
-    one_minus_t = sfa.sub(
-        constant_function(sfa, Fraction(1)), affine_coordinate(sfa, 0)
-    )
-    from .funalg import transition_n
-
-    scal = transition_n(sfa, one_minus_t, fa_path.r)[1]
+    scal = transition_n(sfa, poly_family(sfa, ONE_MINUS_T), fa_path.r)[1]
     return Morphism(
         B, fa_path, lambda b: scalar_to_base(fa_path, scal, b), "s[b->b(1-t)]"
     )

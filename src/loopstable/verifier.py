@@ -44,11 +44,13 @@ from .funalg import (
     apply_to_coefficients,
     concatenate,
     constant_function,
+    d1,
     function_algebra,
     make_element,
     mu,
     mu_flat,
     omega,
+    poly_family,
     pullback_along,
     sample_element,
     scalar_algebra,
@@ -65,6 +67,7 @@ from .kkcat import (
     resolve_sign,
     star,
 )
+from .poly import qp_var
 from .simplicial import SimplicialMap, cube, interval_rel_one, point
 from .tensorj import (
     Morphism,
@@ -128,23 +131,17 @@ class CheckResult:
 
 
 class CheckFailure(Exception):
-    """Raised inside a check body; carries a replayable counterexample."""
+    """Raised inside a check body; ``extra`` holds the repr of each
+    offending value, which the runner adds to the counterexample."""
 
-    def __init__(self, detail: str, counterexample: Dict[str, Any]):
+    def __init__(self, detail: str, extra: Dict[str, str]):
         super().__init__(detail)
         self.detail = detail
-        self.counterexample = counterexample
+        self.extra = extra
 
 
-def _fail(cfg: CheckConfig, check: str, detail: str, **extra: Any) -> None:
-    ce = {
-        "check": check,
-        "algebra": cfg.algebra_name,
-        "seed": cfg.seed,
-        "detail": detail,
-    }
-    ce.update({k: repr(v) for k, v in extra.items()})
-    raise CheckFailure(detail, ce)
+def _fail(detail: str, **extra: Any) -> None:
+    raise CheckFailure(detail, {k: repr(v) for k, v in extra.items()})
 
 
 # -- frozen product oracles ----------------------------------------------
@@ -213,55 +210,42 @@ def check_subdi1_presentations(cfg: CheckConfig) -> Tuple[str, str]:
         gen = make_element(E0.kernel, v, vanishing_scalar(S1))
         expected = ((EDGE, (((1,), A.neg(v)), ((2,), v))),)
         if gen != expected:
-            _fail(cfg, "subdi1-presentations",
-                  f"kernel generator for basis {l!r} deviates",
+            _fail(f"kernel generator for basis {l!r} deviates",
                   got=gen, expected=expected)
-    # splitting at r=0: b ↦ b(1−t)
+    # splitting at r=0: b ↦ b(1−t); the oracle builds 1 − t as a constant
+    # minus the coordinate, not from poly.ONE_MINUS_T, which the splitting uses
     sfa = scalar_algebra(interval_rel_one(), 0)
-    from .funalg import affine_coordinate
-
     one_minus_t = sfa.sub(
-        constant_function(sfa, Fraction(1)), affine_coordinate(sfa, 0)
+        constant_function(sfa, Fraction(1)), poly_family(sfa, qp_var(1, 1))
     )
     for l in A.labels:
         v = A.basis_vec(l)
         if E0.s(v) != scalar_to_base(E0.mid, one_minus_t, v):
-            _fail(cfg, "subdi1-presentations",
-                  f"splitting formula b(1-t) fails at basis {l!r}", element=v)
+            _fail(f"splitting formula b(1-t) fails at basis {l!r}", element=v)
     # splitting at r=1: supported on the first half, second edge zero,
     # value at the global 0-endpoint recovers the element
-    from .funalg import d1
-
     second_edge = (V1, (V0, V1))
     for l in A.labels:
         v = A.basis_vec(l)
         x = E1.s(v)
         if second_edge in dict(x):
-            _fail(cfg, "subdi1-presentations",
-                  f"subdivided splitting carries the second half at {l!r}",
-                  element=x)
+            _fail(f"subdivided splitting carries the second half at {l!r}", element=x)
         if d1(E1.mid, x) != v:
-            _fail(cfg, "subdi1-presentations",
-                  f"subdivided splitting endpoint value wrong at {l!r}",
-                  element=x)
+            _fail(f"subdivided splitting endpoint value wrong at {l!r}", element=x)
     # the transition image of the kernel generator is the pair (p, 0)
     gen = make_element(E0.kernel, A.basis_vec(A.labels[0]), vanishing_scalar(S1))
     t = transition(E0.kernel, gen)[1]
     if second_edge in dict(t):
-        _fail(cfg, "subdi1-presentations",
-              "transition of the kernel generator is not of the form (p, 0)",
-              element=t)
+        _fail("transition of the kernel generator is not of the form (p, 0)", element=t)
     # the transition is a strong morphism of extensions over the identity
     a = Morphism(E0.kernel, E1.kernel, lambda x: transition(E0.kernel, x)[1], "tr")
     b = Morphism(E0.mid, E1.mid, lambda x: transition(E0.mid, x)[1], "tr")
     if not strong_morphism_check(E0, E1, a, b, identity_morphism(A),
                                  samples=min(cfg.samples, 6), seed=cfg.seed):
-        _fail(cfg, "subdi1-presentations",
-              "transition is not a strong morphism of extensions")
+        _fail("transition is not a strong morphism of extensions")
     if not naturality_check(E0, E1, a, identity_morphism(A),
                             samples=min(cfg.samples, 8), seed=cfg.seed):
-        _fail(cfg, "subdi1-presentations",
-              "classifying maps do not commute with the transition")
+        _fail("classifying maps do not commute with the transition")
     return PASS, "presentations, splittings and transition replayed exactly"
 
 
@@ -290,8 +274,7 @@ def check_mu_properties(cfg: CheckConfig) -> Tuple[str, str]:
             ),
         )
         if mQ != apply_to_coefficients(tgt, m, Q, g):
-            _fail(cfg, "mu-properties-1-4",
-                  f"base naturality fails at sample {i}", element=x)
+            _fail(f"base naturality fails at sample {i}", element=x)
     # (2) compatibility with the inner and outer transitions
     innerA = function_algebra(A, S1, 0)
     innerA1 = function_algebra(A, S1, 1)
@@ -304,16 +287,12 @@ def check_mu_properties(cfg: CheckConfig) -> Tuple[str, str]:
         _, tm = transition(tgt, m)
         _, tx = transition(outerA, x)
         if mu(outerA1, tx)[1] != tm:
-            _fail(cfg, "mu-properties-1-4",
-                  f"outer transition compatibility fails at sample {i}",
-                  element=x)
+            _fail(f"outer transition compatibility fails at sample {i}", element=x)
         x2 = apply_to_coefficients(
             outerA, x, innerA1, lambda c: transition(innerA, c)[1]
         )
         if mu(outerA_i1, x2)[1] != tm:
-            _fail(cfg, "mu-properties-1-4",
-                  f"inner transition compatibility fails at sample {i}",
-                  element=x)
+            _fail(f"inner transition compatibility fails at sample {i}", element=x)
     # (3) associativity on triple towers
     F1 = innerA
     F11 = outerA
@@ -326,8 +305,7 @@ def check_mu_properties(cfg: CheckConfig) -> Tuple[str, str]:
         w1 = apply_to_coefficients(F111, z, F2, lambda c: mu_flat(F11, c)[1])
         right = mu_flat(function_algebra(F2, S1, 0), w1)[1]
         if left != right:
-            _fail(cfg, "mu-properties-1-4",
-                  f"associativity fails at sample {i}", element=z)
+            _fail(f"associativity fails at sample {i}", element=z)
     # (4) a point outer factor acts as the transition morphism
     outer_pt = function_algebra(innerA, point(), 1)
     for i in range(q):
@@ -338,8 +316,7 @@ def check_mu_properties(cfg: CheckConfig) -> Tuple[str, str]:
             tgt.sset, fa1.sset, lambda c: tuple(v[0] for v in c)
         )
         if res != pullback_along(fa1, tx, flat, tgt):
-            _fail(cfg, "mu-properties-1-4",
-                  f"point-factor unit law fails at sample {i}", element=x)
+            _fail(f"point-factor unit law fails at sample {i}", element=x)
     return PASS, f"laws (1)-(4) hold exactly on {4 * q} samples"
 
 
@@ -353,8 +330,7 @@ def check_kappa_pq(cfg: CheckConfig) -> Tuple[str, str]:
     rhs = kappa1(towers[1], 1, 0).after(j_of(kappa(1, 1, A)))
     for i, x in enumerate(sample_j_elements(C, 2, cfg.samples, seed=cfg.seed)):
         if lhs(x) != rhs(x):
-            _fail(cfg, "kappa-pq", f"decomposition fails at sample {i}",
-                  element=x)
+            _fail(f"decomposition fails at sample {i}", element=x)
     return PASS, f"exchange decomposition exact on {cfg.samples} samples"
 
 
@@ -379,8 +355,7 @@ def check_penta(cfg: CheckConfig) -> Tuple[str, str]:
         left = mu_flat(function_algebra(fa_JB1, S1, 0), y)[1]
         right = k12(j_of(mu_m)(x))
         if left != right:
-            _fail(cfg, "penta", f"exchange/flattening square fails at sample {i}",
-                  element=x)
+            _fail(f"exchange/flattening square fails at sample {i}", element=x)
     return PASS, f"exchange commutes with flattening on {cfg.samples} samples"
 
 
@@ -399,18 +374,15 @@ def check_lambda_curvature(cfg: CheckConfig) -> Tuple[str, str]:
             a, b = A.basis_vec(la), A.basis_vec(lb)
             if oracle is not None:
                 if (la, lb) not in oracle:
-                    _fail(cfg, "lambda-curvature-formula",
-                          f"basis pair ({la},{lb}) missing from the product oracle")
+                    _fail(f"basis pair ({la},{lb}) missing from the product oracle")
                 prod = oracle[(la, lb)]
                 if A.mul(a, b) != prod:
-                    _fail(cfg, "lambda-curvature-formula",
-                          f"product {la}·{lb} deviates from the recorded value",
+                    _fail(f"product {la}·{lb} deviates from the recorded value",
                           got=A.mul(a, b), expected=prod)
             else:
                 prod = A.mul(a, b)
             if lam(curvature(A, a, b)) != scalar_to_base(fa, V, prod):
-                _fail(cfg, "lambda-curvature-formula",
-                      f"curvature image wrong at basis pair ({la},{lb})")
+                _fail(f"curvature image wrong at basis pair ({la},{lb})")
     n = len(A.labels) ** 2
     return PASS, f"curvature formula exact on all {n} basis pairs"
 
@@ -432,11 +404,9 @@ def check_classifying_uniqueness(cfg: CheckConfig) -> Tuple[str, str]:
         "T(aug)",
     )
     if not strong_morphism_check(U1, U2, a1, b1, gm, samples=n, seed=cfg.seed):
-        _fail(cfg, "classifying-uniqueness",
-              "tensor-algebra base change is not strong")
+        _fail("tensor-algebra base change is not strong")
     if not naturality_check(U1, U2, a1, gm, samples=n, seed=cfg.seed):
-        _fail(cfg, "classifying-uniqueness",
-              "classifying map not natural for the tensor-algebra base change")
+        _fail("classifying map not natural for the tensor-algebra base change")
     # 2. base change of the path extension
     E1, E2 = path_extension(0, B, 0), path_extension(0, Q, 0)
     a2 = Morphism(
@@ -448,19 +418,16 @@ def check_classifying_uniqueness(cfg: CheckConfig) -> Tuple[str, str]:
         lambda x: apply_to_coefficients(E1.mid, x, Q, gm), "aug*",
     )
     if not strong_morphism_check(E1, E2, a2, b2, gm, samples=n, seed=cfg.seed):
-        _fail(cfg, "classifying-uniqueness",
-              "path-extension base change is not strong")
+        _fail("path-extension base change is not strong")
     if not naturality_check(E1, E2, a2, gm, samples=n, seed=cfg.seed):
-        _fail(cfg, "classifying-uniqueness",
-              "classifying map not natural for the path-extension base change")
+        _fail("classifying map not natural for the path-extension base change")
     # 3. subdivision transition
     E0, E1s = path_extension(0, B, 0), path_extension(0, B, 1)
     a3 = Morphism(E0.kernel, E1s.kernel,
                   lambda x: transition(E0.kernel, x)[1], "tr")
     if not naturality_check(E0, E1s, a3, identity_morphism(B),
                             samples=n, seed=cfg.seed):
-        _fail(cfg, "classifying-uniqueness",
-              "classifying map not natural for the subdivision transition")
+        _fail("classifying map not natural for the subdivision transition")
     return PASS, f"3 strong morphisms natural on {n} samples each"
 
 
@@ -493,8 +460,7 @@ def check_tr4_homotopies(cfg: CheckConfig) -> Tuple[str, str]:
     for i in range(cfg.samples):
         v = tw.mp_a.mid_sampler(rng)
         if tw.theta(tw.section_theta(v)) != v:
-            _fail(cfg, "tr4-homotopies",
-                  f"section identity fails at sample {i}", element=v)
+            _fail(f"section identity fails at sample {i}", element=v)
     px = tw.H1.target
     for i in range(min(cfg.samples, 20)):
         z = tw.mp_eta.mid_sampler(rng)
@@ -505,8 +471,7 @@ def check_tr4_homotopies(cfg: CheckConfig) -> Tuple[str, str]:
             and px.evaluate(v2, 0) == tw.mp_eta.pi(z)
         )
         if not ok:
-            _fail(cfg, "tr4-homotopies",
-                  f"two-link homotopy endpoints fail at sample {i}", element=z)
+            _fail(f"two-link homotopy endpoints fail at sample {i}", element=z)
     tw.triangle.verify(samples=cfg.samples, seed=cfg.seed)
     tw.ker_theta_contraction.verify(samples=cfg.samples, seed=cfg.seed)
     return PASS, f"section, homotopies and kernel contraction on {cfg.samples} samples"
@@ -531,8 +496,7 @@ def check_cylinder_classifying(cfg: CheckConfig) -> Tuple[str, str]:
     for i in range(cfg.samples):
         x = sample_j_element(A, rng)
         if xi(x) != cyl.mp.iota(omega(loop, lam(x))):
-            _fail(cfg, "cylinder-classifying",
-                  f"classifying map deviates at sample {i}", element=x)
+            _fail(f"classifying map deviates at sample {i}", element=x)
     cyl.retract.verify(samples=min(cfg.samples, 10), seed=cfg.seed)
     return PASS, f"classifying formula exact on {cfg.samples} samples"
 
@@ -549,26 +513,23 @@ def check_star_unit(cfg: CheckConfig) -> Tuple[str, str]:
     for l in A.labels:
         v = A.basis_vec(l)
         if h.rep(v) != v:
-            _fail(cfg, "star-unit", f"plain unit law fails at basis {l!r}")
+            _fail(f"plain unit law fails at basis {l!r}")
     # the degree-shift unit absorbed on the right
     id_JA = kk_hom((A, 1), (JA, 0), 0, identity_morphism(JA))
     lamH = kk_hom((JA, 0), (A, 1), 0, lam)
     hr = star(lamH, id_JA)
     if hr.pending_sign != 1 or hr.v != 0:
-        _fail(cfg, "star-unit", "unit composite has wrong index data",
-              sign=hr.pending_sign, v=hr.v)
+        _fail("unit composite has wrong index data", sign=hr.pending_sign, v=hr.v)
     for i, x in enumerate(sample_j_elements(A, 1, cfg.samples, seed=cfg.seed)):
         if hr.rep(x) != lam(x):
-            _fail(cfg, "star-unit",
-                  f"unit absorption fails at sample {i}", element=x)
+            _fail(f"unit absorption fails at sample {i}", element=x)
     # the graded identity on the shifted object
     g1 = identity_hom(A, 1)
     h1 = star(g1, lamH)
     for i, x in enumerate(sample_j_elements(A, 1, min(cfg.samples, 10),
                                             seed=cfg.seed + 1)):
         if h1.rep(x) != lam(x) or h1.pending_sign != 1:
-            _fail(cfg, "star-unit",
-                  f"graded unit law fails at sample {i}", element=x)
+            _fail(f"graded unit law fails at sample {i}", element=x)
     return PASS, f"unit laws exact on {cfg.samples} samples"
 
 
@@ -586,28 +547,22 @@ def check_star_lambda(cfg: CheckConfig) -> Tuple[str, str]:
     hr = star(lamH, id_JA)
     for i, x in enumerate(sample_j_elements(A, 1, cfg.samples, seed=cfg.seed)):
         if hr.rep(x) != lam(x):
-            _fail(cfg, "star-lambda-identities",
-                  f"right unit composite deviates from λ at sample {i}",
-                  element=x)
+            _fail(f"right unit composite deviates from λ at sample {i}", element=x)
     # left composite: carries the crossing sign of one kernel layer past
     # one loop coordinate
     h = star(id_JA, lamH, resolve=False)
     if h.pending_sign != crossing_sign(1, 1) or h.pending_sign != -1:
-        _fail(cfg, "star-lambda-identities",
-              "crossing sign missing on the left composite",
-              sign=h.pending_sign)
+        _fail("crossing sign missing on the left composite", sign=h.pending_sign)
     hres = resolve_sign(h)
     if hres.pending_sign != 1:
-        _fail(cfg, "star-lambda-identities", "sign did not materialize",
-              sign=hres.pending_sign)
+        _fail("sign did not materialize", sign=hres.pending_sign)
     k11 = kappa(1, 1, A)
     jlam = j_of(lam)
     faJ = k11.target
     xs2 = sample_j_elements(A, 2, min(cfg.samples, 10), seed=cfg.seed)
     for i, x in enumerate(xs2):
         if hres.rep(x) != omega(faJ, k11(jlam(x))):
-            _fail(cfg, "star-lambda-identities",
-                  f"resolved composite deviates from the reversed exchange "
+            _fail(f"resolved composite deviates from the reversed exchange "
                   f"at sample {i}", element=x)
     # compare against the loop classifier of the kernel; search_homotopy
     # tests exact equality only
@@ -640,14 +595,13 @@ def check_triangle_signs(cfg: CheckConfig) -> Tuple[str, str]:
     tm = make_triangle("mapping_path", identity_morphism(A), 0)
     if (t0.boundary.pending_sign, t1.boundary.pending_sign,
             tm.boundary.pending_sign) != (1, -1, -1):
-        _fail(cfg, "triangle-boundary-signs", "boundary signs deviate",
+        _fail("boundary signs deviate",
               signs=(t0.boundary.pending_sign, t1.boundary.pending_sign,
-                     tm.boundary.pending_sign))
+              tm.boundary.pending_sign))
     for i, x in enumerate(sample_j_elements(A, 1, min(cfg.samples, 10),
                                             seed=cfg.seed)):
         if t0.boundary.rep(x) != lam(x):
-            _fail(cfg, "triangle-boundary-signs",
-                  f"grading-zero extension boundary deviates from λ "
+            _fail(f"grading-zero extension boundary deviates from λ "
                   f"at sample {i}", element=x)
     return PASS, "boundary signs and the grading-zero boundary replayed"
 
@@ -666,9 +620,7 @@ def check_appendix_m1n1(cfg: CheckConfig) -> Tuple[str, str]:
     n = max(2, cfg.samples // 3)
     for i, x in enumerate(sample_j_elements(fa, 1, n, seed=cfg.seed)):
         if k11(jom(x)) != omega(faJ, k11(x)):
-            _fail(cfg, "appendix-m1n1",
-                  f"exchange does not intertwine the reversal at sample {i}",
-                  element=x)
+            _fail(f"exchange does not intertwine the reversal at sample {i}", element=x)
     rng = random.Random(cfg.seed + 1)
     for i in range(n):
         x = sample_element(fa, rng)
@@ -676,19 +628,15 @@ def check_appendix_m1n1(cfg: CheckConfig) -> Tuple[str, str]:
         fa1, c = concatenate(fa, x, y)
         _, rev_first = concatenate(fa, omega(fa, y), omega(fa, x))
         if omega(fa1, c) != rev_first:
-            _fail(cfg, "appendix-m1n1",
-                  f"reversal does not reverse concatenation at sample {i}",
-                  x=x, y=y)
+            _fail(f"reversal does not reverse concatenation at sample {i}", x=x, y=y)
         # both operations are additive and the reversal is multiplicative
         if omega(fa, fa.add(x, y)) != fa.add(omega(fa, x), omega(fa, y)):
-            _fail(cfg, "appendix-m1n1", f"reversal not additive at sample {i}")
+            _fail(f"reversal not additive at sample {i}")
         if omega(fa, fa.mul(x, y)) != fa.mul(omega(fa, x), omega(fa, y)):
-            _fail(cfg, "appendix-m1n1",
-                  f"reversal not multiplicative at sample {i}")
+            _fail(f"reversal not multiplicative at sample {i}")
         _, cs = concatenate(fa, fa.add(x, x), fa.add(y, y))
         if cs != fa1.add(c, c):
-            _fail(cfg, "appendix-m1n1",
-                  f"concatenation not additive at sample {i}")
+            _fail(f"concatenation not additive at sample {i}")
     return PASS, f"reversal/concatenation/exchange identities on {3 * n} samples"
 
 
@@ -784,17 +732,19 @@ def run_check(check_id: str, cfg: CheckConfig) -> CheckResult:
             if isinstance(cfg.algebra, FinAlgebra):
                 cfg.algebra.validate()
             status, detail = CATALOG[check_id].fn(cfg)
-            ce: Optional[Dict[str, Any]] = None
         except CheckFailure as e:
-            status, detail, ce = FAIL, e.detail, e.counterexample
+            status, detail, extra = FAIL, e.detail, e.extra
         except (CertificateError, ExtensionError, ValueError) as e:
-            status, detail = FAIL, str(e)
-            ce = {
-                "check": check_id,
-                "algebra": cfg.algebra_name,
-                "seed": cfg.seed,
-                "detail": str(e),
-            }
+            status, detail, extra = FAIL, str(e), {}
+    ce: Optional[Dict[str, Any]] = None
+    if status == FAIL:
+        ce = {
+            "check": check_id,
+            "algebra": cfg.algebra_name,
+            "seed": cfg.seed,
+            "detail": detail,
+            **extra,
+        }
     return CheckResult(check_id, status, detail, ce, time.perf_counter() - t0)
 
 

@@ -20,6 +20,7 @@ from loopstable.extensions import (
     path_extension,
     pb_contraction_certificate,
     phi,
+    reversed_link,
     search_homotopy,
     splitting_homotopy,
     square_contraction_certificate,
@@ -30,16 +31,19 @@ from loopstable.extensions import (
 )
 from loopstable.funalg import (
     apply_to_coefficients,
+    constant_function,
     d1,
     function_algebra,
     make_element,
     omega,
+    poly_family,
     sample_element,
     scalar_algebra,
     scalar_to_base,
     transition,
     vanishing_scalar,
 )
+from loopstable.poly import qp_var
 from loopstable.simplicial import cube, interval_rel_one, path_pair
 from loopstable.tensorj import (
     Morphism,
@@ -106,10 +110,10 @@ class TestPathExtension:
     def test_splitting_formula_r0(self):
         E = path_extension(0, B, 0)
         sfa = scalar_algebra(interval_rel_one(), 0)
-        from loopstable.funalg import affine_coordinate, constant_function
-
+        # 1 − t as a constant minus the coordinate, not poly.ONE_MINUS_T,
+        # which the splitting itself uses
         one_minus_t = sfa.sub(
-            constant_function(sfa, F(1)), affine_coordinate(sfa, 0)
+            constant_function(sfa, F(1)), poly_family(sfa, qp_var(1, 1))
         )
         for l in B.labels:
             v = B.basis_vec(l)
@@ -294,6 +298,49 @@ class TestCertificates:
         )
         with pytest.raises(CertificateError):
             bad.verify(samples=5, seed=18)
+
+
+class TestPolyExtension:
+    """The homotopy carrier C[u] on sampled link values: the pb-contraction
+    link on the dual numbers, whose values have degree 2 in u."""
+
+    AT = (F(0), F(1), F(1, 2))
+
+    def setup_method(self):
+        cert = pb_contraction_certificate(B)
+        self.link = cert.chain[0]
+        self.px = self.link.target
+        rng = random.Random(31)
+        self.xs = [cert.sampler(rng) for _ in range(4)]
+        self.vs = [self.link(x) for x in self.xs]
+        assert all(self.px.contains(v) for v in self.vs)
+        assert max(k for v in self.vs for (k,), _ in v) >= 2
+
+    def test_reversal_is_an_involution(self):
+        twice = reversed_link(reversed_link(self.link))
+        for x, v in zip(self.xs, self.vs):
+            assert twice(x) == v
+
+    def test_reversal_substitutes_one_minus_u(self):
+        rev = reversed_link(self.link)
+        for x, v in zip(self.xs, self.vs):
+            for a in self.AT:
+                assert self.px.evaluate(rev(x), a) == self.px.evaluate(v, 1 - a)
+
+    def test_evaluation_is_an_algebra_map(self):
+        px, fa = self.px, self.px.base
+        for v, w in zip(self.vs, self.vs[1:]):
+            for a in self.AT:
+                ev, ew = px.evaluate(v, a), px.evaluate(w, a)
+                assert px.evaluate(px.add(v, w), a) == fa.add(ev, ew)
+                assert px.evaluate(px.mul(v, w), a) == fa.mul(ev, ew)
+                assert px.evaluate(px.scale(F(-3, 2), v), a) == fa.scale(F(-3, 2), ev)
+
+    def test_from_powers_drops_zero_coefficients(self):
+        px = self.px
+        x = self.xs[0]
+        assert px.from_powers({2: x, 0: px.base.zero()}) == (((2,), x),)
+        assert px.is_zero(px.from_powers({1: px.base.zero()}))
 
 
 class TestMappingCylinder:

@@ -10,7 +10,6 @@ import pytest
 from loopstable.algebras import AlgebraMap, dual_numbers, rationals
 from loopstable.carriers import RAT
 from loopstable.funalg import (
-    affine_coordinate,
     apply_to_coefficients,
     concatenate,
     constant_function,
@@ -32,7 +31,7 @@ from loopstable.funalg import (
     transition,
     vanishing_scalar,
 )
-from loopstable.poly import cp_add, cp_flatten, cp_subst, qp_mul, qp_var
+from loopstable.poly import cp_add, cp_flatten, cp_mul, cp_subst, qp_var
 from loopstable.simplicial import (
     SimplicialMap,
     SimplicialPair,
@@ -42,6 +41,7 @@ from loopstable.simplicial import (
     interval_rel_one,
     path_pair,
     point,
+    standard_simplex,
 )
 from loopstable.tensorj import tensor_algebra
 
@@ -51,6 +51,11 @@ B1 = B.basis_vec("1")
 S1 = cube(1)
 V0, V1V, EDGE = ((0,),), ((1,),), ((0,), (1,))
 T2MT = (((1,), F(-1)), ((2,), F(1)))  # t² − t
+
+
+def coordinate(sfa, i):
+    """The cube coordinate t_{i+1} as a scalar family."""
+    return poly_family(sfa, qp_var(i + 1, len(sfa.pair0.coords)))
 
 
 def poly_scaled(qp, b):
@@ -80,9 +85,14 @@ class TestMakeElement:
 
     def test_nonvanishing_family_rejected(self):
         fa = function_algebra(B, S1, 0)
-        t = affine_coordinate(scalar_algebra(S1, 0), 0)
+        t = coordinate(scalar_algebra(S1, 0), 0)
         with pytest.raises(ValueError):
             make_element(fa, BX, t)
+
+    def test_sampler_rejects_pairs_without_cube_profile(self):
+        fa = function_algebra(B, standard_simplex(1), 0)
+        with pytest.raises(ValueError):
+            sample_element(fa, random.Random(0))
 
     def test_ops_revalidate(self):
         fa = function_algebra(B, S1, 0)
@@ -97,7 +107,7 @@ class TestMakeElement:
 class TestRestrict:
     def test_evaluation_at_endpoint(self):
         faI = function_algebra(B, interval_pair(), 0)
-        t = affine_coordinate(scalar_algebra(interval_pair(), 0), 0)
+        t = coordinate(scalar_algebra(interval_pair(), 0), 0)
         x = scalar_to_base(faI, t, BX)
         fa0 = function_algebra(B, point(), 0)
         y = pullback_along(faI, x, interval_endpoint(1), fa0)
@@ -106,7 +116,7 @@ class TestRestrict:
     def test_identity(self):
         faI = function_algebra(B, interval_pair(), 0)
         x = scalar_to_base(
-            faI, affine_coordinate(scalar_algebra(interval_pair(), 0), 0), BX
+            faI, coordinate(scalar_algebra(interval_pair(), 0), 0), BX
         )
         assert pullback_along(faI, x, identity_map(faI.sset), faI) == x
 
@@ -115,12 +125,12 @@ class TestRestrict:
 
         I2 = flat_pair_from_profile(("free", "free"))
         fa2 = scalar_algebra(I2, 0)
-        t1 = affine_coordinate(fa2, 0)
+        t1 = coordinate(fa2, 0)
         faI = scalar_algebra(interval_pair(), 0)
         incl = SimplicialMap.from_vertex_map(
             faI.sset, fa2.sset, lambda v: (v[0], 0), name="bottom"
         )
-        assert pullback_along(fa2, t1, incl, faI) == affine_coordinate(faI, 0)
+        assert pullback_along(fa2, t1, incl, faI) == coordinate(faI, 0)
 
     def test_restrict_is_multiplicative(self):
         fa = function_algebra(B, S1, 0)
@@ -179,7 +189,7 @@ class TestOmega:
         assert omega(self.fa, x) == x
 
     def test_cubic(self):
-        h = affine_coordinate(self.sfa, 0)
+        h = coordinate(self.sfa, 0)
         one = constant_function(self.sfa, F(1))
         q = self.sfa.mul(self.sfa.mul(h, h), self.sfa.sub(h, one))  # t³ − t²
         x = make_element(self.fa, BX, q)
@@ -196,7 +206,7 @@ class TestOmega:
 
     def test_swaps_endpoints(self):
         faI = function_algebra(B, interval_pair(), 0, relative=False)
-        t = affine_coordinate(scalar_algebra(interval_pair(), 0), 0)
+        t = coordinate(scalar_algebra(interval_pair(), 0), 0)
         x = scalar_to_base(faI, t, BX)
         assert d1(faI, omega(faI, x)) == d0(faI, x)
         assert d0(faI, omega(faI, x)) == d1(faI, x)
@@ -227,7 +237,7 @@ class TestConcatenate:
     def test_endpoint_mismatch_rejected(self):
         faI = function_algebra(B, interval_pair(), 0, relative=False)
         sfa = scalar_algebra(interval_pair(), 0)
-        t = affine_coordinate(sfa, 0)
+        t = coordinate(sfa, 0)
         x = scalar_to_base(faI, t, BX)  # d0 = BX
         y = scalar_to_base(faI, sfa.mul(t, t), BX)  # d1 = 0
         with pytest.raises(ValueError):
@@ -398,7 +408,7 @@ def _random_global_poly(pair, rng):
             if sum(e) <= 2
         )
         b = random_base_element(B, rng)
-        out = cp_add(B, out, tuple((e, B.scale(c, b)) for e, c in qp_mul(V, q)))
+        out = cp_add(B, out, tuple((e, B.scale(c, b)) for e, c in cp_mul(RAT, V, q)))
     return out
 
 
@@ -418,11 +428,14 @@ class TestGlobalPoly:
             poly_family(fa, (((0,) * n, B1),))
 
     @pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
-    def test_affine_coordinate_is_poly_family(self, pair):
+    def test_coordinate_vertex_values(self, pair):
         sfa = scalar_algebra(pair, 0)
-        n = len(pair.coords)
-        for i in range(n):
-            assert affine_coordinate(sfa, i) == poly_family(sfa, qp_var(i + 1, n))
+        vertices = [b for b in sfa.sset.bases() if sfa.sset.dims[b] == 0]
+        assert len(vertices) == 2 ** len(pair.coords)
+        for i in range(len(pair.coords)):
+            t = coordinate(sfa, i)
+            for b in vertices:
+                assert sfa.vertex_value(t, b) == b[0][i]
 
     def test_rejects_subdivided_and_non_cube_spaces(self):
         with pytest.raises(ValueError):
@@ -452,5 +465,5 @@ class TestGlobalPoly:
 
 
 def _tsq_minus_t(sfa, i):
-    h = affine_coordinate(sfa, i)
+    h = coordinate(sfa, i)
     return sfa.sub(sfa.mul(h, h), h)
