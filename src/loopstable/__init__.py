@@ -11,9 +11,9 @@ Subpackages/modules:
   simplicial pairs; restriction, transition, μ, concatenation, ω.
 - :mod:`loopstable.tensorj` — tensor algebras, J, classifying maps, λ, κ.
 - :mod:`loopstable.extensions` — extension records, mapping paths/cylinders,
-  the TR4 tower, homotopy certificates replayed exactly on samples, and an
-  exact-equality test between two morphisms.
-- :mod:`loopstable.kkcat` — objects (A, m), Λ, ⋆, negation, triangles.
+  the TR4 tower, and homotopy certificates replayed exactly on samples.
+- :mod:`loopstable.kkcat` — objects (A, m), Λ, ⋆ with its signs, and
+  mapping-path and extension triangles.
 - :mod:`loopstable.verifier` — the check catalog and report machinery.
 - :mod:`loopstable.cli` — the ``loopstable-verify`` command line interface.
 """

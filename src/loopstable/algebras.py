@@ -302,22 +302,30 @@ def parse_algebra_file(text: str) -> FinAlgebra:
         unit: 1*a            # optional
         a*b = 1/2*c + -1*a   # missing products are zero
 
-    Coefficients are exact fractions ``p`` or ``p/q``.
+    Coefficients are exact fractions ``p`` or ``p/q``.  A repeated
+    ``name:``, ``basis:`` or ``unit:`` line, or a repeated product pair,
+    is an error.
     """
     name = "unnamed"
     labels: Tuple[str, ...] = ()
     unit: Optional[Vec] = None
     table: Dict[Tuple[str, str], Vec] = {}
+    headers = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("name:"):
-            name = line[5:].strip()
-        elif line.startswith("basis:"):
-            labels = tuple(line[6:].split())
-        elif line.startswith("unit:"):
-            unit = _parse_combo(line[5:], labels)
+        if line.startswith(("name:", "basis:", "unit:")):
+            header, _, rest = line.partition(":")
+            if header in headers:
+                raise ValueError(f"repeated {header!r} line")
+            headers.add(header)
+            if header == "name":
+                name = rest.strip()
+            elif header == "basis":
+                labels = tuple(rest.split())
+            else:
+                unit = _parse_combo(rest, labels)
         elif "=" in line:
             lhs, rhs = line.split("=", 1)
             if "*" not in lhs:
@@ -325,6 +333,8 @@ def parse_algebra_file(text: str) -> FinAlgebra:
             i, j = (s.strip() for s in lhs.split("*", 1))
             if i not in labels or j not in labels:
                 raise ValueError(f"unknown labels in {line!r}")
+            if (i, j) in table:
+                raise ValueError(f"repeated product {i}*{j}")
             table[(i, j)] = _parse_combo(rhs, labels)
         else:
             raise ValueError(f"unrecognized line {line!r}")

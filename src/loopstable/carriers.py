@@ -66,9 +66,6 @@ class Rationals(Carrier):
     def zero(self):
         return Fraction(0)
 
-    def one(self):
-        return Fraction(1)
-
     def add(self, x, y):
         return x + y
 

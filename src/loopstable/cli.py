@@ -47,6 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_algebra(src: str) -> tuple:
+    """(config name, algebra).  A file algebra is named by its source
+    ``file:<path>``, never by the ``name:`` line the file controls, so it
+    cannot borrow a built-in's frozen product oracle."""
     if ":" not in src:
         raise ValueError(
             f"algebra source {src!r} must be 'builtin:<name>' or 'file:<path>'"
@@ -62,7 +65,7 @@ def _load_algebra(src: str) -> tuple:
     if kind == "file":
         with open(rest, "r", encoding="utf-8") as fh:
             alg = parse_algebra_file(fh.read())
-        return alg.name, alg
+        return src, alg
     raise ValueError(f"unknown algebra source {kind!r}")
 
 

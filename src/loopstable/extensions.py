@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from .algebras import FinAlgebra
 from .carriers import RAT, Carrier, PullbackCarrier
@@ -472,7 +472,6 @@ class HomotopyCertificate:
     right: Morphism
     chain: List[Morphism]
     sampler: Callable[[random.Random], Any]
-    provenance: str = "shipped"
 
     def verify(self, samples: int = 20, seed: int = 0) -> None:
         with paused_gc():
@@ -482,13 +481,6 @@ class HomotopyCertificate:
         rng = random.Random(seed)
         tgt = self.left.target
         xs = [self.sampler(rng) for _ in range(max(samples, 2))]
-        if not self.chain:
-            for x in xs:
-                if not _eq(tgt, self.left(x), self.right(x)):
-                    raise CertificateError(
-                        f"{self.name}: endpoints differ at {x!r}"
-                    )
-            return
         for x in xs:
             vals = [link(x) for link in self.chain]
             px = self.chain[0].target
@@ -526,7 +518,6 @@ class MappingPath:
     """Pairs (p, a) with p a path in the target vanishing at 1 and
     p(0) = f(a), together with the inclusion of loops and the projection."""
 
-    f: Morphism
     r: int
     carrier: PullbackCarrier
     iota: Morphism
@@ -590,7 +581,6 @@ def mapping_path(
         quotient_sampler=source_sampler,
     )
     return MappingPath(
-        f=f,
         r=r,
         carrier=car,
         iota=iota,
@@ -728,8 +718,6 @@ def square_contraction_certificate(B: Carrier) -> HomotopyCertificate:
 
 @dataclass
 class MappingCylinder:
-    g: Morphism
-    carrier: PullbackCarrier
     extension: ExtensionData
     pr: Morphism
     section: Morphism
@@ -814,8 +802,6 @@ def mapping_cylinder(
         function_algebra(C, interval_rel_one(), 0), car, beta_fn, "p->(p(1-t),0)"
     )
     return MappingCylinder(
-        g=g,
-        carrier=car,
         extension=ext,
         pr=pr,
         section=section,
@@ -830,13 +816,7 @@ def mapping_cylinder(
 
 @dataclass
 class TR4Tower:
-    a: Morphism
-    b: Morphism
-    c: Morphism
     mp_a: MappingPath
-    mp_b: MappingPath
-    mp_c: MappingPath
-    eta: Morphism
     mp_eta: MappingPath
     theta: Morphism
     section_theta: Morphism
@@ -944,13 +924,7 @@ def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
     ker_embed = Morphism(K, Peta, embed_fn, "square-as-double-path")
 
     return TR4Tower(
-        a=a,
-        b=b,
-        c=c,
         mp_a=mp_a,
-        mp_b=mp_b,
-        mp_c=mp_c,
-        eta=eta,
         mp_eta=mp_eta,
         theta=theta,
         section_theta=section_theta,
@@ -961,52 +935,3 @@ def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
         ker_theta_contraction=square_contraction_certificate(C),
         ker_embed=ker_embed,
     )
-
-
-# -- triangles ------------------------------------------------------------
-
-TRIANGLE_TAGS = ("mapping_path", "extension")
-
-
-@dataclass
-class TriangleData:
-    """A rotated four-object diagram with its boundary morphism."""
-
-    objects: Tuple[Tuple[Carrier, int], ...]
-    maps: Tuple[Any, Any, Any]
-    boundary: Any
-    tag: str
-
-    def __post_init__(self):
-        if len(self.objects) != 4:
-            raise ValueError("triangles have four objects")
-        if self.tag not in TRIANGLE_TAGS:
-            raise ValueError(f"unknown triangle tag {self.tag!r}")
-
-
-# -- homotopy search ------------------------------------------------------
-
-
-def search_homotopy(
-    left: Morphism,
-    right: Morphism,
-    sampler: Callable[[random.Random], Any],
-    *,
-    samples: int = 8,
-    seed: int = 0,
-) -> Optional[HomotopyCertificate]:
-    """The empty-chain certificate when the two morphisms agree exactly on
-    ``samples`` sampled inputs, else None.  No homotopy is searched for."""
-    rng = random.Random(seed)
-    xs = [sampler(rng) for _ in range(samples)]
-    tgt = left.target
-    if all(_eq(tgt, left(x), right(x)) for x in xs):
-        return HomotopyCertificate(
-            name=f"equal[{left.name}={right.name}]",
-            left=left,
-            right=right,
-            chain=[],
-            sampler=sampler,
-            provenance="trivial",
-        )
-    return None

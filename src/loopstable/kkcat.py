@@ -4,22 +4,16 @@ Objects are pairs (A, m) of an algebra carrier and an integer grading.
 Morphisms are stored as concrete representatives f : Jᵃ A → B^{𝔖_b}_r
 together with a stabilization index; homotopy classes are never reified.
 This module provides the degree-raising operator on representatives, the
-⋆ composition with its sign bookkeeping, negation (via interval reversal
-or coordinate swaps), the translation shift, triangle assembly, and
-finite products.
+⋆ composition with its sign bookkeeping (a pending −1 is materialized by
+interval reversal or a coordinate swap), and the two triangle
+constructors: mapping-path triangles and extension triangles.
 """
 
 from dataclasses import dataclass, replace
-from typing import Any, Tuple
+from typing import Tuple
 
-from .algebras import FinAlgebra, product_algebra
 from .carriers import Carrier
-from .extensions import (
-    ExtensionData,
-    TriangleData,
-    classifying_map,
-    mapping_path,
-)
+from .extensions import ExtensionData, classifying_map, mapping_path
 from .funalg import (
     FunctionAlgebra,
     apply_to_coefficients,
@@ -42,13 +36,6 @@ INDEX_BOUND = 2
 J_DEPTH_BOUND = 3
 
 Obj = Tuple[Carrier, int]
-
-
-def loop_algebra(B: Carrier, n: int, r: int = 0) -> Carrier:
-    """B^{𝔖_n}_r, with the n = 0 convention B itself."""
-    if n == 0:
-        return B
-    return function_algebra(B, cube(n), r)
 
 
 @dataclass(frozen=True)
@@ -194,13 +181,6 @@ def resolve_sign(h: KKHom) -> KKHom:
     return h
 
 
-def negate(h: KKHom) -> KKHom:
-    """The class inverse; requires at least one interval coordinate."""
-    if h.cod_index < 1:
-        raise ValueError("negation needs a positive codomain index")
-    return resolve_sign(replace(h, pending_sign=-h.pending_sign))
-
-
 # -- the ⋆ composition ---------------------------------------------------
 
 
@@ -266,95 +246,41 @@ def star(g: KKHom, f: KKHom, resolve: bool = True) -> KKHom:
     return resolve_sign(out) if resolve else out
 
 
-# -- translation ---------------------------------------------------------
-
-
-def translate(h: KKHom, j: int = 1) -> KKHom:
-    """The grading shift; it acts as the identity on representatives."""
-    return kk_hom(
-        (h.source[0], h.source[1] + j),
-        (h.target[0], h.target[1] + j),
-        h.v - j,
-        h.rep,
-        h.r,
-        h.pending_sign,
-    )
-
-
 # -- triangles -----------------------------------------------------------
 
 
-def make_triangle(kind: str, data: Any, n: int = 0) -> TriangleData:
-    """Assemble a four-term triangle with its signed boundary.
+@dataclass
+class TriangleData:
+    """A rotated four-object diagram with its boundary morphism."""
 
-    ``mapping_path``: data is an algebra map f : A → B; the boundary is
-    (−1)^{n+1} · (inclusion of loops) ∘ λ.  ``extension``: data is a
-    split extension; the boundary is (−1)^n · (classifying map).
-    """
-    if kind == "mapping_path":
-        f = data
-        A, Bc = f.source, f.target
-        mp = mapping_path(f)
-        P = mp.carrier
-        lam = lambda_(Bc)
-        brep = Morphism(
-            j_kernel(Bc), P, lambda x: mp.iota(lam(x)), f"incl∘loops[{f.name}]"
-        )
-        boundary = kk_hom(
-            (Bc, n + 1), (P, n), -n, brep, pending_sign=(-1) ** (n + 1)
-        )
-        maps = (
-            boundary,
-            from_algebra_map(mp.pi, n),
-            from_algebra_map(f, n),
-        )
-        objects = ((Bc, n + 1), (P, n), (A, n), (Bc, n))
-        return TriangleData(objects, maps, boundary, "mapping_path")
-    if kind == "extension":
-        E: ExtensionData = data
-        xi = classifying_map(E)
-        boundary = kk_hom(
-            (E.quotient, n + 1), (E.kernel, n), -n, xi, pending_sign=(-1) ** n
-        )
-        maps = (
-            boundary,
-            from_algebra_map(E.iota, n),
-            from_algebra_map(E.pi, n),
-        )
-        objects = ((E.quotient, n + 1), (E.kernel, n), (E.mid, n), (E.quotient, n))
-        return TriangleData(objects, maps, boundary, "extension")
-    raise ValueError(f"unknown triangle kind {kind!r}")
+    objects: Tuple[Obj, Obj, Obj, Obj]
+    maps: Tuple[KKHom, KKHom, KKHom]
+    boundary: KKHom
 
 
-# -- products ------------------------------------------------------------
-
-
-def product_object(
-    B: FinAlgebra, C: FinAlgebra, n: int = 0
-) -> Tuple[Obj, KKHom, KKHom]:
-    """B × C with componentwise structure, and its graded projections."""
-    P, pr1, pr2 = product_algebra(B, C)
-    h1 = from_algebra_map(Morphism(P, B, pr1.apply, "pr1"), n)
-    h2 = from_algebra_map(Morphism(P, C, pr2.apply, "pr2"), n)
-    return (P, n), h1, h2
-
-
-def pairing(f: Morphism, g: Morphism, P: FinAlgebra) -> Morphism:
-    """(f, g) : X → B × C for maps out of a common source."""
-
-    def fn(x):
-        out = {f"l.{l}": c for l, c in f(x)}
-        out.update({f"r.{l}": c for l, c in g(x)})
-        return tuple(sorted(out.items()))
-
-    return Morphism(f.source, P, fn, f"({f.name},{g.name})")
-
-
-def split_components(
-    faP: FunctionAlgebra, x, B: Carrier, C: Carrier, pr1, pr2
-):
-    """Split a family of product-algebra values into component families."""
-    return (
-        apply_to_coefficients(faP, x, B, pr1),
-        apply_to_coefficients(faP, x, C, pr2),
+def mapping_path_triangle(f: Morphism, n: int = 0) -> TriangleData:
+    """The triangle of an algebra map f : A → B through its mapping path;
+    the boundary is (−1)^{n+1} · (inclusion of loops) ∘ λ."""
+    A, Bc = f.source, f.target
+    mp = mapping_path(f)
+    P = mp.carrier
+    lam = lambda_(Bc)
+    brep = Morphism(
+        j_kernel(Bc), P, lambda x: mp.iota(lam(x)), f"incl∘loops[{f.name}]"
     )
+    boundary = kk_hom((Bc, n + 1), (P, n), -n, brep, pending_sign=(-1) ** (n + 1))
+    maps = (boundary, from_algebra_map(mp.pi, n), from_algebra_map(f, n))
+    objects = ((Bc, n + 1), (P, n), (A, n), (Bc, n))
+    return TriangleData(objects, maps, boundary)
+
+
+def extension_triangle(E: ExtensionData, n: int = 0) -> TriangleData:
+    """The triangle of a split extension; the boundary is
+    (−1)^n · (classifying map)."""
+    xi = classifying_map(E)
+    boundary = kk_hom(
+        (E.quotient, n + 1), (E.kernel, n), -n, xi, pending_sign=(-1) ** n
+    )
+    maps = (boundary, from_algebra_map(E.iota, n), from_algebra_map(E.pi, n))
+    objects = ((E.quotient, n + 1), (E.kernel, n), (E.mid, n), (E.quotient, n))
+    return TriangleData(objects, maps, boundary)

@@ -312,19 +312,6 @@ class SimplicialMap:
     def __call__(self, fs: FormalSimplex) -> FormalSimplex:
         return self.apply(fs)
 
-    def compose(self, other: "SimplicialMap") -> "SimplicialMap":
-        """The composite ``self after other``."""
-        if other.target is not self.source and (
-            other.target.dims != self.source.dims
-            or other.target.faces != self.source.faces
-        ):
-            raise ValueError("composition mismatch")
-        base_map = {b: self.apply(other.base_map[b]) for b in other.source.bases()}
-        return SimplicialMap(
-            other.source, self.target, base_map,
-            name=f"{self.name}.{other.name}" if self.name or other.name else "",
-        )
-
     def validate(self) -> None:
         for b in self.source.bases():
             if self.source.dims[b] != self.target.dim(self.base_map[b]):
@@ -336,10 +323,6 @@ class SimplicialMap:
                 rhs = self.target.face(self.apply(nd(b)), i)
                 if lhs != rhs:
                     raise ValueError(f"map does not commute with d_{i} at {b!r}")
-
-
-def identity_map(sset: FinSimplicialSet) -> SimplicialMap:
-    return SimplicialMap(sset, sset, {b: nd(b) for b in sset.bases()}, name="id")
 
 
 # -- pairs ---------------------------------------------------------------
@@ -365,14 +348,6 @@ class SimplicialPair:
                 raise ValueError(f"sub simplex {b!r} missing from total")
             if not self.total.face_closure(b) <= self.sub:
                 raise ValueError(f"sub is not face-closed at {b!r}")
-
-
-def sub_simplicial_set(pair: SimplicialPair, name: str = "") -> FinSimplicialSet:
-    """The subobject of ``pair`` as a simplicial set in its own right."""
-    dims = {b: pair.total.dims[b] for b in pair.sub}
-    faces = {b: pair.total.faces[b] for b in pair.sub}
-    return FinSimplicialSet(dims, faces, name=name or f"{pair.name}-sub",
-                            poset=None)
 
 
 # -- standard objects ----------------------------------------------------
@@ -506,16 +481,6 @@ def flatten_vertex(v: Any) -> Tuple[int, ...]:
     raise ValueError(f"cannot flatten vertex {v!r}")
 
 
-def flatten_iso(nested: SimplicialPair, flat: SimplicialPair) -> SimplicialMap:
-    """Canonical iso from an iterated box of cubes to the flat cube pair."""
-    f = SimplicialMap.from_vertex_map(
-        nested.total, flat.total, flatten_vertex, name="flatten"
-    )
-    if {f.apply(nd(b)).base for b in nested.sub} != flat.sub:
-        raise ValueError("flattening is not an isomorphism of pairs")
-    return f
-
-
 # -- barycentric subdivision and last-vertex map -------------------------
 
 
@@ -537,12 +502,6 @@ def last_vertex_map(K: FinSimplicialSet, sdK: Optional[FinSimplicialSet] = None)
     return SimplicialMap.from_vertex_map(
         sdK, K, lambda x: K.vertices(nd(x))[-1][0], name="gamma"
     )
-
-
-def subdivide_with_map(K: FinSimplicialSet) -> Tuple[FinSimplicialSet, SimplicialMap]:
-    """(sd K, γ)."""
-    sdK = subdivide(K)
-    return sdK, last_vertex_map(K, sdK)
 
 
 def subdivide_map(
@@ -569,53 +528,6 @@ def iterated_sd(P: SimplicialPair, r: int) -> List[SimplicialPair]:
     return out
 
 
-# -- named maps ----------------------------------------------------------
-
-
-def theta_map() -> SimplicialMap:
-    """ϑ : I×I → I collapsing everything except (0,0) to 1 (min-like
-    composition law on the path coordinate), as a map of flat cubes
-    I^2 → I^1 via vertices (a,b) ↦ max(a,b)."""
-    I2 = cube(2).total
-    I1 = cube(1).total
-    return SimplicialMap.from_vertex_map(
-        I2, I1, lambda v: (max(v),), name="theta"
-    )
-
-
-def swap_map(m: int, n: int) -> SimplicialMap:
-    """c : I^m × I^n → I^n × I^m on flat cubes, rotating coordinates."""
-    src = cube(m + n).total
-    tgt = cube(n + m).total
-    return SimplicialMap.from_vertex_map(
-        src, tgt, lambda v: v[m:] + v[:m], name=f"swap({m},{n})"
-    )
-
-
-def coface(i: int, p: int) -> SimplicialMap:
-    """d^i : Δ^{p-1} → Δ^p, the inclusion skipping vertex i."""
-    src = standard_simplex(p - 1).total
-    tgt = standard_simplex(p).total
-    return SimplicialMap.from_vertex_map(
-        src, tgt, lambda v: v if v < i else v + 1, name=f"d^{i}"
-    )
-
-
-def interval_endpoint(e: int) -> SimplicialMap:
-    """Δ^0 → I hitting the endpoint ``e`` ∈ {0,1}."""
-    src = standard_simplex(0).total
-    tgt = cube(1).total
-    return SimplicialMap.from_vertex_map(src, tgt, lambda v: (e,), name=f"end_{e}")
-
-
-def boundary_inclusion(n: int) -> SimplicialMap:
-    """∂I^n → I^n."""
-    pair = cube(n)
-    sub = sub_simplicial_set(pair, name=f"bd(I^{n})")
-    return SimplicialMap(sub, pair.total, {b: nd(b) for b in sub.bases()},
-                         name="boundary")
-
-
 def interval_reversal(r: int) -> SimplicialMap:
     """The endpoint-exchanging simplicial automorphism of sd^r I (r ≥ 1).
 
@@ -634,18 +546,3 @@ def interval_reversal(r: int) -> SimplicialMap:
         f = subdivide_map(f, levels[k].total, levels[k].total)
         f.name = f"rev(sd^{k} I)"
     return f
-
-
-def named_map(tag: str, **kw) -> SimplicialMap:
-    """Dispatcher for the specific maps used throughout the engine."""
-    if tag == "theta":
-        return theta_map()
-    if tag == "swap":
-        return swap_map(kw["m"], kw["n"])
-    if tag == "coface":
-        return coface(kw["i"], kw.get("p", 1))
-    if tag == "boundary_inclusion":
-        return boundary_inclusion(kw.get("n", 1))
-    if tag == "interval_one_inclusion":
-        return interval_endpoint(1)
-    raise ValueError(f"unknown named map tag {tag!r}")

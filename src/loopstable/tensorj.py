@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from .algebras import FinAlgebra
 from .carriers import Carrier
@@ -57,9 +57,9 @@ def is_based(car: Carrier) -> bool:
 class TensorAlgebra(Carrier):
     """The nonunital tensor algebra T(A) (words of length ≥ 1)."""
 
-    def __init__(self, base: Carrier, formal: Optional[bool] = None) -> None:
+    def __init__(self, base: Carrier) -> None:
         self.base = base
-        self.based = not formal if formal is not None else is_based(base)
+        self.based = is_based(base)
         flavor = "" if self.based else "'"
         self.name = f"T{flavor}({base.name})"
         self.can_decide_zero = self.based
@@ -209,12 +209,10 @@ def based_key_element(car: Carrier, k):
     raise ValueError(f"carrier {car.name} has no canonical basis")
 
 
-_tensor_algebra = cache(TensorAlgebra)
-
-
-def tensor_algebra(base: Carrier, formal: Optional[bool] = None) -> TensorAlgebra:
-    """T(base), one per carrier (by identity) and flavor."""
-    return _tensor_algebra(base, not is_based(base) if formal is None else formal)
+@cache
+def tensor_algebra(base: Carrier) -> TensorAlgebra:
+    """T(base), one per carrier (by identity)."""
+    return TensorAlgebra(base)
 
 
 @cache
@@ -233,14 +231,6 @@ def j_tower(base: Carrier, depth: int) -> List[Carrier]:
 
 def curvature(base: Carrier, a, b) -> TElement:
     return tensor_algebra(base).curvature(a, b)
-
-
-def eta(base: Carrier, x) -> Any:
-    return tensor_algebra(base).eta(x)
-
-
-def sigma(base: Carrier, b) -> TElement:
-    return tensor_algebra(base).sigma(b)
 
 
 # -- morphisms -----------------------------------------------------------

@@ -10,7 +10,6 @@ from loopstable.extensions import (
     CertificateError,
     ExtensionError,
     HomotopyCertificate,
-    TriangleData,
     alternate_path_splitting,
     classifying_map,
     mapping_cylinder,
@@ -21,7 +20,6 @@ from loopstable.extensions import (
     pb_contraction_certificate,
     phi,
     reversed_link,
-    search_homotopy,
     splitting_homotopy,
     square_contraction_certificate,
     strong_morphism_check,
@@ -427,40 +425,6 @@ class TestTowerOfThree:
             x = sample_element(K, rng)
             z = self.tw.ker_embed(x)
             assert self.tw.mp_a.carrier.is_zero(self.tw.theta(z))
-
-
-class TestSearch:
-    def test_trivial_equality(self):
-        fa = function_algebra(B, cube(1), 0)
-        cert = search_homotopy(
-            identity_morphism(fa),
-            identity_morphism(fa),
-            lambda rng: sample_element(fa, rng),
-        )
-        assert cert is not None and cert.provenance == "trivial"
-        assert cert.chain == []
-
-    def test_not_found(self):
-        fa = function_algebra(B, cube(1), 0)
-        double = Morphism(fa, fa, lambda x: fa.scale(F(2), x), "double")
-        cert = search_homotopy(
-            identity_morphism(fa),
-            double,
-            lambda rng: sample_element(fa, rng),
-        )
-        assert cert is None
-
-
-class TestTriangleData:
-    def test_shape_checks(self):
-        fa = function_algebra(B, cube(1), 0)
-        objs = ((fa, 1), (B, 0), (B, 0), (B, 0))
-        t = TriangleData(objs, (None, None, None), None, "extension")
-        assert t.tag == "extension"
-        with pytest.raises(ValueError):
-            TriangleData(objs[:3], (None, None, None), None, "extension")
-        with pytest.raises(ValueError):
-            TriangleData(objs, (None, None, None), None, "bogus")
 
 
 class TestExtensionInvariants:

@@ -1,6 +1,7 @@
 """Graded morphism representatives, ⋆ composition, signs, and triangles."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,21 +9,16 @@ from loopstable.algebras import AlgebraMap, FinAlgebra, dual_numbers, product_al
 from loopstable.extensions import mapping_path, path_extension
 from loopstable.funalg import d1, function_algebra, mu_flat, omega, sample_element
 from loopstable.kkcat import (
+    extension_triangle,
     from_algebra_map,
     identity_hom,
     kk_hom,
     lambda_rep,
-    loop_algebra,
-    make_triangle,
-    negate,
-    pairing,
-    product_object,
+    mapping_path_triangle,
     promote,
     resolve_sign,
-    split_components,
     star,
     swap_pullback,
-    translate,
 )
 from loopstable.simplicial import cube
 from loopstable.tensorj import (
@@ -64,11 +60,6 @@ class TestHoms:
         assert h.dom_index == 0 and h.cod_index == 0
         x = B.basis_vec("x")
         assert h(x) == x
-
-    def test_loop_algebra_conventions(self):
-        assert loop_algebra(B, 0) is B
-        fa = loop_algebra(B, 2)
-        assert len(fa.pair0.coords) == 2
 
 
 class TestDegreeRaising:
@@ -161,23 +152,35 @@ class TestStar:
             star(from_algebra_map(_a_map()), from_algebra_map(_a_map()))
 
 
+def _negated(h):
+    """Materialize a pending −1 on ``h``."""
+    return resolve_sign(replace(h, pending_sign=-1))
+
+
 class TestSigns:
     def test_double_negation(self):
+        # one coordinate: the sign is the interval reversal
         lamH = kk_hom((JB, 0), (B, 1), 0, LAM)
-        h = negate(negate(lamH))
+        once = _negated(lamH)
+        assert once.pending_sign == 1 and once.rep.name == f"rev∘{LAM.name}"
+        h = _negated(once)
         for x in sample_j_elements(B, 1, 5, seed=9):
             assert h.rep(x) == lamH.rep(x)
 
     def test_negation_needs_a_coordinate(self):
-        with pytest.raises(ValueError):
-            negate(from_algebra_map(_g_map()))
+        # no coordinate: the sign stays pending on the unchanged rep
+        g = from_algebra_map(_g_map())
+        h = _negated(g)
+        assert h.pending_sign == -1 and h.rep is g.rep
 
     def test_negate_zero_is_zero(self):
+        # two coordinates: the sign is the coordinate swap
         zH = kk_hom(
             (B, 0), (B, 1), 1,
             zero_morphism(JB, function_algebra(B, cube(2), 0)),
         )
-        h = negate(zH)
+        h = _negated(zH)
+        assert h.pending_sign == 1 and h.rep.name == f"(c* . {zH.rep.name})"
         for x in sample_j_elements(B, 1, 3, seed=10):
             assert h.rep.target.is_zero(h.rep(x))
 
@@ -190,33 +193,23 @@ class TestSigns:
             assert c(c(x)) == x
 
 
-class TestTranslation:
-    def test_shift_acts_as_identity_on_reps(self):
-        lamH = kk_hom((JB, 0), (B, 1), 0, LAM)
-        t = translate(lamH, 1)
-        assert t.source == (JB, 1) and t.target == (B, 2) and t.v == -1
-        assert t.rep is lamH.rep
-        assert translate(t, -1) == lamH
-
-
 class TestTriangles:
     def test_mapping_path_triangle(self):
-        t = make_triangle("mapping_path", _g_map(), 0)
-        assert t.tag == "mapping_path"
+        t = mapping_path_triangle(_g_map(), 0)
         assert t.boundary.pending_sign == -1
         (Bo, n1), (Po, n2), (Ao, n3), (Bo2, n4) = t.objects
         assert (n1, n2, n3, n4) == (1, 0, 0, 0) and Bo is Q and Ao is B
 
     def test_extension_triangle_boundary(self):
         E = path_extension(0, B, 0)
-        t = make_triangle("extension", E, 0)
+        t = extension_triangle(E, 0)
         assert t.boundary.pending_sign == 1
         for x in sample_j_elements(B, 1, 5, seed=13):
             assert t.boundary.rep(x) == LAM(x)
 
     def test_extension_triangle_sign_at_one(self):
         E = path_extension(0, B, 0)
-        t = make_triangle("extension", E, 1)
+        t = extension_triangle(E, 1)
         assert t.boundary.pending_sign == -1
 
     def test_identity_mapping_path_is_path_algebra(self):
@@ -229,22 +222,6 @@ class TestTriangles:
 
 
 class TestProducts:
-    def test_projections_and_pairing(self):
-        (P, _), p1, p2 = product_object(B, Q)
-        pp = pairing(identity_morphism(B), _g_map(), P)
-        for x in (B.basis_vec("x"), B.basis_vec("1")):
-            y = pp(x)
-            assert p1.rep(y) == x and p2.rep(y) == _g_map()(x)
-
-    def test_loop_families_split_componentwise(self):
-        (P, _), p1, p2 = product_object(B, Q)
-        faP = function_algebra(P, cube(1), 0)
-        faB = function_algebra(B, cube(1), 0)
-        rng = random.Random(15)
-        x = sample_element(faP, rng)
-        c1, c2 = split_components(faP, x, B, Q, p1.rep, p2.rep)
-        assert faB.canon(dict(c1)) == c1
-
     def test_zero_algebra_is_unit(self):
         Z = FinAlgebra("0", [], {}, unit=None)
         P0, q1, q2 = product_algebra(B, Z)

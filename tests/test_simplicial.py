@@ -1,5 +1,5 @@
 """Tests for the simplicial layer: normal form calculus, cubes,
-subdivision, last-vertex maps, box products and named maps."""
+subdivision, last-vertex maps, box products and interval reversal."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,14 +7,12 @@ from hypothesis import given, settings, strategies as st
 from loopstable.simplicial import (
     SimplicialMap,
     box_product,
-    coface,
     cube,
-    flatten_iso,
-    identity_map,
+    flatten_vertex,
     interval_rel_one,
     interval_reversal,
     iterated_sd,
-    named_map,
+    last_vertex_map,
     nd,
     nerve,
     product,
@@ -22,14 +20,16 @@ from loopstable.simplicial import (
     subdivide,
     subdivide_map,
     subdivide_pair,
-    subdivide_with_map,
-    swap_map,
-    theta_map,
 )
 
 
 def count(sset, dim):
     return len(sset.bases(dim))
+
+
+def composite(g, f):
+    """The base map of ``g`` after ``f``."""
+    return {b: g.apply(f.base_map[b]) for b in f.source.bases()}
 
 
 class TestCube:
@@ -107,13 +107,15 @@ class TestCalculus:
 class TestSubdivision:
     def test_sd_point(self):
         K = standard_simplex(0).total
-        sdK, g = subdivide_with_map(K)
+        sdK = subdivide(K)
+        g = last_vertex_map(K, sdK)
         assert len(sdK.bases()) == 1
         assert g.base_map[sdK.bases()[0]] == nd(K.bases()[0])
 
     def test_sd_interval(self):
         K = cube(1).total
-        sdK, g = subdivide_with_map(K)
+        sdK = subdivide(K)
+        g = last_vertex_map(K, sdK)
         assert count(sdK, 0) == 3
         assert count(sdK, 1) == 2
         sdK.validate()
@@ -143,30 +145,25 @@ class TestSubdivision:
         assert len(sdp.sub) == 1  # the endpoint stays a single vertex
 
     def test_gamma_naturality(self):
-        f = theta_map()
-        K, L = f.source, f.target
-        sdK, gK = subdivide_with_map(K)
-        sdL, gL = subdivide_with_map(L)
+        K, L = cube(2).total, cube(1).total
+        f = SimplicialMap.from_vertex_map(K, L, lambda v: (max(v),))
+        sdK, sdL = subdivide(K), subdivide(L)
+        gK, gL = last_vertex_map(K, sdK), last_vertex_map(L, sdL)
         sdf = subdivide_map(f, sdK, sdL)
         sdf.validate()
-        lhs = gL.compose(sdf)
-        rhs = f.compose(gK)
-        assert lhs.base_map == rhs.base_map
+        assert composite(gL, sdf) == composite(f, gK)
 
     def test_reversal_is_involution(self):
         for r in (1, 2):
             rev = interval_reversal(r)
             rev.validate()
-            rr = rev.compose(rev)
-            assert rr.base_map == identity_map(rev.source).base_map
+            assert composite(rev, rev) == {b: nd(b) for b in rev.source.bases()}
 
 
 class TestBoxProduct:
     def test_s1_box_s1_is_s2(self):
         b = box_product(cube(1), cube(1))
-        f = flatten_iso(b.pair, cube(2))
-        f.validate()
-        assert len(b.pair.total.bases()) == len(cube(2).total.bases())
+        self._iso_pairs(b.pair, cube(2), flatten_vertex)
 
     def test_unit(self):
         b = box_product(cube(1), standard_simplex(0))
@@ -202,46 +199,6 @@ class TestBoxProduct:
         )
 
 
-class TestNamedMaps:
-    def test_theta_vertices(self):
-        th = theta_map()
-        th.validate()
-        vals = {v: th.base_map[(v,)].base for v in [(0, 0), (0, 1), (1, 0), (1, 1)]}
-        assert vals == {
-            (0, 0): ((0,),),
-            (0, 1): ((1,),),
-            (1, 0): ((1,),),
-            (1, 1): ((1,),),
-        }
-
-    def test_swap_involution(self):
-        s = swap_map(1, 1)
-        s.validate()
-        ss = s.compose(s)
-        assert ss.base_map == identity_map(s.source).base_map
-
-    def test_coface_identity(self):
-        # d^j d^i = d^i d^{j-1} for i < j
-        lhs = coface(1, 2).compose(coface(0, 1))
-        rhs = coface(0, 2).compose(coface(0, 1))
-        assert lhs.base_map == rhs.base_map
-
-    def test_named_map_dispatch(self):
-        assert named_map("theta").name == "theta"
-        assert named_map("swap", m=1, n=1).name == "swap(1,1)"
-        with pytest.raises(ValueError):
-            named_map("nope")
-
-    def test_boundary_inclusion(self):
-        inc = named_map("boundary_inclusion", n=2)
-        inc.validate()
-        assert len(inc.source.bases()) == 8
-
-    def test_interval_one_inclusion(self):
-        inc = named_map("interval_one_inclusion")
-        assert inc.base_map[(0,)].base == ((1,),)
-
-
 class TestProduct:
     def test_projections(self):
         P, pr1, pr2 = product(cube(1).total, cube(1).total)
@@ -259,6 +216,7 @@ class TestProduct:
 def test_nerve_of_divisibility_poset_validates(elems):
     K = nerve(elems, lambda a, b: b % a == 0)
     K.validate()
-    sdK, g = subdivide_with_map(K)
+    sdK = subdivide(K)
+    g = last_vertex_map(K, sdK)
     sdK.validate()
     g.validate()

@@ -30,7 +30,6 @@ from loopstable.tensorj import (
     kappa1,
     lambda_,
     sample_j_elements,
-    sigma,
     tensor_algebra,
 )
 
@@ -78,7 +77,7 @@ class TestEtaSigmaCurvature:
     def test_kernel_membership(self):
         J = j_kernel(B)
         assert J.contains(curvature(B, BX, B1))
-        assert not J.contains(sigma(B, BX))
+        assert not J.contains(tensor_algebra(B).sigma(BX))
 
     def test_sigma_not_multiplicative_for_dual(self):
         ta = tensor_algebra(B)

@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from loopstable import cli, kkcat
-from loopstable.algebras import FinAlgebra, dual_numbers, format_algebra_file
+from loopstable.algebras import (
+    BUILTIN_ALGEBRAS,
+    FinAlgebra,
+    dual_numbers,
+    format_algebra_file,
+)
 from loopstable.verifier import (
     CATALOG,
     CheckConfig,
@@ -38,6 +43,13 @@ class TestCatalog:
         for cid, st in statuses.items():
             if cid != "star-lambda-identities":
                 assert st == "PASS", (cid, st)
+
+    @pytest.mark.parametrize(
+        "name,status", [("q", "PASS"), ("dual", "NOT-FOUND"), ("sq0", "NOT-FOUND")]
+    )
+    def test_star_lambda_status_per_builtin(self, name, status):
+        cfg = _cfg(algebra_name=name, algebra=BUILTIN_ALGEBRAS[name](), seed=0)
+        assert run_check("star-lambda-identities", cfg).status == status
 
     def test_catalog_order_preserved(self):
         report = run_suite(["all"], _cfg())
@@ -133,6 +145,15 @@ class TestCLI:
         bad.write_text("basis: 1\n1*1 = 1/0*1\n")
         assert cli.main(["--algebra", f"file:{bad}"]) == 2
         assert "zero denominator" in capsys.readouterr().err
+        for text in (
+            "basis: x\nx*x = 1*x\nx*x = 0\n",
+            "basis: x\nbasis: x y\n",
+            "name: a\nname: b\nbasis: x\n",
+            "basis: x\nunit: 1*x\nunit: 1*x\nx*x = 1*x\n",
+        ):
+            bad.write_text(text)
+            assert cli.main(["--algebra", f"file:{bad}"]) == 2
+            assert "repeated" in capsys.readouterr().err
 
     def test_exit_one_on_failure(self, monkeypatch):
         monkeypatch.setattr(kkcat, "crossing_sign", lambda n2, n3: 1)
@@ -157,6 +178,20 @@ class TestCLI:
              "--samples", "4"]
         )
         assert code == 0
+
+    def test_file_algebra_does_not_borrow_a_builtin_oracle(self, tmp_path, capsys):
+        # the file's name line says "dual", but its basis is not dual's
+        p = tmp_path / "named-dual.alg"
+        p.write_text("name: dual\nbasis: a b\nunit: 1*a\n"
+                     "a*a = 1*a\na*b = 1*b\nb*a = 1*b\n")
+        code = cli.main(
+            ["--algebra", f"file:{p}", "--check", "lambda-curvature-formula",
+             "--format", "json"]
+        )
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert data["results"][0]["status"] == "PASS"
+        assert data["config"]["algebra"] == f"file:{p}"
 
     def test_builtin_algebras_on_a_fast_check(self):
         for name in ("q", "dual", "m2q", "sq0"):
