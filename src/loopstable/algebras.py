@@ -1,7 +1,9 @@
 """Finite-dimensional algebras given by exact structure constants.
 
-Elements are canonical vectors ``((label, Fraction), ...)`` sorted by label
-with zero entries dropped.  Includes the built-in test algebras and the
+Elements are canonical vectors ``((label, Fraction), ...)``: sparse
+combinations of basis labels over the rationals in the canonical form of
+:mod:`loopstable.poly`, so vector arithmetic is ``cp_add``/``cp_scale``
+over ``RAT``.  Includes the built-in test algebras and the
 text file format consumed by the CLI.
 """
 
@@ -11,13 +13,14 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .carriers import Carrier
+from .carriers import RAT, Carrier
+from .poly import cp_add, cp_norm, cp_scale
 
 Vec = Tuple[Tuple[str, Fraction], ...]
 
 
 def vec(d: Dict[str, Fraction]) -> Vec:
-    return tuple(sorted((k, Fraction(v)) for k, v in d.items() if v != 0))
+    return cp_norm(RAT, {k: Fraction(v) for k, v in d.items()})
 
 
 class FinAlgebra(Carrier):
@@ -65,26 +68,10 @@ class FinAlgebra(Carrier):
         return [self.basis_vec(l) for l in self.labels]
 
     def add(self, x: Vec, y: Vec) -> Vec:
-        if not x:
-            return y
-        if not y:
-            return x
-        d = dict(x)
-        for k, v in y:
-            if k in d:
-                d[k] = d[k] + v
-            else:
-                d[k] = v
-        return tuple(sorted((k, v) for k, v in d.items() if v))
+        return cp_add(RAT, x, y)
 
     def scale(self, a, x: Vec) -> Vec:
-        if not isinstance(a, Fraction):
-            a = Fraction(a)
-        if not a:
-            return ()
-        if a == 1:
-            return x
-        return tuple((k, a * v) for k, v in x)
+        return cp_scale(RAT, a, x)
 
     def mul(self, x: Vec, y: Vec) -> Vec:
         d: Dict[str, Fraction] = {}
@@ -100,10 +87,7 @@ class FinAlgebra(Carrier):
                         d[k] = d[k] + c * ck
                     else:
                         d[k] = c * ck
-        return tuple(sorted((k, v) for k, v in d.items() if v))
-
-    def is_zero(self, x: Vec) -> bool:
-        return x == ()
+        return cp_norm(RAT, d)
 
     def contains(self, x) -> bool:
         return isinstance(x, tuple) and all(

@@ -2,7 +2,9 @@
 
 A *carrier* is an algebra whose elements are canonical immutable (hashable)
 Python values; the carrier object interprets them (arithmetic, zero test,
-membership).  Concrete carriers: finite-dimensional algebras
+membership).  Where zero is decidable every element has exactly one
+representation, so ``==`` is equality and ``x == zero()`` is the zero
+test.  Concrete carriers: finite-dimensional algebras
 (:mod:`loopstable.algebras`), polynomial function algebras
 (:mod:`loopstable.funalg`), tensor algebras and J-kernels
 (:mod:`loopstable.tensorj`), and the homotopy carrier ``C[u]``
@@ -18,10 +20,15 @@ from typing import Any, Callable
 
 
 class Carrier:
-    """Base class: an algebra interpreting canonical immutable elements."""
+    """Base class: an algebra interpreting canonical immutable elements.
+
+    Arithmetic returns canonical elements, so two elements of a carrier
+    that decides zero are equal exactly when they are ``==``.
+    """
 
     name: str = "?"
-    #: whether ``is_zero`` is a decision procedure (False for formal tensors)
+    #: whether ``==`` decides equality (False for formal tensors, whose
+    #: equal elements may be spelled differently)
     can_decide_zero: bool = True
 
     def zero(self) -> Any:
@@ -44,11 +51,6 @@ class Carrier:
 
     def is_zero(self, x: Any) -> bool:
         return x == self.zero()
-
-    def eq(self, x: Any, y: Any) -> bool:
-        if not self.can_decide_zero:
-            raise ValueError(f"equality undecidable in {self.name}")
-        return self.is_zero(self.sub(x, y))
 
     def contains(self, x: Any) -> bool:
         """Structural membership validation (may be expensive)."""
@@ -129,9 +131,6 @@ class PullbackCarrier(Carrier):
     def mul(self, x, y):
         return (self.left.mul(x[0], y[0]), self.right.mul(x[1], y[1]))
 
-    def is_zero(self, x):
-        return self.left.is_zero(x[0]) and self.right.is_zero(x[1])
-
     def contains(self, x):
         if not (isinstance(x, tuple) and len(x) == 2):
             return False
@@ -140,4 +139,4 @@ class PullbackCarrier(Carrier):
             return False
         if not self.over.can_decide_zero:
             return True
-        return self.over.eq(self.lmap(l), self.rmap(r))
+        return self.lmap(l) == self.rmap(r)

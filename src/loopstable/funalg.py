@@ -3,8 +3,10 @@
 An element of ``B^(K,L)_r`` is a family assigning to each nondegenerate
 p-simplex of ``sd^r K`` a polynomial in ``t_1..t_p`` with coefficients in the
 base carrier ``B``, compatible with faces and vanishing on ``sd^r L``.
-Families are canonical sorted tuples ``((simplex, poly), ...)``; values on
-degenerate simplices are recovered by degeneracy substitution.
+Families are sparse combinations ``((simplex, poly), ...)`` in the
+canonical form of :mod:`loopstable.poly`, sorted by the native order of
+the simplices; values on degenerate simplices are recovered by degeneracy
+substitution.
 
 Provides restriction (pullback along simplicial maps), the transition map
 (pullback along the last-vertex map), the multiplication morphisms μ, path
@@ -29,9 +31,9 @@ from .poly import (
     QPoly,
     cp_add,
     cp_constant,
-    cp_is_zero,
     cp_map_coeffs,
     cp_mul,
+    cp_norm,
     cp_scale,
     cp_subst,
     cp_zero,
@@ -103,15 +105,17 @@ class FunctionAlgebra(Carrier):
     # -- canonical elements ----------------------------------------------
 
     def canon(self, parts: Dict[Any, CPoly]) -> Element:
-        out = []
+        """The family of canonical polynomials ``parts``: a sparse
+        combination keyed by simplices, whose zero polynomial ``()`` is this
+        carrier's zero, dropped like any zero coefficient."""
+        out = {}
         for b, p in parts.items():
             if b in self.subset:
-                if self.base.can_decide_zero and not cp_is_zero(self.base, p):
+                if self.base.can_decide_zero and p:
                     raise ValueError(f"nonzero value on subobject simplex {b!r}")
                 continue
-            if p:
-                out.append((b, p))
-        return tuple(sorted(out, key=lambda kv: repr(kv[0])))
+            out[b] = p
+        return cp_norm(self, out)
 
     def zero(self) -> Element:
         return ()
@@ -141,9 +145,6 @@ class FunctionAlgebra(Carrier):
         for b in set(dx) & set(dy):
             out[b] = cp_mul(self.base, dx[b], dy[b])
         return self.canon(out)
-
-    def is_zero(self, x: Element) -> bool:
-        return all(cp_is_zero(self.base, p) for _, p in x)
 
     def contains(self, x) -> bool:
         """Face compatibility plus vanishing (skipped over formal bases)."""
@@ -284,7 +285,7 @@ def mu(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
             for e2, c2 in v:
                 ee = tuple(m + n for m, n in zip(e2, e))
                 acc[ee] = B.add(acc[ee], c2) if ee in acc else c2
-        parts[z] = tuple(sorted((e, c) for e, c in acc.items() if not B.is_zero(c)))
+        parts[z] = cp_norm(B, acc)
     return target, target.canon(parts)
 
 
@@ -429,7 +430,7 @@ def _interval_inclusions(fa: FunctionAlgebra) -> Tuple[SimplicialMap, Simplicial
 def concatenate(fa: FunctionAlgebra, x: Element, y: Element) -> Tuple[FunctionAlgebra, Element]:
     """Concatenation of interval families: x on the first half, the
     reversal of y on the second; requires d₀(x) = d₁(y)."""
-    if fa.base.can_decide_zero and not fa.base.eq(d0(fa, x), d1(fa, y)):
+    if fa.base.can_decide_zero and d0(fa, x) != d1(fa, y):
         raise ValueError("endpoint mismatch: d0(first) != d1(second)")
     tgt = function_algebra(fa.base, fa.pair0, fa.r + 1, fa.relative)
     f1, f2 = _interval_inclusions(fa)
@@ -554,16 +555,8 @@ def vanishing_scalar(pair0: SimplicialPair) -> Element:
 
 def scalar_to_base(fa: FunctionAlgebra, scalar: Element, b) -> Element:
     """``b ⊗ q``: scale a scalar family into the base carrier."""
-    return fa.canon(
-        {
-            s: tuple(
-                (e, fa.base.scale(c, b))
-                for e, c in poly
-                if not fa.base.is_zero(fa.base.scale(c, b))
-            )
-            for s, poly in scalar
-        }
-    )
+    scale = lambda c: fa.base.scale(c, b)
+    return fa.canon({s: cp_map_coeffs(fa.base, poly, scale) for s, poly in scalar})
 
 
 def make_element(fa: FunctionAlgebra, b, scalar: Element) -> Element:

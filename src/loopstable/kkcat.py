@@ -255,7 +255,11 @@ class TriangleData:
 
     objects: Tuple[Obj, Obj, Obj, Obj]
     maps: Tuple[KKHom, KKHom, KKHom]
-    boundary: KKHom
+
+    @property
+    def boundary(self) -> KKHom:
+        """The first map, from the shifted quotient to the kernel."""
+        return self.maps[0]
 
 
 def mapping_path_triangle(f: Morphism, n: int = 0) -> TriangleData:
@@ -271,7 +275,7 @@ def mapping_path_triangle(f: Morphism, n: int = 0) -> TriangleData:
     boundary = kk_hom((Bc, n + 1), (P, n), -n, brep, pending_sign=(-1) ** (n + 1))
     maps = (boundary, from_algebra_map(mp.pi, n), from_algebra_map(f, n))
     objects = ((Bc, n + 1), (P, n), (A, n), (Bc, n))
-    return TriangleData(objects, maps, boundary)
+    return TriangleData(objects, maps)
 
 
 def extension_triangle(E: ExtensionData, n: int = 0) -> TriangleData:
@@ -283,4 +287,4 @@ def extension_triangle(E: ExtensionData, n: int = 0) -> TriangleData:
     )
     maps = (boundary, from_algebra_map(E.iota, n), from_algebra_map(E.pi, n))
     objects = ((E.quotient, n + 1), (E.kernel, n), (E.mid, n), (E.quotient, n))
-    return TriangleData(objects, maps, boundary)
+    return TriangleData(objects, maps)

@@ -1,14 +1,19 @@
-"""Exact polynomial utilities: one sparse arithmetic over any carrier.
+"""Exact sparse arithmetic: one canonical form over any carrier.
 
-A polynomial is a tuple ``((exponent-tuple, coefficient), ...)`` sorted by
-exponents with zero coefficients dropped; the ``cp_`` functions do its
-arithmetic with the coefficients interpreted by a
-:class:`~loopstable.carriers.Carrier`.  A *scalar* polynomial (``QPoly``)
-is a carrier polynomial over :data:`~loopstable.carriers.RAT`, with
-:class:`~fractions.Fraction` coefficients; scalar polynomials are the
-substitution images, such as the coordinates of a simplex or the
-homotopies h(t, u).  Carrier polynomials over other carriers are the
-values of polynomial function families.
+A *sparse combination* is a tuple ``((key, coefficient), ...)`` sorted by
+the native order of its keys, with zero coefficients dropped; the keys
+may be anything Python orders natively (exponent tuples, basis labels,
+tensor words, simplices).  :func:`cp_norm` is the one place that builds
+this canonical form, so two combinations are equal exactly when they are
+``==``.  The ``cp_`` functions do the arithmetic with the coefficients
+interpreted by a :class:`~loopstable.carriers.Carrier`.
+
+A *polynomial* is a sparse combination keyed by exponent tuples.  A
+*scalar* polynomial (``QPoly``) is a carrier polynomial over
+:data:`~loopstable.carriers.RAT`, with :class:`~fractions.Fraction`
+coefficients; scalar polynomials are the substitution images, such as the
+coordinates of a simplex or the homotopies h(t, u).  Carrier polynomials
+over other carriers are the values of polynomial function families.
 
 Variables are ``t_1 .. t_n`` (the simplex coordinate ``t_0`` is always
 eliminated via ``t_0 = 1 − Σ t_i``); exponent tuples have length ``n``.
@@ -65,22 +70,32 @@ def cp_zero() -> CPoly:
     return ()
 
 
-def _cp_norm(car, d: Dict[Exps, Any]) -> CPoly:
-    return tuple(sorted((e, c) for e, c in d.items() if not car.is_zero(c)))
+def cp_norm(car, d: Dict[Any, Any]) -> CPoly:
+    """The canonical combination of ``d``: zeros dropped, sorted by key."""
+    is_zero = car.is_zero
+    return tuple(sorted((k, c) for k, c in d.items() if not is_zero(c)))
 
 
 def cp_add(car, p: CPoly, q: CPoly) -> CPoly:
-    d: Dict[Exps, Any] = dict(p)
+    if not p:
+        return q
+    if not q:
+        return p
+    d: Dict[Any, Any] = dict(p)
     for e, c in q:
         d[e] = car.add(d[e], c) if e in d else c
-    return _cp_norm(car, d)
+    return cp_norm(car, d)
 
 
 def cp_scale(car, a, p: CPoly) -> CPoly:
-    a = Fraction(a)
-    if a == 0:
+    if not isinstance(a, Fraction):
+        a = Fraction(a)
+    if not a:
         return ()
-    return _cp_norm(car, {e: car.scale(a, c) for e, c in p})
+    if a == 1:
+        return p
+    # a nonzero rational keeps every key and every nonzero coefficient
+    return tuple((e, car.scale(a, c)) for e, c in p)
 
 
 def cp_mul(car, p: CPoly, q: CPoly) -> CPoly:
@@ -90,7 +105,7 @@ def cp_mul(car, p: CPoly, q: CPoly) -> CPoly:
             e = tuple(a + b for a, b in zip(e1, e2))
             c = car.mul(c1, c2)
             d[e] = car.add(d[e], c) if e in d else c
-    return _cp_norm(car, d)
+    return cp_norm(car, d)
 
 
 def cp_constant(car, c: Any, nvars: int) -> CPoly:
@@ -100,7 +115,7 @@ def cp_constant(car, c: Any, nvars: int) -> CPoly:
 
 
 def cp_map_coeffs(tgt_car, p: CPoly, fn: Callable[[Any], Any]) -> CPoly:
-    return _cp_norm(tgt_car, {e: fn(c) for e, c in p})
+    return cp_norm(tgt_car, {e: fn(c) for e, c in p})
 
 
 def cp_flatten(car, p: CPoly, inner: Callable[[Any], CPoly]) -> CPoly:
@@ -111,7 +126,7 @@ def cp_flatten(car, p: CPoly, inner: Callable[[Any], CPoly]) -> CPoly:
     for e, c in p:
         for e2, c2 in inner(c):
             d[e2 + e] = c2
-    return _cp_norm(car, d)
+    return cp_norm(car, d)
 
 
 def cp_subst(car, p: CPoly, images: Sequence[QPoly], nvars_out: int) -> CPoly:
@@ -122,11 +137,7 @@ def cp_subst(car, p: CPoly, images: Sequence[QPoly], nvars_out: int) -> CPoly:
         for e2, a in qp_monomial(images, e, nvars_out):
             v = car.scale(a, c)
             d[e2] = car.add(d[e2], v) if e2 in d else v
-    return _cp_norm(car, d)
-
-
-def cp_is_zero(car, p: CPoly) -> bool:
-    return all(car.is_zero(c) for c in dict(p).values())
+    return cp_norm(car, d)
 
 
 #: 1 − t in one variable: the reversal t ↦ 1 − t and the path splitting

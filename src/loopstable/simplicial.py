@@ -26,7 +26,7 @@ Word = Tuple[int, ...]
 MAX_CUBE_DIM = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class FormalSimplex:
     """A possibly degenerate simplex: degeneracy ``word`` applied to ``base``.
 
@@ -94,8 +94,8 @@ class FinSimplicialSet:
 
     def bases(self, dim: Optional[int] = None) -> List[Any]:
         if dim is None:
-            return sorted(self.dims, key=repr)
-        return sorted((b for b, d in self.dims.items() if d == dim), key=repr)
+            return sorted(self.dims)
+        return sorted(b for b, d in self.dims.items() if d == dim)
 
     @property
     def top_dim(self) -> int:
@@ -166,7 +166,7 @@ class FinSimplicialSet:
             for z in self.formal_simplices(p - 1):
                 for j in range(p):
                     found.add(self.degeneracy(z, j))
-            result = tuple(sorted(found, key=repr))
+            result = tuple(sorted(found))
         self._formal_cache[p] = result
         return result
 
@@ -225,9 +225,11 @@ def nerve(
     """Nerve of a finite poset.
 
     Nondegenerate ``p``-simplices are the strict chains ``(x_0 < ... < x_p)``,
-    stored as tuples; ``d_i`` deletes the ``i``-th entry.
+    stored as tuples; ``d_i`` deletes the ``i``-th entry.  The elements must be
+    natively ordered (numbers, or tuples of them), which fixes the order of
+    simplices everywhere.
     """
-    elems = sorted(set(elements), key=repr)
+    elems = sorted(set(elements))
     strictly_above: Dict[Any, List[Any]] = {
         e: [f for f in elems if f != e and leq(e, f)] for e in elems
     }

@@ -25,7 +25,6 @@ from .algebras import (
 from .carriers import Carrier
 from .extensions import (
     CertificateError,
-    ExtensionError,
     alternate_path_splitting,
     classifying_map,
     mapping_cylinder,
@@ -726,7 +725,7 @@ def run_check(check_id: str, cfg: CheckConfig) -> CheckResult:
             status, detail = CATALOG[check_id].fn(cfg)
         except CheckFailure as e:
             status, detail, extra = FAIL, e.detail, e.extra
-        except (CertificateError, ExtensionError, ValueError) as e:
+        except (CertificateError, ValueError) as e:
             status, detail, extra = FAIL, str(e), {}
     ce: Optional[Dict[str, Any]] = None
     if status == FAIL:

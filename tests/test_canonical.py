@@ -1,0 +1,130 @@
+"""The canonical sparse form that lets ``==`` decide equality.
+
+Every decidable carrier's arithmetic returns elements in one spelling:
+keys strictly increasing in their native order, no zero coefficient, and
+the same rule one level down for polynomial and pair components.  These
+tests pin that invariant on every carrier flavour the catalog compares.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from loopstable.algebras import FinAlgebra, dual_numbers, m2q
+from loopstable.carriers import RAT, PullbackCarrier, Rationals
+from loopstable.extensions import PolyExtension, mapping_path, poly_carrier
+from loopstable.funalg import FunctionAlgebra, function_algebra, sample_element
+from loopstable.simplicial import cube
+from loopstable.tensorj import (
+    JKernel,
+    TensorAlgebra,
+    identity_morphism,
+    j_tower,
+    tensor_algebra,
+)
+
+ALGEBRAS = {"dual": dual_numbers(), "m2q": m2q()}
+SCALARS = [F(0), F(1), F(-1), F(3, 2)]
+
+
+def assert_sparse(x, coeff_car):
+    """Keys strictly increasing, coefficients nonzero and canonical."""
+    assert isinstance(x, tuple)
+    keys = [k for k, _ in x]
+    assert all(a < b for a, b in zip(keys, keys[1:])), keys
+    for _, c in x:
+        assert c != coeff_car.zero()
+        assert_canonical(coeff_car, c)
+
+
+def assert_canonical(car, x):
+    if isinstance(car, Rationals):
+        assert isinstance(x, F)
+    elif isinstance(car, PullbackCarrier):
+        assert_canonical(car.left, x[0])
+        assert_canonical(car.right, x[1])
+        assert car.contains(x)
+    elif isinstance(car, FunctionAlgebra):
+        simplices = [b for b, _ in x]
+        assert all(a < b for a, b in zip(simplices, simplices[1:]))
+        for _, p in x:
+            assert p != ()
+            assert_sparse(p, car.base)
+    elif isinstance(car, PolyExtension):
+        assert_sparse(x, car.base)
+    else:
+        assert isinstance(car, (FinAlgebra, TensorAlgebra, JKernel))
+        assert_sparse(x, RAT)
+
+
+def small_element(car, rng):
+    """A few-term element, kept small so that products in J²(M2(Q)) stay
+    cheap: sums of two scaled basis vectors, and curvatures of those."""
+    if isinstance(car, FinAlgebra):
+        out = car.zero()
+        for _ in range(2):
+            b = car.basis_vec(rng.choice(car.labels))
+            out = car.add(out, car.scale(F(rng.randint(-2, 2)), b))
+        return out
+    ta = car.ta
+    a, b = small_element(ta.base, rng), small_element(ta.base, rng)
+    return ta.scale(rng.choice(SCALARS[1:]), ta.curvature(a, b))
+
+
+def carrier_and_sampler(kind, A):
+    """The carrier named by ``kind`` over ``A`` and a sampler for it."""
+    if kind == "A":
+        return A, lambda rng: small_element(A, rng)
+    if kind in ("J(A)", "J2(A)"):
+        car = j_tower(A, 1 if kind == "J(A)" else 2)[-1]
+        return car, lambda rng: small_element(car, rng)
+    if kind == "T(A)":
+        ta = tensor_algebra(A)
+        J = j_tower(A, 1)[-1]
+        return ta, lambda rng: ta.add(
+            small_element(J, rng), ta.sigma(small_element(A, rng))
+        )
+    if kind == "A^(S_1)":
+        fa = function_algebra(A, cube(1), 0)
+        return fa, lambda rng: sample_element(fa, rng)
+    if kind == "A[u]":
+        px = poly_carrier(A)
+        return px, lambda rng: px.from_powers(
+            {k: small_element(A, rng) for k in range(3)}
+        )
+    if kind == "P[id]":
+        mp = mapping_path(identity_morphism(A))
+        return mp.carrier, mp.mid_sampler
+    raise ValueError(kind)
+
+
+KINDS = ["A", "T(A)", "J(A)", "J2(A)", "A^(S_1)", "A[u]", "P[id]"]
+
+
+@pytest.mark.parametrize("alg", sorted(ALGEBRAS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_arithmetic_is_canonical(kind, alg):
+    car, sample = carrier_and_sampler(kind, ALGEBRAS[alg])
+    rng = random.Random(7)
+    xs = [sample(rng) for _ in range(4)]
+    for x in xs:
+        assert_canonical(car, x)
+        assert car.add(x, car.neg(x)) == car.zero()
+        for a in SCALARS:
+            assert_canonical(car, car.scale(a, x))
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        s = car.add(x, y)
+        assert_canonical(car, s)
+        assert s == car.add(y, x)
+        assert_canonical(car, car.mul(x, y))
+
+
+def test_detects_a_non_canonical_spelling():
+    A = ALGEBRAS["dual"]
+    with pytest.raises(AssertionError):
+        assert_canonical(A, (("x", F(1)), ("1", F(1))))
+    with pytest.raises(AssertionError):
+        assert_canonical(A, (("1", F(0)),))
+    with pytest.raises(AssertionError):
+        assert_canonical(poly_carrier(A), (((0,), A.zero()),))

@@ -153,7 +153,7 @@ class TestPathExtension:
         rng = random.Random(3)
         for _ in range(3):
             q = sample_element(E.quotient, rng)
-            assert E.quotient.eq(E.pi(E.s(q)), q)
+            assert E.pi(E.s(q)) == q
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -296,6 +296,18 @@ class TestCertificates:
         )
         with pytest.raises(CertificateError):
             bad.verify(samples=5, seed=18)
+
+    def test_empty_chain_rejected(self):
+        good = pb_contraction_certificate(B)
+        empty = HomotopyCertificate(
+            name="empty",
+            left=good.left,
+            right=good.left,
+            chain=[],
+            sampler=good.sampler,
+        )
+        with pytest.raises(CertificateError, match="empty chain"):
+            empty.verify(samples=2, seed=0)
 
 
 class TestPolyExtension:
