@@ -2,13 +2,15 @@
 
 Selects checks, binds an algebra (built-in or from a definition file),
 and emits a deterministic text or JSON report.  Exit codes: 0 all
-selected checks passed (or were skipped / reported a search status),
-1 at least one check failed, 2 configuration error.
+selected checks passed (or were skipped / reported ``NOT-FOUND``),
+1 at least one check failed, 2 configuration error.  A reader that
+closes the output early does not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -69,15 +71,25 @@ def _load_algebra(src: str) -> tuple:
     raise ValueError(f"unknown algebra source {kind!r}")
 
 
+def _print(text: str) -> None:
+    """Print ``text``; a reader that closed the pipe early is not an error."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull so that the flush at exit does not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
     if args.list:
-        for cid, entry in CATALOG.items():
-            print(f"{cid:28s} {entry.description}")
-        for alias, target in sorted(ALIASES.items()):
-            print(f"{alias:28s} (alias for {target})")
+        lines = [f"{cid:28s} {entry.description}" for cid, entry in CATALOG.items()]
+        lines += [f"{alias:28s} (alias for {target})"
+                  for alias, target in sorted(ALIASES.items())]
+        _print("\n".join(lines))
         return 0
 
     try:
@@ -102,10 +114,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
+    _print(report.to_json() if args.format == "json" else report.to_text())
     return 1 if report.failed else 0
 
 

@@ -374,7 +374,6 @@ def path_extension(n: int, B: Carrier, r: int = 0) -> ExtensionData:
             quotient.levels[0].total,
             mid.levels[0].total,
             lambda v: v + (0,),
-            name="t0-face",
         )
         fr = tower_map(f0, quotient.levels, mid.levels, r)
         pi = Morphism(

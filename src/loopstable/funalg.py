@@ -5,8 +5,9 @@ p-simplex of ``sd^r K`` a polynomial in ``t_1..t_p`` with coefficients in the
 base carrier ``B``, compatible with faces and vanishing on ``sd^r L``.
 Families are sparse combinations ``((simplex, poly), ...)`` in the
 canonical form of :mod:`loopstable.poly`, sorted by the native order of
-the simplices; values on degenerate simplices are recovered by degeneracy
-substitution.
+the simplices (strictly increasing chains of :mod:`loopstable.simplicial`);
+the value on a degenerate simplex, a chain with repeats, is read off its
+nondegenerate part by degeneracy substitution.
 
 Provides restriction (pullback along simplicial maps), the transition map
 (pullback along the last-vertex map), the multiplication morphisms μ, path
@@ -41,14 +42,13 @@ from .poly import (
     monotone_images,
     qp_const,
     qp_var,
-    word_alpha,
 )
 from .simplicial import (
     FinSimplicialSet,
-    FormalSimplex,
     SimplicialMap,
     SimplicialPair,
     _bits,
+    _nondegenerate,
     _tuple_leq,
     box_product,
     cube,
@@ -57,8 +57,6 @@ from .simplicial import (
     interval_reversal,
     iterated_sd,
     last_vertex_map,
-    nd,
-    nerve,
     path_pair,
     standard_simplex,
     subdivide_map,
@@ -95,11 +93,9 @@ class FunctionAlgebra(Carrier):
     def gamma(self, k: int) -> SimplicialMap:
         """Last-vertex map sd^{k+1} total → sd^k total (within this tower)."""
         if k not in self._gammas:
-            if k + 1 < len(self.levels):
-                tgt = self.levels[k + 1].total
-            else:
-                tgt = None
-            self._gammas[k] = last_vertex_map(self.levels[k].total, tgt)
+            self._gammas[k] = last_vertex_map(
+                self.levels[k].total, self.levels[k + 1].total
+            )
         return self._gammas[k]
 
     # -- canonical elements ----------------------------------------------
@@ -120,14 +116,18 @@ class FunctionAlgebra(Carrier):
     def zero(self) -> Element:
         return ()
 
-    def value(self, x: Element, fs: FormalSimplex) -> CPoly:
-        """Value on any formal simplex, via degeneracy substitution."""
-        stored = dict(x).get(fs.base, cp_zero())
-        if not fs.word:
+    def value(self, x: Element, chain: Tuple[Any, ...]) -> CPoly:
+        """Value on a p-simplex of ``sd^r K`` given as a weakly increasing
+        chain.  Its nondegenerate part drops the repeats; the degeneracy
+        operator α : [p] → [q] sends ``j`` to the index of ``chain[j]`` in
+        that part, and the value is the stored polynomial pulled back
+        along α."""
+        base = _nondegenerate(chain)
+        stored = dict(x).get(base, cp_zero())
+        if len(base) == len(chain):
             return stored
-        q = self.sset.dims[fs.base]
-        p = q + len(fs.word)
-        alpha = word_alpha(fs.word, p)
+        alpha = tuple(base.index(v) for v in chain)
+        q, p = len(base) - 1, len(chain) - 1
         return cp_subst(self.base, stored, monotone_images(alpha, q, p), p)
 
     def add(self, x: Element, y: Element) -> Element:
@@ -147,7 +147,9 @@ class FunctionAlgebra(Carrier):
         return self.canon(out)
 
     def contains(self, x) -> bool:
-        """Face compatibility plus vanishing (skipped over formal bases)."""
+        """Face compatibility plus vanishing (skipped over formal bases):
+        the value on ``b`` restricted to its ``i``-th face is the value on
+        ``b[:i] + b[i+1:]``."""
         if not isinstance(x, tuple):
             return False
         d = dict(x)
@@ -167,7 +169,7 @@ class FunctionAlgebra(Carrier):
                     self.base, poly,
                     monotone_images(delta_alpha(i, q), q, q - 1), q - 1,
                 )
-                rhs = self.value(x, self.sset.faces[b][i])
+                rhs = d.get(b[:i] + b[i + 1:], cp_zero())
                 if lhs != rhs:
                     return False
         return True
@@ -207,8 +209,10 @@ def function_algebra(
 def pullback_along(
     src: FunctionAlgebra, x: Element, smap: SimplicialMap, tgt: FunctionAlgebra
 ) -> Element:
-    """``x ∘ smap`` where ``smap : tgt.sset → src.sset``."""
-    return tgt.canon({b: src.value(x, smap.apply(nd(b))) for b in tgt.sset.bases()})
+    """``x ∘ smap`` where ``smap : tgt.sset → src.sset``: the value on a
+    simplex ``b`` is the value of ``x`` on the chain ``smap.apply(b)``,
+    degenerate where ``smap`` collapses vertices of ``b``."""
+    return tgt.canon({b: src.value(x, smap.apply(b)) for b in tgt.sset.bases()})
 
 
 def transition(src: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
@@ -260,10 +264,10 @@ def mu(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
     """μ : (B^(K,L)_r)^(K',L')_s → B^{(K,L)□(K',L')}_{r+s}.
 
     Direct evaluation: a simplex ``z`` of the subdivided box projects to
-    formal simplices ``a``, ``b`` of the factors; the value at ``z`` is the
-    value at ``a`` of the (inner-transitioned) coefficients of the value at
-    ``b`` of the (outer-transitioned) family.  On decomposable tensors this
-    is the projection-pullback formula.
+    (possibly degenerate) chains ``a``, ``b`` of the factors; the value at
+    ``z`` is the value at ``a`` of the (inner-transitioned) coefficients of
+    the value at ``b`` of the (outer-transitioned) family.  On decomposable
+    tensors this is the projection-pullback formula.
     """
     inner = outer.base
     if not isinstance(inner, FunctionAlgebra):
@@ -274,8 +278,8 @@ def mu(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
     tcache: Dict[Element, Element] = {}
     parts: Dict[Any, CPoly] = {}
     for z in target.sset.bases():
-        a = prK.apply(nd(z))
-        b = prK2.apply(nd(z))
+        a = prK.apply(z)
+        b = prK2.apply(z)
         Q = outer_rs_fa.value(x2, b)  # coefficients are inner elements at r
         acc: Dict[Tuple[int, ...], Any] = {}
         for e, c in Q:
@@ -298,7 +302,6 @@ def unflatten_map(
         flat.levels[0].total,
         nested.levels[0].total,
         lambda v: (v[:split], v[split:]),
-        name="unflatten",
     )
     return tower_map(f0, flat.levels, nested.levels, flat.r)
 
@@ -337,7 +340,7 @@ def flat_pair_from_profile(profile: Tuple[str, ...]) -> SimplicialPair:
     if profile[:-1] == ("both",) * (n - 1) and profile[-1] == "one":
         return path_pair(n - 1)
     verts = [tuple(b) for b in _bits(n)]
-    total = nerve(verts, _tuple_leq, name=f"I[{','.join(profile)}]")
+    total = FinSimplicialSet(verts, _tuple_leq, name=f"I[{','.join(profile)}]")
     sub = frozenset(
         c
         for c in total.bases()
@@ -416,10 +419,10 @@ def _interval_inclusions(fa: FunctionAlgebra) -> Tuple[SimplicialMap, Simplicial
     sdI = tgt.levels[1].total
     v0, v1, edge = ((0,),), ((1,),), ((0,), (1,))
     j1 = SimplicialMap.from_vertex_map(
-        I0, sdI, lambda v: v0 if v == (0,) else edge, name="copy1"
+        I0, sdI, lambda v: v0 if v == (0,) else edge
     )
     j2 = SimplicialMap.from_vertex_map(
-        I0, sdI, lambda v: v1 if v == (0,) else edge, name="copy2"
+        I0, sdI, lambda v: v1 if v == (0,) else edge
     )
     return (
         tower_map(j1, fa.levels, tgt.levels[1:], fa.r),
@@ -447,8 +450,8 @@ def concatenate(fa: FunctionAlgebra, x: Element, y: Element) -> Tuple[FunctionAl
 
     dx, dy = dict(x), dict(yrev)
     for b in fa.sset.bases():
-        put(f1.base_map[b].base, dx.get(b, cp_zero()))
-        put(f2.base_map[b].base, dy.get(b, cp_zero()))
+        put(f1.apply(b), dx.get(b, cp_zero()))
+        put(f2.apply(b), dy.get(b, cp_zero()))
     missing = set(tgt.sset.bases()) - set(parts)
     if missing:
         raise AssertionError(f"concatenation did not cover {missing!r}")
@@ -488,7 +491,7 @@ def _coordinate_table(sset: FinSimplicialSet) -> Dict[Any, Tuple[QPoly, ...]]:
     table = {}
     for b in sset.bases():
         p = sset.dims[b]
-        verts = [flatten_vertex(v[0]) for v in sset.vertices(nd(b))]
+        verts = [flatten_vertex(v) for v in b]
         images = []
         for i in range(len(verts[0])):
             poly: QPoly = qp_const(verts[0][i], p)

@@ -155,7 +155,7 @@ def swap_pullback(fa: FunctionAlgebra) -> Morphism:
     def vmap(v):
         return (v[1], v[0]) + tuple(v[2:])
 
-    smap = SimplicialMap.from_vertex_map(total, total, vmap, name="swap12")
+    smap = SimplicialMap.from_vertex_map(total, total, vmap)
     return Morphism(fa, fa, lambda x: pullback_along(fa, x, smap, fa), "c*")
 
 

@@ -174,17 +174,3 @@ def delta_alpha(i: int, q: int) -> Tuple[int, ...]:
     """The coface ``δ_i : [q−1] → [q]`` as an image tuple."""
     return tuple(j if j < i else j + 1 for j in range(q))
 
-
-def word_alpha(word: Sequence[int], top: int) -> Tuple[int, ...]:
-    """Image tuple of the surjection behind a degeneracy word.
-
-    ``word = (j1 > j2 > ... > jm)`` encodes ``s_{j1}···s_{jm}``; the combined
-    operator ``[top] → [top − m]`` sends ``k`` through each ``σ_j`` in turn.
-    """
-    out = []
-    for k in range(top + 1):
-        v = k
-        for j in word:
-            v = v if v <= j else v - 1
-        out.append(v)
-    return tuple(out)

@@ -1,17 +1,14 @@
-"""Finite simplicial sets in degeneracy normal form.
+"""Finite simplicial sets as nerves of finite posets.
 
-A finite simplicial set is stored by its nondegenerate simplices; every
-simplex is a formal pair ``(word, base)`` where ``word`` is a strictly
-decreasing tuple of degeneracy indices applied (outermost first) to a
-nondegenerate ``base``.  Faces of nondegenerate simplices are stored
-explicitly as formal simplices; faces and degeneracies of arbitrary formal
-simplices are computed by pushing operators through the word with the
-simplicial identities.
-
-All concrete instances used by the engine are nerves of finite posets
-(standard simplices, cubes, their products and barycentric subdivisions),
-which makes products, subdivision and the last-vertex map functorial on
-monotone vertex maps while the validation layer stays fully general.
+Every simplicial set the engine builds is the nerve of a finite poset:
+standard simplices, cubes {0<1}^n, products of nerves, and barycentric
+subdivisions (the nerve of a nerve's poset of nondegenerate simplices).
+A p-simplex of a nerve is a weakly increasing chain ``(x_0 <= ... <= x_p)``
+of poset elements, stored as a tuple.  Its nondegenerate part is the chain
+with repeats dropped, ``d_i`` deletes the ``i``-th entry and ``s_j``
+repeats it, so simplices need no separate face or degeneracy tables.  A
+simplicial map between nerves is a monotone map of elements, applied to a
+chain entrywise.
 """
 
 from __future__ import annotations
@@ -20,311 +17,92 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-Word = Tuple[int, ...]
-
 #: Largest cube the engine will build (dimension bound of the design).
 MAX_CUBE_DIM = 3
 
 
-@dataclass(frozen=True, order=True)
-class FormalSimplex:
-    """A possibly degenerate simplex: degeneracy ``word`` applied to ``base``.
-
-    ``word = (j1, j2, ..., jm)`` with ``j1 > j2 > ... > jm`` encodes
-    ``s_{j1} s_{j2} ... s_{jm} base``.
-    """
-
-    word: Word
-    base: Any
-
-
-def nd(base: Any) -> FormalSimplex:
-    """The nondegenerate formal simplex on ``base``."""
-    return FormalSimplex((), base)
-
-
-def _insert_degeneracy(word: Word, j: int) -> Word:
-    """Canonical word for ``s_j`` composed outside ``word``.
-
-    Uses ``s_i s_k = s_{k+1} s_i`` for ``i <= k`` to keep the word strictly
-    decreasing.
-    """
-    out: List[int] = []
-    cur = j
-    rest = list(word)
-    while rest:
-        w = rest[0]
-        if cur <= w:
-            out.append(w + 1)
-            rest = rest[1:]
-        else:
-            break
-    out.append(cur)
-    out.extend(rest)
-    return tuple(out)
-
-
 class FinSimplicialSet:
-    """A finite simplicial set presented by nondegenerate simplices.
+    """The nerve of a finite poset.
 
-    Parameters
-    ----------
-    dims : mapping from simplex id to dimension.
-    faces : mapping from simplex id to the tuple ``(d_0 x, ..., d_n x)`` of
-        formal simplices (empty tuple in dimension 0).
-    name : printable name.
+    ``elements`` must be natively ordered (numbers, or tuples of them),
+    which fixes the order of simplices everywhere; ``leq`` is the partial
+    order.  ``dims`` maps each nondegenerate simplex, a strictly increasing
+    chain, to its dimension.
     """
 
     def __init__(
         self,
-        dims: Dict[Any, int],
-        faces: Dict[Any, Tuple[FormalSimplex, ...]],
+        elements: Iterable[Any],
+        leq: Callable[[Any, Any], bool],
         name: str = "",
-        poset: Optional[Tuple[Tuple[Any, ...], Callable[[Any, Any], bool]]] = None,
     ) -> None:
-        self.dims = dict(dims)
-        self.faces = dict(faces)
+        self.elements = tuple(sorted(set(elements)))
+        self.leq = leq
         self.name = name
-        self.poset = poset
-        self._vertex_cache: Dict[FormalSimplex, Tuple[Any, ...]] = {}
-        self._closure_cache: Dict[Any, FrozenSet[Any]] = {}
-        self._formal_cache: Dict[int, Tuple[FormalSimplex, ...]] = {}
-
-    # -- basic queries -------------------------------------------------
+        strictly_above: Dict[Any, List[Any]] = {
+            e: [f for f in self.elements if f != e and leq(e, f)]
+            for e in self.elements
+        }
+        chains: List[Tuple[Any, ...]] = [(e,) for e in self.elements]
+        frontier = chains[:]
+        while frontier:
+            frontier = [c + (e,) for c in frontier for e in strictly_above[c[-1]]]
+            chains.extend(frontier)
+        self.dims = {c: len(c) - 1 for c in chains}
 
     def bases(self, dim: Optional[int] = None) -> List[Any]:
+        """The nondegenerate simplices (of dimension ``dim``), in order."""
         if dim is None:
             return sorted(self.dims)
         return sorted(b for b, d in self.dims.items() if d == dim)
 
-    @property
-    def top_dim(self) -> int:
-        return max(self.dims.values()) if self.dims else -1
 
-    def dim(self, fs: FormalSimplex) -> int:
-        return self.dims[fs.base] + len(fs.word)
-
-    # -- operator calculus ---------------------------------------------
-
-    def degeneracy(self, fs: FormalSimplex, j: int) -> FormalSimplex:
-        if not 0 <= j <= self.dim(fs):
-            raise ValueError(f"s_{j} undefined on a {self.dim(fs)}-simplex")
-        return FormalSimplex(_insert_degeneracy(fs.word, j), fs.base)
-
-    def face(self, fs: FormalSimplex, i: int) -> FormalSimplex:
-        n = self.dim(fs)
-        if n == 0:
-            raise ValueError("a vertex has no faces")
-        if not 0 <= i <= n:
-            raise ValueError(f"d_{i} undefined on a {n}-simplex")
-        if not fs.word:
-            return self.faces[fs.base][i]
-        j, rest = fs.word[0], FormalSimplex(fs.word[1:], fs.base)
-        if i == j or i == j + 1:
-            return rest
-        if i < j:
-            return self.degeneracy(self.face(rest, i), j - 1)
-        return self.degeneracy(self.face(rest, i - 1), j)
-
-    def apply_monotone(self, fs: FormalSimplex, alpha: Tuple[int, ...]) -> FormalSimplex:
-        """Apply a monotone operator ``alpha : [k] -> [dim fs]`` (images listed)."""
-        n = self.dim(fs)
-        if any(alpha[i] > alpha[i + 1] for i in range(len(alpha) - 1)):
-            raise ValueError("operator is not monotone")
-        if alpha and (alpha[0] < 0 or alpha[-1] > n):
-            raise ValueError("operator out of range")
-        # collapse repeats (degeneracies), outermost last repeat first
-        for j in range(len(alpha) - 2, -1, -1):
-            if alpha[j] == alpha[j + 1]:
-                inner = self.apply_monotone(fs, alpha[:j + 1] + alpha[j + 2:])
-                return self.degeneracy(inner, j)
-        # injective: remove missing values (faces), largest first
-        image = set(alpha)
-        for v in range(n, -1, -1):
-            if v not in image:
-                shifted = tuple(a if a < v else a - 1 for a in alpha)
-                return self.apply_monotone(self.face(fs, v), shifted)
-        return fs
-
-    def vertices(self, fs: FormalSimplex) -> Tuple[Any, ...]:
-        """Vertex bases ``(v_0, ..., v_n)`` of a formal simplex."""
-        if fs in self._vertex_cache:
-            return self._vertex_cache[fs]
-        n = self.dim(fs)
-        verts = tuple(self.apply_monotone(fs, (j,)).base for j in range(n + 1))
-        self._vertex_cache[fs] = verts
-        return verts
-
-    def formal_simplices(self, p: int) -> Tuple[FormalSimplex, ...]:
-        """All formal (possibly degenerate) ``p``-simplices."""
-        if p in self._formal_cache:
-            return self._formal_cache[p]
-        if p < 0:
-            result: Tuple[FormalSimplex, ...] = ()
-        else:
-            found = {nd(b) for b in self.bases(p)}
-            for z in self.formal_simplices(p - 1):
-                for j in range(p):
-                    found.add(self.degeneracy(z, j))
-            result = tuple(sorted(found))
-        self._formal_cache[p] = result
-        return result
-
-    def face_closure(self, base: Any) -> FrozenSet[Any]:
-        """Bases of all iterated faces of ``base`` (excluding ``base`` itself)."""
-        if base in self._closure_cache:
-            return self._closure_cache[base]
-        out = set()
-        stack = [base]
-        while stack:
-            b = stack.pop()
-            for i in range(self.dims[b] + 1):
-                if self.dims[b] == 0:
-                    break
-                fb = self.faces[b][i].base
-                if fb not in out:
-                    out.add(fb)
-                    stack.append(fb)
-        out.discard(base)
-        closed = frozenset(out)
-        self._closure_cache[base] = closed
-        return closed
-
-    # -- validation ----------------------------------------------------
-
-    def validate(self) -> None:
-        """Check the stored face data satisfies the simplicial identities."""
-        for b, d in self.dims.items():
-            if d > 0 and len(self.faces[b]) != d + 1:
-                raise ValueError(f"simplex {b!r} of dim {d} has wrong face count")
-            for fs in self.faces.get(b, ()):
-                if fs.base not in self.dims:
-                    raise ValueError(f"face of {b!r} refers to unknown simplex")
-                if self.dim(fs) != d - 1:
-                    raise ValueError(f"face of {b!r} has wrong dimension")
-        for b, d in self.dims.items():
-            if d < 2:
-                continue
-            x = nd(b)
-            for j in range(d + 1):
-                for i in range(j):
-                    if self.face(self.face(x, j), i) != self.face(self.face(x, i), j - 1):
-                        raise ValueError(
-                            f"d_{i} d_{j} != d_{j-1} d_{i} on simplex {b!r}"
-                        )
-
-
-# -- nerves of posets ---------------------------------------------------
-
-
-def nerve(
-    elements: Iterable[Any],
-    leq: Callable[[Any, Any], bool],
-    name: str = "",
-) -> FinSimplicialSet:
-    """Nerve of a finite poset.
-
-    Nondegenerate ``p``-simplices are the strict chains ``(x_0 < ... < x_p)``,
-    stored as tuples; ``d_i`` deletes the ``i``-th entry.  The elements must be
-    natively ordered (numbers, or tuples of them), which fixes the order of
-    simplices everywhere.
-    """
-    elems = sorted(set(elements))
-    strictly_above: Dict[Any, List[Any]] = {
-        e: [f for f in elems if f != e and leq(e, f)] for e in elems
-    }
-    chains: List[Tuple[Any, ...]] = [(e,) for e in elems]
-    frontier = chains[:]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for e in strictly_above[c[-1]]:
-                nxt.append(c + (e,))
-        chains.extend(nxt)
-        frontier = nxt
-    dims = {c: len(c) - 1 for c in chains}
-    faces = {
-        c: tuple(nd(c[:i] + c[i + 1:]) for i in range(len(c)))
-        for c in chains
-        if len(c) > 1
-    }
-    for c in chains:
-        if len(c) == 1:
-            faces[c] = ()
-    return FinSimplicialSet(dims, faces, name=name, poset=(tuple(elems), leq))
+def _nondegenerate(chain: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    """The nondegenerate part of a simplex: its chain with repeats dropped."""
+    return chain[:1] + tuple(v for u, v in zip(chain, chain[1:]) if v != u)
 
 
 # -- simplicial maps ----------------------------------------------------
 
 
 class SimplicialMap:
-    """A simplicial map, stored by its values on nondegenerate simplices."""
+    """A simplicial map between nerves: a monotone map of poset elements."""
 
     def __init__(
-        self,
-        source: FinSimplicialSet,
-        target: FinSimplicialSet,
-        base_map: Dict[Any, FormalSimplex],
-        name: str = "",
+        self, source: FinSimplicialSet, target: FinSimplicialSet, vmap: Dict[Any, Any]
     ) -> None:
         self.source = source
         self.target = target
-        self.base_map = dict(base_map)
-        self.name = name
+        self.vmap = vmap
 
     @staticmethod
     def from_vertex_map(
         source: FinSimplicialSet,
         target: FinSimplicialSet,
         vfun: Callable[[Any], Any],
-        name: str = "",
     ) -> "SimplicialMap":
-        """Extend a map on vertices to a simplicial map.
+        """The simplicial map induced by ``vfun`` on poset elements.
 
-        ``vfun`` acts on poset elements (vertex bases are the singleton
-        chains ``(elem,)``).  The target must be vertex-determined — each
-        formal simplex pinned down by its vertex tuple — which holds for
-        nerves of posets.
+        Raises ``ValueError`` unless ``vfun`` is a monotone map into the
+        target's elements, which is what makes it send chains to chains.
         """
-        by_verts: Dict[Tuple[int, Tuple[Any, ...]], FormalSimplex] = {}
-        for p in range(source.top_dim + 1):
-            for fs in target.formal_simplices(p):
-                key = (p, target.vertices(fs))
-                if key in by_verts and by_verts[key] != fs:
-                    raise ValueError("target is not vertex-determined")
-                by_verts[key] = fs
-        base_map = {}
-        for b in source.bases():
-            verts = tuple((vfun(v[0]),) for v in source.vertices(nd(b)))
-            key = (len(verts) - 1, verts)
-            if key not in by_verts:
+        vmap = {v: vfun(v) for v in source.elements}
+        for v, w in vmap.items():
+            if (w,) not in target.dims:
                 raise ValueError(
-                    f"vertex images {verts!r} of {b!r} span no simplex of "
-                    f"{target.name or 'target'}"
+                    f"vertex {v!r} maps to {w!r}, not an element of "
+                    f"{target.name or 'the target'}"
                 )
-            base_map[b] = by_verts[key]
-        return SimplicialMap(source, target, base_map, name=name)
+        for a, b in source.bases(1):
+            if not target.leq(vmap[a], vmap[b]):
+                raise ValueError(
+                    f"vertex map is not monotone on the edge {(a, b)!r}"
+                )
+        return SimplicialMap(source, target, vmap)
 
-    def apply(self, fs: FormalSimplex) -> FormalSimplex:
-        out = self.base_map[fs.base]
-        for j in reversed(fs.word):
-            out = self.target.degeneracy(out, j)
-        return out
-
-    def __call__(self, fs: FormalSimplex) -> FormalSimplex:
-        return self.apply(fs)
-
-    def validate(self) -> None:
-        for b in self.source.bases():
-            if self.source.dims[b] != self.target.dim(self.base_map[b]):
-                raise ValueError(f"map does not preserve dimension at {b!r}")
-            for i in range(self.source.dims[b] + 1):
-                if self.source.dims[b] == 0:
-                    break
-                lhs = self.apply(self.source.face(nd(b), i))
-                rhs = self.target.face(self.apply(nd(b)), i)
-                if lhs != rhs:
-                    raise ValueError(f"map does not commute with d_{i} at {b!r}")
+    def apply(self, chain: Tuple[Any, ...]) -> Tuple[Any, ...]:
+        """The image of a (possibly degenerate) simplex, entrywise."""
+        return tuple(self.vmap[v] for v in chain)
 
 
 # -- pairs ---------------------------------------------------------------
@@ -343,14 +121,6 @@ class SimplicialPair:
     name: str = ""
     coords: Tuple[Any, ...] = field(default=(), compare=False)
 
-    def validate(self) -> None:
-        self.total.validate()
-        for b in self.sub:
-            if b not in self.total.dims:
-                raise ValueError(f"sub simplex {b!r} missing from total")
-            if not self.total.face_closure(b) <= self.sub:
-                raise ValueError(f"sub is not face-closed at {b!r}")
-
 
 # -- standard objects ----------------------------------------------------
 
@@ -361,7 +131,7 @@ class SimplicialPair:
 @cache
 def standard_simplex(p: int) -> SimplicialPair:
     """Δ^p as a pair with empty subobject."""
-    total = nerve(range(p + 1), lambda a, b: a <= b, name=f"Delta^{p}")
+    total = FinSimplicialSet(range(p + 1), lambda a, b: a <= b, name=f"Delta^{p}")
     return SimplicialPair(total, frozenset(), name=f"Delta^{p}")
 
 
@@ -385,7 +155,7 @@ def cube(n: int) -> SimplicialPair:
     if n > MAX_CUBE_DIM:
         raise ValueError(f"cube dimension {n} exceeds bound {MAX_CUBE_DIM}")
     verts = [tuple(bits) for bits in _bits(n)]
-    total = nerve(verts, _tuple_leq, name=f"I^{n}")
+    total = FinSimplicialSet(verts, _tuple_leq, name=f"I^{n}")
     if n == 0:
         return SimplicialPair(total, frozenset(), name="S_0")
     sub = frozenset(
@@ -418,7 +188,7 @@ def path_pair(n: int) -> SimplicialPair:
     one of the first n coordinates or constantly 1 in the last.
     """
     verts = [tuple(bits) for bits in _bits(n + 1)]
-    total = nerve(verts, _tuple_leq, name=f"I^{n + 1}")
+    total = FinSimplicialSet(verts, _tuple_leq, name=f"I^{n + 1}")
     sub = frozenset(
         c for c in total.bases()
         if any(len({v[i] for v in c}) == 1 for i in range(n))
@@ -434,18 +204,16 @@ def path_pair(n: int) -> SimplicialPair:
 def product(
     K: FinSimplicialSet, L: FinSimplicialSet
 ) -> Tuple[FinSimplicialSet, SimplicialMap, SimplicialMap]:
-    """Product of two poset nerves, with its two projections."""
-    if K.poset is None or L.poset is None:
-        raise ValueError("product requires poset presentations")
-    (ke, kleq), (le, lleq) = K.poset, L.poset
-    elems = [(a, b) for a in ke for b in le]
+    """Product of two nerves (the nerve of the product poset), with its two
+    projections."""
 
     def leq(x, y):
-        return kleq(x[0], y[0]) and lleq(x[1], y[1])
+        return K.leq(x[0], y[0]) and L.leq(x[1], y[1])
 
-    P = nerve(elems, leq, name=f"({K.name}x{L.name})")
-    pr1 = SimplicialMap.from_vertex_map(P, K, lambda v: v[0], name="pr1")
-    pr2 = SimplicialMap.from_vertex_map(P, L, lambda v: v[1], name="pr2")
+    elems = [(a, b) for a in K.elements for b in L.elements]
+    P = FinSimplicialSet(elems, leq, name=f"({K.name}x{L.name})")
+    pr1 = SimplicialMap.from_vertex_map(P, K, lambda v: v[0])
+    pr2 = SimplicialMap.from_vertex_map(P, L, lambda v: v[1])
     return P, pr1, pr2
 
 
@@ -462,7 +230,8 @@ def box_product(P: SimplicialPair, Q: SimplicialPair) -> BoxProduct:
     total, pr1, pr2 = product(P.total, Q.total)
     sub = frozenset(
         c for c in total.bases()
-        if pr1.apply(nd(c)).base in P.sub or pr2.apply(nd(c)).base in Q.sub
+        if _nondegenerate(pr1.apply(c)) in P.sub
+        or _nondegenerate(pr2.apply(c)) in Q.sub
     )
     coords = P.coords + Q.coords
     return BoxProduct(
@@ -487,31 +256,25 @@ def flatten_vertex(v: Any) -> Tuple[int, ...]:
 
 
 def subdivide(K: FinSimplicialSet) -> FinSimplicialSet:
-    """Barycentric subdivision: nerve of the face poset of nondegenerate
-    simplices (flags of iterated faces)."""
-    elems = K.bases()
-
-    def leq(a, b):
-        return a == b or a in K.face_closure(b)
-
-    return nerve(elems, leq, name=f"sd({K.name})")
-
-
-def last_vertex_map(K: FinSimplicialSet, sdK: Optional[FinSimplicialSet] = None) -> SimplicialMap:
-    """γ : sd K → K, sending a flag to the last vertices of its members."""
-    if sdK is None:
-        sdK = subdivide(K)
-    return SimplicialMap.from_vertex_map(
-        sdK, K, lambda x: K.vertices(nd(x))[-1][0], name="gamma"
+    """Barycentric subdivision: the nerve of the nondegenerate simplices of
+    ``K`` ordered by sub-chain inclusion; its simplices are flags."""
+    return FinSimplicialSet(
+        K.bases(), lambda a, b: set(a) <= set(b), name=f"sd({K.name})"
     )
+
+
+def last_vertex_map(K: FinSimplicialSet, sdK: FinSimplicialSet) -> SimplicialMap:
+    """γ : sd K → K, sending each member of a flag to its last vertex."""
+    return SimplicialMap.from_vertex_map(sdK, K, lambda x: x[-1])
 
 
 def subdivide_map(
     f: SimplicialMap, sd_src: FinSimplicialSet, sd_tgt: FinSimplicialSet
 ) -> SimplicialMap:
-    """sd f : sd K → sd L, on flags via nondegenerate parts of images."""
+    """sd f : sd K → sd L, sending a simplex to the nondegenerate part of
+    its image."""
     return SimplicialMap.from_vertex_map(
-        sd_src, sd_tgt, lambda x: f.base_map[x].base, name=f"sd({f.name})"
+        sd_src, sd_tgt, lambda x: _nondegenerate(f.apply(x))
     )
 
 
@@ -534,17 +297,16 @@ def interval_reversal(r: int) -> SimplicialMap:
     """The endpoint-exchanging simplicial automorphism of sd^r I (r ≥ 1).
 
     The reversal of I itself is not simplicial; after one subdivision it is
-    induced by the flag-poset automorphism coming from the reversal's action
-    on nondegenerate simplices.
+    the poset automorphism of sd I that swaps the two endpoints and fixes
+    the edge.
     """
     if r < 1:
         raise ValueError("interval reversal is simplicial only for r >= 1")
     levels = iterated_sd(interval_rel_one(), r)
     swap = {((0,),): ((1,),), ((1,),): ((0,),)}
     f = SimplicialMap.from_vertex_map(
-        levels[1].total, levels[1].total, lambda b: swap.get(b, b), name="rev(sd I)"
+        levels[1].total, levels[1].total, lambda b: swap.get(b, b)
     )
     for k in range(2, r + 1):
         f = subdivide_map(f, levels[k].total, levels[k].total)
-        f.name = f"rev(sd^{k} I)"
     return f

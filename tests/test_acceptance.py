@@ -120,8 +120,8 @@ class TestAcceptance:
             lambda: run_check("star-lambda-identities", _cfg(samples=50))
         )
         # the identity-side comparisons are exact; the remaining
-        # comparison may legitimately report a search status
-        assert r.status in ("PASS", "SEARCH-DERIVED", "NOT-FOUND"), r.detail
+        # comparison reports NOT-FOUND where no homotopy is shipped
+        assert r.status in ("PASS", "NOT-FOUND"), r.detail
         total += cpu
         assert total < 30.0, total
 

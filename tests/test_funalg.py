@@ -31,7 +31,9 @@ from loopstable.funalg import (
     transition,
     vanishing_scalar,
 )
-from loopstable.poly import cp_add, cp_flatten, cp_mul, cp_subst, qp_var
+from loopstable.poly import (
+    cp_add, cp_flatten, cp_mul, cp_scale, cp_subst, qp_const, qp_var,
+)
 from loopstable.simplicial import (
     SimplicialMap,
     SimplicialPair,
@@ -128,7 +130,7 @@ class TestRestrict:
         t1 = coordinate(fa2, 0)
         faI = scalar_algebra(interval_pair(), 0)
         incl = SimplicialMap.from_vertex_map(
-            faI.sset, fa2.sset, lambda v: (v[0], 0), name="bottom"
+            faI.sset, fa2.sset, lambda v: (v[0], 0)
         )
         assert pullback_along(fa2, t1, incl, faI) == coordinate(faI, 0)
 
@@ -258,18 +260,6 @@ class TestConcatenate:
             )
 
 
-def box_to_factor_map(box_fa, factor_fa, side):
-    """sd^k of a box projection, built directly on vertex chains."""
-    def vfun(chain):
-        return tuple(v[side] for v in chain) if box_fa.r else chain[side]
-
-    if box_fa.r == 0:
-        return SimplicialMap.from_vertex_map(
-            box_fa.sset, factor_fa.sset, lambda v: v[side]
-        )
-    raise NotImplementedError
-
-
 class TestMu:
     def test_point_factor_is_transition(self):
         inner = function_algebra(B, S1, 0)
@@ -395,6 +385,16 @@ class TestCarrierIdentity:
         assert mu_flat(outer, x)[0] is mu_flat(outer, x)[0]
 
 
+def _weak_chains(K, length):
+    """The weakly increasing chains of ``K``'s elements with at most
+    ``length`` entries."""
+    chains = frontier = [(v,) for v in K.elements]
+    for _ in range(length - 1):
+        frontier = [c + (v,) for c in frontier for v in K.elements if K.leq(c[-1], v)]
+        chains = chains + frontier
+    return chains
+
+
 def _random_global_poly(pair, rng):
     """b₁·V·q₁ + b₂·V·q₂: V the pair's vanishing generator, q_i random
     scalar polynomials of degree at most 2, b_i random dual numbers."""
@@ -436,6 +436,27 @@ class TestGlobalPoly:
             t = coordinate(sfa, i)
             for b in vertices:
                 assert sfa.vertex_value(t, b) == b[0][i]
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
+    def test_value_on_chains_is_the_global_poly(self, pair):
+        # the value on a chain (v_0, ..., v_p), degenerate or not, is the
+        # global polynomial at t_i = v_0[i] + Σ_j (v_j[i] − v_0[i]) t'_j
+        fa = function_algebra(B, pair, 0)
+        n = len(pair.coords)
+        rng = random.Random(63)
+        for _ in range(3):
+            x = sample_element(fa, rng)
+            gp = global_poly(fa, x)
+            for c in _weak_chains(fa.sset, 4):
+                p = len(c) - 1
+                images = []
+                for i in range(n):
+                    img = qp_const(c[0][i], p)
+                    for j in range(1, p + 1):
+                        step = cp_scale(RAT, c[j][i] - c[0][i], qp_var(j, p))
+                        img = cp_add(RAT, img, step)
+                    images.append(img)
+                assert fa.value(x, c) == cp_subst(B, gp, images, p)
 
     def test_rejects_subdivided_and_non_cube_spaces(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
 """Check catalog, runner, report determinism, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +196,26 @@ class TestCLI:
         assert code == 0
         assert data["results"][0]["status"] == "PASS"
         assert data["config"]["algebra"] == f"file:{p}"
+
+    @pytest.mark.parametrize(
+        "args", [["--list"], ["--check", "star-unit", "--samples", "1"]]
+    )
+    def test_closed_stdout_prints_no_traceback(self, args):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        r, w = os.pipe()
+        os.close(r)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "loopstable.cli", *args],
+                stdout=w, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(w)
+        err = proc.stderr.decode()
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert proc.returncode == 0
 
     def test_builtin_algebras_on_a_fast_check(self):
         for name in ("q", "dual", "m2q", "sq0"):
