@@ -95,6 +95,9 @@ class FinAlgebra(Carrier):
             for k, v in x
         )
 
+    def sample(self, rng) -> Vec:
+        return vec({l: rng.randint(-2, 2) for l in self.labels})
+
     # -- validation ------------------------------------------------------
 
     def validate(self) -> None:

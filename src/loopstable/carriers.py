@@ -2,10 +2,11 @@
 
 A *carrier* is an algebra whose elements are canonical immutable (hashable)
 Python values; the carrier object interprets them (arithmetic, zero test,
-membership).  Where zero is decidable every element has exactly one
-representation, so ``==`` is equality and ``x == zero()`` is the zero
-test.  Concrete carriers: finite-dimensional algebras
-(:mod:`loopstable.algebras`), polynomial function algebras
+membership) and, where it can, draws deterministic samples of them from a
+``random.Random`` (:meth:`Carrier.sample`).  Where zero is decidable every
+element has exactly one representation, so ``==`` is equality and
+``x == zero()`` is the zero test.  Concrete carriers: finite-dimensional
+algebras (:mod:`loopstable.algebras`), polynomial function algebras
 (:mod:`loopstable.funalg`), tensor algebras and J-kernels
 (:mod:`loopstable.tensorj`), and the homotopy carrier ``C[u]``
 (:mod:`loopstable.extensions`); here live the ground field ``RAT``, the
@@ -15,6 +16,7 @@ module imports nothing from the package.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -56,6 +58,10 @@ class Carrier:
         """Structural membership validation (may be expensive)."""
         raise NotImplementedError
 
+    def sample(self, rng: random.Random) -> Any:
+        """A deterministic random element drawn from ``rng``."""
+        raise ValueError(f"no sampler for carrier {self.name}")
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
 
@@ -83,6 +89,9 @@ class Rationals(Carrier):
     def contains(self, x):
         return isinstance(x, Fraction)
 
+    def sample(self, rng):
+        return Fraction(rng.randint(-3, 3))
+
 
 #: shared instance — the ground field never varies
 RAT = Rationals()
@@ -94,6 +103,8 @@ class PullbackCarrier(Carrier):
     Elements are pairs ``(l, r)`` with ``lmap(l) == rmap(r)`` in ``over``;
     the constraint is validated by :meth:`contains`, making the structural
     identities of projections (e.g. π∘ι = 0) hold by representation.
+    A pullback has no generic sampler: its constructor takes ``sample``,
+    which draws compatible pairs.
     """
 
     def __init__(
@@ -103,6 +114,7 @@ class PullbackCarrier(Carrier):
         over: Carrier,
         lmap: Callable[[Any], Any],
         rmap: Callable[[Any], Any],
+        sample: Callable[[random.Random], Any],
         name: str = "",
     ) -> None:
         self.left = left
@@ -110,6 +122,7 @@ class PullbackCarrier(Carrier):
         self.over = over
         self.lmap = lmap
         self.rmap = rmap
+        self.sample = sample
         self.name = name or f"({left.name} x_{over.name} {right.name})"
         self.can_decide_zero = left.can_decide_zero and right.can_decide_zero
 

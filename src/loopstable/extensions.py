@@ -3,16 +3,17 @@
 Provides: extension records with a validated module splitting, the universal
 extension (counit-kernel inclusion into the tensor algebra), path extensions
 with their t0-splitting, classifying maps of split extensions, mapping paths
-and their projections, the comparison map into a double mapping path, mapping
-cylinders, and the three-map tower used to rotate composable morphisms, with
-all accompanying elementary-homotopy certificates, verified exactly on
-samples.  Each elementary homotopy is a polynomial substitution h(t, u):
-read the family's global polynomial (:func:`~loopstable.funalg.global_poly`),
-substitute the images of h (:func:`~loopstable.poly.cp_subst`), and split
-the result by powers of the homotopy variable u into families
-(:func:`~loopstable.funalg.poly_family`).  The homotopy carrier ``C[u]``
-(:class:`PolyExtension`) holds one-variable carrier polynomials and does
-its arithmetic with :mod:`loopstable.poly`.
+(each returned as its split extension loops → P[f] → source), the comparison
+map into a double mapping path, mapping cylinders, and the three-map tower
+used to rotate composable morphisms, with all accompanying elementary-homotopy
+certificates, verified exactly on samples that each carrier draws itself
+(:meth:`~loopstable.carriers.Carrier.sample`).  Each elementary homotopy is
+a polynomial substitution h(t, u): read the family's global polynomial
+(:func:`~loopstable.funalg.global_poly`), substitute the images of h
+(:func:`~loopstable.poly.cp_subst`), and split the result by powers of the
+homotopy variable u into families (:func:`~loopstable.funalg.poly_family`).
+The homotopy carrier ``C[u]`` (:class:`PolyExtension`) holds one-variable
+carrier polynomials and does its arithmetic with :mod:`loopstable.poly`.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .tensorj import (
     j_kernel,
     j_of,
     path_splitting,
-    sample_algebra_element,
     sample_j_element,
     tensor_algebra,
     word_image,
@@ -194,7 +194,11 @@ class ExtensionError(ValueError):
 
 @dataclass
 class ExtensionData:
-    """A split extension kernel → mid → quotient with module splitting s."""
+    """A split extension kernel → mid → quotient with module splitting s.
+
+    Validation and the strong-morphism check draw their samples from the
+    kernel and quotient carriers themselves.
+    """
 
     kernel: Carrier
     mid: Carrier
@@ -204,20 +208,10 @@ class ExtensionData:
     s: Morphism
     name: str
     into_kernel: Callable[[Any], Any] = None
-    kernel_sampler: Callable[[random.Random], Any] = None
-    quotient_sampler: Callable[[random.Random], Any] = None
 
     def __post_init__(self):
         if self.into_kernel is None:
             self.into_kernel = lambda x: x
-        if self.kernel_sampler is None:
-            self.kernel_sampler = lambda rng: sample_algebra_element(
-                self.kernel, rng
-            )
-        if self.quotient_sampler is None:
-            self.quotient_sampler = lambda rng: sample_algebra_element(
-                self.quotient, rng
-            )
 
     # -- invariant suite -------------------------------------------------
 
@@ -225,7 +219,7 @@ class ExtensionData:
         rng = random.Random(seed)
         mid, quo = self.mid, self.quotient
         for _ in range(samples):
-            x = self.kernel_sampler(rng)
+            x = self.kernel.sample(rng)
             m = self.iota(x)
             if quo.can_decide_zero and not quo.is_zero(self.pi(m)):
                 raise ExtensionError(f"{self.name}: pi∘iota != 0 at {x!r}")
@@ -234,7 +228,7 @@ class ExtensionData:
         qs = []
         if isinstance(quo, FinAlgebra):
             qs = [quo.basis_vec(l) for l in quo.labels]
-        qs += [self.quotient_sampler(rng) for _ in range(samples)]
+        qs += [quo.sample(rng) for _ in range(samples)]
         for q in qs:
             if self.pi(self.s(q)) != q:
                 raise ExtensionError(f"{self.name}: pi∘s != id at {q!r}")
@@ -277,7 +271,6 @@ def universal_extension(A: Carrier) -> ExtensionData:
         pi=Morphism(ta, A, ta.eta, "counit"),
         s=Morphism(A, ta, ta.sigma, "sigma"),
         name=f"U[{A.name}]",
-        kernel_sampler=lambda rng: sample_j_element(A, rng),
     )
 
 
@@ -316,10 +309,10 @@ def strong_morphism_check(
     """(a, b, c) commutes with iota, pi and the splittings, on samples."""
     rng = random.Random(seed)
     for _ in range(samples):
-        x = E1.kernel_sampler(rng)
+        x = E1.kernel.sample(rng)
         if b(E1.iota(x)) != E2.iota(a(x)):
             return False
-        q = E1.quotient_sampler(rng)
+        q = E1.quotient.sample(rng)
         if b(E1.s(q)) != E2.s(c(q)):
             return False
         m = E1.mid.add(E1.s(q), E1.iota(x))
@@ -434,7 +427,6 @@ def splitting_homotopy(E: ExtensionData, s2: Morphism) -> "HomotopyCertificate":
         left=left,
         right=right,
         chain=[link],
-        sampler=lambda rng: sample_j_element(E.quotient, rng),
     )
 
 
@@ -452,24 +444,26 @@ class HomotopyCertificate:
     Each link is a morphism into the [u]-extension of the common target;
     verification checks the endpoint equalities, the chaining of
     consecutive links, and that every link is an algebra map, exactly on
-    deterministic samples.
+    deterministic samples of the common source.
     """
 
     name: str
     left: Morphism
     right: Morphism
     chain: List[Morphism]
-    sampler: Callable[[random.Random], Any]
 
-    def verify(self, samples: int = 20, seed: int = 0) -> None:
+    def verify(self, samples: int = 20, seed: int = 0) -> int:
+        """Replay the certificate; returns the number of samples replayed,
+        at least two so that the algebra-map checks see a pair."""
         with paused_gc():
-            self._verify(samples, seed)
+            return self._verify(samples, seed)
 
-    def _verify(self, samples: int, seed: int) -> None:
+    def _verify(self, samples: int, seed: int) -> int:
         if not self.chain:
             raise CertificateError(f"{self.name}: empty chain of homotopies")
         rng = random.Random(seed)
-        xs = [self.sampler(rng) for _ in range(max(samples, 2))]
+        src = self.left.source
+        xs = [src.sample(rng) for _ in range(max(samples, 2))]
         for x in xs:
             vals = [link(x) for link in self.chain]
             px = self.chain[0].target
@@ -485,7 +479,6 @@ class HomotopyCertificate:
                     raise CertificateError(
                         f"{self.name}: links {i},{i + 1} do not chain at {x!r}"
                     )
-        src = self.left.source
         for x, y in zip(xs[::2], xs[1::2]):
             for link in self.chain:
                 px = link.target
@@ -497,44 +490,35 @@ class HomotopyCertificate:
                     raise CertificateError(
                         f"{self.name}: link {link.name} not multiplicative"
                     )
+        return len(xs)
 
 
 # -- mapping paths --------------------------------------------------------
 
 
-@dataclass
-class MappingPath:
-    """Pairs (p, a) with p a path in the target vanishing at 1 and
-    p(0) = f(a), together with the inclusion of loops and the projection."""
+def mapping_path(f: Morphism, r: int = 0) -> ExtensionData:
+    """The mapping path of f : A → B as the split extension
+    B^(S_1)_r → P[f]_r → A.
 
-    r: int
-    carrier: PullbackCarrier
-    iota: Morphism
-    pi: Morphism
-    section: Morphism
-    extension: ExtensionData
-    path_algebra: FunctionAlgebra
-    loop_algebra: FunctionAlgebra
-    mid_sampler: Callable[[random.Random], Any]
-
-
-def mapping_path(
-    f: Morphism,
-    r: int = 0,
-    source_sampler: Optional[Callable] = None,
-    target_sampler: Optional[Callable] = None,
-) -> MappingPath:
+    The mid holds pairs (p, a) with p a path in B vanishing at 1 and
+    p(0) = f(a); ``mid.left`` is that path algebra.  Loops include as
+    (q, 0), the projection is (p, a) ↦ a and the section
+    a ↦ (f(a)(1 − t), a).
+    """
     A, Bc = f.source, f.target
-    if source_sampler is None:
-        source_sampler = lambda rng: sample_algebra_element(A, rng)
-    if target_sampler is None:
-        target_sampler = lambda rng: sample_algebra_element(Bc, rng)
     PBr = function_algebra(Bc, interval_rel_one(), r)
     loop = function_algebra(Bc, cube(1), r)
-    car = PullbackCarrier(
-        PBr, A, Bc, lambda p: d1(PBr, p), f, name=f"P[{f.name}]_{r}"
-    )
     s_path = path_splitting(Bc, PBr)
+
+    def sample(rng):
+        a = A.sample(rng)
+        extra = sample_element(loop, rng, terms=1)
+        p = PBr.add(s_path(f(a)), PBr.canon(dict(extra)))
+        return car.make(p, a)
+
+    car = PullbackCarrier(
+        PBr, A, Bc, lambda p: d1(PBr, p), f, sample, name=f"P[{f.name}]_{r}"
+    )
     iota = Morphism(
         loop, car, lambda q: car.make(PBr.canon(dict(q)), A.zero()), "q->(q,0)"
     )
@@ -549,13 +533,7 @@ def mapping_path(
             raise ValueError("element has a nonzero projection component")
         return loop.canon(dict(p))
 
-    def mid_sample(rng):
-        a = source_sampler(rng)
-        extra = sample_element(loop, rng, terms=1, base_sampler=target_sampler)
-        p = PBr.add(s_path(f(a)), PBr.canon(dict(extra)))
-        return car.make(p, a)
-
-    ext = make_extension(
+    return make_extension(
         kernel=loop,
         mid=car,
         quotient=A,
@@ -564,21 +542,6 @@ def mapping_path(
         s=section,
         name=f"MP[{f.name}]_{r}",
         into_kernel=into_kernel,
-        kernel_sampler=lambda rng: sample_element(
-            loop, rng, base_sampler=target_sampler
-        ),
-        quotient_sampler=source_sampler,
-    )
-    return MappingPath(
-        r=r,
-        carrier=car,
-        iota=iota,
-        pi=pi,
-        section=section,
-        extension=ext,
-        path_algebra=PBr,
-        loop_algebra=loop,
-        mid_sampler=mid_sample,
     )
 
 
@@ -588,45 +551,37 @@ def mapping_path(
 @dataclass
 class PhiData:
     phi: Morphism
-    mp_f: MappingPath
-    mp_pi: MappingPath
+    mp_f: ExtensionData
+    mp_pi: ExtensionData
 
 
-def phi(f: Morphism, mp_f: Optional[MappingPath] = None) -> PhiData:
+def phi(f: Morphism) -> PhiData:
     """Loops in the target included into the mapping path of the mapping
     path projection, with zero path component: p ↦ ((p, 0), path-slot 0)."""
-    if mp_f is None:
-        mp_f = mapping_path(f)
-    mp_pi = mapping_path(
-        mp_f.pi,
-        r=mp_f.r,
-        source_sampler=mp_f.mid_sampler,
-    )
-    PA = mp_pi.path_algebra
-    car = mp_pi.carrier
+    mp_f = mapping_path(f)
+    mp_pi = mapping_path(mp_f.pi)
+    car = mp_pi.mid
 
     def fn(p):
-        return car.make(PA.zero(), mp_f.iota(p))
+        return car.make(car.left.zero(), mp_f.iota(p))
 
     return PhiData(
-        phi=Morphism(mp_f.loop_algebra, car, fn, f"phi[{f.name}]"),
+        phi=Morphism(mp_f.kernel, car, fn, f"phi[{f.name}]"),
         mp_f=mp_f,
         mp_pi=mp_pi,
     )
 
 
-def tr2_certificate(f: Morphism, ph: Optional[PhiData] = None) -> HomotopyCertificate:
+def tr2_certificate(f: Morphism) -> HomotopyCertificate:
     """The rotation homotopy: the inclusion of source loops into the double
     mapping path is elementarily homotopic to the comparison map composed
     with the pushforward of the reversed loop:
     H(q) = (q(1−(1−t)(1−u)), (f(q((1−t)u)), q(u)))."""
-    if ph is None:
-        ph = phi(f)
-    mp_f, mp_pi = ph.mp_f, ph.mp_pi
+    ph = phi(f)
     A, Bc = f.source, f.target
-    loopA = function_algebra(A, cube(1), mp_f.r)
-    PA, PB = mp_pi.path_algebra, mp_f.path_algebra
-    Pf, Ppi = mp_f.carrier, mp_pi.carrier
+    loopA = ph.mp_pi.kernel
+    Pf, Ppi = ph.mp_f.mid, ph.mp_pi.mid
+    PA, PB = Ppi.left, Pf.left
     px = poly_carrier(Ppi)
 
     def left_fn(q):
@@ -635,7 +590,7 @@ def tr2_certificate(f: Morphism, ph: Optional[PhiData] = None) -> HomotopyCertif
         return ph.phi(qf)
 
     right = Morphism(loopA, Ppi, left_fn, f"phi∘{f.name}*∘rev")
-    left = mp_pi.iota
+    left = ph.mp_pi.iota
 
     def H(q):
         qp = global_poly(loopA, q)
@@ -658,7 +613,6 @@ def tr2_certificate(f: Morphism, ph: Optional[PhiData] = None) -> HomotopyCertif
         left=left,
         right=right,
         chain=[link],
-        sampler=lambda rng: sample_element(loopA, rng),
     )
 
 
@@ -677,7 +631,6 @@ def pb_contraction_certificate(B: Carrier, name: str = "") -> HomotopyCertificat
         left=identity_morphism(fa),
         right=zero_morphism(fa, fa),
         chain=[link],
-        sampler=lambda rng: sample_element(fa, rng),
     )
 
 
@@ -698,7 +651,6 @@ def square_contraction_certificate(B: Carrier) -> HomotopyCertificate:
         left=identity_morphism(fa),
         right=zero_morphism(fa, fa),
         chain=[link],
-        sampler=lambda rng: sample_element(fa, rng),
     )
 
 
@@ -712,26 +664,22 @@ class MappingCylinder:
     section: Morphism
     retract: HomotopyCertificate
     beta: Morphism
-    mp: MappingPath
+    mp: ExtensionData
 
 
-def mapping_cylinder(
-    g: Morphism,
-    source_sampler: Optional[Callable] = None,
-) -> MappingCylinder:
+def mapping_cylinder(g: Morphism) -> MappingCylinder:
     """Pairs (p, b) with p a free path in the target and p(0) = g(b);
     the evaluation at 1 exhibits an extension by the mapping path of g."""
     B, C = g.source, g.target
-    if source_sampler is None:
-        source_sampler = lambda rng: sample_algebra_element(B, rng)
+    mp = mapping_path(g)
+    Pg = mp.mid
+    PC = Pg.left
     CI = function_algebra(C, interval_pair(), 0)
     car = PullbackCarrier(
-        CI, B, C, lambda p: d1(CI, p), g, name=f"Z[{g.name}]"
+        CI, B, C, lambda p: d1(CI, p), g, lambda rng: iota(Pg.sample(rng)),
+        name=f"Z[{g.name}]",
     )
     eps = Morphism(car, C, lambda z: d0(CI, z[0]), "ev1")
-    mp = mapping_path(g, 0, source_sampler=source_sampler)
-    Pg = mp.carrier
-    PC = mp.path_algebra
     iota = Morphism(
         Pg, car, lambda z: car.make(CI.canon(dict(z[0])), z[1]), "incl"
     )
@@ -744,10 +692,6 @@ def mapping_cylinder(
         p, b = z
         return Pg.make(PC.canon(dict(p)), b)
 
-    def mid_sample(rng):
-        z = mp.mid_sampler(rng)
-        return iota(z)
-
     ext = make_extension(
         kernel=Pg,
         mid=car,
@@ -757,7 +701,6 @@ def mapping_cylinder(
         s=s_Z,
         name=f"Cyl[{g.name}]",
         into_kernel=into_kernel,
-        kernel_sampler=mp.mid_sampler,
     )
     pr = Morphism(car, B, lambda z: z[1], "pr2")
     section = Morphism(
@@ -780,7 +723,6 @@ def mapping_cylinder(
         left=Morphism(car, car, lambda z: section(pr(z)), "section∘pr"),
         right=identity_morphism(car),
         chain=[Morphism(car, px, H, "path-scale")],
-        sampler=mid_sample,
     )
 
     def beta_fn(p):
@@ -805,13 +747,11 @@ def mapping_cylinder(
 
 @dataclass
 class TR4Tower:
-    mp_a: MappingPath
-    mp_eta: MappingPath
+    mp_a: ExtensionData
+    mp_eta: ExtensionData
     theta: Morphism
     section_theta: Morphism
     xi: Morphism
-    H1: Morphism
-    H2: Morphism
     triangle: HomotopyCertificate
     ker_theta_contraction: HomotopyCertificate
     ker_embed: Morphism
@@ -827,19 +767,15 @@ def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
     mp_a = mapping_path(a)
     mp_b = mapping_path(b)
     mp_c = mapping_path(c)
-    Pb, Pc, Pa = mp_b.carrier, mp_c.carrier, mp_a.carrier
-    PB, PC = mp_a.path_algebra, mp_b.path_algebra
+    Pb, Pc, Pa = mp_b.mid, mp_c.mid, mp_a.mid
+    PB, PC = Pa.left, Pb.left
 
     eta = Morphism(
         Pc, Pb, lambda w: Pb.make(w[0], a(w[1])), "(q,z)->(q,a(z))"
     )
-    mp_eta = mapping_path(
-        eta,
-        source_sampler=mp_c.mid_sampler,
-        target_sampler=mp_b.mid_sampler,
-    )
-    Peta = mp_eta.carrier
-    faPPb = mp_eta.path_algebra  # paths in Pb vanishing at 1
+    mp_eta = mapping_path(eta)
+    Peta = mp_eta.mid
+    faPPb = Peta.left  # paths in Pb vanishing at 1
 
     def theta_fn(zel):
         rho, w = zel
@@ -889,15 +825,11 @@ def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
     H1 = Morphism(Peta, px_c, lambda zel: sweep(zel, (G_SCALE, T)), "diagonal-sweep-1")
     H2 = Morphism(Peta, px_c, lambda zel: sweep(zel, (T, G_SCALE)), "diagonal-sweep-2")
 
-    def peta_sample(rng):
-        return mp_eta.mid_sampler(rng)
-
     triangle = HomotopyCertificate(
         name=f"triangle[{a.name},{b.name}]",
         left=Morphism(Peta, Pc, lambda zel: xi(theta(zel)), "shortcut∘proj"),
         right=mp_eta.pi,
         chain=[H1, reversed_link(H2)],
-        sampler=peta_sample,
     )
 
     K = function_algebra(C, path_pair(1), 0)
@@ -918,8 +850,6 @@ def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
         theta=theta,
         section_theta=section_theta,
         xi=xi,
-        H1=H1,
-        H2=H2,
         triangle=triangle,
         ker_theta_contraction=square_contraction_certificate(C),
         ker_embed=ker_embed,

@@ -11,7 +11,7 @@ nondegenerate part by degeneracy substitution.
 
 Provides restriction (pullback along simplicial maps), the transition map
 (pullback along the last-vertex map), the multiplication morphisms μ, path
-concatenation, the reversal ω, deterministic samplers, and the
+concatenation, the reversal ω, deterministic samples, and the
 global-polynomial presentation of families on a flat cube at r = 0
 (:func:`global_poly` and its inverse :func:`poly_family`), through which
 every elementary homotopy is a polynomial substitution.
@@ -22,10 +22,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
-from .algebras import FinAlgebra
-from .carriers import RAT, Carrier, Rationals
+from .carriers import RAT, Carrier
 from .poly import (
     CPoly,
     ONE_MINUS_T,
@@ -173,6 +172,9 @@ class FunctionAlgebra(Carrier):
                 if lhs != rhs:
                     return False
         return True
+
+    def sample(self, rng) -> Element:
+        return sample_element(self, rng)
 
     def check(self, x: Element) -> Element:
         if not self.contains(x):
@@ -470,7 +472,7 @@ def apply_to_coefficients(
     return tgt.canon({b: cp_map_coeffs(tgt_base, p, fn) for b, p in x})
 
 
-# -- scalar families, samplers, make_element -----------------------------
+# -- scalar families, samples, make_element ------------------------------
 
 
 def scalar_algebra(pair0: SimplicialPair, r: int, relative: bool = False) -> FunctionAlgebra:
@@ -569,32 +571,17 @@ def make_element(fa: FunctionAlgebra, b, scalar: Element) -> Element:
     return fa.check(scalar_to_base(fa, scalar, b))
 
 
-def random_base_element(B: Carrier, rng: random.Random):
-    if isinstance(B, Rationals):
-        return Fraction(rng.randint(-3, 3))
-    if isinstance(B, FunctionAlgebra):
-        return sample_element(B, rng)
-    if isinstance(B, FinAlgebra):
-        out = B.zero()
-        for l in B.labels:
-            out = B.add(out, B.scale(Fraction(rng.randint(-2, 2)), B.basis_vec(l)))
-        return out
-    raise ValueError(f"no sampler for base carrier {B.name}")
-
-
 def sample_element(
     fa: FunctionAlgebra,
     rng: random.Random,
     degree: int = 2,
     terms: int = 2,
-    base_sampler: Optional[Callable[[random.Random], Any]] = None,
 ) -> Element:
     """Deterministic random element of a cube-like function algebra.
 
     Sums of ``b · V · (affine combinations of coordinates)`` transitioned to
     the requested subdivision level, where V is the vanishing generator and
-    ``b`` is drawn by ``base_sampler`` (needed over pullback or other
-    carriers without a built-in sampler).
+    each ``b`` is drawn by the base carrier's own :meth:`~Carrier.sample`.
     """
     pair0 = fa.pair0
     n = len(pair0.coords)
@@ -606,7 +593,7 @@ def sample_element(
     fa0 = function_algebra(fa.base, pair0, 0, fa.relative)
     total = fa0.zero()
     for _ in range(terms):
-        b = base_sampler(rng) if base_sampler else random_base_element(fa.base, rng)
+        b = fa.base.sample(rng)
         P = V
         for _ in range(rng.randint(0, max(degree - 1, 0))):
             combo = constant_function(sfa, Fraction(rng.randint(-2, 2)))

@@ -267,7 +267,7 @@ def mapping_path_triangle(f: Morphism, n: int = 0) -> TriangleData:
     the boundary is (−1)^{n+1} · (inclusion of loops) ∘ λ."""
     A, Bc = f.source, f.target
     mp = mapping_path(f)
-    P = mp.carrier
+    P = mp.mid
     lam = lambda_(Bc)
     brep = Morphism(
         j_kernel(Bc), P, lambda x: mp.iota(lam(x)), f"incl∘loops[{f.name}]"

@@ -35,10 +35,8 @@ from .funalg import (
     apply_to_coefficients,
     function_algebra,
     poly_family,
-    sample_element,
     scalar_algebra,
     scalar_to_base,
-    random_base_element,
     transition_n,
 )
 from .poly import ONE_MINUS_T, cp_add, cp_norm, cp_scale
@@ -171,6 +169,9 @@ class JKernel(Carrier):
         if not self.ta.base.can_decide_zero:
             return True
         return self.ta.base.is_zero(self.ta.eta(x))
+
+    def sample(self, rng):
+        return sample_j_element(self.ta.base, rng)
 
     def check(self, x):
         if not self.contains(x):
@@ -363,27 +364,18 @@ def kappa(n: int, m: int, B: Carrier, r: int = 0) -> Morphism:
     return kappa1(towers[n - 1], m, r).after(j_of(kappa(n - 1, m, B, r)))
 
 
-# -- samplers ------------------------------------------------------------
-
-
-def sample_algebra_element(car: Carrier, rng: random.Random):
-    """A deterministic random element of any supported carrier."""
-    if isinstance(car, JKernel):
-        return sample_j_element(car.ta.base, rng)
-    if isinstance(car, FunctionAlgebra):
-        return sample_element(car, rng)
-    return random_base_element(car, rng)
+# -- samples -------------------------------------------------------------
 
 
 def sample_j_element(base: Carrier, rng: random.Random):
     """A random element of J(base): curvature products with multipliers."""
     ta = tensor_algebra(base)
-    a = sample_algebra_element(base, rng)
-    b = sample_algebra_element(base, rng)
+    a = base.sample(rng)
+    b = base.sample(rng)
     el = ta.curvature(a, b)
     if rng.random() < 0.3:
         # J(A) is an ideal of T(A): multiplying by σ(c) stays inside
-        el = ta.mul(el, ta.sigma(sample_algebra_element(base, rng)))
+        el = ta.mul(el, ta.sigma(base.sample(rng)))
     return ta.scale(Fraction(rng.randint(1, 2)), el)
 
 

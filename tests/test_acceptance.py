@@ -104,7 +104,7 @@ class TestAcceptance:
             with paused_gc():
                 rng = random.Random(0)
                 for _ in range(100):
-                    v = tw.mp_a.mid_sampler(rng)
+                    v = tw.mp_a.mid.sample(rng)
                     assert tw.theta(tw.section_theta(v)) == v
 
         _, cpu = _timed(section)

@@ -95,7 +95,7 @@ def carrier_and_sampler(kind, A):
         )
     if kind == "P[id]":
         mp = mapping_path(identity_morphism(A))
-        return mp.carrier, mp.mid_sampler
+        return mp.mid, mp.mid.sample
     raise ValueError(kind)
 
 

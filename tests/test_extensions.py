@@ -205,21 +205,21 @@ class TestMappingPath:
     def test_identity_map_is_path_algebra(self):
         idb = identity_morphism(B)
         mp = mapping_path(idb)
-        PB = mp.path_algebra
+        PB = mp.mid.left
         rng = random.Random(9)
         for _ in range(6):
-            z = mp.mid_sampler(rng)
+            z = mp.mid.sample(rng)
             p, a = z
             # the path determines the pair: a = p(0)
             assert a == d1(PB, p)
-            assert mp.carrier.make(p, d1(PB, p)) == z
+            assert mp.mid.make(p, d1(PB, p)) == z
 
     def test_compatibility_enforced(self):
         gm = _g_map()
         mp = mapping_path(gm)
-        bad_p = mp.extension.s(Q.basis_vec("1"))[0]  # p with p(0) = 1
+        bad_p = mp.s(Q.basis_vec("1"))[0]  # p with p(0) = 1
         with pytest.raises(ValueError):
-            mp.carrier.make(bad_p, Q.zero())
+            mp.mid.make(bad_p, Q.zero())
 
     def test_projection_section(self):
         gm = _g_map()
@@ -227,16 +227,16 @@ class TestMappingPath:
         rng = random.Random(10)
         for _ in range(6):
             a = sample_j_element(B, rng) and None  # keep rng moving
-            v = mp.extension.quotient_sampler(rng)
-            z = mp.section(v)
+            v = mp.quotient.sample(rng)
+            z = mp.s(v)
             assert mp.pi(z) == v
-            assert d1(mp.path_algebra, z[0]) == gm(v)
+            assert d1(mp.mid.left, z[0]) == gm(v)
 
     def test_loops_include_with_zero_component(self):
         gm = _g_map()
         mp = mapping_path(gm)
         rng = random.Random(11)
-        q = sample_element(mp.loop_algebra, rng)
+        q = sample_element(mp.kernel, rng)
         z = mp.iota(q)
         assert B.is_zero(mp.pi(z))
 
@@ -247,10 +247,10 @@ class TestPhi:
         ph = phi(gm)
         rng = random.Random(12)
         for _ in range(8):
-            p = sample_element(ph.mp_f.loop_algebra, rng)
+            p = sample_element(ph.mp_f.kernel, rng)
             z = ph.phi(p)
             # the path component is zero ...
-            assert ph.mp_pi.path_algebra.is_zero(z[0])
+            assert ph.mp_pi.mid.left.is_zero(z[0])
             # ... and the double projection recovers the loop inclusion
             assert ph.mp_pi.pi(z) == ph.mp_f.iota(p)
 
@@ -292,7 +292,6 @@ class TestCertificates:
             left=good.right,
             right=good.left,
             chain=good.chain,
-            sampler=good.sampler,
         )
         with pytest.raises(CertificateError):
             bad.verify(samples=5, seed=18)
@@ -304,7 +303,6 @@ class TestCertificates:
             left=good.left,
             right=good.left,
             chain=[],
-            sampler=good.sampler,
         )
         with pytest.raises(CertificateError, match="empty chain"):
             empty.verify(samples=2, seed=0)
@@ -321,7 +319,7 @@ class TestPolyExtension:
         self.link = cert.chain[0]
         self.px = self.link.target
         rng = random.Random(31)
-        self.xs = [cert.sampler(rng) for _ in range(4)]
+        self.xs = [cert.left.source.sample(rng) for _ in range(4)]
         self.vs = [self.link(x) for x in self.xs]
         assert all(self.px.contains(v) for v in self.vs)
         assert max(k for v in self.vs for (k,), _ in v) >= 2
@@ -361,7 +359,7 @@ class TestMappingCylinder:
     def test_evaluation_formula(self):
         rng = random.Random(19)
         for _ in range(5):
-            z = self.cyl.extension.kernel_sampler(rng)
+            z = self.cyl.extension.kernel.sample(rng)
             # the kernel consists of pairs whose path vanishes at 1
             zz = self.cyl.extension.iota(z)
             assert Q.is_zero(self.cyl.extension.pi(zz))
@@ -411,18 +409,8 @@ class TestTowerOfThree:
     def test_section(self):
         rng = random.Random(25)
         for _ in range(6):
-            v = self.tw.mp_a.mid_sampler(rng)
+            v = self.tw.mp_a.mid.sample(rng)
             assert self.tw.theta(self.tw.section_theta(v)) == v
-
-    def test_homotopy_endpoints(self):
-        rng = random.Random(26)
-        px = self.tw.H1.target
-        for _ in range(6):
-            z = self.tw.mp_eta.mid_sampler(rng)
-            v1, v2 = self.tw.H1(z), self.tw.H2(z)
-            assert px.evaluate(v1, 0) == self.tw.xi(self.tw.theta(z))
-            assert px.evaluate(v1, 1) == px.evaluate(v2, 1)
-            assert px.evaluate(v2, 0) == self.tw.mp_eta.pi(z)
 
     def test_triangle_certificate(self):
         self.tw.triangle.verify(samples=8, seed=27)
@@ -436,7 +424,7 @@ class TestTowerOfThree:
         for _ in range(5):
             x = sample_element(K, rng)
             z = self.tw.ker_embed(x)
-            assert self.tw.mp_a.carrier.is_zero(self.tw.theta(z))
+            assert self.tw.mp_a.mid.is_zero(self.tw.theta(z))
 
 
 class TestExtensionInvariants:

@@ -24,7 +24,6 @@ from loopstable.funalg import (
     omega,
     poly_family,
     pullback_along,
-    random_base_element,
     sample_element,
     scalar_algebra,
     scalar_to_base,
@@ -407,7 +406,7 @@ def _random_global_poly(pair, rng):
             for e in itertools.product(range(3), repeat=n)
             if sum(e) <= 2
         )
-        b = random_base_element(B, rng)
+        b = B.sample(rng)
         out = cp_add(B, out, tuple((e, B.scale(c, b)) for e, c in cp_mul(RAT, V, q)))
     return out
 

@@ -6,8 +6,8 @@ from dataclasses import replace
 import pytest
 
 from loopstable.algebras import AlgebraMap, FinAlgebra, dual_numbers, product_algebra, rationals
-from loopstable.extensions import mapping_path, path_extension
-from loopstable.funalg import d1, function_algebra, mu_flat, omega, sample_element
+from loopstable.extensions import path_extension
+from loopstable.funalg import function_algebra, mu_flat, omega, sample_element
 from loopstable.kkcat import (
     extension_triangle,
     from_algebra_map,
@@ -211,14 +211,6 @@ class TestTriangles:
         E = path_extension(0, B, 0)
         t = extension_triangle(E, 1)
         assert t.boundary.pending_sign == -1
-
-    def test_identity_mapping_path_is_path_algebra(self):
-        mp = mapping_path(identity_morphism(B))
-        PB = mp.path_algebra
-        rng = random.Random(14)
-        for _ in range(5):
-            z = mp.mid_sampler(rng)
-            assert mp.carrier.make(z[0], d1(PB, z[0])) == z
 
 
 class TestProducts:

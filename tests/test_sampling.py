@@ -1,0 +1,80 @@
+"""Carriers sample themselves: every carrier the catalog draws from yields
+members of itself, and a carrier without a sampler says so by name."""
+
+import random
+import re
+
+import pytest
+
+from loopstable.algebras import AlgebraMap, dual_numbers, rationals, square_zero
+from loopstable.carriers import RAT
+from loopstable.extensions import (
+    mapping_cylinder,
+    mapping_path,
+    phi,
+    poly_carrier,
+    tr4_tower,
+)
+from loopstable.funalg import function_algebra
+from loopstable.simplicial import cube
+from loopstable.tensorj import (
+    Morphism,
+    identity_morphism,
+    j_tower,
+    tensor_algebra,
+)
+
+ALGEBRAS = {"dual": dual_numbers(), "sq0": square_zero()}
+Q = rationals()
+
+
+def augmentation(A):
+    """The algebra map A → Q keeping the unit and killing every other
+    basis vector (the zero map when A has no unit)."""
+    images = {l: Q.basis_vec("1") if l == "1" else Q.zero() for l in A.labels}
+    return Morphism(A, Q, AlgebraMap(A, Q, images).apply, "aug")
+
+
+def carrier(kind, A):
+    ida = identity_morphism(A)
+    if kind == "A":
+        return A
+    if kind == "RAT":
+        return RAT
+    if kind in ("J(A)", "J2(A)"):
+        return j_tower(A, 1 if kind == "J(A)" else 2)[-1]
+    if kind.startswith("A^(S_1)_"):
+        return function_algebra(A, cube(1), int(kind[-1]))
+    if kind == "P[id]":
+        return mapping_path(ida).mid
+    if kind == "P[aug]":
+        return mapping_path(augmentation(A)).mid
+    if kind == "P[pi]":
+        return phi(ida).mp_pi.mid
+    if kind == "Z[id]":
+        return mapping_cylinder(ida).extension.mid
+    if kind == "P[eta]":
+        return tr4_tower(ida, ida).mp_eta.mid
+    raise ValueError(kind)
+
+
+KINDS = ["A", "RAT", "J(A)", "J2(A)", "A^(S_1)_0", "A^(S_1)_1",
+         "P[id]", "P[aug]", "P[pi]", "Z[id]", "P[eta]"]
+
+
+@pytest.mark.parametrize("alg", sorted(ALGEBRAS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_samples_are_members(kind, alg):
+    car = carrier(kind, ALGEBRAS[alg])
+    rng = random.Random(3)
+    for _ in range(3):
+        x = car.sample(rng)
+        assert car.contains(x), (car.name, x)
+
+
+@pytest.mark.parametrize("make", [tensor_algebra, poly_carrier],
+                         ids=["T(A)", "A[u]"])
+def test_carrier_without_sampler_names_itself(make):
+    car = make(ALGEBRAS["dual"])
+    with pytest.raises(ValueError, match=re.escape(f"no sampler for carrier {car.name}")):
+        car.sample(random.Random(0))

@@ -69,6 +69,13 @@ class TestCatalog:
         with pytest.raises(UnknownCheckError):
             run_check("nope", _cfg())
 
+    def test_certificate_detail_counts_replayed_samples(self):
+        # a certificate replays at least two samples, so that its
+        # algebra-map checks see a pair; the detail reports that count
+        r = run_check("pb-contraction", CheckConfig(samples=1))
+        assert r.status == "PASS", r.detail
+        assert r.detail == "path-algebra contraction verified on 2 samples"
+
     def test_zero_samples_skip(self):
         report = run_suite(["all"], _cfg(samples=0))
         assert all(r.status == "SKIPPED" for r in report.results)
