@@ -1,6 +1,7 @@
 """Finite-dimensional algebras given by exact structure constants.
 
-Elements are canonical vectors ``((label, Fraction), ...)``: sparse
+Elements are canonical vectors ``((label, coefficient), ...)``, each
+coefficient an int, or a Fraction when not integral: sparse
 combinations of basis labels over the rationals in the canonical form of
 :mod:`loopstable.poly`, so vector arithmetic is ``cp_add``/``cp_scale``
 over ``RAT``.  Includes the built-in test algebras and the
@@ -11,16 +12,18 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from .carriers import RAT, Carrier
+from .carriers import RAT, Carrier, rat
 from .poly import cp_add, cp_norm, cp_scale
 
-Vec = Tuple[Tuple[str, Fraction], ...]
+#: ``((label, coefficient), ...)``; a coefficient is an int, or a Fraction
+#: when not integral
+Vec = Tuple[Tuple[str, Union[int, Fraction]], ...]
 
 
-def vec(d: Dict[str, Fraction]) -> Vec:
-    return cp_norm(RAT, {k: Fraction(v) for k, v in d.items()})
+def vec(d: Dict[str, Any]) -> Vec:
+    return cp_norm(RAT, {k: rat(v) for k, v in d.items()})
 
 
 class FinAlgebra(Carrier):
@@ -62,7 +65,7 @@ class FinAlgebra(Carrier):
     def basis_vec(self, label: str) -> Vec:
         if label not in self.labels:
             raise ValueError(f"unknown basis label {label!r}")
-        return ((label, Fraction(1)),)
+        return ((label, 1),)
 
     def basis(self) -> List[Vec]:
         return [self.basis_vec(l) for l in self.labels]
@@ -74,7 +77,7 @@ class FinAlgebra(Carrier):
         return cp_scale(RAT, a, x)
 
     def mul(self, x: Vec, y: Vec) -> Vec:
-        d: Dict[str, Fraction] = {}
+        d: Dict[str, Any] = {}
         tbl = self.table
         for i, ci in x:
             for j, cj in y:
@@ -91,7 +94,7 @@ class FinAlgebra(Carrier):
 
     def contains(self, x) -> bool:
         return isinstance(x, tuple) and all(
-            isinstance(k, str) and k in self.labels and isinstance(v, Fraction)
+            isinstance(k, str) and k in self.labels and RAT.contains(v)
             for k, v in x
         )
 
@@ -170,30 +173,26 @@ class AlgebraMap:
 
 def rationals() -> FinAlgebra:
     """Q, with basis {1}."""
-    return FinAlgebra(
-        "Q", ["1"], {("1", "1"): ((("1"), Fraction(1)),)}, unit=((("1"), Fraction(1)),)
-    )
+    return FinAlgebra("Q", ["1"], {("1", "1"): (("1", 1),)}, unit=(("1", 1),))
 
 
 def dual_numbers() -> FinAlgebra:
     """Q[x]/(x²)."""
-    one = Fraction(1)
     return FinAlgebra(
         "Q[x]/(x^2)",
         ["1", "x"],
         {
-            ("1", "1"): (("1", one),),
-            ("1", "x"): (("x", one),),
-            ("x", "1"): (("x", one),),
+            ("1", "1"): (("1", 1),),
+            ("1", "x"): (("x", 1),),
+            ("x", "1"): (("x", 1),),
             # x*x = 0
         },
-        unit=(("1", one),),
+        unit=(("1", 1),),
     )
 
 
 def m2q() -> FinAlgebra:
     """2×2 rational matrices, basis the elementary matrices e_{ij}."""
-    one = Fraction(1)
     labels = ["e11", "e12", "e21", "e22"]
     table = {}
     for i in (1, 2):
@@ -201,8 +200,8 @@ def m2q() -> FinAlgebra:
             for k in (1, 2):
                 for l in (1, 2):
                     if j == k:
-                        table[(f"e{i}{j}", f"e{k}{l}")] = ((f"e{i}{l}", one),)
-    return FinAlgebra("M2(Q)", labels, table, unit=(("e11", one), ("e22", one)))
+                        table[(f"e{i}{j}", f"e{k}{l}")] = ((f"e{i}{l}", 1),)
+    return FinAlgebra("M2(Q)", labels, table, unit=(("e11", 1), ("e22", 1)))
 
 
 def square_zero() -> FinAlgebra:
@@ -253,7 +252,7 @@ _TERM = re.compile(r"^\s*(-?\d+(?:/\d+)?)\s*\*\s*([A-Za-z0-9_.]+)\s*$")
 
 
 def _parse_combo(text: str, labels: Tuple[str, ...]) -> Vec:
-    d: Dict[str, Fraction] = {}
+    d: Dict[str, Any] = {}
     text = text.strip()
     if text == "0":
         return ()
@@ -275,7 +274,7 @@ def _parse_combo(text: str, labels: Tuple[str, ...]) -> Vec:
         label = m.group(2)
         if label not in labels:
             raise ValueError(f"unknown label {label!r}")
-        d[label] = d.get(label, Fraction(0)) + coeff
+        d[label] = d.get(label, 0) + coeff
     return vec(d)
 
 

@@ -12,6 +12,12 @@ algebras (:mod:`loopstable.algebras`), polynomial function algebras
 (:mod:`loopstable.extensions`); here live the ground field ``RAT``, the
 coefficient carrier of scalar polynomials, and the generic pullback.  This
 module imports nothing from the package.
+
+A rational coefficient is an ``int``, or a ``Fraction`` when it is not
+integral.  ``hash`` and ``==`` agree across the two types, so canonical
+forms compare and hash alike whichever type a coefficient has; integers
+only keep the arithmetic off the slow ``Fraction`` path.  :func:`rat` is
+where a given or parsed coefficient enters.
 """
 
 from __future__ import annotations
@@ -40,12 +46,14 @@ class Carrier:
         raise NotImplementedError
 
     def neg(self, x: Any) -> Any:
-        return self.scale(Fraction(-1), x)
+        return self.scale(-1, x)
 
     def sub(self, x: Any, y: Any) -> Any:
         return self.add(x, self.neg(y))
 
-    def scale(self, a: Fraction, x: Any) -> Any:
+    def scale(self, a: int | Fraction, x: Any) -> Any:
+        """``a·x`` for a rational ``a``: an int, or a Fraction when not
+        integral."""
         raise NotImplementedError
 
     def mul(self, x: Any, y: Any) -> Any:
@@ -66,19 +74,27 @@ class Carrier:
         return f"<{type(self).__name__} {self.name}>"
 
 
+def rat(x) -> int | Fraction:
+    """``x`` as a rational coefficient: an int, or a Fraction when not
+    integral."""
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
 class Rationals(Carrier):
-    """The ground field as a carrier; elements are plain Fractions."""
+    """The ground field as a carrier; an element is an int, or a Fraction
+    when it is not integral."""
 
     name = "QQ"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def add(self, x, y):
         return x + y
 
     def scale(self, a, x):
-        return Fraction(a) * x
+        return a * x
 
     def mul(self, x, y):
         return x * y
@@ -87,10 +103,11 @@ class Rationals(Carrier):
         return x == 0
 
     def contains(self, x):
-        return isinstance(x, Fraction)
+        # bool is an int subclass and float is inexact: both are rejected
+        return type(x) is int or type(x) is Fraction
 
     def sample(self, rng):
-        return Fraction(rng.randint(-3, 3))
+        return rng.randint(-3, 3)
 
 
 #: shared instance — the ground field never varies

@@ -22,7 +22,6 @@ import gc
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cache
 from typing import Any, Callable, Dict, List, Optional
 
@@ -105,7 +104,7 @@ class PolyExtension(Carrier):
     def mul(self, x, y):
         return cp_mul(self.base, x, y)
 
-    def evaluate(self, x, at: Fraction):
+    def evaluate(self, x, at):
         """Evaluate at a rational value of the homotopy variable."""
         value = cp_subst(self.base, x, (qp_const(at, 0),), 0)
         return value[0][1] if value else self.base.zero()
@@ -139,7 +138,7 @@ def reversed_link(link: Morphism) -> Morphism:
 def paused_gc():
     """Suspend the cyclic collector during hot exact-arithmetic loops.
 
-    All values here are acyclic (tuples of Fractions), so reference
+    All values here are acyclic (tuples of coefficients), so reference
     counting reclaims them; generational collections only add large
     scanning overhead over the memoization tables.
     """
@@ -396,7 +395,7 @@ def alternate_path_splitting(B: Carrier, fa_path: FunctionAlgebra) -> Morphism:
     extension, used for splitting-independence interpolation."""
     sfa = scalar_algebra(fa_path.pair0, 0)
     h = poly_family(sfa, qp_var(1, 1))
-    scal0 = sfa.sub(constant_function(sfa, Fraction(1)), sfa.mul(h, h))
+    scal0 = sfa.sub(constant_function(sfa, 1), sfa.mul(h, h))
     scal = transition_n(sfa, scal0, fa_path.r)[1]
     return Morphism(
         B, fa_path, lambda b: scalar_to_base(fa_path, scal, b), "s[b->b(1-t^2)]"

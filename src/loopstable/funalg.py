@@ -20,7 +20,6 @@ every elementary homotopy is a polynomial substitution.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import cache
 from typing import Any, Dict, Sequence, Tuple
 
@@ -548,13 +547,13 @@ def vanishing_scalar(pair0: SimplicialPair) -> Element:
     'one' coordinates (constant 1 if the profile is empty/free)."""
     sfa = scalar_algebra(pair0, 0, relative=False)
     n = len(pair0.coords)
-    out = constant_function(sfa, Fraction(1))
+    out = constant_function(sfa, 1)
     for i, kind in enumerate(pair0.coords):
         h = poly_family(sfa, qp_var(i + 1, n))
         if kind == "both":
             out = sfa.mul(out, sfa.sub(sfa.mul(h, h), h))
         elif kind == "one":
-            out = sfa.mul(out, sfa.sub(h, constant_function(sfa, Fraction(1))))
+            out = sfa.mul(out, sfa.sub(h, constant_function(sfa, 1)))
     return out
 
 
@@ -588,7 +587,7 @@ def sample_element(
     if not n:
         raise ValueError(f"no sampler for pair {pair0.name}")
     sfa = scalar_algebra(pair0, 0, relative=False)
-    V = vanishing_scalar(pair0) if fa.relative else constant_function(sfa, Fraction(1))
+    V = vanishing_scalar(pair0) if fa.relative else constant_function(sfa, 1)
     handles = [poly_family(sfa, qp_var(i + 1, n)) for i in range(n)]
     fa0 = function_algebra(fa.base, pair0, 0, fa.relative)
     total = fa0.zero()
@@ -596,11 +595,9 @@ def sample_element(
         b = fa.base.sample(rng)
         P = V
         for _ in range(rng.randint(0, max(degree - 1, 0))):
-            combo = constant_function(sfa, Fraction(rng.randint(-2, 2)))
+            combo = constant_function(sfa, rng.randint(-2, 2))
             for h in handles:
-                combo = sfa.add(
-                    combo, sfa.scale(Fraction(rng.randint(-2, 2)), h)
-                )
+                combo = sfa.add(combo, sfa.scale(rng.randint(-2, 2), h))
             P = sfa.mul(P, combo)
         total = fa0.add(total, scalar_to_base(fa0, P, b))
     return transition_n(fa0, total, fa.r)[1]

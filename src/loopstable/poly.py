@@ -10,10 +10,11 @@ interpreted by a :class:`~loopstable.carriers.Carrier`.
 
 A *polynomial* is a sparse combination keyed by exponent tuples.  A
 *scalar* polynomial (``QPoly``) is a carrier polynomial over
-:data:`~loopstable.carriers.RAT`, with :class:`~fractions.Fraction`
-coefficients; scalar polynomials are the substitution images, such as the
-coordinates of a simplex or the homotopies h(t, u).  Carrier polynomials
-over other carriers are the values of polynomial function families.
+:data:`~loopstable.carriers.RAT`, whose coefficients are ints, or
+Fractions when not integral; scalar polynomials are the substitution
+images, such as the coordinates of a simplex or the homotopies h(t, u).
+Carrier polynomials over other carriers are the values of polynomial
+function families.
 
 Variables are ``t_1 .. t_n`` (the simplex coordinate ``t_0`` is always
 eliminated via ``t_0 = 1 − Σ t_i``); exponent tuples have length ``n``.
@@ -21,21 +22,20 @@ eliminated via ``t_0 = 1 − Σ t_i``); exponent tuples have length ``n``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from typing import Any, Callable, Dict, Sequence, Tuple
 
-from .carriers import RAT
+from .carriers import RAT, rat
 
 Exps = Tuple[int, ...]
 CPoly = Tuple[Tuple[Exps, Any], ...]
-QPoly = CPoly  # over RAT: Fraction coefficients
+QPoly = CPoly  # over RAT: int coefficients, Fraction when not integral
 
 # -- scalar polynomials -------------------------------------------------
 
 
 def qp_const(c, nvars: int) -> QPoly:
-    c = Fraction(c)
+    c = rat(c)
     if c == 0:
         return ()
     return (((0,) * nvars, c),)
@@ -46,7 +46,7 @@ def qp_var(i: int, nvars: int) -> QPoly:
     if not 1 <= i <= nvars:
         raise ValueError(f"t_{i} out of range for {nvars} variables")
     exps = tuple(1 if j == i - 1 else 0 for j in range(nvars))
-    return ((exps, Fraction(1)),)
+    return ((exps, 1),)
 
 
 @cache
@@ -88,8 +88,6 @@ def cp_add(car, p: CPoly, q: CPoly) -> CPoly:
 
 
 def cp_scale(car, a, p: CPoly) -> CPoly:
-    if not isinstance(a, Fraction):
-        a = Fraction(a)
     if not a:
         return ()
     if a == 1:

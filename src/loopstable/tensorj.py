@@ -1,9 +1,10 @@
 """Nonunital tensor algebras, counit kernels, and classifying-map machinery.
 
 Two flavors of tensor carrier share one element shape
-``((word, Fraction), ...)``, a sparse combination of words over the
+``((word, coefficient), ...)``, a sparse combination of words over the
 rationals in the canonical form of :mod:`loopstable.poly` (sorted by the
-native order of the words, which are tuples of letters):
+native order of the words, which are tuples of letters); a coefficient is
+an int, or a Fraction when not integral:
 
 - *based*: the letters of a word are basis keys of the base carrier
   (labels of a finite-dimensional algebra, or length-≥2 words indexing the
@@ -26,7 +27,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple, Union
 
 from .algebras import FinAlgebra
 from .carriers import RAT, Carrier
@@ -43,7 +44,9 @@ from .poly import ONE_MINUS_T, cp_add, cp_norm, cp_scale
 from .simplicial import cube, interval_rel_one
 
 Word = Tuple[Any, ...]
-TElement = Tuple[Tuple[Word, Fraction], ...]
+#: ``((word, coefficient), ...)``; a coefficient is an int, or a Fraction
+#: when not integral
+TElement = Tuple[Tuple[Word, Union[int, Fraction]], ...]
 
 
 def is_based(car: Carrier) -> bool:
@@ -67,18 +70,13 @@ class TensorAlgebra(Carrier):
 
     # -- canonical arithmetic -------------------------------------------
 
-    def _norm(self, d: Dict[Word, Fraction]) -> TElement:
+    def _norm(self, d: Dict[Word, Any]) -> TElement:
         # only a name for cp_norm over RAT: the benchmark's span recorder
         # (perfbench/spans.py) times the tensor canonicalisation by it
         return cp_norm(RAT, d)
 
     def zero(self) -> TElement:
         return ()
-
-    def word(self, letters: Word, c=Fraction(1)) -> TElement:
-        if not letters:
-            raise ValueError("tensor words must be nonempty")
-        return self._norm({tuple(letters): Fraction(c)})
 
     def add(self, x: TElement, y: TElement) -> TElement:
         return cp_add(RAT, x, y)
@@ -87,18 +85,18 @@ class TensorAlgebra(Carrier):
         return cp_scale(RAT, a, x)
 
     def mul(self, x: TElement, y: TElement) -> TElement:
-        d: Dict[Word, Fraction] = {}
+        d: Dict[Word, Any] = {}
         for w1, c1 in x:
             for w2, c2 in y:
                 w = w1 + w2
-                d[w] = d.get(w, Fraction(0)) + c1 * c2
+                d[w] = d.get(w, 0) + c1 * c2
         return self._norm(d)
 
     def contains(self, x) -> bool:
         if not isinstance(x, tuple):
             return False
         for w, c in x:
-            if not (isinstance(w, tuple) and w and isinstance(c, Fraction)):
+            if not (isinstance(w, tuple) and w and RAT.contains(c)):
                 return False
         return True
 
@@ -127,7 +125,7 @@ class TensorAlgebra(Carrier):
             return self._norm({(k,): c for k, c in based_decompose(self.base, b)})
         if b == self.base.zero():
             return ()
-        return (((b,), Fraction(1)),)
+        return (((b,), 1),)
 
     def curvature(self, a, b) -> TElement:
         """σ(a)σ(b) − σ(ab), the canonical counit-kernel element."""
@@ -179,7 +177,7 @@ class JKernel(Carrier):
         return x
 
 
-def based_decompose(car: Carrier, x) -> Tuple[Tuple[Any, Fraction], ...]:
+def based_decompose(car: Carrier, x) -> Tuple[Tuple[Any, int | Fraction], ...]:
     if isinstance(car, FinAlgebra):
         return x  # already ((label, coeff), ...)
     if isinstance(car, JKernel) and car.ta.based:
@@ -191,7 +189,7 @@ def based_key_element(car: Carrier, k):
     if isinstance(car, FinAlgebra):
         return car.basis_vec(k)
     if isinstance(car, JKernel) and car.ta.based:
-        w = ((k, Fraction(1)),)
+        w = ((k, 1),)
         return car.ta.add(w, car.ta.neg(car.ta.sigma(car.ta.eta(w))))
     raise ValueError(f"carrier {car.name} has no canonical basis")
 
@@ -376,7 +374,7 @@ def sample_j_element(base: Carrier, rng: random.Random):
     if rng.random() < 0.3:
         # J(A) is an ideal of T(A): multiplying by σ(c) stays inside
         el = ta.mul(el, ta.sigma(base.sample(rng)))
-    return ta.scale(Fraction(rng.randint(1, 2)), el)
+    return ta.scale(rng.randint(1, 2), el)
 
 
 def sample_j_elements(

@@ -13,7 +13,6 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .algebras import (
@@ -145,17 +144,15 @@ def _fail(detail: str, **extra: Any) -> None:
 
 # -- frozen product oracles ----------------------------------------------
 
-_ONE = Fraction(1)
-
 # Basis products of the built-in algebras, written out literally so that a
 # corrupted structure constant is caught even when the corruption preserves
 # associativity.
 FROZEN_PRODUCTS: Dict[str, Dict[Tuple[str, str], Tuple]] = {
-    "q": {("1", "1"): (("1", _ONE),)},
+    "q": {("1", "1"): (("1", 1),)},
     "dual": {
-        ("1", "1"): (("1", _ONE),),
-        ("1", "x"): (("x", _ONE),),
-        ("x", "1"): (("x", _ONE),),
+        ("1", "1"): (("1", 1),),
+        ("1", "x"): (("x", 1),),
+        ("x", "1"): (("x", 1),),
         ("x", "x"): (),
     },
     "sq0": {
@@ -165,22 +162,22 @@ FROZEN_PRODUCTS: Dict[str, Dict[Tuple[str, str], Tuple]] = {
         ("b", "b"): (),
     },
     "m2q": {
-        ("e11", "e11"): (("e11", _ONE),),
-        ("e11", "e12"): (("e12", _ONE),),
+        ("e11", "e11"): (("e11", 1),),
+        ("e11", "e12"): (("e12", 1),),
         ("e11", "e21"): (),
         ("e11", "e22"): (),
         ("e12", "e11"): (),
         ("e12", "e12"): (),
-        ("e12", "e21"): (("e11", _ONE),),
-        ("e12", "e22"): (("e12", _ONE),),
-        ("e21", "e11"): (("e21", _ONE),),
-        ("e21", "e12"): (("e22", _ONE),),
+        ("e12", "e21"): (("e11", 1),),
+        ("e12", "e22"): (("e12", 1),),
+        ("e21", "e11"): (("e21", 1),),
+        ("e21", "e12"): (("e22", 1),),
         ("e21", "e21"): (),
         ("e21", "e22"): (),
         ("e22", "e11"): (),
         ("e22", "e12"): (),
-        ("e22", "e21"): (("e21", _ONE),),
-        ("e22", "e22"): (("e22", _ONE),),
+        ("e22", "e21"): (("e21", 1),),
+        ("e22", "e22"): (("e22", 1),),
     },
 }
 
@@ -215,7 +212,7 @@ def check_subdi1_presentations(cfg: CheckConfig) -> Tuple[str, str]:
     # minus the coordinate, not from poly.ONE_MINUS_T, which the splitting uses
     sfa = scalar_algebra(interval_rel_one(), 0)
     one_minus_t = sfa.sub(
-        constant_function(sfa, Fraction(1)), poly_family(sfa, qp_var(1, 1))
+        constant_function(sfa, 1), poly_family(sfa, qp_var(1, 1))
     )
     for l in A.labels:
         v = A.basis_vec(l)
@@ -490,8 +487,11 @@ def check_cylinder_classifying(cfg: CheckConfig) -> Tuple[str, str]:
         x = sample_j_element(A, rng)
         if xi(x) != cyl.mp.iota(omega(loop, lam(x))):
             _fail(f"classifying map deviates at sample {i}", element=x)
-    cyl.retract.verify(samples=min(cfg.samples, 10), seed=cfg.seed)
-    return PASS, f"classifying formula exact on {cfg.samples} samples"
+    n = cyl.retract.verify(samples=min(cfg.samples, 10), seed=cfg.seed)
+    if n == cfg.samples:
+        return PASS, f"classifying formula and retract homotopy on {n} samples"
+    return PASS, (f"classifying formula on {cfg.samples} samples, retract "
+                  f"homotopy on {n} samples")
 
 
 def check_star_unit(cfg: CheckConfig) -> Tuple[str, str]:

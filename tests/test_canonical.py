@@ -4,6 +4,11 @@ Every decidable carrier's arithmetic returns elements in one spelling:
 keys strictly increasing in their native order, no zero coefficient, and
 the same rule one level down for polynomial and pair components.  These
 tests pin that invariant on every carrier flavour the catalog compares.
+
+A coefficient is an int, or a Fraction when it is not integral.  Over an
+algebra with integral structure constants, integer arithmetic never makes
+a Fraction, so a Fraction there means that one leaked in (a single
+``Fraction(1)`` constant is enough) and slows every later operation.
 """
 
 import random
@@ -24,38 +29,42 @@ from loopstable.tensorj import (
     tensor_algebra,
 )
 
+# both have integral structure constants
 ALGEBRAS = {"dual": dual_numbers(), "m2q": m2q()}
-SCALARS = [F(0), F(1), F(-1), F(3, 2)]
+SCALARS = [0, 1, -1, F(3, 2)]
 
 
-def assert_sparse(x, coeff_car):
+def assert_sparse(x, coeff_car, integral):
     """Keys strictly increasing, coefficients nonzero and canonical."""
     assert isinstance(x, tuple)
     keys = [k for k, _ in x]
     assert all(a < b for a, b in zip(keys, keys[1:])), keys
     for _, c in x:
         assert c != coeff_car.zero()
-        assert_canonical(coeff_car, c)
+        assert_canonical(coeff_car, c, integral)
 
 
-def assert_canonical(car, x):
+def assert_canonical(car, x, integral=False):
+    """``x`` is canonical in ``car``; with ``integral``, every rational
+    coefficient, through polynomial and pair components, is an int."""
     if isinstance(car, Rationals):
-        assert isinstance(x, F)
+        assert RAT.contains(x), x
+        assert not integral or type(x) is int, x
     elif isinstance(car, PullbackCarrier):
-        assert_canonical(car.left, x[0])
-        assert_canonical(car.right, x[1])
+        assert_canonical(car.left, x[0], integral)
+        assert_canonical(car.right, x[1], integral)
         assert car.contains(x)
     elif isinstance(car, FunctionAlgebra):
         simplices = [b for b, _ in x]
         assert all(a < b for a, b in zip(simplices, simplices[1:]))
         for _, p in x:
             assert p != ()
-            assert_sparse(p, car.base)
+            assert_sparse(p, car.base, integral)
     elif isinstance(car, PolyExtension):
-        assert_sparse(x, car.base)
+        assert_sparse(x, car.base, integral)
     else:
         assert isinstance(car, (FinAlgebra, TensorAlgebra, JKernel))
-        assert_sparse(x, RAT)
+        assert_sparse(x, RAT, integral)
 
 
 def small_element(car, rng):
@@ -65,11 +74,11 @@ def small_element(car, rng):
         out = car.zero()
         for _ in range(2):
             b = car.basis_vec(rng.choice(car.labels))
-            out = car.add(out, car.scale(F(rng.randint(-2, 2)), b))
+            out = car.add(out, car.scale(rng.randint(-2, 2), b))
         return out
     ta = car.ta
     a, b = small_element(ta.base, rng), small_element(ta.base, rng)
-    return ta.scale(rng.choice(SCALARS[1:]), ta.curvature(a, b))
+    return ta.scale(rng.choice((1, -1, 2)), ta.curvature(a, b))
 
 
 def carrier_and_sampler(kind, A):
@@ -85,8 +94,8 @@ def carrier_and_sampler(kind, A):
         return ta, lambda rng: ta.add(
             small_element(J, rng), ta.sigma(small_element(A, rng))
         )
-    if kind == "A^(S_1)":
-        fa = function_algebra(A, cube(1), 0)
+    if kind in ("A^(S_1)", "A^I"):
+        fa = function_algebra(A, cube(1), 0, relative=kind == "A^(S_1)")
         return fa, lambda rng: sample_element(fa, rng)
     if kind == "A[u]":
         px = poly_carrier(A)
@@ -99,7 +108,7 @@ def carrier_and_sampler(kind, A):
     raise ValueError(kind)
 
 
-KINDS = ["A", "T(A)", "J(A)", "J2(A)", "A^(S_1)", "A[u]", "P[id]"]
+KINDS = ["A", "T(A)", "J(A)", "J2(A)", "A^(S_1)", "A^I", "A[u]", "P[id]"]
 
 
 @pytest.mark.parametrize("alg", sorted(ALGEBRAS))
@@ -109,15 +118,15 @@ def test_arithmetic_is_canonical(kind, alg):
     rng = random.Random(7)
     xs = [sample(rng) for _ in range(4)]
     for x in xs:
-        assert_canonical(car, x)
+        assert_canonical(car, x, integral=True)
         assert car.add(x, car.neg(x)) == car.zero()
         for a in SCALARS:
-            assert_canonical(car, car.scale(a, x))
+            assert_canonical(car, car.scale(a, x), integral=type(a) is int)
     for x, y in zip(xs, xs[1:] + xs[:1]):
         s = car.add(x, y)
-        assert_canonical(car, s)
+        assert_canonical(car, s, integral=True)
         assert s == car.add(y, x)
-        assert_canonical(car, car.mul(x, y))
+        assert_canonical(car, car.mul(x, y), integral=True)
 
 
 def test_detects_a_non_canonical_spelling():
@@ -128,3 +137,10 @@ def test_detects_a_non_canonical_spelling():
         assert_canonical(A, (("1", F(0)),))
     with pytest.raises(AssertionError):
         assert_canonical(poly_carrier(A), (((0,), A.zero()),))
+    with pytest.raises(AssertionError):
+        assert_canonical(poly_carrier(A), (((0,), (("x", F(1)),)),), integral=True)
+
+
+def test_rational_coefficients_are_exact():
+    assert RAT.contains(2) and RAT.contains(F(1, 2))
+    assert not RAT.contains(True) and not RAT.contains(0.5)

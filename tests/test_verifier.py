@@ -15,6 +15,7 @@ from loopstable.algebras import (
     FinAlgebra,
     dual_numbers,
     format_algebra_file,
+    parse_algebra_file,
 )
 from loopstable.verifier import (
     CATALOG,
@@ -24,6 +25,20 @@ from loopstable.verifier import (
     run_check,
     run_suite,
 )
+
+
+M2Q_HALF = """name: m2q-half
+basis: e11 e12 e21 e22
+unit: 1*e11 + 1*e22
+e11*e11 = 1*e11
+e11*e12 = 1*e12
+e12*e21 = 1/2*e11
+e12*e22 = 1*e12
+e21*e11 = 1*e21
+e21*e12 = 1/2*e22
+e22*e21 = 1*e21
+e22*e22 = 1*e22
+"""
 
 
 def _cfg(**kw):
@@ -75,6 +90,14 @@ class TestCatalog:
         r = run_check("pb-contraction", CheckConfig(samples=1))
         assert r.status == "PASS", r.detail
         assert r.detail == "path-algebra contraction verified on 2 samples"
+
+    def test_cylinder_detail_counts_retract_samples(self):
+        # the retract certificate replays max(min(N, 10), 2) samples, which
+        # differs from the classifying formula's N at both ends
+        r = run_check("cylinder-classifying", CheckConfig(samples=1))
+        assert r.status == "PASS", r.detail
+        assert r.detail == ("classifying formula on 1 samples, retract "
+                            "homotopy on 2 samples")
 
     def test_zero_samples_skip(self):
         report = run_suite(["all"], _cfg(samples=0))
@@ -203,6 +226,23 @@ class TestCLI:
         assert code == 0
         assert data["results"][0]["status"] == "PASS"
         assert data["config"]["algebra"] == f"file:{p}"
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_non_integral_structure_constants(self, tmp_path, capsys, seed):
+        # M2(Q) with e12 rescaled by 1/2: the same algebra, but its
+        # coefficients are Fractions wherever e12*e21 and e21*e12 meet
+        p = tmp_path / "m2q-half.alg"
+        p.write_text(M2Q_HALF)
+        A = parse_algebra_file(M2Q_HALF)
+        assert A.table[("e12", "e21")] == (("e11", Fraction(1, 2)),)
+
+        def statuses(src):
+            code = cli.main(["--algebra", src, "--check", "all", "--samples",
+                             "1", "--seed", str(seed), "--format", "json"])
+            data = json.loads(capsys.readouterr().out)
+            return code, {r["check"]: r["status"] for r in data["results"]}
+
+        assert statuses(f"file:{p}") == statuses("builtin:m2q")
 
     @pytest.mark.parametrize(
         "args", [["--list"], ["--check", "star-unit", "--samples", "1"]]
