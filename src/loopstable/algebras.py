@@ -151,10 +151,7 @@ class AlgebraMap:
             self.validate()
 
     def apply(self, x: Vec) -> Vec:
-        out = self.target.zero()
-        for k, c in x:
-            out = self.target.add(out, self.target.scale(c, self.images[k]))
-        return out
+        return self.target.lincomb((c, self.images[k]) for k, c in x)
 
     def __call__(self, x: Vec) -> Vec:
         return self.apply(x)

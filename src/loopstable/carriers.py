@@ -3,8 +3,13 @@
 A *carrier* is an algebra whose elements are canonical immutable (hashable)
 Python values; the carrier object interprets them (arithmetic, zero test,
 membership) and, where it can, draws deterministic samples of them from a
-``random.Random`` (:meth:`Carrier.sample`).  Where zero is decidable every
-element has exactly one representation, so ``==`` is equality and
+``random.Random`` (:meth:`Carrier.sample`).  The arithmetic is ``zero``,
+``add``, ``scale`` and ``mul``, plus two sums of many terms,
+:meth:`Carrier.lincomb` (Σ aᵢ·xᵢ) and :meth:`Carrier.dot` (Σ xᵢ·yᵢ).  They
+default to folds of the binary operations; a carrier whose elements are
+sparse combinations overrides them to build one dict and canonicalise it
+once, instead of once per term.  Where zero is decidable every element
+has exactly one representation, so ``==`` is equality and
 ``x == zero()`` is the zero test.  Concrete carriers: finite-dimensional
 algebras (:mod:`loopstable.algebras`), polynomial function algebras
 (:mod:`loopstable.funalg`), tensor algebras and J-kernels
@@ -22,16 +27,22 @@ where a given or parsed coefficient enters.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
-from typing import Any, Callable
+from functools import reduce
+from itertools import starmap
+from typing import Any, Callable, Iterable, Tuple
 
 
 class Carrier:
     """Base class: an algebra interpreting canonical immutable elements.
 
     Arithmetic returns canonical elements, so two elements of a carrier
-    that decides zero are equal exactly when they are ``==``.
+    that decides zero are equal exactly when they are ``==``.  A subclass
+    implements ``zero``, ``add``, ``scale``, ``mul`` and ``contains``; the
+    sums :meth:`lincomb` and :meth:`dot` fold ``add`` with ``scale`` or
+    ``mul`` unless it overrides them with a one-pass sum.
     """
 
     name: str = "?"
@@ -58,6 +69,16 @@ class Carrier:
 
     def mul(self, x: Any, y: Any) -> Any:
         raise NotImplementedError
+
+    def lincomb(self, terms: Iterable[Tuple[int | Fraction, Any]]) -> Any:
+        """Σ aᵢ·xᵢ over pairs ``(aᵢ, xᵢ)`` of a rational and an element."""
+        scaled = [self.scale(a, x) for a, x in terms]
+        return reduce(self.add, scaled) if scaled else self.zero()
+
+    def dot(self, pairs: Iterable[Tuple[Any, Any]]) -> Any:
+        """Σ xᵢ·yᵢ over pairs of elements."""
+        prods = [self.mul(x, y) for x, y in pairs]
+        return reduce(self.add, prods) if prods else self.zero()
 
     def is_zero(self, x: Any) -> bool:
         return x == self.zero()
@@ -98,6 +119,12 @@ class Rationals(Carrier):
 
     def mul(self, x, y):
         return x * y
+
+    def lincomb(self, terms):
+        return sum(starmap(operator.mul, terms))
+
+    def dot(self, pairs):
+        return sum(starmap(operator.mul, pairs))
 
     def is_zero(self, x):
         return x == 0

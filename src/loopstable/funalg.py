@@ -30,8 +30,9 @@ from .poly import (
     QPoly,
     cp_add,
     cp_constant,
+    cp_dot,
+    cp_lincomb,
     cp_map_coeffs,
-    cp_mul,
     cp_norm,
     cp_scale,
     cp_subst,
@@ -138,11 +139,24 @@ class FunctionAlgebra(Carrier):
         return self.canon({b: cp_scale(self.base, a, p) for b, p in x})
 
     def mul(self, x: Element, y: Element) -> Element:
-        dx, dy = dict(x), dict(y)
-        out = {}
-        for b in set(dx) & set(dy):
-            out[b] = cp_mul(self.base, dx[b], dy[b])
-        return self.canon(out)
+        return self.dot(((x, y),))
+
+    def lincomb(self, terms) -> Element:
+        groups: Dict[Any, list] = {}
+        for a, x in terms:
+            for b, p in x:
+                groups.setdefault(b, []).append((a, p))
+        return self.canon({b: cp_lincomb(self.base, g) for b, g in groups.items()})
+
+    def dot(self, pairs) -> Element:
+        # a product lives on the simplices where both factors are nonzero
+        groups: Dict[Any, list] = {}
+        for x, y in pairs:
+            dy = dict(y)
+            for b, p in x:
+                if b in dy:
+                    groups.setdefault(b, []).append((p, dy[b]))
+        return self.canon({b: cp_dot(self.base, g) for b, g in groups.items()})
 
     def contains(self, x) -> bool:
         """Face compatibility plus vanishing (skipped over formal bases):

@@ -6,7 +6,11 @@ may be anything Python orders natively (exponent tuples, basis labels,
 tensor words, simplices).  :func:`cp_norm` is the one place that builds
 this canonical form, so two combinations are equal exactly when they are
 ``==``.  The ``cp_`` functions do the arithmetic with the coefficients
-interpreted by a :class:`~loopstable.carriers.Carrier`.
+interpreted by a :class:`~loopstable.carriers.Carrier`.  Sums of many
+terms canonicalise once: :func:`cp_lincomb` (Σ aᵢ·pᵢ) and :func:`cp_dot`
+(Σ pᵢ·qᵢ, of which :func:`cp_mul` is the one-pair case) group the
+coefficients by exponent and hand each group to the carrier's
+``lincomb`` or ``dot``.
 
 A *polynomial* is a sparse combination keyed by exponent tuples.  A
 *scalar* polynomial (``QPoly``) is a carrier polynomial over
@@ -23,7 +27,8 @@ eliminated via ``t_0 = 1 − Σ t_i``); exponent tuples have length ``n``.
 from __future__ import annotations
 
 from functools import cache
-from typing import Any, Callable, Dict, Sequence, Tuple
+from operator import add
+from typing import Any, Callable, Dict, Iterable, Sequence, Tuple
 
 from .carriers import RAT, rat
 
@@ -71,9 +76,15 @@ def cp_zero() -> CPoly:
 
 
 def cp_norm(car, d: Dict[Any, Any]) -> CPoly:
-    """The canonical combination of ``d``: zeros dropped, sorted by key."""
-    is_zero = car.is_zero
-    return tuple(sorted((k, c) for k, c in d.items() if not is_zero(c)))
+    """The canonical combination of ``d``: zeros dropped, sorted by key.
+
+    A coefficient is zero when it is ``==`` to ``car.zero()``; the keys of
+    a dict are distinct, so sorting the keys alone gives the order.
+    """
+    z = car.zero()
+    keys = [k for k, c in d.items() if c != z]
+    keys.sort()
+    return tuple([(k, d[k]) for k in keys])
 
 
 def cp_add(car, p: CPoly, q: CPoly) -> CPoly:
@@ -96,14 +107,40 @@ def cp_scale(car, a, p: CPoly) -> CPoly:
     return tuple((e, car.scale(a, c)) for e, c in p)
 
 
+def cp_lincomb(car, terms: Iterable[Tuple[Any, CPoly]]) -> CPoly:
+    """``Σ aᵢ·pᵢ`` over pairs of a rational and a carrier polynomial: the
+    coefficients are grouped by exponent and summed by one ``car.lincomb``
+    per exponent."""
+    groups: Dict[Exps, list] = {}
+    for a, p in terms:
+        for e, c in p:
+            g = groups.get(e)
+            if g is None:
+                groups[e] = [(a, c)]
+            else:
+                g.append((a, c))
+    return cp_norm(car, {e: car.lincomb(g) for e, g in groups.items()})
+
+
+def cp_dot(car, pairs: Iterable[Tuple[CPoly, CPoly]]) -> CPoly:
+    """``Σ pᵢ·qᵢ`` over pairs of carrier polynomials: the coefficient pairs
+    are grouped by the exponent of their product and summed by one
+    ``car.dot`` per exponent."""
+    groups: Dict[Exps, list] = {}
+    for p, q in pairs:
+        for e1, c1 in p:
+            for e2, c2 in q:
+                e = tuple(map(add, e1, e2))
+                g = groups.get(e)
+                if g is None:
+                    groups[e] = [(c1, c2)]
+                else:
+                    g.append((c1, c2))
+    return cp_norm(car, {e: car.dot(g) for e, g in groups.items()})
+
+
 def cp_mul(car, p: CPoly, q: CPoly) -> CPoly:
-    d: Dict[Exps, Any] = {}
-    for e1, c1 in p:
-        for e2, c2 in q:
-            e = tuple(a + b for a, b in zip(e1, e2))
-            c = car.mul(c1, c2)
-            d[e] = car.add(d[e], c) if e in d else c
-    return cp_norm(car, d)
+    return cp_dot(car, ((p, q),))
 
 
 def cp_constant(car, c: Any, nvars: int) -> CPoly:

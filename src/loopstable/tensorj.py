@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from typing import Any, Callable, Dict, List, Tuple, Union
 
 from .algebras import FinAlgebra
@@ -75,6 +75,24 @@ class TensorAlgebra(Carrier):
         # (perfbench/spans.py) times the tensor canonicalisation by it
         return cp_norm(RAT, d)
 
+    def lincomb(self, terms) -> TElement:
+        d: Dict[Word, Any] = {}
+        get = d.get
+        for a, x in terms:
+            for w, c in x:
+                d[w] = get(w, 0) + a * c
+        return self._norm(d)
+
+    def dot(self, pairs) -> TElement:
+        d: Dict[Word, Any] = {}
+        get = d.get
+        for x, y in pairs:
+            for w1, c1 in x:
+                for w2, c2 in y:
+                    w = w1 + w2
+                    d[w] = get(w, 0) + c1 * c2
+        return self._norm(d)
+
     def zero(self) -> TElement:
         return ()
 
@@ -85,12 +103,7 @@ class TensorAlgebra(Carrier):
         return cp_scale(RAT, a, x)
 
     def mul(self, x: TElement, y: TElement) -> TElement:
-        d: Dict[Word, Any] = {}
-        for w1, c1 in x:
-            for w2, c2 in y:
-                w = w1 + w2
-                d[w] = d.get(w, 0) + c1 * c2
-        return self._norm(d)
+        return self.dot(((x, y),))
 
     def contains(self, x) -> bool:
         if not isinstance(x, tuple):
@@ -110,19 +123,14 @@ class TensorAlgebra(Carrier):
 
     def eta(self, x: TElement):
         """The counit: multiply each word out in the base carrier."""
-        out = self.base.zero()
-        for w, c in x:
-            ls = self.letters(w)
-            prod = ls[0]
-            for l in ls[1:]:
-                prod = self.base.mul(prod, l)
-            out = self.base.add(out, self.base.scale(c, prod))
-        return out
+        mul = self.base.mul
+        return self.base.lincomb((c, reduce(mul, self.letters(w))) for w, c in x)
 
     def sigma(self, b) -> TElement:
         """The module splitting A → T(A) by length-1 words."""
         if self.based:
-            return self._norm({(k,): c for k, c in based_decompose(self.base, b)})
+            # the decomposition is canonical, and k ↦ (k,) keeps its order
+            return tuple(((k,), c) for k, c in based_decompose(self.base, b))
         if b == self.base.zero():
             return ()
         return (((b,), 1),)
@@ -157,6 +165,12 @@ class JKernel(Carrier):
 
     def mul(self, x, y):
         return self.ta.mul(x, y)
+
+    def lincomb(self, terms):
+        return self.ta.lincomb(terms)
+
+    def dot(self, pairs):
+        return self.ta.dot(pairs)
 
     def eta(self, x):
         return self.ta.eta(x)
@@ -260,15 +274,12 @@ def zero_morphism(source: Carrier, target: Carrier) -> Morphism:
 
 
 def word_image(ta: TensorAlgebra, x: TElement, letter_fn: Callable, target: Carrier):
-    """Σ c_w Π letter_fn(letter): the evaluation scheme of classifying maps."""
-    out = target.zero()
-    for w, c in x:
-        ls = ta.letters(w)
-        prod = letter_fn(ls[0])
-        for l in ls[1:]:
-            prod = target.mul(prod, letter_fn(l))
-        out = target.add(out, target.scale(c, prod))
-    return out
+    """Σ c_w Π letter_fn(letter): the evaluation scheme of classifying maps,
+    summed in one ``target.lincomb``."""
+    mul = target.mul
+    return target.lincomb(
+        (c, reduce(mul, map(letter_fn, ta.letters(w)))) for w, c in x
+    )
 
 
 def j_of(f: Morphism) -> Morphism:

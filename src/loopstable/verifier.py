@@ -318,7 +318,13 @@ def check_mu_properties(cfg: CheckConfig) -> Tuple[str, str]:
 
 def check_kappa_pq(cfg: CheckConfig) -> Tuple[str, str]:
     """The two-level exchange morphism decomposes through the one-level
-    ones: κ^{2,1} = κ^{1,1}-on-the-tower ∘ J(κ^{1,1})."""
+    ones: κ^{2,1} = κ^{1,1}-on-the-tower ∘ J(κ^{1,1}).
+
+    ``kappa(2, 1, A)`` is itself built by that same expression, so this
+    guards the n = 2 recursion of :func:`~loopstable.tensorj.kappa`: it
+    runs, and it evaluates to one canonical result on large elements.
+    It does not compare κ^{2,1} with an independent construction.
+    """
     A = cfg.algebra
     C = function_algebra(A, cube(1), 0)
     towers = j_tower(A, 2)

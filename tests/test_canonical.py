@@ -3,7 +3,9 @@
 Every decidable carrier's arithmetic returns elements in one spelling:
 keys strictly increasing in their native order, no zero coefficient, and
 the same rule one level down for polynomial and pair components.  These
-tests pin that invariant on every carrier flavour the catalog compares.
+tests pin that invariant on every carrier flavour the catalog compares,
+and check the one-pass sums ``lincomb`` and ``dot`` against folds of
+``add`` with ``scale`` and ``mul``.
 
 A coefficient is an int, or a Fraction when it is not integral.  Over an
 algebra with integral structure constants, integer arithmetic never makes
@@ -144,3 +146,71 @@ def test_detects_a_non_canonical_spelling():
 def test_rational_coefficients_are_exact():
     assert RAT.contains(2) and RAT.contains(F(1, 2))
     assert not RAT.contains(True) and not RAT.contains(0.5)
+
+
+# -- one-pass sums ---------------------------------------------------------
+
+
+def nonzero_samples(car, sample, rng, n):
+    """``n`` nonzero samples, so that no sum below is vacuously zero."""
+    out = []
+    while len(out) < n:
+        x = sample(rng)
+        if x != car.zero():
+            out.append(x)
+    return out
+
+
+def fold_lincomb(car, terms):
+    out = car.zero()
+    for a, x in terms:
+        out = car.add(out, car.scale(a, x))
+    return out
+
+
+def fold_dot(car, pairs):
+    out = car.zero()
+    for x, y in pairs:
+        out = car.add(out, car.mul(x, y))
+    return out
+
+
+@pytest.mark.parametrize("alg", sorted(ALGEBRAS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_sums_equal_the_fold(kind, alg):
+    car, sample = carrier_and_sampler(kind, ALGEBRAS[alg])
+    xs = nonzero_samples(car, sample, random.Random(11), 4)
+    terms = list(zip([2, -1, 1, 3], xs))
+    s = car.lincomb(terms)
+    assert s == fold_lincomb(car, terms)
+    assert_canonical(car, s, integral=True)
+    terms = list(zip([F(3, 2), -1, 1, F(-1, 3)], xs))
+    s = car.lincomb(iter(terms))  # any iterable of terms
+    assert s == fold_lincomb(car, terms)
+    assert_canonical(car, s)
+    pairs = list(zip(xs, xs[1:] + xs[:1]))
+    p = car.dot(pairs)
+    assert p == fold_dot(car, pairs)
+    assert_canonical(car, p, integral=True)
+
+
+@pytest.mark.parametrize("alg", sorted(ALGEBRAS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_sums_drop_what_cancels(kind, alg):
+    car, sample = carrier_and_sampler(kind, ALGEBRAS[alg])
+    x, y = nonzero_samples(car, sample, random.Random(5), 2)
+    assert car.lincomb([]) == car.zero()
+    assert car.dot(iter(())) == car.zero()
+    assert car.lincomb([(2, x), (1, y), (-1, y), (-2, x)]) == car.zero()
+    assert car.lincomb([(F(1, 2), x), (F(-1, 2), x)]) == car.zero()
+    assert car.dot([(x, y), (car.neg(x), y)]) == car.zero()
+    assert car.lincomb([(0, x)]) == car.zero()
+    assert car.lincomb([(0, x), (1, y)]) == y
+    assert car.lincomb([(1, y), (0, x)]) == y
+
+
+def test_rational_sums():
+    assert RAT.lincomb([]) == 0 and RAT.dot([]) == 0
+    assert RAT.lincomb([(F(1, 2), 3), (2, F(1, 4))]) == 2
+    assert RAT.dot([(F(1, 2), 3), (-3, F(1, 2))]) == 0
+    assert type(RAT.lincomb([(2, 3), (-1, 1)])) is int

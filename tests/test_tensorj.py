@@ -187,6 +187,8 @@ class TestKappa:
         assert k11(x) == expected
 
     def test_kappa_pq_decomposition(self):
+        # kappa(2, 1, B) is built by the same expression as rhs: this guards
+        # the n = 2 recursion, not an independently constructed κ^{2,1}
         C = function_algebra(B, S1, 0)
         towers = j_tower(B, 2)
         lhs = kappa(2, 1, B)
