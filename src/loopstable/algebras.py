@@ -3,9 +3,11 @@
 Elements are canonical vectors ``((label, coefficient), ...)``, each
 coefficient an int, or a Fraction when not integral: sparse
 combinations of basis labels over the rationals in the canonical form of
-:mod:`loopstable.poly`, so vector arithmetic is ``cp_add``/``cp_scale``
-over ``RAT``.  Includes the built-in test algebras and the
-text file format consumed by the CLI.
+:mod:`loopstable.poly`.  ``add`` and ``scale`` are ``cp_add``/``cp_scale``
+over ``RAT``; the sums ``lincomb`` and ``dot`` (and ``mul``, the ``dot``
+of one pair) collect every term in one dict and canonicalise it once.
+Includes the built-in test algebras and the text file format consumed by
+the CLI.
 """
 
 from __future__ import annotations
@@ -77,19 +79,29 @@ class FinAlgebra(Carrier):
         return cp_scale(RAT, a, x)
 
     def mul(self, x: Vec, y: Vec) -> Vec:
+        return self.dot(((x, y),))
+
+    def lincomb(self, terms) -> Vec:
         d: Dict[str, Any] = {}
+        get = d.get
+        for a, x in terms:
+            for k, c in x:
+                d[k] = get(k, 0) + a * c
+        return cp_norm(RAT, d)
+
+    def dot(self, pairs) -> Vec:
+        d: Dict[str, Any] = {}
+        get = d.get
         tbl = self.table
-        for i, ci in x:
-            for j, cj in y:
-                e = tbl.get((i, j))
-                if not e:
-                    continue
-                c = ci * cj
-                for k, ck in e:
-                    if k in d:
-                        d[k] = d[k] + c * ck
-                    else:
-                        d[k] = c * ck
+        for x, y in pairs:
+            for i, ci in x:
+                for j, cj in y:
+                    e = tbl.get((i, j))
+                    if not e:
+                        continue
+                    c = ci * cj
+                    for k, ck in e:
+                        d[k] = get(k, 0) + c * ck
         return cp_norm(RAT, d)
 
     def contains(self, x) -> bool:

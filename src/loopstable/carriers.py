@@ -8,7 +8,10 @@ membership) and, where it can, draws deterministic samples of them from a
 :meth:`Carrier.lincomb` (Σ aᵢ·xᵢ) and :meth:`Carrier.dot` (Σ xᵢ·yᵢ).  They
 default to folds of the binary operations; a carrier whose elements are
 sparse combinations overrides them to build one dict and canonicalise it
-once, instead of once per term.  Where zero is decidable every element
+once, instead of once per term.  The one-pass overrides are ``RAT``,
+``FinAlgebra``, ``TensorAlgebra`` (and ``JKernel``, which delegates to
+it) and ``FunctionAlgebra``; ``PullbackCarrier`` and ``PolyExtension``
+keep the folds.  Where zero is decidable every element
 has exactly one representation, so ``==`` is equality and
 ``x == zero()`` is the zero test.  Concrete carriers: finite-dimensional
 algebras (:mod:`loopstable.algebras`), polynomial function algebras

@@ -228,14 +228,17 @@ class ExtensionData:
         if isinstance(quo, FinAlgebra):
             qs = [quo.basis_vec(l) for l in quo.labels]
         qs += [quo.sample(rng) for _ in range(samples)]
+        sq = []  # s(q) for q in qs, shared by both checks
         for q in qs:
-            if self.pi(self.s(q)) != q:
+            s_q = self.s(q)
+            if self.pi(s_q) != q:
                 raise ExtensionError(f"{self.name}: pi∘s != id at {q!r}")
+            sq.append(s_q)
         if mid.can_decide_zero:
-            for q1 in qs:
-                for q2 in qs[:3]:
+            for q1, s1 in zip(qs, sq):
+                for q2, s2 in zip(qs[:3], sq[:3]):
                     lhs = self.s(quo.add(q1, q2))
-                    rhs = mid.add(self.s(q1), self.s(q2))
+                    rhs = mid.add(s1, s2)
                     if lhs != rhs:
                         raise ExtensionError(
                             f"{self.name}: splitting not additive at "
@@ -258,8 +261,10 @@ def with_splitting(E: ExtensionData, s2: Morphism) -> ExtensionData:
 # -- the universal extension ---------------------------------------------
 
 
+@cache
 def universal_extension(A: Carrier) -> ExtensionData:
-    """J(A) → T(A) → A with the length-one-word splitting."""
+    """J(A) → T(A) → A with the length-one-word splitting, one per carrier
+    (by identity)."""
     ta = tensor_algebra(A)
     J = j_kernel(A)
     return make_extension(
@@ -309,12 +314,14 @@ def strong_morphism_check(
     rng = random.Random(seed)
     for _ in range(samples):
         x = E1.kernel.sample(rng)
-        if b(E1.iota(x)) != E2.iota(a(x)):
+        ix = E1.iota(x)
+        if b(ix) != E2.iota(a(x)):
             return False
         q = E1.quotient.sample(rng)
-        if b(E1.s(q)) != E2.s(c(q)):
+        sq = E1.s(q)
+        if b(sq) != E2.s(c(q)):
             return False
-        m = E1.mid.add(E1.s(q), E1.iota(x))
+        m = E1.mid.add(sq, ix)
         if E2.pi(b(m)) != c(E1.pi(m)):
             return False
     return True
@@ -345,9 +352,15 @@ def naturality_check(
 
 def path_extension(n: int, B: Carrier, r: int = 0) -> ExtensionData:
     """Functions on the cube-with-path pair, as an extension over the
-    n-cube algebra, split by b ↦ b·(1 − t_last)."""
+    n-cube algebra, split by b ↦ b·(1 − t_last); built once per
+    ``(n, B, r)``, the carrier by identity."""
     if not 0 <= n <= PATH_EXT_BOUND:
         raise ValueError(f"path extension index {n} out of range")
+    return _path_extension(n, B, r)
+
+
+@cache
+def _path_extension(n: int, B: Carrier, r: int) -> ExtensionData:
     if n == 0:
         mid = function_algebra(B, interval_rel_one(), r)
         kernel = function_algebra(B, cube(1), r)
@@ -443,7 +456,9 @@ class HomotopyCertificate:
     Each link is a morphism into the [u]-extension of the common target;
     verification checks the endpoint equalities, the chaining of
     consecutive links, and that every link is an algebra map, exactly on
-    deterministic samples of the common source.
+    deterministic samples of the common source.  Each link is evaluated
+    once per sample; the algebra-map checks reuse those images and
+    evaluate the links again only on sums and products of two samples.
     """
 
     name: str
@@ -463,8 +478,10 @@ class HomotopyCertificate:
         rng = random.Random(seed)
         src = self.left.source
         xs = [src.sample(rng) for _ in range(max(samples, 2))]
+        images = []  # images[k][i] = chain[i](xs[k])
         for x in xs:
             vals = [link(x) for link in self.chain]
+            images.append(vals)
             px = self.chain[0].target
             if px.evaluate(vals[0], 0) != self.left(x):
                 raise CertificateError(f"{self.name}: u=0 endpoint at {x!r}")
@@ -478,14 +495,14 @@ class HomotopyCertificate:
                     raise CertificateError(
                         f"{self.name}: links {i},{i + 1} do not chain at {x!r}"
                     )
-        for x, y in zip(xs[::2], xs[1::2]):
-            for link in self.chain:
+        for x, y, vx, vy in zip(xs[::2], xs[1::2], images[::2], images[1::2]):
+            for link, lx, ly in zip(self.chain, vx, vy):
                 px = link.target
-                if link(src.add(x, y)) != px.add(link(x), link(y)):
+                if link(src.add(x, y)) != px.add(lx, ly):
                     raise CertificateError(
                         f"{self.name}: link {link.name} not additive"
                     )
-                if link(src.mul(x, y)) != px.mul(link(x), link(y)):
+                if link(src.mul(x, y)) != px.mul(lx, ly):
                     raise CertificateError(
                         f"{self.name}: link {link.name} not multiplicative"
                     )
@@ -497,13 +514,19 @@ class HomotopyCertificate:
 
 def mapping_path(f: Morphism, r: int = 0) -> ExtensionData:
     """The mapping path of f : A → B as the split extension
-    B^(S_1)_r → P[f]_r → A.
+    B^(S_1)_r → P[f]_r → A, built once per ``(f, r)``, the morphism by
+    identity.
 
     The mid holds pairs (p, a) with p a path in B vanishing at 1 and
     p(0) = f(a); ``mid.left`` is that path algebra.  Loops include as
     (q, 0), the projection is (p, a) ↦ a and the section
     a ↦ (f(a)(1 − t), a).
     """
+    return _mapping_path(f, r)
+
+
+@cache
+def _mapping_path(f: Morphism, r: int) -> ExtensionData:
     A, Bc = f.source, f.target
     PBr = function_algebra(Bc, interval_rel_one(), r)
     loop = function_algebra(Bc, cube(1), r)

@@ -555,10 +555,12 @@ def global_poly(fa: FunctionAlgebra, x: Element) -> CPoly:
     return cp_subst(fa.base, dict(x).get(top, cp_zero()), images, n)
 
 
+@cache
 def vanishing_scalar(pair0: SimplicialPair) -> Element:
     """A scalar family generating the vanishing conditions of the pair:
     the product of (t_i² − t_i) for 'both' coordinates and (t_i − 1) for
-    'one' coordinates (constant 1 if the profile is empty/free)."""
+    'one' coordinates (constant 1 if the profile is empty/free); built
+    once per pair."""
     sfa = scalar_algebra(pair0, 0, relative=False)
     n = len(pair0.coords)
     out = constant_function(sfa, 1)

@@ -265,7 +265,9 @@ class Morphism:
         return f"<Morphism {self.name}: {self.source.name} -> {self.target.name}>"
 
 
+@cache
 def identity_morphism(car: Carrier) -> Morphism:
+    """id on ``car``, one per carrier (by identity)."""
     return Morphism(car, car, lambda x: x, f"id[{car.name}]")
 
 

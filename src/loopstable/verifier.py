@@ -559,14 +559,17 @@ def check_star_lambda(cfg: CheckConfig) -> Tuple[str, str]:
     jlam = j_of(lam)
     faJ = k11.target
     xs2 = sample_j_elements(A, 2, min(cfg.samples, 10), seed=cfg.seed)
+    reps = []  # hres.rep on xs2, shared by both comparisons
     for i, x in enumerate(xs2):
-        if hres.rep(x) != omega(faJ, k11(jlam(x))):
+        rep = hres.rep(x)
+        if rep != omega(faJ, k11(jlam(x))):
             _fail(f"resolved composite deviates from the reversed exchange "
                   f"at sample {i}", element=x)
+        reps.append(rep)
     # compare against the loop classifier of the kernel, by exact equality
     lamJ = lambda_(JA)
     n = min(len(xs2), 4)
-    if any(hres.rep(x) != lamJ(x) for x in xs2[:n]):
+    if any(rep != lamJ(x) for x, rep in zip(xs2[:n], reps)):
         return NOT_FOUND, (
             "unit and sign identities exact; an exact equality test found "
             "the left composite unequal to the kernel's loop classifier "

@@ -18,7 +18,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from loopstable.algebras import FinAlgebra, dual_numbers, m2q
+from loopstable.algebras import FinAlgebra, dual_numbers, m2q, parse_algebra_file
 from loopstable.carriers import RAT, PullbackCarrier, Rationals
 from loopstable.extensions import PolyExtension, mapping_path, poly_carrier
 from loopstable.funalg import FunctionAlgebra, function_algebra, sample_element
@@ -214,3 +214,49 @@ def test_rational_sums():
     assert RAT.lincomb([(F(1, 2), 3), (2, F(1, 4))]) == 2
     assert RAT.dot([(F(1, 2), 3), (-3, F(1, 2))]) == 0
     assert type(RAT.lincomb([(2, 3), (-1, 1)])) is int
+
+
+# -- FinAlgebra's one-pass sums ----------------------------------------------
+
+# the file format with non-integral structure constants: a = e11/2 and
+# b = e12 in the upper triangular 2×2 matrices
+HALF_TRIANGULAR = parse_algebra_file("""name: half-triangular
+basis: a b
+a*a = 1/2*a
+a*b = 1/2*b
+""")
+FIN_ALGEBRAS = {**ALGEBRAS, "file": HALF_TRIANGULAR}
+
+
+def table_product(A, x, y):
+    """x·y expanded on basis pairs with ``add`` and ``scale`` only, as a
+    reference that does not go through ``mul`` or ``dot``."""
+    out = A.zero()
+    for i, ci in x:
+        for j, cj in y:
+            out = A.add(out, A.scale(ci * cj, A.table.get((i, j), A.zero())))
+    return out
+
+
+@pytest.mark.parametrize("alg", sorted(FIN_ALGEBRAS))
+def test_fin_algebra_sums_equal_the_fold(alg):
+    A = FIN_ALGEBRAS[alg]
+    integral = alg != "file"
+    xs = nonzero_samples(A, A.sample, random.Random(3), 4)
+    for coeffs in ([2, -1, 1, 3], [F(3, 2), -1, 1, F(-1, 3)]):
+        terms = list(zip(coeffs, xs))
+        s = A.lincomb(iter(terms))
+        assert s == fold_lincomb(A, terms) != A.zero()
+        assert_canonical(A, s, all(type(a) is int for a in coeffs))
+    pairs = list(zip(xs, xs[1:] + xs[:1]))
+    for x, y in pairs:
+        assert A.mul(x, y) == table_product(A, x, y)
+        assert_canonical(A, A.mul(x, y), integral)
+    p = A.dot(iter(pairs))
+    expected = A.zero()
+    for x, y in pairs:
+        expected = A.add(expected, table_product(A, x, y))
+    assert p == expected != A.zero()
+    assert_canonical(A, p, integral)
+    assert A.lincomb([]) == A.zero() and A.dot([]) == A.zero()
+    assert A.dot([(x, y), (A.neg(x), y)]) == A.zero()

@@ -8,6 +8,7 @@ import pytest
 from loopstable.algebras import AlgebraMap, dual_numbers, rationals
 from loopstable.extensions import (
     CertificateError,
+    ExtensionData,
     ExtensionError,
     HomotopyCertificate,
     alternate_path_splitting,
@@ -26,6 +27,7 @@ from loopstable.extensions import (
     tr2_certificate,
     tr4_tower,
     universal_extension,
+    with_splitting,
 )
 from loopstable.funalg import (
     apply_to_coefficients,
@@ -307,6 +309,41 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="empty chain"):
             empty.verify(samples=2, seed=0)
 
+    @staticmethod
+    def _bent(cert, extra):
+        """``cert`` with its one link H replaced by H + u(1−u)·extra(H(x)),
+        which keeps the values at u = 0 and u = 1."""
+        link = cert.chain[0]
+        px = link.target
+        fa = px.base
+
+        def fn(x):
+            h = link(x)
+            d = {}  # u(1−u)·e = u·e − u²·e
+            for (k,), c in extra(px, h):
+                d[k + 1] = fa.add(d.get(k + 1, fa.zero()), c)
+                d[k + 2] = fa.sub(d.get(k + 2, fa.zero()), c)
+            return px.add(h, px.from_powers(d))
+
+        return HomotopyCertificate(
+            name=f"bent-{cert.name}",
+            left=cert.left,
+            right=cert.right,
+            chain=[Morphism(link.source, px, fn, "bent")],
+        )
+
+    def test_non_additive_link_detected(self):
+        # the path algebra over Q has no zero divisors, so the cross term
+        # u(1−u)·(H(x)H(y) + H(y)H(x)) of a nonzero pair is nonzero
+        cert = self._bent(pb_contraction_certificate(Q), lambda px, h: px.mul(h, h))
+        with pytest.raises(CertificateError, match="not additive"):
+            cert.verify(samples=2, seed=3)
+
+    def test_non_multiplicative_link_detected(self):
+        cert = self._bent(pb_contraction_certificate(Q), lambda px, h: h)
+        with pytest.raises(CertificateError, match="not multiplicative"):
+            cert.verify(samples=2, seed=3)
+
 
 class TestPolyExtension:
     """The homotopy carrier C[u] on sampled link values: the pb-contraction
@@ -443,3 +480,65 @@ class TestExtensionInvariants:
                 s=Morphism(B, ta, lambda b: ta.zero(), "bad"),
                 name="broken",
             )
+
+    def test_non_additive_splitting_rejected(self):
+        # a curvature lies in the counit kernel, so π∘s = id still holds,
+        # but b ↦ σ(b) + curvature(b, b) is quadratic in b
+        U = universal_extension(B)
+        ta = U.mid
+        s2 = Morphism(
+            B, ta, lambda b: ta.add(ta.sigma(b), ta.curvature(b, b)), "sigma+curv"
+        )
+        with pytest.raises(ExtensionError, match="splitting not additive"):
+            with_splitting(U, s2)
+
+
+class TestBuilderCaches:
+    """Each construction is built once per argument tuple, keyed by the
+    identity of its carriers and morphisms, never by a printable name."""
+
+    def test_same_arguments_same_object(self):
+        A = dual_numbers()
+        f = identity_morphism(A)
+        assert identity_morphism(A) is f
+        assert universal_extension(A) is universal_extension(A)
+        assert path_extension(0, A) is path_extension(0, A, 0)
+        assert path_extension(1, A, 0) is path_extension(1, A, 0)
+        assert path_extension(0, A, 1) is not path_extension(0, A)
+        assert mapping_path(f) is mapping_path(f, 0)
+        assert mapping_path(f, 1) is mapping_path(f, 1)
+        assert mapping_path(f, 1) is not mapping_path(f)
+        assert vanishing_scalar(cube(1)) is vanishing_scalar(cube(1))
+
+    def test_equal_names_get_distinct_objects(self):
+        A1, A2 = dual_numbers(), dual_numbers()
+        assert A1.name == A2.name
+        id1, id2 = identity_morphism(A1), identity_morphism(A2)
+        assert id1.name == id2.name and id1 is not id2
+        assert universal_extension(A1) is not universal_extension(A2)
+        E1, E2 = path_extension(0, A1), path_extension(0, A2)
+        assert E1.name == E2.name and E1 is not E2
+        assert E1.quotient is A1 and E2.quotient is A2
+        M1, M2 = mapping_path(id1), mapping_path(id2)
+        assert M1.name == M2.name and M1 is not M2
+        assert M1.quotient is A1 and M2.quotient is A2
+        g1, g2 = _g_map(), _g_map()
+        assert g1.name == g2.name
+        assert mapping_path(g1) is not mapping_path(g2)
+
+    def test_validate_runs_once_per_construction(self, monkeypatch):
+        names = []
+        validate = ExtensionData.validate
+
+        def counting(self, *args, **kwargs):
+            names.append(self.name)
+            validate(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExtensionData, "validate", counting)
+        A = dual_numbers()
+        for _ in range(2):
+            universal_extension(A)
+            path_extension(0, A)
+            mapping_path(identity_morphism(A))
+            mapping_path(identity_morphism(A), 0)
+        assert len(names) == 3, names
