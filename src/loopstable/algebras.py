@@ -55,7 +55,7 @@ class FinAlgebra(Carrier):
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate basis labels")
         self.table = {k: vec(dict(v)) for k, v in table.items() if v}
-        self.unit = vec(dict(unit)) if unit else None
+        self.unit = None if unit is None else vec(dict(unit))
         if validate:
             self.validate()
 

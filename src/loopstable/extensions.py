@@ -21,9 +21,8 @@ from __future__ import annotations
 import gc
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from functools import cache
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from .algebras import FinAlgebra
 from .carriers import RAT, Carrier, PullbackCarrier
@@ -191,8 +190,11 @@ class ExtensionError(ValueError):
     pass
 
 
-@dataclass
-class ExtensionData:
+def _identity(x):
+    return x
+
+
+class ExtensionData(NamedTuple):
     """A split extension kernel → mid → quotient with module splitting s.
 
     Validation and the strong-morphism check draw their samples from the
@@ -206,11 +208,7 @@ class ExtensionData:
     pi: Morphism
     s: Morphism
     name: str
-    into_kernel: Callable[[Any], Any] = None
-
-    def __post_init__(self):
-        if self.into_kernel is None:
-            self.into_kernel = lambda x: x
+    into_kernel: Callable[[Any], Any] = _identity
 
     # -- invariant suite -------------------------------------------------
 
@@ -253,7 +251,7 @@ def make_extension(**kw) -> ExtensionData:
 
 
 def with_splitting(E: ExtensionData, s2: Morphism) -> ExtensionData:
-    ext = replace(E, s=s2, name=f"{E.name}<{s2.name}>")
+    ext = E._replace(s=s2, name=f"{E.name}<{s2.name}>")
     ext.validate()
     return ext
 
@@ -449,8 +447,7 @@ class CertificateError(AssertionError):
     pass
 
 
-@dataclass
-class HomotopyCertificate:
+class HomotopyCertificate(NamedTuple):
     """A chain of elementary polynomial homotopies between two morphisms.
 
     Each link is a morphism into the [u]-extension of the common target;
@@ -570,8 +567,7 @@ def _mapping_path(f: Morphism, r: int) -> ExtensionData:
 # -- the comparison map into the double mapping path ----------------------
 
 
-@dataclass
-class PhiData:
+class PhiData(NamedTuple):
     phi: Morphism
     mp_f: ExtensionData
     mp_pi: ExtensionData
@@ -679,8 +675,7 @@ def square_contraction_certificate(B: Carrier) -> HomotopyCertificate:
 # -- mapping cylinders ----------------------------------------------------
 
 
-@dataclass
-class MappingCylinder:
+class MappingCylinder(NamedTuple):
     extension: ExtensionData
     pr: Morphism
     section: Morphism
@@ -767,8 +762,7 @@ def mapping_cylinder(g: Morphism) -> MappingCylinder:
 # -- the three-map tower for composable morphisms -------------------------
 
 
-@dataclass
-class TR4Tower:
+class TR4Tower(NamedTuple):
     mp_a: ExtensionData
     mp_eta: ExtensionData
     theta: Morphism

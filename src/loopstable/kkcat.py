@@ -9,8 +9,7 @@ interval reversal or a coordinate swap), and the two triangle
 constructors: mapping-path triangles and extension triangles.
 """
 
-from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .carriers import Carrier
 from .extensions import ExtensionData, classifying_map, mapping_path
@@ -38,8 +37,7 @@ J_DEPTH_BOUND = 3
 Obj = Tuple[Carrier, int]
 
 
-@dataclass(frozen=True)
-class KKHom:
+class KKHom(NamedTuple):
     """A graded morphism representative.
 
     ``rep`` is a concrete map J^{m+v}A → B^{𝔖_{n+v}}_r.  ``pending_sign``
@@ -174,10 +172,10 @@ def resolve_sign(h: KKHom) -> KKHom:
         new = Morphism(
             h.rep.source, fa, lambda x: omega(fa, h.rep(x)), f"rev∘{h.rep.name}"
         )
-        return replace(h, rep=new, pending_sign=1)
+        return h._replace(rep=new, pending_sign=1)
     if N >= 2 and h.r == 0:
         c = swap_pullback(fa)
-        return replace(h, rep=c.after(h.rep), pending_sign=1)
+        return h._replace(rep=c.after(h.rep), pending_sign=1)
     return h
 
 
@@ -249,8 +247,7 @@ def star(g: KKHom, f: KKHom, resolve: bool = True) -> KKHom:
 # -- triangles -----------------------------------------------------------
 
 
-@dataclass
-class TriangleData:
+class TriangleData(NamedTuple):
     """A rotated four-object diagram with its boundary morphism."""
 
     objects: Tuple[Obj, Obj, Obj, Obj]

@@ -27,7 +27,7 @@ eliminated via ``t_0 = 1 − Σ t_i``); exponent tuples have length ``n``.
 from __future__ import annotations
 
 from functools import cache
-from operator import add
+from operator import add, itemgetter
 from typing import Any, Callable, Dict, Iterable, Sequence, Tuple
 
 from .carriers import RAT, rat
@@ -35,6 +35,7 @@ from .carriers import RAT, rat
 Exps = Tuple[int, ...]
 CPoly = Tuple[Tuple[Exps, Any], ...]
 QPoly = CPoly  # over RAT: int coefficients, Fraction when not integral
+_BY_KEY = itemgetter(0)  # sort key of (key, coefficient) items
 
 # -- scalar polynomials -------------------------------------------------
 
@@ -79,12 +80,13 @@ def cp_norm(car, d: Dict[Any, Any]) -> CPoly:
     """The canonical combination of ``d``: zeros dropped, sorted by key.
 
     A coefficient is zero when it is ``==`` to ``car.zero()``; the keys of
-    a dict are distinct, so sorting the keys alone gives the order.
+    a dict are distinct, so sorting the items by key alone gives the order
+    without looking any key up again.
     """
     z = car.zero()
-    keys = [k for k, c in d.items() if c != z]
-    keys.sort()
-    return tuple([(k, d[k]) for k in keys])
+    items = [kc for kc in d.items() if kc[1] != z]
+    items.sort(key=_BY_KEY)
+    return tuple(items)
 
 
 def cp_add(car, p: CPoly, q: CPoly) -> CPoly:

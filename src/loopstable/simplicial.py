@@ -13,9 +13,10 @@ chain entrywise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple,
+)
 
 #: Largest cube the engine will build (dimension bound of the design).
 MAX_CUBE_DIM = 3
@@ -108,18 +109,35 @@ class SimplicialMap:
 # -- pairs ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SimplicialPair:
     """A simplicial set with a (possibly empty) face-closed subset of bases.
 
     Pairs compare and hash by the identity of ``total``, the subobject and
-    the name, which makes them keys of the carrier caches.
+    the name, never by ``coords``, which makes them keys of the carrier
+    caches.  They are not changed after construction.
     """
 
-    total: FinSimplicialSet
-    sub: FrozenSet[Any]
-    name: str = ""
-    coords: Tuple[Any, ...] = field(default=(), compare=False)
+    __slots__ = ("total", "sub", "name", "coords")
+
+    def __init__(
+        self,
+        total: FinSimplicialSet,
+        sub: FrozenSet[Any],
+        name: str = "",
+        coords: Tuple[Any, ...] = (),
+    ) -> None:
+        self.total = total
+        self.sub = sub
+        self.name = name
+        self.coords = coords
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.total, self.sub, self.name) == (other.total, other.sub, other.name)
+
+    def __hash__(self) -> int:
+        return hash((self.total, self.sub, self.name))
 
 
 # -- standard objects ----------------------------------------------------
@@ -217,8 +235,7 @@ def product(
     return P, pr1, pr2
 
 
-@dataclass
-class BoxProduct:
+class BoxProduct(NamedTuple):
     pair: SimplicialPair
     pr1: SimplicialMap
     pr2: SimplicialMap

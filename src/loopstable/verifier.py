@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .algebras import (
     AlgebraMap,
@@ -90,15 +89,24 @@ NOT_FOUND = "NOT-FOUND"
 V0, V1, EDGE = ((0,),), ((1,),), ((0,), (1,))
 
 
-@dataclass
 class CheckConfig:
     """Configuration shared by every check: the algebra under test and
-    the deterministic sampling parameters."""
+    the deterministic sampling parameters.  Without an algebra, each
+    configuration gets its own dual numbers."""
 
-    algebra_name: str = "dual"
-    algebra: Carrier = field(default_factory=dual_numbers)
-    samples: int = 20
-    seed: int = 0
+    __slots__ = ("algebra_name", "algebra", "samples", "seed")
+
+    def __init__(
+        self,
+        algebra_name: str = "dual",
+        algebra: Optional[Carrier] = None,
+        samples: int = 20,
+        seed: int = 0,
+    ) -> None:
+        self.algebra_name = algebra_name
+        self.algebra = dual_numbers() if algebra is None else algebra
+        self.samples = samples
+        self.seed = seed
 
     def echo(self) -> Dict[str, Any]:
         return {
@@ -108,8 +116,7 @@ class CheckConfig:
         }
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     check: str
     status: str
     detail: str
@@ -637,8 +644,7 @@ def check_appendix_m1n1(cfg: CheckConfig) -> Tuple[str, str]:
 # -- catalog ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     description: str
     fn: Callable[[CheckConfig], Tuple[str, str]]
 
@@ -742,8 +748,7 @@ def run_check(check_id: str, cfg: CheckConfig) -> CheckResult:
     return CheckResult(check_id, status, detail, ce, time.perf_counter() - t0)
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     config: Dict[str, Any]
     results: List[CheckResult]
 

@@ -22,6 +22,7 @@ from loopstable.algebras import FinAlgebra, dual_numbers, m2q, parse_algebra_fil
 from loopstable.carriers import RAT, PullbackCarrier, Rationals
 from loopstable.extensions import PolyExtension, mapping_path, poly_carrier
 from loopstable.funalg import FunctionAlgebra, function_algebra, sample_element
+from loopstable.poly import cp_norm
 from loopstable.simplicial import cube
 from loopstable.tensorj import (
     JKernel,
@@ -146,6 +147,35 @@ def test_detects_a_non_canonical_spelling():
 def test_rational_coefficients_are_exact():
     assert RAT.contains(2) and RAT.contains(F(1, 2))
     assert not RAT.contains(True) and not RAT.contains(0.5)
+
+
+# -- the canonical form itself ---------------------------------------------
+
+NORM_VALUES = [0, F(0), 1, -2, 7, F(1, 2), F(-3, 4)]
+
+
+def exponent_key(rng):
+    return tuple(rng.randrange(3) for _ in range(2))
+
+
+def word_key(rng):
+    """A tensor word whose letters are themselves sparse combinations."""
+    return tuple(
+        tuple(((rng.randrange(2), rng.randrange(2)), rng.choice([1, -1, F(1, 2)]))
+              for _ in range(rng.randrange(1, 3)))
+        for _ in range(rng.randrange(1, 4))
+    )
+
+
+@pytest.mark.parametrize("key", [exponent_key, word_key], ids=lambda f: f.__name__)
+def test_cp_norm_sorts_the_nonzero_items(key):
+    rng = random.Random(key.__name__)
+    cases = [{}, {key(rng): F(1, 3)}, {key(rng): 0}, {key(rng): 0, key(rng): F(0)}]
+    cases += [{key(rng): rng.choice(NORM_VALUES) for _ in range(rng.randrange(12))}
+              for _ in range(300)]
+    for d in cases:
+        expected = tuple(sorted((k, c) for k, c in d.items() if c != 0))
+        assert cp_norm(RAT, d) == expected
 
 
 # -- one-pass sums ---------------------------------------------------------

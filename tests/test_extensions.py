@@ -95,6 +95,13 @@ class TestUniversalExtension:
         x = curvature(B, BX, B1)
         assert xi(x) == x
 
+    def test_default_into_kernel_is_the_identity(self):
+        # the kernel is J(A) inside T(A), so no map back is passed
+        U = universal_extension(B)
+        x = curvature(B, BX, B1)
+        assert U.into_kernel(x) is x
+        assert ExtensionData(*U[:7]).into_kernel is U.into_kernel
+
 
 class TestPathExtension:
     def test_presentation_r0(self):

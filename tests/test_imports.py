@@ -1,9 +1,12 @@
 """Every name a ``loopstable`` module or a test module imports is used in
-that module, and every public top-level function and class of
-``loopstable`` is reached from the command line or the module-level
-tables."""
+that module, every public top-level function and class of ``loopstable``
+is reached from the command line or the module-level tables, and the
+command line starts without ``dataclasses`` or ``inspect``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,3 +129,17 @@ def test_detects_unreached_definition():
         ),
     }
     assert unreached_definitions(sources) == ["core.Orphan", "core.dead"]
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    # with them come ast, dis, tokenize, linecache, copy and
+    # importlib.machinery, all paid by every CLI process
+    code = ("import sys; before = set(sys.modules); import loopstable.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.split()
+    assert "loopstable.verifier" in out
+    assert {"dataclasses", "inspect"}.isdisjoint(out)

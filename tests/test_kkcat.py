@@ -1,7 +1,6 @@
 """Graded morphism representatives, ⋆ composition, signs, and triangles."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -154,7 +153,7 @@ class TestStar:
 
 def _negated(h):
     """Materialize a pending −1 on ``h``."""
-    return resolve_sign(replace(h, pending_sign=-1))
+    return resolve_sign(h._replace(pending_sign=-1))
 
 
 class TestSigns:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from loopstable.simplicial import (
     FinSimplicialSet,
     SimplicialMap,
+    SimplicialPair,
     _nondegenerate,
     box_product,
     cube,
@@ -144,6 +145,29 @@ class TestSubdivision:
             rev = interval_reversal(r)
             assert_simplicial(rev, injective=True)
             assert composite(rev, rev) == {b: b for b in rev.source.bases()}
+
+
+class TestSimplicialPair:
+    def test_coords_do_not_enter_equality_or_hash(self):
+        P = cube(2)
+        Q = SimplicialPair(P.total, P.sub, P.name, coords=("one", "one"))
+        assert P == Q
+        assert not P != Q
+        assert hash(P) == hash(Q)
+        # so Q finds the products cached for P
+        assert box_product(Q, Q) is box_product(P, P)
+
+    def test_total_sub_and_name_enter_equality(self):
+        P = cube(1)
+        twin = FinSimplicialSet(P.total.elements, P.total.leq, P.total.name)
+        for other in (
+            SimplicialPair(twin, P.sub, P.name, P.coords),
+            SimplicialPair(P.total, frozenset(), P.name, P.coords),
+            SimplicialPair(P.total, P.sub, "other", P.coords),
+        ):
+            assert P != other
+            assert not P == other
+        assert P != (P.total, P.sub, P.name)
 
 
 class TestBoxProduct:

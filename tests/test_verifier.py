@@ -48,6 +48,11 @@ def _cfg(**kw):
 
 
 class TestCatalog:
+    def test_default_config_gets_its_own_dual(self):
+        a, b = CheckConfig(), CheckConfig()
+        assert a.algebra is not b.algebra
+        assert a.algebra.name == b.algebra.name == dual_numbers().name
+
     def test_all_checks_run_clean(self):
         report = run_suite(["all"], _cfg())
         assert len(report.results) == len(CATALOG)
@@ -188,6 +193,15 @@ class TestCLI:
             bad.write_text(text)
             assert cli.main(["--algebra", f"file:{bad}"]) == 2
             assert "repeated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unit", ["0", "0*1", "1*x + -1*x"])
+    def test_exit_two_on_zero_unit(self, tmp_path, capsys, unit):
+        # a declared unit that parses to zero is validated, not dropped
+        p = tmp_path / "zero-unit.alg"
+        p.write_text(f"basis: 1 x\nunit: {unit}\n1*1 = 1*1\n1*x = 1*x\n"
+                     "x*1 = 1*x\n")
+        assert cli.main(["--algebra", f"file:{p}", "--samples", "0"]) == 2
+        assert "declared unit is not two-sided" in capsys.readouterr().err
 
     def test_exit_one_on_failure(self, monkeypatch):
         monkeypatch.setattr(kkcat, "crossing_sign", lambda n2, n3: 1)
