@@ -3,8 +3,8 @@ homotopy category of algebras.
 
 Subpackages/modules:
 
-- :mod:`loopstable.simplicial` — finite simplicial sets, cubes, subdivision,
-  last-vertex maps, box products.
+- :mod:`loopstable.simplicial` — finite simplicial sets, cube pairs given by
+  coordinate profiles, subdivision, last-vertex maps.
 - :mod:`loopstable.algebras` — finite-dimensional algebras by structure
   constants, built-ins, and the algebra file format.
 - :mod:`loopstable.funalg` — algebras of polynomial functions on subdivided

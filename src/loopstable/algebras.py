@@ -138,12 +138,8 @@ class FinAlgebra(Carrier):
 
 
 class AlgebraMap:
-    """A linear map between finite-dimensional algebras given on basis.
-
-    ``validate`` checks multiplicativity on all basis pairs (algebra map);
-    with ``require_multiplicative=False`` only linearity (free) is assumed,
-    for module splittings.
-    """
+    """An algebra map between finite-dimensional algebras given on basis,
+    checked for multiplicativity on all basis pairs when built."""
 
     def __init__(
         self,
@@ -151,7 +147,6 @@ class AlgebraMap:
         target: FinAlgebra,
         images: Dict[str, Vec],
         name: str = "",
-        require_multiplicative: bool = True,
     ) -> None:
         self.source = source
         self.target = target
@@ -159,8 +154,7 @@ class AlgebraMap:
         self.name = name
         if set(self.images) != set(source.labels):
             raise ValueError("images must be given on the whole basis")
-        if require_multiplicative:
-            self.validate()
+        self.validate()
 
     def apply(self, x: Vec) -> Vec:
         return self.target.lincomb((c, self.images[k]) for k, c in x)
@@ -297,14 +291,15 @@ def parse_algebra_file(text: str) -> FinAlgebra:
         unit: 1*a            # optional
         a*b = 1/2*c + -1*a   # missing products are zero
 
-    Coefficients are exact fractions ``p`` or ``p/q``.  A repeated
-    ``name:``, ``basis:`` or ``unit:`` line, or a repeated product pair,
-    is an error.
+    Coefficients are exact fractions ``p`` or ``p/q``.  Lines may come in
+    any order: the unit and the products are read against the basis once
+    the whole file is read.  A repeated ``name:``, ``basis:`` or ``unit:``
+    line, or a repeated product pair, is an error.
     """
     name = "unnamed"
     labels: Tuple[str, ...] = ()
-    unit: Optional[Vec] = None
-    table: Dict[Tuple[str, str], Vec] = {}
+    unit_text: Optional[str] = None
+    products: Dict[Tuple[str, str], Tuple[str, str]] = {}
     headers = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -320,21 +315,25 @@ def parse_algebra_file(text: str) -> FinAlgebra:
             elif header == "basis":
                 labels = tuple(rest.split())
             else:
-                unit = _parse_combo(rest, labels)
+                unit_text = rest
         elif "=" in line:
             lhs, rhs = line.split("=", 1)
             if "*" not in lhs:
                 raise ValueError(f"malformed product line {line!r}")
             i, j = (s.strip() for s in lhs.split("*", 1))
-            if i not in labels or j not in labels:
-                raise ValueError(f"unknown labels in {line!r}")
-            if (i, j) in table:
+            if (i, j) in products:
                 raise ValueError(f"repeated product {i}*{j}")
-            table[(i, j)] = _parse_combo(rhs, labels)
+            products[(i, j)] = (line, rhs)
         else:
             raise ValueError(f"unrecognized line {line!r}")
     if not labels:
         raise ValueError("algebra file declares no basis")
+    table: Dict[Tuple[str, str], Vec] = {}
+    for (i, j), (line, rhs) in products.items():
+        if i not in labels or j not in labels:
+            raise ValueError(f"unknown labels in {line!r}")
+        table[(i, j)] = _parse_combo(rhs, labels)
+    unit = None if unit_text is None else _parse_combo(unit_text, labels)
     return FinAlgebra(name, labels, table, unit=unit)
 
 

@@ -35,8 +35,7 @@ from .funalg import (
     d1,
     function_algebra,
     global_poly,
-    interval_pair,
-    mu_flat,
+    mu,
     omega,
     poly_family,
     pullback_along,
@@ -59,7 +58,7 @@ from .poly import (
     qp_const,
     qp_var,
 )
-from .simplicial import SimplicialMap, cube, interval_rel_one, path_pair
+from .simplicial import SimplicialMap, cube, free_pair, interval_rel_one, path_pair
 from .tensorj import (
     Morphism,
     identity_morphism,
@@ -382,11 +381,11 @@ def _path_extension(n: int, B: Carrier, r: int) -> ExtensionData:
         pi = Morphism(
             mid, quotient, lambda x: pullback_along(mid, x, fr, quotient), "ev-t0"
         )
-        outer = function_algebra(quotient, interval_rel_one(), 0, relative=True)
+        outer = function_algebra(quotient, interval_rel_one(), 0)
         one_minus = poly_family(scalar_algebra(interval_rel_one(), 0), ONE_MINUS_T)
 
         def split(x):
-            return mu_flat(outer, scalar_to_base(outer, one_minus, x))[1]
+            return mu(outer, scalar_to_base(outer, one_minus, x))[1]
 
         s = Morphism(quotient, mid, split, "b->b(1-t)")
     return make_extension(
@@ -404,7 +403,7 @@ def _path_extension(n: int, B: Carrier, r: int) -> ExtensionData:
 def alternate_path_splitting(B: Carrier, fa_path: FunctionAlgebra) -> Morphism:
     """b ↦ b(1 − t²): a second module splitting of the 0-index path
     extension, used for splitting-independence interpolation."""
-    sfa = scalar_algebra(fa_path.pair0, 0)
+    sfa = scalar_algebra(free_pair(fa_path.pair0), 0)
     h = poly_family(sfa, qp_var(1, 1))
     scal0 = sfa.sub(constant_function(sfa, 1), sfa.mul(h, h))
     scal = transition_n(sfa, scal0, fa_path.r)[1]
@@ -691,7 +690,7 @@ def mapping_cylinder(g: Morphism) -> MappingCylinder:
     mp = mapping_path(g)
     Pg = mp.mid
     PC = Pg.left
-    CI = function_algebra(C, interval_pair(), 0)
+    CI = function_algebra(C, free_pair(cube(1)), 0)
     car = PullbackCarrier(
         CI, B, C, lambda p: d1(CI, p), g, lambda rng: iota(Pg.sample(rng)),
         name=f"Z[{g.name}]",
@@ -700,7 +699,7 @@ def mapping_cylinder(g: Morphism) -> MappingCylinder:
     iota = Morphism(
         Pg, car, lambda z: car.make(CI.canon(dict(z[0])), z[1]), "incl"
     )
-    tcoord = poly_family(scalar_algebra(interval_pair(), 0), qp_var(1, 1))
+    tcoord = poly_family(scalar_algebra(free_pair(cube(1)), 0), qp_var(1, 1))
     s_Z = Morphism(
         C, car, lambda c: car.make(scalar_to_base(CI, tcoord, c), B.zero()), "c->(ct,0)"
     )

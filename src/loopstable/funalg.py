@@ -2,7 +2,8 @@
 
 An element of ``B^(K,L)_r`` is a family assigning to each nondegenerate
 p-simplex of ``sd^r K`` a polynomial in ``t_1..t_p`` with coefficients in the
-base carrier ``B``, compatible with faces and vanishing on ``sd^r L``.
+base carrier ``B``, compatible with faces and vanishing on ``sd^r L``; on
+a free pair (L = ∅) this is the absolute algebra ``B^{sd^r K}``.
 Families are sparse combinations ``((simplex, poly), ...)`` in the
 canonical form of :mod:`loopstable.poly`, sorted by the native order of
 the simplices (strictly increasing chains of :mod:`loopstable.simplicial`);
@@ -10,9 +11,9 @@ the value on a degenerate simplex, a chain with repeats, is read off its
 nondegenerate part by degeneracy substitution.
 
 Provides restriction (pullback along simplicial maps), the transition map
-(pullback along the last-vertex map), the multiplication morphisms μ, path
-concatenation, the reversal ω, deterministic samples, and the
-global-polynomial presentation of families on a flat cube at r = 0
+(pullback along the last-vertex map), the multiplication morphisms μ onto
+the flat cube, path concatenation, the reversal ω, deterministic samples,
+and the global-polynomial presentation of families on a flat cube at r = 0
 (:func:`global_poly` and its inverse :func:`poly_family`), through which
 every elementary homotopy is a polynomial substitution.
 """
@@ -46,18 +47,12 @@ from .simplicial import (
     FinSimplicialSet,
     SimplicialMap,
     SimplicialPair,
-    _bits,
     _nondegenerate,
-    _tuple_leq,
-    box_product,
-    cube,
-    flatten_vertex,
-    interval_rel_one,
+    cube_pair,
+    free_pair,
     interval_reversal,
     iterated_sd,
     last_vertex_map,
-    path_pair,
-    standard_simplex,
     subdivide_map,
 )
 
@@ -65,25 +60,18 @@ Element = Tuple[Tuple[Any, CPoly], ...]
 
 
 class FunctionAlgebra(Carrier):
-    """The carrier ``B^(K,L)_r`` (or ``B^{sd^r K}`` when not relative)."""
+    """The carrier ``B^(K,L)_r``; on a free pair (:func:`free_pair`) it is
+    the absolute algebra ``B^{sd^r K}``."""
 
-    def __init__(
-        self,
-        base: Carrier,
-        pair0: SimplicialPair,
-        r: int,
-        relative: bool = True,
-    ) -> None:
+    def __init__(self, base: Carrier, pair0: SimplicialPair, r: int) -> None:
         self.base = base
         self.pair0 = pair0
         self.r = r
-        self.relative = relative
         self.levels = iterated_sd(pair0, r)
         self.space = self.levels[r]
         self.sset = self.space.total
-        self.subset = self.space.sub if relative else frozenset()
-        rel = "" if relative else "/abs"
-        self.name = f"{base.name}^({pair0.name}){rel}_{r}"
+        self.subset = self.space.sub
+        self.name = f"{base.name}^({pair0.name})_{r}"
         self.can_decide_zero = base.can_decide_zero
         self._gammas: Dict[int, SimplicialMap] = {}
 
@@ -205,9 +193,7 @@ class FunctionAlgebra(Carrier):
 _function_algebra = cache(FunctionAlgebra)
 
 
-def function_algebra(
-    base: Carrier, pair0: SimplicialPair, r: int, relative: bool = True
-) -> FunctionAlgebra:
+def function_algebra(base: Carrier, pair0: SimplicialPair, r: int) -> FunctionAlgebra:
     """The algebra ``base^(pair0)_r``, built once per argument tuple.
 
     Keys are the argument objects: the carrier by identity, the pair by its
@@ -215,7 +201,7 @@ def function_algebra(
     get distinct algebras.  Interning the pair constructors is what keeps
     the carriers of two calls such as ``cube(1)`` the same object.
     """
-    return _function_algebra(base, pair0, r, relative)
+    return _function_algebra(base, pair0, r)
 
 
 # -- restriction and transition -----------------------------------------
@@ -232,7 +218,7 @@ def pullback_along(
 
 def transition(src: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
     """Pullback along the last-vertex map; raises the subdivision index."""
-    tgt = function_algebra(src.base, src.pair0, src.r + 1, src.relative)
+    tgt = function_algebra(src.base, src.pair0, src.r + 1)
     gamma = tgt.gamma(src.r)
     return tgt, pullback_along(src, x, gamma, tgt)
 
@@ -263,26 +249,33 @@ def tower_map(
 @cache
 def _mu_plan(outer: FunctionAlgebra):
     """The target of μ on ``outer``, the inner algebra at level r+s and the
-    two subdivided projections of the box product."""
+    two subdivided projections of the flat cube onto the factors' cubes."""
     inner = outer.base
     B, r, s = inner.base, inner.r, outer.r
-    bp = box_product(inner.pair0, outer.pair0)
-    target = function_algebra(B, bp.pair, r + s, relative=True)
-    inner_rs = function_algebra(B, inner.pair0, r + s, inner.relative)
-    outer_rs = function_algebra(inner, outer.pair0, r + s, outer.relative)
-    prK = tower_map(bp.pr1, target.levels, inner_rs.levels, r + s)
-    prK2 = tower_map(bp.pr2, target.levels, outer_rs.levels, r + s)
+    n = len(inner.pair0.coords)
+    target = function_algebra(
+        B, cube_pair(inner.pair0.coords + outer.pair0.coords), r + s
+    )
+    inner_rs = function_algebra(B, inner.pair0, r + s)
+    outer_rs = function_algebra(inner, outer.pair0, r + s)
+    flat = target.levels[0].total
+    pr1 = SimplicialMap.from_vertex_map(flat, inner.pair0.total, lambda v: v[:n])
+    pr2 = SimplicialMap.from_vertex_map(flat, outer.pair0.total, lambda v: v[n:])
+    prK = tower_map(pr1, target.levels, inner_rs.levels, r + s)
+    prK2 = tower_map(pr2, target.levels, outer_rs.levels, r + s)
     return target, inner_rs, prK, prK2
 
 
 def mu(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
-    """μ : (B^(K,L)_r)^(K',L')_s → B^{(K,L)□(K',L')}_{r+s}.
+    """μ : (B^P_r)^Q_s → B^{P□Q}_{r+s} for cube pairs P and Q, where P □ Q
+    is the cube pair of the concatenated profile (𝔖_n ∧ 𝔖_m ≅ 𝔖_{n+m}).
 
-    Direct evaluation: a simplex ``z`` of the subdivided box projects to
-    (possibly degenerate) chains ``a``, ``b`` of the factors; the value at
-    ``z`` is the value at ``a`` of the (inner-transitioned) coefficients of
-    the value at ``b`` of the (outer-transitioned) family.  On decomposable
-    tensors this is the projection-pullback formula.
+    Direct evaluation: a simplex ``z`` of the subdivided flat cube projects
+    to (possibly degenerate) chains ``a``, ``b`` of the factors, along
+    v ↦ v[:n] and v ↦ v[n:]; the value at ``z`` is the value at ``a`` of
+    the (inner-transitioned) coefficients of the value at ``b`` of the
+    (outer-transitioned) family.  On decomposable tensors this is the
+    projection-pullback formula.
     """
     inner = outer.base
     if not isinstance(inner, FunctionAlgebra):
@@ -306,71 +299,6 @@ def mu(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
                 acc[ee] = B.add(acc[ee], c2) if ee in acc else c2
         parts[z] = cp_norm(B, acc)
     return target, target.canon(parts)
-
-
-@cache
-def unflatten_map(
-    flat: FunctionAlgebra, nested: FunctionAlgebra, split: int
-) -> SimplicialMap:
-    """sd^r of the canonical iso ``I^{a+b} → I^a × I^b`` (vertexwise split)."""
-    f0 = SimplicialMap.from_vertex_map(
-        flat.levels[0].total,
-        nested.levels[0].total,
-        lambda v: (v[:split], v[split:]),
-    )
-    return tower_map(f0, flat.levels, nested.levels, flat.r)
-
-
-def mu_flat(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
-    """μ followed by the canonical identification with the flat cube pair.
-
-    Requires both factor pairs to be flat cube-like (coordinate profiles
-    present); the result lives on the pair with the concatenated profile.
-    """
-    inner = outer.base
-    box_fa, y = mu(outer, x)
-    profile = inner.pair0.coords + outer.pair0.coords
-    flat_pair = flat_pair_from_profile(profile)
-    target = function_algebra(inner.base, flat_pair, box_fa.r, relative=True)
-    g = unflatten_map(target, box_fa, len(inner.pair0.coords))
-    return target, pullback_along(box_fa, y, g, target)
-
-
-@cache
-def flat_pair_from_profile(profile: Tuple[str, ...]) -> SimplicialPair:
-    """The pair on ``I^n`` whose subobject is described per coordinate:
-    ``both`` (full boundary), ``one`` (the 1-face), ``free`` (nothing).
-
-    Interned like the constructors it dispatches to where one exists, so
-    that a profile always gives the same pair object and hence the same
-    carriers.
-    """
-    n = len(profile)
-    if n == 0:
-        return standard_simplex(0)
-    if all(k == "both" for k in profile):
-        return cube(n)
-    if profile == ("one",):
-        return interval_rel_one()
-    if profile[:-1] == ("both",) * (n - 1) and profile[-1] == "one":
-        return path_pair(n - 1)
-    verts = [tuple(b) for b in _bits(n)]
-    total = FinSimplicialSet(verts, _tuple_leq, name=f"I[{','.join(profile)}]")
-    sub = frozenset(
-        c
-        for c in total.bases()
-        if any(
-            (profile[i] == "both" and len({v[i] for v in c}) == 1)
-            or (profile[i] == "one" and all(v[i] == 1 for v in c))
-            for i in range(n)
-        )
-    )
-    return SimplicialPair(total, sub, name=total.name, coords=profile)
-
-
-def interval_pair() -> SimplicialPair:
-    """(I, ∅) in profile form (mapping cylinders)."""
-    return flat_pair_from_profile(("free",))
 
 
 # -- interval structure: endpoints, ω, concatenation ---------------------
@@ -429,7 +357,7 @@ def _interval_inclusions(fa: FunctionAlgebra) -> Tuple[SimplicialMap, Simplicial
 
     Returns maps from ``fa``'s level-r total into the level-(r+1) total.
     """
-    tgt = function_algebra(fa.base, fa.pair0, fa.r + 1, fa.relative)
+    tgt = function_algebra(fa.base, fa.pair0, fa.r + 1)
     I0 = fa.levels[0].total
     sdI = tgt.levels[1].total
     v0, v1, edge = ((0,),), ((1,),), ((0,), (1,))
@@ -450,11 +378,11 @@ def concatenate(fa: FunctionAlgebra, x: Element, y: Element) -> Tuple[FunctionAl
     reversal of y on the second; requires d₀(x) = d₁(y)."""
     if fa.base.can_decide_zero and d0(fa, x) != d1(fa, y):
         raise ValueError("endpoint mismatch: d0(first) != d1(second)")
-    tgt = function_algebra(fa.base, fa.pair0, fa.r + 1, fa.relative)
+    tgt = function_algebra(fa.base, fa.pair0, fa.r + 1)
     f1, f2 = _interval_inclusions(fa)
     # the reversal of the second half is computed in the absolute algebra
     # (it moves any endpoint-vanishing condition to the other endpoint)
-    fa_abs = function_algebra(fa.base, fa.pair0, fa.r, relative=False)
+    fa_abs = function_algebra(fa.base, free_pair(fa.pair0), fa.r)
     yrev = omega(fa_abs, y)
     parts: Dict[Any, CPoly] = {}
 
@@ -481,19 +409,19 @@ def apply_to_coefficients(
     For a linear/multiplicative ``fn : src.base → tgt_base`` this is the
     induced map ``src.base^(K,L)_r → tgt_base^(K,L)_r``.
     """
-    tgt = function_algebra(tgt_base, src.pair0, src.r, src.relative)
+    tgt = function_algebra(tgt_base, src.pair0, src.r)
     return tgt.canon({b: cp_map_coeffs(tgt_base, p, fn) for b, p in x})
 
 
 # -- scalar families, samples, make_element ------------------------------
 
 
-def scalar_algebra(pair0: SimplicialPair, r: int, relative: bool = False) -> FunctionAlgebra:
-    return function_algebra(RAT, pair0, r, relative)
+def scalar_algebra(pair0: SimplicialPair, r: int) -> FunctionAlgebra:
+    return function_algebra(RAT, pair0, r)
 
 
 def constant_function(fa: FunctionAlgebra, c) -> Element:
-    """The constant family (only valid on non-relative spaces unless c=0)."""
+    """The constant family (valid on free pairs, or for c = 0)."""
     return fa.canon(
         {b: cp_constant(fa.base, c, fa.sset.dims[b]) for b in fa.sset.bases()}
     )
@@ -506,13 +434,12 @@ def _coordinate_table(sset: FinSimplicialSet) -> Dict[Any, Tuple[QPoly, ...]]:
     table = {}
     for b in sset.bases():
         p = sset.dims[b]
-        verts = [flatten_vertex(v) for v in b]
         images = []
-        for i in range(len(verts[0])):
-            poly: QPoly = qp_const(verts[0][i], p)
+        for i in range(len(b[0])):
+            poly: QPoly = qp_const(b[0][i], p)
             for j in range(1, p + 1):
                 poly = cp_add(
-                    RAT, poly, cp_scale(RAT, verts[j][i] - verts[0][i], qp_var(j, p))
+                    RAT, poly, cp_scale(RAT, b[j][i] - b[0][i], qp_var(j, p))
                 )
             images.append(poly)
         table[b] = tuple(images)
@@ -561,7 +488,7 @@ def vanishing_scalar(pair0: SimplicialPair) -> Element:
     the product of (t_i² − t_i) for 'both' coordinates and (t_i − 1) for
     'one' coordinates (constant 1 if the profile is empty/free); built
     once per pair."""
-    sfa = scalar_algebra(pair0, 0, relative=False)
+    sfa = scalar_algebra(free_pair(pair0), 0)
     n = len(pair0.coords)
     out = constant_function(sfa, 1)
     for i, kind in enumerate(pair0.coords):
@@ -581,7 +508,7 @@ def scalar_to_base(fa: FunctionAlgebra, scalar: Element, b) -> Element:
 
 def make_element(fa: FunctionAlgebra, b, scalar: Element) -> Element:
     """``b ⊗ q`` with the integral family re-validated on the pair."""
-    sfa = scalar_algebra(fa.pair0, fa.r, relative=fa.relative)
+    sfa = scalar_algebra(fa.pair0, fa.r)
     sfa.check(scalar)
     return fa.check(scalar_to_base(fa, scalar, b))
 
@@ -602,10 +529,10 @@ def sample_element(
     n = len(pair0.coords)
     if not n:
         raise ValueError(f"no sampler for pair {pair0.name}")
-    sfa = scalar_algebra(pair0, 0, relative=False)
-    V = vanishing_scalar(pair0) if fa.relative else constant_function(sfa, 1)
+    sfa = scalar_algebra(free_pair(pair0), 0)
+    V = vanishing_scalar(pair0)
     handles = [poly_family(sfa, qp_var(i + 1, n)) for i in range(n)]
-    fa0 = function_algebra(fa.base, pair0, 0, fa.relative)
+    fa0 = function_algebra(fa.base, pair0, 0)
     total = fa0.zero()
     for _ in range(terms):
         b = fa.base.sample(rng)

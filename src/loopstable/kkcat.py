@@ -17,7 +17,7 @@ from .funalg import (
     FunctionAlgebra,
     apply_to_coefficients,
     function_algebra,
-    mu_flat,
+    mu,
     omega,
     pullback_along,
 )
@@ -119,7 +119,7 @@ def lambda_rep(f: Morphism, n: int) -> Morphism:
 
     def fn(x):
         y = apply_to_coefficients(faX1, lam(x), F, f)
-        return mu_flat(faF1, y)[1]
+        return mu(faF1, y)[1]
 
     return Morphism(dom, tgt, fn, f"raise({f.name})")
 
@@ -214,7 +214,7 @@ def star(g: KKHom, f: KKHom, resolve: bool = True) -> KKHom:
             kap = kappa(N3, N2, Bc, f.r)
             mid_fa = kap.target
         g_tgt = g.rep.target
-        nested = function_algebra(g_tgt, mid_fa.pair0, mid_fa.r, mid_fa.relative)
+        nested = function_algebra(g_tgt, mid_fa.pair0, mid_fa.r)
         if N4 == 0:
             tgt = nested
 
@@ -232,7 +232,7 @@ def star(g: KKHom, f: KKHom, resolve: bool = True) -> KKHom:
                 if kap is not None:
                     y = kap(y)
                 z = apply_to_coefficients(mid_fa, y, g_tgt, g.rep)
-                return mu_flat(nested, z)[1]
+                return mu(nested, z)[1]
 
     fn = Morphism(jf.source, tgt, fn_inner, f"{g.rep.name}⋆{f.rep.name}")
     sign = f.pending_sign * g.pending_sign * crossing_sign(N2, N3)

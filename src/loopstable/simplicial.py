@@ -1,8 +1,10 @@
 """Finite simplicial sets as nerves of finite posets.
 
 Every simplicial set the engine builds is the nerve of a finite poset:
-standard simplices, cubes {0<1}^n, products of nerves, and barycentric
-subdivisions (the nerve of a nerve's poset of nondegenerate simplices).
+cubes {0<1}^n and their barycentric subdivisions (the nerve of a nerve's
+poset of nondegenerate simplices).  Every pair on a cube (𝔖_n, the path
+pair (I, {1}), the free cube (I^n, ∅) and the domains of μ) is described
+by its coordinate profile alone (:func:`cube_pair`).
 A p-simplex of a nerve is a weakly increasing chain ``(x_0 <= ... <= x_p)``
 of poset elements, stored as a tuple.  Its nondegenerate part is the chain
 with repeats dropped, ``d_i`` deletes the ``i``-th entry and ``s_j``
@@ -14,9 +16,7 @@ chain entrywise.
 from __future__ import annotations
 
 from functools import cache
-from typing import (
-    Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple,
-)
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 #: Largest cube the engine will build (dimension bound of the design).
 MAX_CUBE_DIM = 3
@@ -140,47 +140,11 @@ class SimplicialPair:
         return hash((self.total, self.sub, self.name))
 
 
-# -- standard objects ----------------------------------------------------
-
-# The pair constructors are interned: equal arguments give the same pair
-# object, so the carriers built on two calls' pairs are the same object too.
-
-
-@cache
-def standard_simplex(p: int) -> SimplicialPair:
-    """Δ^p as a pair with empty subobject."""
-    total = FinSimplicialSet(range(p + 1), lambda a, b: a <= b, name=f"Delta^{p}")
-    return SimplicialPair(total, frozenset(), name=f"Delta^{p}")
-
-
-def point() -> SimplicialPair:
-    return standard_simplex(0)
+# -- cube pairs ----------------------------------------------------------
 
 
 def _tuple_leq(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-@cache
-def cube(n: int) -> SimplicialPair:
-    """The pair 𝔖_n = (I^n, ∂I^n): the n-cube with its full boundary.
-
-    Vertices are 0/1 tuples of length n; nondegenerate simplices are chains
-    in the product poset {0<1}^n.  A chain lies in the boundary iff some
-    coordinate is constant along it.  ``cube(0)`` is the point pair with
-    empty subobject.
-    """
-    if n > MAX_CUBE_DIM:
-        raise ValueError(f"cube dimension {n} exceeds bound {MAX_CUBE_DIM}")
-    verts = [tuple(bits) for bits in _bits(n)]
-    total = FinSimplicialSet(verts, _tuple_leq, name=f"I^{n}")
-    if n == 0:
-        return SimplicialPair(total, frozenset(), name="S_0")
-    sub = frozenset(
-        c for c in total.bases()
-        if any(len({v[i] for v in c}) == 1 for i in range(n))
-    )
-    return SimplicialPair(total, sub, name=f"S_{n}", coords=("both",) * n)
 
 
 def _bits(n: int) -> List[Tuple[int, ...]]:
@@ -191,82 +155,73 @@ def _bits(n: int) -> List[Tuple[int, ...]]:
 
 
 @cache
-def interval_rel_one() -> SimplicialPair:
-    """The pair (I, {1}): the interval relative to its 1-endpoint."""
-    total = cube(1).total
-    return SimplicialPair(total, frozenset({((1,),)}), name="(I,{1})",
-                          coords=("one",))
+def _cube_total(n: int) -> FinSimplicialSet:
+    """I^n, the nerve of the poset {0<1}^n, shared by every pair on it."""
+    if n > MAX_CUBE_DIM:
+        raise ValueError(f"cube dimension {n} exceeds bound {MAX_CUBE_DIM}")
+    return FinSimplicialSet(_bits(n), _tuple_leq, name=f"I^{n}")
 
 
 @cache
-def path_pair(n: int) -> SimplicialPair:
-    """The pair 𝔖_n □ (I, {1}) presented on the flat cube I^{n+1}.
+def cube_pair(profile: Tuple[str, ...]) -> SimplicialPair:
+    """The pair on I^n whose subobject is described per coordinate.
 
-    Total is I^{n+1}; the subobject consists of chains that are constant in
-    one of the first n coordinates or constantly 1 in the last.
+    Vertices are 0/1 tuples of length n = ``len(profile)``, and a chain
+    lies in the subobject iff, for some coordinate i, ``profile[i]`` is
+    ``"both"`` and the chain is constant in coordinate i (the full
+    boundary ∂I), or ``"one"`` and the chain is constantly 1 there (the
+    face {1}).  A ``"free"`` coordinate adds nothing.  This is the only
+    description of a cube-like domain: the box product of two such pairs
+    is the pair of the concatenated profile (the first len(p) coordinates
+    project to the first factor, the rest to the second), and the pair of
+    an all-``"free"`` profile carries the absolute function algebra.
+
+    Interned: a profile always gives the same pair object, so the carriers
+    built on two calls' pairs are the same object too.
     """
-    verts = [tuple(bits) for bits in _bits(n + 1)]
-    total = FinSimplicialSet(verts, _tuple_leq, name=f"I^{n + 1}")
+    n = len(profile)
+    total = _cube_total(n)
     sub = frozenset(
         c for c in total.bases()
-        if any(len({v[i] for v in c}) == 1 for i in range(n))
-        or all(v[n] == 1 for v in c)
+        if any(
+            (kind == "both" and len({v[i] for v in c}) == 1)
+            or (kind == "one" and all(v[i] == 1 for v in c))
+            for i, kind in enumerate(profile)
+        )
     )
-    return SimplicialPair(total, sub, name=f"S_{n}xPath",
-                          coords=("both",) * n + ("one",))
+    if profile == ("both",) * n:
+        name = f"S_{n}"
+    elif profile == ("one",):
+        name = "(I,{1})"
+    elif profile == ("both",) * (n - 1) + ("one",):
+        name = f"S_{n - 1}xPath"
+    else:
+        name = f"I[{','.join(profile)}]"
+    return SimplicialPair(total, sub, name=name, coords=profile)
 
 
-# -- products and box products ------------------------------------------
+def cube(n: int) -> SimplicialPair:
+    """The pair 𝔖_n = (I^n, ∂I^n); ``cube(0)`` is the point."""
+    return cube_pair(("both",) * n)
 
 
-def product(
-    K: FinSimplicialSet, L: FinSimplicialSet
-) -> Tuple[FinSimplicialSet, SimplicialMap, SimplicialMap]:
-    """Product of two nerves (the nerve of the product poset), with its two
-    projections."""
-
-    def leq(x, y):
-        return K.leq(x[0], y[0]) and L.leq(x[1], y[1])
-
-    elems = [(a, b) for a in K.elements for b in L.elements]
-    P = FinSimplicialSet(elems, leq, name=f"({K.name}x{L.name})")
-    pr1 = SimplicialMap.from_vertex_map(P, K, lambda v: v[0])
-    pr2 = SimplicialMap.from_vertex_map(P, L, lambda v: v[1])
-    return P, pr1, pr2
+def point() -> SimplicialPair:
+    return cube(0)
 
 
-class BoxProduct(NamedTuple):
-    pair: SimplicialPair
-    pr1: SimplicialMap
-    pr2: SimplicialMap
+def interval_rel_one() -> SimplicialPair:
+    """The path pair (I, {1}): the interval with its 1-endpoint."""
+    return cube_pair(("one",))
 
 
-@cache
-def box_product(P: SimplicialPair, Q: SimplicialPair) -> BoxProduct:
-    """(K,L) □ (K',L') = (K×K', K×L' ∪ L×K')."""
-    total, pr1, pr2 = product(P.total, Q.total)
-    sub = frozenset(
-        c for c in total.bases()
-        if _nondegenerate(pr1.apply(c)) in P.sub
-        or _nondegenerate(pr2.apply(c)) in Q.sub
-    )
-    coords = P.coords + Q.coords
-    return BoxProduct(
-        SimplicialPair(total, sub, name=f"{P.name}#{Q.name}", coords=coords),
-        pr1,
-        pr2,
-    )
+def path_pair(n: int) -> SimplicialPair:
+    """𝔖_n □ (I, {1}) on the flat cube I^{n+1}."""
+    return cube_pair(("both",) * n + ("one",))
 
 
-def flatten_vertex(v: Any) -> Tuple[int, ...]:
-    """Flatten a nested product vertex into a flat 0/1 tuple."""
-    if isinstance(v, tuple) and v and all(isinstance(x, int) for x in v):
-        return v
-    if isinstance(v, tuple) and len(v) == 2:
-        return flatten_vertex(v[0]) + flatten_vertex(v[1])
-    if isinstance(v, int):
-        return (v,)
-    raise ValueError(f"cannot flatten vertex {v!r}")
+def free_pair(P: SimplicialPair) -> SimplicialPair:
+    """(I^n, ∅) on the cube of the cube pair ``P``: its absolute twin."""
+    return cube_pair(("free",) * len(P.coords))
 
 
 # -- barycentric subdivision and last-vertex map -------------------------

@@ -1,15 +1,19 @@
-"""The algebra definition file format."""
+"""The algebra definition file format and algebra maps."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopstable.algebras import (
     BUILTIN_ALGEBRAS,
+    AlgebraMap,
     FinAlgebra,
+    dual_numbers,
     format_algebra_file,
     parse_algebra_file,
     product_algebra,
+    rationals,
 )
 
 
@@ -65,3 +69,11 @@ def small_algebras(draw) -> FinAlgebra:
 def test_file_format_roundtrip(A):
     B = parse_algebra_file(format_algebra_file(A))
     assert (B.name, B.labels, B.table, B.unit) == (A.name, A.labels, A.table, A.unit)
+
+
+def test_every_algebra_map_is_checked_multiplicative():
+    B, Q = dual_numbers(), rationals()
+    one = Q.basis_vec("1")
+    assert AlgebraMap(B, Q, {"1": one, "x": Q.zero()}).apply(B.basis_vec("1")) == one
+    with pytest.raises(ValueError, match="not multiplicative"):
+        AlgebraMap(B, Q, {"1": one, "x": one})  # x*x = 0 but 1*1 = 1

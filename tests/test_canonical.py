@@ -23,7 +23,7 @@ from loopstable.carriers import RAT, PullbackCarrier, Rationals
 from loopstable.extensions import PolyExtension, mapping_path, poly_carrier
 from loopstable.funalg import FunctionAlgebra, function_algebra, sample_element
 from loopstable.poly import cp_norm
-from loopstable.simplicial import cube
+from loopstable.simplicial import cube, free_pair
 from loopstable.tensorj import (
     JKernel,
     TensorAlgebra,
@@ -98,7 +98,8 @@ def carrier_and_sampler(kind, A):
             small_element(J, rng), ta.sigma(small_element(A, rng))
         )
     if kind in ("A^(S_1)", "A^I"):
-        fa = function_algebra(A, cube(1), 0, relative=kind == "A^(S_1)")
+        pair = cube(1) if kind == "A^(S_1)" else free_pair(cube(1))
+        fa = function_algebra(A, pair, 0)
         return fa, lambda rng: sample_element(fa, rng)
     if kind == "A[u]":
         px = poly_carrier(A)

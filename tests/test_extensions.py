@@ -44,7 +44,7 @@ from loopstable.funalg import (
     vanishing_scalar,
 )
 from loopstable.poly import qp_var
-from loopstable.simplicial import cube, interval_rel_one, path_pair
+from loopstable.simplicial import cube, free_pair, interval_rel_one, path_pair
 from loopstable.tensorj import (
     Morphism,
     curvature,
@@ -116,7 +116,7 @@ class TestPathExtension:
 
     def test_splitting_formula_r0(self):
         E = path_extension(0, B, 0)
-        sfa = scalar_algebra(interval_rel_one(), 0)
+        sfa = scalar_algebra(free_pair(interval_rel_one()), 0)
         # 1 − t as a constant minus the coordinate, not poly.ONE_MINUS_T,
         # which the splitting itself uses
         one_minus_t = sfa.sub(

@@ -17,10 +17,8 @@ from loopstable.funalg import (
     d1,
     function_algebra,
     global_poly,
-    interval_pair,
     make_element,
     mu,
-    mu_flat,
     omega,
     poly_family,
     pullback_along,
@@ -34,13 +32,15 @@ from loopstable.poly import (
     cp_add, cp_flatten, cp_mul, cp_scale, cp_subst, qp_const, qp_var,
 )
 from loopstable.simplicial import (
+    FinSimplicialSet,
     SimplicialMap,
     SimplicialPair,
     cube,
+    cube_pair,
+    free_pair,
     interval_rel_one,
     path_pair,
     point,
-    standard_simplex,
 )
 from loopstable.tensorj import tensor_algebra
 
@@ -48,6 +48,7 @@ B = dual_numbers()
 BX = B.basis_vec("x")
 B1 = B.basis_vec("1")
 S1 = cube(1)
+I = free_pair(S1)  # (I, ∅): its algebras are the absolute B^I
 V0, V1V, EDGE = ((0,),), ((1,),), ((0,), (1,))
 T2MT = (((1,), F(-1)), ((2,), F(1)))  # t² − t
 
@@ -84,12 +85,13 @@ class TestMakeElement:
 
     def test_nonvanishing_family_rejected(self):
         fa = function_algebra(B, S1, 0)
-        t = coordinate(scalar_algebra(S1, 0), 0)
+        t = coordinate(scalar_algebra(I, 0), 0)
         with pytest.raises(ValueError):
             make_element(fa, BX, t)
 
     def test_sampler_rejects_pairs_without_cube_profile(self):
-        fa = function_algebra(B, standard_simplex(1), 0)
+        delta1 = FinSimplicialSet(range(2), lambda a, b: a <= b, name="Delta^1")
+        fa = function_algebra(B, SimplicialPair(delta1, frozenset(), "Delta^1"), 0)
         with pytest.raises(ValueError):
             sample_element(fa, random.Random(0))
 
@@ -105,29 +107,24 @@ class TestMakeElement:
 
 class TestRestrict:
     def test_evaluation_at_endpoint(self):
-        faI = function_algebra(B, interval_pair(), 0)
-        t = coordinate(scalar_algebra(interval_pair(), 0), 0)
+        faI = function_algebra(B, I, 0)
+        t = coordinate(scalar_algebra(I, 0), 0)
         x = scalar_to_base(faI, t, BX)
         fa0 = function_algebra(B, point(), 0)
         end1 = SimplicialMap.from_vertex_map(fa0.sset, faI.sset, lambda v: (1,))
         y = pullback_along(faI, x, end1, fa0)
-        assert fa0.vertex_value(y, (0,)) == BX
+        assert fa0.vertex_value(y, ((),)) == BX
 
     def test_identity(self):
-        faI = function_algebra(B, interval_pair(), 0)
-        x = scalar_to_base(
-            faI, coordinate(scalar_algebra(interval_pair(), 0), 0), BX
-        )
+        faI = function_algebra(B, I, 0)
+        x = scalar_to_base(faI, coordinate(scalar_algebra(I, 0), 0), BX)
         ident = SimplicialMap.from_vertex_map(faI.sset, faI.sset, lambda v: v)
         assert pullback_along(faI, x, ident, faI) == x
 
     def test_coordinate_along_bottom_edge(self):
-        from loopstable.funalg import flat_pair_from_profile
-
-        I2 = flat_pair_from_profile(("free", "free"))
-        fa2 = scalar_algebra(I2, 0)
+        fa2 = scalar_algebra(cube_pair(("free", "free")), 0)
         t1 = coordinate(fa2, 0)
-        faI = scalar_algebra(interval_pair(), 0)
+        faI = scalar_algebra(I, 0)
         incl = SimplicialMap.from_vertex_map(
             faI.sset, fa2.sset, lambda v: (v[0], 0)
         )
@@ -183,7 +180,7 @@ class TestTransition:
 class TestOmega:
     def setup_method(self):
         self.fa = function_algebra(B, S1, 0)
-        self.sfa = scalar_algebra(S1, 0)
+        self.sfa = scalar_algebra(I, 0)
 
     def test_fixed_point(self):
         x = make_element(self.fa, BX, vanishing_scalar(S1))
@@ -206,8 +203,8 @@ class TestOmega:
             assert omega(fa1, omega(fa1, tx)) == tx
 
     def test_swaps_endpoints(self):
-        faI = function_algebra(B, interval_pair(), 0, relative=False)
-        t = coordinate(scalar_algebra(interval_pair(), 0), 0)
+        faI = function_algebra(B, I, 0)
+        t = coordinate(scalar_algebra(I, 0), 0)
         x = scalar_to_base(faI, t, BX)
         assert d1(faI, omega(faI, x)) == d0(faI, x)
         assert d0(faI, omega(faI, x)) == d1(faI, x)
@@ -236,8 +233,8 @@ class TestConcatenate:
         assert concatenate(fa, fa.zero(), fa.zero())[1] == ()
 
     def test_endpoint_mismatch_rejected(self):
-        faI = function_algebra(B, interval_pair(), 0, relative=False)
-        sfa = scalar_algebra(interval_pair(), 0)
+        faI = function_algebra(B, I, 0)
+        sfa = scalar_algebra(I, 0)
         t = coordinate(sfa, 0)
         x = scalar_to_base(faI, t, BX)  # d0 = BX
         y = scalar_to_base(faI, sfa.mul(t, t), BX)  # d1 = 0
@@ -266,18 +263,16 @@ class TestMu:
         outer = function_algebra(inner, point(), 1)
         tgt, res = mu(outer, constant_function(outer, x))
         fa1, tx = transition(inner, x)
-        g = SimplicialMap.from_vertex_map(
-            tgt.sset, fa1.sset, lambda c: tuple(v[0] for v in c)
-        )
-        assert res == pullback_along(fa1, tx, g, tgt)
+        assert tgt is fa1
+        assert res == tx
 
     def test_decomposable_product_of_coordinates(self):
         inner = function_algebra(B, S1, 0)
         x = make_element(inner, BX, vanishing_scalar(S1))
         outer = function_algebra(inner, S1, 0)
         xx = scalar_to_base(outer, vanishing_scalar(S1), x)
-        tgt, res = mu_flat(outer, xx)
-        sfa2 = scalar_algebra(cube(2), 0)
+        tgt, res = mu(outer, xx)
+        sfa2 = scalar_algebra(free_pair(cube(2)), 0)
         p1 = _tsq_minus_t(sfa2, 0)
         p2 = _tsq_minus_t(sfa2, 1)
         expected = scalar_to_base(tgt, sfa2.mul(p1, p2), BX)
@@ -293,14 +288,14 @@ class TestMu:
         for _ in range(30):
             z = sample_element(F111, rng, degree=1, terms=1)
             # combine the outer two levels first, then the inner one
-            _, v1 = mu_flat(F111, z)
-            left = mu_flat(function_algebra(F1, cube(2), 0), v1)[1]
+            _, v1 = mu(F111, z)
+            left = mu(function_algebra(F1, cube(2), 0), v1)[1]
             # combine the inner two levels first (coefficientwise), then
             # the outer one
             w1 = apply_to_coefficients(
-                F111, z, F2, lambda c: mu_flat(F11, c)[1]
+                F111, z, F2, lambda c: mu(F11, c)[1]
             )
-            right = mu_flat(function_algebra(F2, S1, 0), w1)[1]
+            right = mu(function_algebra(F2, S1, 0), w1)[1]
             assert left == right
 
     def test_naturality_in_base(self):
@@ -376,12 +371,19 @@ class TestCarrierIdentity:
     def test_interned_constructors(self):
         assert cube(2) is cube(2)
         fa = function_algebra(B, cube(1), 0)
-        assert function_algebra(B, cube(1), 0, True) is fa
-        assert function_algebra(B, cube(1), 0, relative=True) is fa
+        assert function_algebra(B, cube_pair(("both",)), 0) is fa
         assert tensor_algebra(B) is tensor_algebra(B)
         outer = function_algebra(function_algebra(B, S1, 0), S1, 0)
         x = sample_element(outer, random.Random(43), degree=1, terms=1)
-        assert mu_flat(outer, x)[0] is mu_flat(outer, x)[0]
+        assert mu(outer, x)[0] is mu(outer, x)[0]
+
+
+    def test_one_carrier_for_the_free_interval(self):
+        fa = function_algebra(B, free_pair(cube(1)), 0)
+        assert function_algebra(B, free_pair(interval_rel_one()), 0) is fa
+        assert function_algebra(B, cube_pair(("free",)), 0) is fa
+        assert fa.subset == frozenset()
+        assert fa.name == "Q[x]/(x^2)^(I[free])_0"
 
 
 def _weak_chains(K, length):
@@ -428,7 +430,7 @@ class TestGlobalPoly:
 
     @pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
     def test_coordinate_vertex_values(self, pair):
-        sfa = scalar_algebra(pair, 0)
+        sfa = scalar_algebra(free_pair(pair), 0)
         vertices = [b for b in sfa.sset.bases() if sfa.sset.dims[b] == 0]
         assert len(vertices) == 2 ** len(pair.coords)
         for i in range(len(pair.coords)):
@@ -471,7 +473,7 @@ class TestGlobalPoly:
         for _ in range(3):
             x = sample_element(outer, rng)
             flat = cp_flatten(B, global_poly(outer, x), lambda c: global_poly(inner, c))
-            assert flat == global_poly(*mu_flat(outer, x))
+            assert flat == global_poly(*mu(outer, x))
 
     def test_substitution_expands_the_square(self):
         # c·t² at t := 1 − (1−t)(1−u) = t + u − tu

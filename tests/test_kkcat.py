@@ -6,7 +6,7 @@ import pytest
 
 from loopstable.algebras import AlgebraMap, FinAlgebra, dual_numbers, product_algebra, rationals
 from loopstable.extensions import path_extension
-from loopstable.funalg import function_algebra, mu_flat, omega, sample_element
+from loopstable.funalg import function_algebra, mu, omega, sample_element
 from loopstable.kkcat import (
     extension_triangle,
     from_algebra_map,
@@ -97,12 +97,12 @@ class TestDegreeRaising:
         nested = lam2.target
         fa2 = function_algebra(B, cube(2), 0)
         muf = Morphism(
-            j_kernel(faB1), fa2, lambda x: mu_flat(nested, lam2(x))[1], "mu∘lam2"
+            j_kernel(faB1), fa2, lambda x: mu(nested, lam2(x))[1], "mu∘lam2"
         )
         lhs = lambda_rep(muf, 2)
         l1 = lambda_rep(lam2, 1)
         for x in sample_j_elements(faB1, 2, 2, seed=5):
-            assert lhs(x) == mu_flat(l1.target, l1(x))[1]
+            assert lhs(x) == mu(l1.target, l1(x))[1]
 
     def test_promote_keeps_endpoints(self):
         h = promote(from_algebra_map(_g_map()))

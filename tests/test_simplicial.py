@@ -1,23 +1,28 @@
-"""Tests for the simplicial layer: nerves and their chains, cubes,
-subdivision, last-vertex maps, box products and interval reversal."""
+"""Tests for the simplicial layer: nerves and their chains, cube pairs
+given by their coordinate profiles, subdivision, last-vertex maps and
+interval reversal."""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loopstable.carriers import RAT
+from loopstable.funalg import function_algebra
 from loopstable.simplicial import (
     FinSimplicialSet,
     SimplicialMap,
     SimplicialPair,
     _nondegenerate,
-    box_product,
     cube,
-    flatten_vertex,
+    cube_pair,
+    free_pair,
     interval_rel_one,
     interval_reversal,
     iterated_sd,
     last_vertex_map,
-    product,
-    standard_simplex,
+    path_pair,
+    point,
     subdivide,
     subdivide_map,
     subdivide_pair,
@@ -95,7 +100,7 @@ class TestCube:
 
 class TestSubdivision:
     def test_sd_point(self):
-        K = standard_simplex(0).total
+        K = point().total
         sdK = subdivide(K)
         g = last_vertex_map(K, sdK)
         assert len(sdK.bases()) == 1
@@ -154,8 +159,8 @@ class TestSimplicialPair:
         assert P == Q
         assert not P != Q
         assert hash(P) == hash(Q)
-        # so Q finds the products cached for P
-        assert box_product(Q, Q) is box_product(P, P)
+        # so Q finds the carrier cached for P
+        assert function_algebra(RAT, Q, 0) is function_algebra(RAT, P, 0)
 
     def test_total_sub_and_name_enter_equality(self):
         P = cube(1)
@@ -170,20 +175,67 @@ class TestSimplicialPair:
         assert P != (P.total, P.sub, P.name)
 
 
+KINDS = ("both", "one", "free")
+
+
+def profiles(length):
+    return list(itertools.product(KINDS, repeat=length))
+
+
+def box_sub(p, q):
+    """The subobject of cube_pair(p) □ cube_pair(q) on the flat cube: the
+    chains whose first-len(p) projection, or whose remaining projection,
+    has its nondegenerate part in that factor's subobject."""
+    n = len(p)
+    P, Q = cube_pair(p), cube_pair(q)
+    return frozenset(
+        c for c in cube_pair(p + q).total.bases()
+        if _nondegenerate(tuple(v[:n] for v in c)) in P.sub
+        or _nondegenerate(tuple(v[n:] for v in c)) in Q.sub
+    )
+
+
+def test_cube_pair_of_a_concatenated_profile_is_the_box_product():
+    # one coordinate fixes the rule, the box products fix every longer profile
+    assert cube_pair(("both",)).sub == {((0,),), ((1,),)}
+    assert cube_pair(("one",)).sub == {((1,),)}
+    assert cube_pair(("free",)).sub == frozenset()
+    pairs = [(p, q) for total in range(4) for k in range(total + 1)
+             for p in profiles(k) for q in profiles(total - k)]
+    assert len(pairs) == 142
+    for p, q in pairs:
+        assert cube_pair(p + q).sub == box_sub(p, q), (p, q)
+
+
+def test_cube_pair_shares_one_total_per_dimension():
+    for n in range(4):
+        pairs = [cube_pair(p) for p in profiles(n)]
+        assert all(P.total is pairs[0].total for P in pairs)
+        assert len(set(pairs)) == len(pairs)
+    assert cube_pair(("both", "one")) is path_pair(1)
+    assert cube_pair(("one",)) is interval_rel_one()
+    assert point() is cube(0)
+
+
 class TestBoxProduct:
+    """The box product of cube pairs is the cube pair of the concatenated
+    profile, with projections v ↦ v[:n] and v ↦ v[n:]."""
+
     def test_s1_box_s1_is_s2(self):
-        b = box_product(cube(1), cube(1))
-        self._iso_pairs(b.pair, cube(2), flatten_vertex)
+        assert cube_pair(cube(1).coords + cube(1).coords) is cube(2)
+        assert cube(2).sub == box_sub(cube(1).coords, cube(1).coords)
 
     def test_unit(self):
-        b = box_product(cube(1), standard_simplex(0))
-        assert count(b.pair.total, 1) == 1
-        assert len(b.pair.sub) == 2
+        for b in (cube_pair(cube(1).coords + point().coords),
+                  cube_pair(point().coords + cube(1).coords)):
+            assert b is cube(1)
+            assert count(b.total, 1) == 1
+            assert len(b.sub) == 2
 
     def test_empty_subs(self):
-        P = standard_simplex(1)
-        b = box_product(P, P)
-        assert b.pair.sub == frozenset()
+        P = free_pair(cube(1))
+        assert cube_pair(P.coords + P.coords).sub == frozenset()
+        assert box_sub(P.coords, P.coords) == frozenset()
 
     def _iso_pairs(self, p1, p2, vfun):
         f = SimplicialMap.from_vertex_map(p1.total, p2.total, vfun)
@@ -193,27 +245,25 @@ class TestBoxProduct:
 
     @pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1)])
     def test_symmetry(self, i, j):
-        mk = lambda n: cube(n) if n else standard_simplex(0)
-        b1 = box_product(mk(i), mk(j))
-        b2 = box_product(mk(j), mk(i))
-        self._iso_pairs(b1.pair, b2.pair, lambda v: (v[1], v[0]))
+        # mixed profiles, so that the swap is not an automorphism
+        p, q = KINDS[:i], KINDS[::-1][:j]
+        self._iso_pairs(cube_pair(p + q), cube_pair(q + p), lambda v: v[i:] + v[:i])
 
     @pytest.mark.parametrize("dims", [(0, 1, 1), (1, 1, 1), (1, 0, 2)])
     def test_associativity(self, dims):
-        mk = lambda n: cube(n) if n else standard_simplex(0)
         i, j, k = dims
-        left = box_product(box_product(mk(i), mk(j)).pair, mk(k))
-        right = box_product(mk(i), box_product(mk(j), mk(k)).pair)
-        self._iso_pairs(
-            left.pair, right.pair, lambda v: (v[0][0], (v[0][1], v[1]))
-        )
+        p, q, r = KINDS[:i], KINDS[1:1 + j], KINDS[::-1][:k]
+        assert box_sub(p + q, r) == box_sub(p, q + r) == cube_pair(p + q + r).sub
 
 
 class TestProduct:
     def test_projections(self):
-        P, pr1, pr2 = product(cube(1).total, cube(1).total)
-        assert_simplicial(pr1)
-        assert_simplicial(pr2)
+        P = cube(2).total
+        for f in (
+            SimplicialMap.from_vertex_map(P, cube(1).total, lambda v: v[:1]),
+            SimplicialMap.from_vertex_map(P, cube(1).total, lambda v: v[1:]),
+        ):
+            assert_simplicial(f)
         assert count(P, 2) == 2
 
     def test_non_monotone_vertex_map_rejected(self):

@@ -10,7 +10,7 @@ from loopstable.funalg import (
     apply_to_coefficients,
     function_algebra,
     make_element,
-    mu_flat,
+    mu,
     sample_element,
     scalar_algebra,
     scalar_to_base,
@@ -212,7 +212,7 @@ class TestKappa:
         mu_m = Morphism(
             C2,
             function_algebra(B, cube(2), 0),
-            lambda x: mu_flat(C2, x)[1],
+            lambda x: mu(C2, x)[1],
             "mu",
         )
         k12 = kappa(1, 2, B)
@@ -221,7 +221,7 @@ class TestKappa:
             y2 = apply_to_coefficients(
                 k_outer.target, y, fa_JB1, k_inner
             )
-            left = mu_flat(function_algebra(fa_JB1, S1, 0), y2)[1]
+            left = mu(function_algebra(fa_JB1, S1, 0), y2)[1]
             right = k12(j_of(mu_m)(x))
             assert left == right
 

@@ -194,6 +194,26 @@ class TestCLI:
             assert cli.main(["--algebra", f"file:{bad}"]) == 2
             assert "repeated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "unit: 1*1\nbasis: 1 x\n1*1 = 1*1\n1*x = 1*x\nx*1 = 1*x\n",
+        "1*1 = 1*1\n1*x = 1*x\nx*1 = 1*x\nbasis: 1 x\nunit: 1*1\n",
+    ], ids=["unit-first", "products-first"])
+    def test_lines_before_the_basis(self, tmp_path, capsys, text):
+        # the unit and the products are read against the whole file's basis
+        p = tmp_path / "late-basis.alg"
+        p.write_text(text)
+        assert cli.main(["--algebra", f"file:{p}", "--check",
+                         "lambda-curvature-formula", "--samples", "2"]) == 0
+        for bad, message in (
+            ("unit: 1*y\nbasis: 1 x\n", "unknown label 'y'"),
+            ("y*1 = 1*1\nbasis: 1 x\n", "unknown labels"),
+            ("x*x = 0\nx*x = 1*x\nbasis: x\n", "repeated product"),
+            ("unit: 1*x\nunit: 1*x\nbasis: x\n", "repeated 'unit'"),
+        ):
+            p.write_text(bad)
+            assert cli.main(["--algebra", f"file:{p}", "--samples", "0"]) == 2
+            assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("unit", ["0", "0*1", "1*x + -1*x"])
     def test_exit_two_on_zero_unit(self, tmp_path, capsys, unit):
         # a declared unit that parses to zero is validated, not dropped
