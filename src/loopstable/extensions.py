@@ -43,7 +43,6 @@ from .funalg import (
     scalar_algebra,
     scalar_to_base,
     transition_n,
-    tower_map,
 )
 from .poly import (
     ONE_MINUS_T,
@@ -58,7 +57,14 @@ from .poly import (
     qp_const,
     qp_var,
 )
-from .simplicial import SimplicialMap, cube, free_pair, interval_rel_one, path_pair
+from .simplicial import (
+    SimplicialMap,
+    cube,
+    free_pair,
+    interval_rel_one,
+    path_pair,
+    subdivide_map,
+)
 from .tensorj import (
     Morphism,
     identity_morphism,
@@ -180,6 +186,15 @@ def _substitute(p: CPoly, images, out: FunctionAlgebra) -> Dict[int, Element]:
     for e, c in cp_subst(out.base, p, images, nvars):
         by_u.setdefault(e[-1], []).append((e[:-1], c))
     return {k: poly_family(out, tuple(q)) for k, q in by_u.items()}
+
+
+def _pairs_by_power(car: PullbackCarrier, left: Dict[int, Any], right: Dict[int, Any]):
+    """``{k: car.make(left[k], right[k])}`` over the powers of either side,
+    a missing power read as that side's zero."""
+    lz, rz = car.left.zero(), car.right.zero()
+    return {
+        k: car.make(left.get(k, lz), right.get(k, rz)) for k in set(left) | set(right)
+    }
 
 
 # -- extension records ----------------------------------------------------
@@ -373,11 +388,9 @@ def _path_extension(n: int, B: Carrier, r: int) -> ExtensionData:
         iota = Morphism(kernel, mid, lambda x: mid.canon(dict(x)), "incl")
         into_kernel = lambda y: kernel.canon(dict(y))
         f0 = SimplicialMap.from_vertex_map(
-            quotient.levels[0].total,
-            mid.levels[0].total,
-            lambda v: v + (0,),
+            quotient.pair0.total, mid.pair0.total, lambda v: v + (0,)
         )
-        fr = tower_map(f0, quotient.levels, mid.levels, r)
+        fr = subdivide_map(f0, r)
         pi = Morphism(
             mid, quotient, lambda x: pullback_along(mid, x, fr, quotient), "ev-t0"
         )
@@ -595,7 +608,7 @@ def tr2_certificate(f: Morphism) -> HomotopyCertificate:
     with the pushforward of the reversed loop:
     H(q) = (q(1−(1−t)(1−u)), (f(q((1−t)u)), q(u)))."""
     ph = phi(f)
-    A, Bc = f.source, f.target
+    Bc = f.target
     loopA = ph.mp_pi.kernel
     Pf, Ppi = ph.mp_f.mid, ph.mp_pi.mid
     PA, PB = Ppi.left, Pf.left
@@ -614,15 +627,7 @@ def tr2_certificate(f: Morphism) -> HomotopyCertificate:
         pa = _substitute(qp, (G_SHRINK,), PA)
         pb = _substitute(cp_map_coeffs(Bc, qp, f), (G_TAIL,), PB)
         qu = {k: c for (k,), c in qp}  # q(u)
-        return px.from_powers(
-            {
-                k: Ppi.make(
-                    pa.get(k, PA.zero()),
-                    Pf.make(pb.get(k, PB.zero()), qu.get(k, A.zero())),
-                )
-                for k in set(pa) | set(pb) | set(qu)
-            }
-        )
+        return px.from_powers(_pairs_by_power(Ppi, pa, _pairs_by_power(Pf, pb, qu)))
 
     link = Morphism(loopA, px, H, "rotation-interpolation")
     return HomotopyCertificate(
@@ -633,41 +638,30 @@ def tr2_certificate(f: Morphism) -> HomotopyCertificate:
     )
 
 
-def pb_contraction_certificate(B: Carrier, name: str = "") -> HomotopyCertificate:
-    """Contraction of the based path algebra: H(p) = p(1−(1−t)(1−u))."""
-    fa = function_algebra(B, interval_rel_one(), 0)
+def _contraction(fa: FunctionAlgebra, images, link: str, name: str) -> HomotopyCertificate:
+    """id ≃ 0 on ``fa`` by the one elementary homotopy H(p) = p(images)."""
     px = poly_carrier(fa)
-    link = Morphism(
-        fa,
-        px,
-        lambda x: px.from_powers(_substitute(global_poly(fa, x), (G_SHRINK,), fa)),
-        "endpoint-shrink",
-    )
+    H = lambda x: px.from_powers(_substitute(global_poly(fa, x), images, fa))
     return HomotopyCertificate(
-        name=name or f"path-contraction[{B.name}]",
+        name=name,
         left=identity_morphism(fa),
         right=zero_morphism(fa, fa),
-        chain=[link],
+        chain=[Morphism(fa, px, H, link)],
     )
+
+
+def pb_contraction_certificate(B: Carrier) -> HomotopyCertificate:
+    """Contraction of the based path algebra: H(p) = p(1−(1−t)(1−u))."""
+    fa = function_algebra(B, interval_rel_one(), 0)
+    return _contraction(fa, (G_SHRINK,), "endpoint-shrink", f"path-contraction[{B.name}]")
 
 
 def square_contraction_certificate(B: Carrier) -> HomotopyCertificate:
     """Contraction of functions on the square vanishing on t ∈ {0,1} and
     s = 1: H(p) = p(t, 1−(1−s)(1−u))."""
     fa = function_algebra(B, path_pair(1), 0)
-    px = poly_carrier(fa)
-
-    link = Morphism(
-        fa,
-        px,
-        lambda x: px.from_powers(_substitute(global_poly(fa, x), SQUARE_SHRINK, fa)),
-        "second-coordinate-shrink",
-    )
-    return HomotopyCertificate(
-        name=f"square-contraction[{B.name}]",
-        left=identity_morphism(fa),
-        right=zero_morphism(fa, fa),
-        chain=[link],
+    return _contraction(
+        fa, SQUARE_SHRINK, "second-coordinate-shrink", f"square-contraction[{B.name}]"
     )
 
 
@@ -727,12 +721,7 @@ def mapping_cylinder(g: Morphism) -> MappingCylinder:
     def H(z):
         p, b = z
         comp = _substitute(global_poly(CI, p), (G_SCALE,), CI)
-        return px.from_powers(
-            {
-                k: car.make(comp.get(k, CI.zero()), b if k == 0 else B.zero())
-                for k in set(comp) | {0}
-            }
-        )
+        return px.from_powers(_pairs_by_power(car, comp, {0: b}))
 
     retract = HomotopyCertificate(
         name=f"cylinder-retract[{g.name}]",
@@ -811,11 +800,7 @@ def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
         pc = _substitute(global_poly(PC, yb), (G_SHRINK,), PC)
         yu = {k: c for (k,), c in global_poly(PB, y)}  # y(u)
         rho = poly_family(
-            faPPb,
-            tuple(
-                ((k,), Pb.make(pc.get(k, PC.zero()), yu.get(k, Bc.zero())))
-                for k in set(pc) | set(yu)
-            ),
+            faPPb, tuple(((k,), v) for k, v in _pairs_by_power(Pb, pc, yu).items())
         )
         return Peta.make(rho, Pc.make(yb, z))
 
@@ -830,12 +815,7 @@ def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
             C, global_poly(faPPb, rho), lambda pb: global_poly(PC, pb[0])
         )
         parts = _substitute(square, images, PC)
-        return px_c.from_powers(
-            {
-                k: Pc.make(parts.get(k, PC.zero()), w[1] if k == 0 else A.zero())
-                for k in set(parts) | {0}
-            }
-        )
+        return px_c.from_powers(_pairs_by_power(Pc, parts, {0: w[1]}))
 
     H1 = Morphism(Peta, px_c, lambda zel: sweep(zel, (G_SCALE, T)), "diagonal-sweep-1")
     H2 = Morphism(Peta, px_c, lambda zel: sweep(zel, (T, G_SCALE)), "diagonal-sweep-2")

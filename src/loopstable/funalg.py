@@ -10,6 +10,11 @@ the simplices (strictly increasing chains of :mod:`loopstable.simplicial`);
 the value on a degenerate simplex, a chain with repeats, is read off its
 nondegenerate part by degeneracy substitution.
 
+A carrier keeps its pair ``pair0`` and the total and subobject of
+``sd^r pair0``; the subdivision tower itself, and every map between its
+levels, belongs to :mod:`loopstable.simplicial` and is shared by all
+carriers on the same cube.
+
 Provides restriction (pullback along simplicial maps), the transition map
 (pullback along the last-vertex map), the multiplication morphisms μ onto
 the flat cube, path concatenation, the reversal ω, deterministic samples,
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Tuple
 
 from .carriers import RAT, Carrier
 from .poly import (
@@ -50,9 +55,10 @@ from .simplicial import (
     _nondegenerate,
     cube_pair,
     free_pair,
+    interval_halves,
     interval_reversal,
-    iterated_sd,
     last_vertex_map,
+    sd_pair,
     subdivide_map,
 )
 
@@ -67,23 +73,11 @@ class FunctionAlgebra(Carrier):
         self.base = base
         self.pair0 = pair0
         self.r = r
-        self.levels = iterated_sd(pair0, r)
-        self.space = self.levels[r]
-        self.sset = self.space.total
-        self.subset = self.space.sub
+        space = sd_pair(pair0, r)
+        self.sset = space.total
+        self.subset = space.sub
         self.name = f"{base.name}^({pair0.name})_{r}"
         self.can_decide_zero = base.can_decide_zero
-        self._gammas: Dict[int, SimplicialMap] = {}
-
-    # -- tower plumbing --------------------------------------------------
-
-    def gamma(self, k: int) -> SimplicialMap:
-        """Last-vertex map sd^{k+1} total → sd^k total (within this tower)."""
-        if k not in self._gammas:
-            self._gammas[k] = last_vertex_map(
-                self.levels[k].total, self.levels[k + 1].total
-            )
-        return self._gammas[k]
 
     # -- canonical elements ----------------------------------------------
 
@@ -219,8 +213,7 @@ def pullback_along(
 def transition(src: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
     """Pullback along the last-vertex map; raises the subdivision index."""
     tgt = function_algebra(src.base, src.pair0, src.r + 1)
-    gamma = tgt.gamma(src.r)
-    return tgt, pullback_along(src, x, gamma, tgt)
+    return tgt, pullback_along(src, x, last_vertex_map(src.sset), tgt)
 
 
 def transition_n(src: FunctionAlgebra, x: Element, n: int) -> Tuple[FunctionAlgebra, Element]:
@@ -228,19 +221,6 @@ def transition_n(src: FunctionAlgebra, x: Element, n: int) -> Tuple[FunctionAlge
     for _ in range(n):
         fa, x = transition(fa, x)
     return fa, x
-
-
-def tower_map(
-    f0: SimplicialMap,
-    src_levels: Sequence[SimplicialPair],
-    tgt_levels: Sequence[SimplicialPair],
-    r: int,
-) -> SimplicialMap:
-    """``sd^r`` of a map, using the two supplied subdivision towers."""
-    f = f0
-    for k in range(1, r + 1):
-        f = subdivide_map(f, src_levels[k].total, tgt_levels[k].total)
-    return f
 
 
 # -- the multiplication morphism μ --------------------------------------
@@ -257,13 +237,10 @@ def _mu_plan(outer: FunctionAlgebra):
         B, cube_pair(inner.pair0.coords + outer.pair0.coords), r + s
     )
     inner_rs = function_algebra(B, inner.pair0, r + s)
-    outer_rs = function_algebra(inner, outer.pair0, r + s)
-    flat = target.levels[0].total
+    flat = target.pair0.total
     pr1 = SimplicialMap.from_vertex_map(flat, inner.pair0.total, lambda v: v[:n])
     pr2 = SimplicialMap.from_vertex_map(flat, outer.pair0.total, lambda v: v[n:])
-    prK = tower_map(pr1, target.levels, inner_rs.levels, r + s)
-    prK2 = tower_map(pr2, target.levels, outer_rs.levels, r + s)
-    return target, inner_rs, prK, prK2
+    return target, inner_rs, subdivide_map(pr1, r + s), subdivide_map(pr2, r + s)
 
 
 def mu(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
@@ -351,35 +328,15 @@ def omega(fa: FunctionAlgebra, x: Element) -> Element:
     return pullback_along(fa, x, rev, fa)
 
 
-@cache
-def _interval_inclusions(fa: FunctionAlgebra) -> Tuple[SimplicialMap, SimplicialMap]:
-    """sd^r of the two copies I → sd I (both oriented toward the barycenter).
-
-    Returns maps from ``fa``'s level-r total into the level-(r+1) total.
-    """
-    tgt = function_algebra(fa.base, fa.pair0, fa.r + 1)
-    I0 = fa.levels[0].total
-    sdI = tgt.levels[1].total
-    v0, v1, edge = ((0,),), ((1,),), ((0,), (1,))
-    j1 = SimplicialMap.from_vertex_map(
-        I0, sdI, lambda v: v0 if v == (0,) else edge
-    )
-    j2 = SimplicialMap.from_vertex_map(
-        I0, sdI, lambda v: v1 if v == (0,) else edge
-    )
-    return (
-        tower_map(j1, fa.levels, tgt.levels[1:], fa.r),
-        tower_map(j2, fa.levels, tgt.levels[1:], fa.r),
-    )
-
-
 def concatenate(fa: FunctionAlgebra, x: Element, y: Element) -> Tuple[FunctionAlgebra, Element]:
     """Concatenation of interval families: x on the first half, the
     reversal of y on the second; requires d₀(x) = d₁(y)."""
     if fa.base.can_decide_zero and d0(fa, x) != d1(fa, y):
         raise ValueError("endpoint mismatch: d0(first) != d1(second)")
     tgt = function_algebra(fa.base, fa.pair0, fa.r + 1)
-    f1, f2 = _interval_inclusions(fa)
+    f1, f2 = interval_halves(fa.r)
+    if f1.source is not fa.sset:
+        raise ValueError("concatenation needs a pair on the interval I^1")
     # the reversal of the second half is computed in the absolute algebra
     # (it moves any endpoint-vanishing condition to the other endpoint)
     fa_abs = function_algebra(fa.base, free_pair(fa.pair0), fa.r)

@@ -147,13 +147,11 @@ def swap_pullback(fa: FunctionAlgebra) -> Morphism:
     """
     if len(fa.pair0.coords) < 2 or fa.r != 0:
         raise ValueError("swap needs at least two coordinates at r = 0")
-    n = len(fa.pair0.coords)
-    total = fa.levels[0].total
 
     def vmap(v):
         return (v[1], v[0]) + tuple(v[2:])
 
-    smap = SimplicialMap.from_vertex_map(total, total, vmap)
+    smap = SimplicialMap.from_vertex_map(fa.sset, fa.sset, vmap)
     return Morphism(fa, fa, lambda x: pullback_along(fa, x, smap, fa), "c*")
 
 

@@ -11,6 +11,12 @@ with repeats dropped, ``d_i`` deletes the ``i``-th entry and ``s_j``
 repeats it, so simplices need no separate face or degeneracy tables.  A
 simplicial map between nerves is a monotone map of elements, applied to a
 chain entrywise.
+
+This module owns barycentric subdivision: each simplicial set is
+subdivided once (``_sd``, cached by identity), so every pair on it
+(:func:`sd_pair`), every subdivided map (:func:`subdivide_map`), its
+last-vertex maps, the interval reversal and the interval halves share one
+tower sd^r K; callers pass a level r, never a list of levels.
 """
 
 from __future__ import annotations
@@ -224,7 +230,7 @@ def free_pair(P: SimplicialPair) -> SimplicialPair:
     return cube_pair(("free",) * len(P.coords))
 
 
-# -- barycentric subdivision and last-vertex map -------------------------
+# -- barycentric subdivision: one shared tower per simplicial set -------
 
 
 def subdivide(K: FinSimplicialSet) -> FinSimplicialSet:
@@ -235,34 +241,37 @@ def subdivide(K: FinSimplicialSet) -> FinSimplicialSet:
     )
 
 
-def last_vertex_map(K: FinSimplicialSet, sdK: FinSimplicialSet) -> SimplicialMap:
+@cache
+def _sd(K: FinSimplicialSet) -> FinSimplicialSet:
+    """sd K, built once per simplicial set (by identity): every pair, map
+    and carrier on K climbs the same tower K, sd K, sd² K, ..."""
+    return subdivide(K)
+
+
+@cache
+def last_vertex_map(K: FinSimplicialSet) -> SimplicialMap:
     """γ : sd K → K, sending each member of a flag to its last vertex."""
-    return SimplicialMap.from_vertex_map(sdK, K, lambda x: x[-1])
+    return SimplicialMap.from_vertex_map(_sd(K), K, lambda x: x[-1])
 
 
-def subdivide_map(
-    f: SimplicialMap, sd_src: FinSimplicialSet, sd_tgt: FinSimplicialSet
-) -> SimplicialMap:
-    """sd f : sd K → sd L, sending a simplex to the nondegenerate part of
-    its image."""
-    return SimplicialMap.from_vertex_map(
-        sd_src, sd_tgt, lambda x: _nondegenerate(f.apply(x))
-    )
-
-
-def subdivide_pair(P: SimplicialPair) -> SimplicialPair:
-    """sd of a pair: flags all of whose members lie in the subobject."""
-    sdK = subdivide(P.total)
-    sub = frozenset(c for c in sdK.bases() if all(x in P.sub for x in c))
-    return SimplicialPair(sdK, sub, name=f"sd({P.name})", coords=P.coords)
-
-
-def iterated_sd(P: SimplicialPair, r: int) -> List[SimplicialPair]:
-    """[P, sd P, ..., sd^r P]."""
-    out = [P]
+def subdivide_map(f: SimplicialMap, r: int) -> SimplicialMap:
+    """sd^r f : sd^r K → sd^r L on the shared towers, sending a simplex to
+    the nondegenerate part of its image."""
     for _ in range(r):
-        out.append(subdivide_pair(out[-1]))
-    return out
+        f = SimplicialMap.from_vertex_map(
+            _sd(f.source), _sd(f.target), lambda x, f=f: _nondegenerate(f.apply(x))
+        )
+    return f
+
+
+def sd_pair(P: SimplicialPair, r: int) -> SimplicialPair:
+    """sd^r P on the shared tower of ``P.total``: at each step the flags all
+    of whose members lie in the subobject."""
+    for _ in range(r):
+        sdK = _sd(P.total)
+        sub = frozenset(c for c in sdK.bases() if all(x in P.sub for x in c))
+        P = SimplicialPair(sdK, sub, name=f"sd({P.name})", coords=P.coords)
+    return P
 
 
 def interval_reversal(r: int) -> SimplicialMap:
@@ -274,11 +283,24 @@ def interval_reversal(r: int) -> SimplicialMap:
     """
     if r < 1:
         raise ValueError("interval reversal is simplicial only for r >= 1")
-    levels = iterated_sd(interval_rel_one(), r)
+    sdI = _sd(_cube_total(1))
     swap = {((0,),): ((1,),), ((1,),): ((0,),)}
-    f = SimplicialMap.from_vertex_map(
-        levels[1].total, levels[1].total, lambda b: swap.get(b, b)
-    )
-    for k in range(2, r + 1):
-        f = subdivide_map(f, levels[k].total, levels[k].total)
-    return f
+    f = SimplicialMap.from_vertex_map(sdI, sdI, lambda b: swap.get(b, b))
+    return subdivide_map(f, r - 1)
+
+
+@cache
+def interval_halves(r: int) -> Tuple[SimplicialMap, SimplicialMap]:
+    """sd^r of the two inclusions I → sd I, both oriented toward the
+    barycenter: maps sd^r I → sd^{r+1} I onto the two halves, shared by
+    every one-coordinate pair (all of them live on I^1)."""
+    I = _cube_total(1)
+    edge = ((0,), (1,))
+
+    def half(end):
+        j = SimplicialMap.from_vertex_map(
+            I, _sd(I), lambda v: end if v == (0,) else edge
+        )
+        return subdivide_map(j, r)
+
+    return half(((0,),)), half(((1,),))

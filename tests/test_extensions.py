@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from loopstable.algebras import AlgebraMap, dual_numbers, rationals
+from loopstable.algebras import BUILTIN_ALGEBRAS, AlgebraMap, dual_numbers, rationals
 from loopstable.extensions import (
     CertificateError,
     ExtensionData,
@@ -167,6 +167,19 @@ class TestPathExtension:
     def test_bounds(self):
         with pytest.raises(ValueError):
             path_extension(3, B, 0)
+
+    @pytest.mark.parametrize("algebra", ["dual", "sq0"])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_index_one_subdivided(self, algebra, r):
+        # ev-t0 at r >= 1 pulls back along sd^r of the face v -> v + (0,);
+        # building the extension validates it
+        A = BUILTIN_ALGEBRAS[algebra]()
+        E, prev = path_extension(1, A, r), path_extension(1, A, r - 1)
+        rng = random.Random(r)
+        for _ in range(3):
+            x = prev.mid.sample(rng)
+            lhs = E.pi(transition(prev.mid, x)[1])
+            assert lhs and lhs == transition(prev.quotient, prev.pi(x))[1]
 
 
 class TestClassifyingNaturality:

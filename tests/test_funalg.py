@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from loopstable.algebras import AlgebraMap, dual_numbers, rationals
+from loopstable.algebras import BUILTIN_ALGEBRAS, AlgebraMap, dual_numbers, rationals
 from loopstable.carriers import RAT
 from loopstable.funalg import (
     apply_to_coefficients,
@@ -39,6 +39,7 @@ from loopstable.simplicial import (
     cube_pair,
     free_pair,
     interval_rel_one,
+    last_vertex_map,
     path_pair,
     point,
 )
@@ -133,7 +134,7 @@ class TestRestrict:
     def test_restrict_is_multiplicative(self):
         fa = function_algebra(B, S1, 0)
         fa1 = function_algebra(B, S1, 1)
-        gamma = fa1.gamma(0)
+        gamma = last_vertex_map(fa.sset)
         rng = random.Random(11)
         for _ in range(10):
             x, y = sample_element(fa, rng), sample_element(fa, rng)
@@ -254,6 +255,19 @@ class TestConcatenate:
             assert omega(fa, fa.mul(x1, x2)) == fa.mul(
                 omega(fa, x1), omega(fa, x2)
             )
+
+
+    @pytest.mark.parametrize("algebra", ["dual", "sq0"])
+    def test_reversal_reverses_subdivided_concatenation(self, algebra):
+        # at r = 1 the halves and the reversal are maps of sd I and sd² I
+        A = BUILTIN_ALGEBRAS[algebra]()
+        fa = function_algebra(A, S1, 1)
+        rng = random.Random(5)
+        for _ in range(3):
+            x, y = sample_element(fa, rng), sample_element(fa, rng)
+            fa2, c = concatenate(fa, x, y)
+            assert fa2.r == 2 and c
+            assert omega(fa2, c) == concatenate(fa, omega(fa, y), omega(fa, x))[1]
 
 
 class TestMu:
@@ -384,6 +398,13 @@ class TestCarrierIdentity:
         assert function_algebra(B, cube_pair(("free",)), 0) is fa
         assert fa.subset == frozenset()
         assert fa.name == "Q[x]/(x^2)^(I[free])_0"
+
+    def test_one_tower_for_every_interval_pair(self):
+        # the subdivision tower belongs to the cube, not to the carrier
+        pairs = [cube(1), interval_rel_one(), free_pair(cube(1))]
+        ssets = {id(function_algebra(B, P, 2).sset) for P in pairs}
+        assert len(ssets) == 1
+        assert function_algebra(RAT, cube(1), 2).sset is function_algebra(B, cube(1), 2).sset
 
 
 def _weak_chains(K, length):

@@ -1,8 +1,12 @@
 """Tests for the simplicial layer: nerves and their chains, cube pairs
-given by their coordinate profiles, subdivision, last-vertex maps and
-interval reversal."""
+given by their coordinate profiles, subdivision (one shared tower per
+simplicial set), last-vertex maps and interval reversal."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,13 +23,12 @@ from loopstable.simplicial import (
     free_pair,
     interval_rel_one,
     interval_reversal,
-    iterated_sd,
     last_vertex_map,
     path_pair,
     point,
+    sd_pair,
     subdivide,
     subdivide_map,
-    subdivide_pair,
 )
 
 
@@ -101,15 +104,15 @@ class TestCube:
 class TestSubdivision:
     def test_sd_point(self):
         K = point().total
-        sdK = subdivide(K)
-        g = last_vertex_map(K, sdK)
+        g = last_vertex_map(K)
+        sdK = g.source
         assert len(sdK.bases()) == 1
         assert g.apply(sdK.bases()[0]) == K.bases()[0]
 
     def test_sd_interval(self):
         K = cube(1).total
-        sdK = subdivide(K)
-        g = last_vertex_map(K, sdK)
+        g = last_vertex_map(K)
+        sdK = g.source
         assert count(sdK, 0) == 3
         assert count(sdK, 1) == 2
         assert_face_closed(sdK.dims)
@@ -120,8 +123,7 @@ class TestSubdivision:
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_sd_r_interval_counts(self, r):
-        levels = iterated_sd(interval_rel_one(), r)
-        K = levels[r].total
+        K = sd_pair(interval_rel_one(), r).total
         assert count(K, 1) == 2 ** r
         assert count(K, 0) == 2 ** r + 1
 
@@ -133,15 +135,15 @@ class TestSubdivision:
 
     def test_sd_pair_sub(self):
         p = interval_rel_one()
-        sdp = subdivide_pair(p)
+        sdp = sd_pair(p, 1)
         assert len(sdp.sub) == 1  # the endpoint stays a single vertex
 
     def test_gamma_naturality(self):
         K, L = cube(2).total, cube(1).total
         f = SimplicialMap.from_vertex_map(K, L, lambda v: (max(v),))
-        sdK, sdL = subdivide(K), subdivide(L)
-        gK, gL = last_vertex_map(K, sdK), last_vertex_map(L, sdL)
-        sdf = subdivide_map(f, sdK, sdL)
+        gK, gL = last_vertex_map(K), last_vertex_map(L)
+        sdf = subdivide_map(f, 1)
+        assert (sdf.source, sdf.target) == (gK.source, gL.source)
         assert_simplicial(sdf)
         assert composite(gL, sdf) == composite(f, gK)
 
@@ -150,6 +152,38 @@ class TestSubdivision:
             rev = interval_reversal(r)
             assert_simplicial(rev, injective=True)
             assert composite(rev, rev) == {b: b for b in rev.source.bases()}
+
+
+SUBDIVISIONS_PER_SET = """
+import collections, contextlib, io
+from loopstable import cli, simplicial
+calls = collections.Counter()
+subdivide = simplicial.subdivide
+def counted(K):
+    calls[id(K)] += 1
+    return subdivide(K)
+simplicial.subdivide = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["--check", "all", "--samples", "1", "--algebra", "builtin:dual"])
+print(code, sum(calls.values()), max(calls.values()))
+"""
+
+
+def test_each_simplicial_set_is_subdivided_once():
+    # a fresh interpreter, so that no earlier test has filled the caches
+    path = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    os.environ.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", SUBDIVISIONS_PER_SET],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout.split()
+    code, calls, most = map(int, out)
+    assert code == 0
+    assert calls > 0
+    assert most == 1
 
 
 class TestSimplicialPair:
@@ -277,7 +311,6 @@ class TestProduct:
 def test_nerve_of_divisibility_poset_validates(elems):
     K = FinSimplicialSet(elems, lambda a, b: b % a == 0)
     assert_face_closed(K.dims)
-    sdK = subdivide(K)
-    g = last_vertex_map(K, sdK)
-    assert_face_closed(sdK.dims)
+    g = last_vertex_map(K)
+    assert_face_closed(g.source.dims)
     assert_simplicial(g)
