@@ -4,8 +4,8 @@ Elements are canonical vectors ``((label, coefficient), ...)``, each
 coefficient an int, or a Fraction when not integral: sparse
 combinations of basis labels over the rationals in the canonical form of
 :mod:`loopstable.poly`.  ``add`` and ``scale`` are ``cp_add``/``cp_scale``
-over ``RAT``; the sums ``lincomb`` and ``dot`` (and ``mul``, the ``dot``
-of one pair) collect every term in one dict and canonicalise it once.
+over ``RAT``; the sum of products ``combine`` (and ``mul``, its one-term
+case) collects every term in one dict and canonicalises it once.
 Includes the built-in test algebras and the text file format consumed by
 the CLI.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from .carriers import RAT, Carrier, rat
@@ -78,23 +79,21 @@ class FinAlgebra(Carrier):
     def scale(self, a, x: Vec) -> Vec:
         return cp_scale(RAT, a, x)
 
-    def mul(self, x: Vec, y: Vec) -> Vec:
-        return self.dot(((x, y),))
-
-    def lincomb(self, terms) -> Vec:
-        d: Dict[str, Any] = {}
-        get = d.get
-        for a, x in terms:
-            for k, c in x:
-                d[k] = get(k, 0) + a * c
-        return cp_norm(RAT, d)
-
-    def dot(self, pairs) -> Vec:
+    def combine(self, terms) -> Vec:
         d: Dict[str, Any] = {}
         get = d.get
         tbl = self.table
-        for x, y in pairs:
+        for a, xs in terms:
+            n = len(xs)
+            if n == 1:
+                for k, c in xs[0]:
+                    d[k] = get(k, 0) + a * c
+                continue
+            if n > 2:
+                xs = (reduce(self.mul, xs[:-1]), xs[-1])
+            x, y = xs
             for i, ci in x:
+                ci = a * ci
                 for j, cj in y:
                     e = tbl.get((i, j))
                     if not e:
@@ -157,7 +156,7 @@ class AlgebraMap:
         self.validate()
 
     def apply(self, x: Vec) -> Vec:
-        return self.target.lincomb((c, self.images[k]) for k, c in x)
+        return self.target.combine((c, (self.images[k],)) for k, c in x)
 
     def __call__(self, x: Vec) -> Vec:
         return self.apply(x)

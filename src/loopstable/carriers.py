@@ -4,19 +4,19 @@ A *carrier* is an algebra whose elements are canonical immutable (hashable)
 Python values; the carrier object interprets them (arithmetic, zero test,
 membership) and, where it can, draws deterministic samples of them from a
 ``random.Random`` (:meth:`Carrier.sample`).  The arithmetic is ``zero``,
-``add``, ``scale`` and ``mul``, plus two sums of many terms,
-:meth:`Carrier.lincomb` (Σ aᵢ·xᵢ) and :meth:`Carrier.dot` (Σ xᵢ·yᵢ).  They
-default to folds of the binary operations; a carrier whose elements are
-sparse combinations overrides them to build one dict and canonicalise it
-once, instead of once per term.  The one-pass overrides are ``RAT``,
-``FinAlgebra``, ``TensorAlgebra`` (and ``JKernel``, which delegates to
-it) and ``FunctionAlgebra``; ``PullbackCarrier`` and ``PolyExtension``
-keep the folds.  Where zero is decidable every element
-has exactly one representation, so ``==`` is equality and
-``x == zero()`` is the zero test.  Concrete carriers: finite-dimensional
-algebras (:mod:`loopstable.algebras`), polynomial function algebras
-(:mod:`loopstable.funalg`), tensor algebras and J-kernels
-(:mod:`loopstable.tensorj`), and the homotopy carrier ``C[u]``
+``add``, ``scale`` and one sum of products, :meth:`Carrier.combine`
+(Σ aᵢ·xᵢ₁⋯xᵢₖ), of which ``mul`` is the one-term case.  ``combine``
+defaults to a fold of ``mul``, ``scale`` and ``add``; a carrier whose
+elements are sparse combinations overrides it to build one dict and
+canonicalise it once, instead of once per term.  The one-pass overrides
+are ``RAT``, ``FinAlgebra``, ``TensorAlgebra`` (and ``JKernel``, which
+delegates to it) and ``FunctionAlgebra``; ``PullbackCarrier`` and
+``PolyExtension`` keep the fold and give their own ``mul``.  Where zero
+is decidable every element has exactly one representation, so ``==`` is
+equality and ``x == zero()`` is the zero test.  Concrete carriers:
+finite-dimensional algebras (:mod:`loopstable.algebras`), polynomial
+function algebras (:mod:`loopstable.funalg`), tensor algebras and
+J-kernels (:mod:`loopstable.tensorj`), and the homotopy carrier ``C[u]``
 (:mod:`loopstable.extensions`); here live the ground field ``RAT``, the
 coefficient carrier of scalar polynomials, and the generic pullback.  This
 module imports nothing from the package.
@@ -30,12 +30,10 @@ where a given or parsed coefficient enters.
 
 from __future__ import annotations
 
-import operator
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import starmap
-from typing import Any, Callable, Iterable, Tuple
+from typing import Any, Callable, Iterable, Sequence, Tuple
 
 
 class Carrier:
@@ -43,9 +41,9 @@ class Carrier:
 
     Arithmetic returns canonical elements, so two elements of a carrier
     that decides zero are equal exactly when they are ``==``.  A subclass
-    implements ``zero``, ``add``, ``scale``, ``mul`` and ``contains``; the
-    sums :meth:`lincomb` and :meth:`dot` fold ``add`` with ``scale`` or
-    ``mul`` unless it overrides them with a one-pass sum.
+    implements ``zero``, ``add``, ``scale``, ``contains`` and either
+    ``mul`` (which the default :meth:`combine` folds) or a one-pass
+    :meth:`combine` (through which ``mul`` multiplies).
     """
 
     name: str = "?"
@@ -71,17 +69,16 @@ class Carrier:
         raise NotImplementedError
 
     def mul(self, x: Any, y: Any) -> Any:
-        raise NotImplementedError
+        return self.combine(((1, (x, y)),))
 
-    def lincomb(self, terms: Iterable[Tuple[int | Fraction, Any]]) -> Any:
-        """Σ aᵢ·xᵢ over pairs ``(aᵢ, xᵢ)`` of a rational and an element."""
-        scaled = [self.scale(a, x) for a, x in terms]
-        return reduce(self.add, scaled) if scaled else self.zero()
-
-    def dot(self, pairs: Iterable[Tuple[Any, Any]]) -> Any:
-        """Σ xᵢ·yᵢ over pairs of elements."""
-        prods = [self.mul(x, y) for x, y in pairs]
-        return reduce(self.add, prods) if prods else self.zero()
+    def combine(self, terms: Iterable[Tuple[int | Fraction, Sequence[Any]]]) -> Any:
+        """Σ aᵢ·xᵢ₁⋯xᵢₖ over terms ``(aᵢ, (xᵢ₁, …, xᵢₖ))`` of a rational and
+        k ≥ 1 elements."""
+        out = []
+        for a, xs in terms:
+            p = reduce(self.mul, xs)
+            out.append(p if a == 1 else self.scale(a, p))
+        return reduce(self.add, out) if out else self.zero()
 
     def is_zero(self, x: Any) -> bool:
         return x == self.zero()
@@ -123,11 +120,13 @@ class Rationals(Carrier):
     def mul(self, x, y):
         return x * y
 
-    def lincomb(self, terms):
-        return sum(starmap(operator.mul, terms))
-
-    def dot(self, pairs):
-        return sum(starmap(operator.mul, pairs))
+    def combine(self, terms):
+        s = 0
+        for a, xs in terms:
+            for x in xs:
+                a = a * x
+            s += a
+        return s
 
     def is_zero(self, x):
         return x == 0

@@ -26,7 +26,7 @@ every elementary homotopy is a polynomial substitution.
 from __future__ import annotations
 
 import random
-from functools import cache
+from functools import cache, reduce
 from typing import Any, Dict, Tuple
 
 from .carriers import RAT, Carrier
@@ -35,9 +35,8 @@ from .poly import (
     ONE_MINUS_T,
     QPoly,
     cp_add,
+    cp_combine,
     cp_constant,
-    cp_dot,
-    cp_lincomb,
     cp_map_coeffs,
     cp_norm,
     cp_scale,
@@ -120,25 +119,23 @@ class FunctionAlgebra(Carrier):
     def scale(self, a, x: Element) -> Element:
         return self.canon({b: cp_scale(self.base, a, p) for b, p in x})
 
-    def mul(self, x: Element, y: Element) -> Element:
-        return self.dot(((x, y),))
-
-    def lincomb(self, terms) -> Element:
-        groups: Dict[Any, list] = {}
-        for a, x in terms:
-            for b, p in x:
-                groups.setdefault(b, []).append((a, p))
-        return self.canon({b: cp_lincomb(self.base, g) for b, g in groups.items()})
-
-    def dot(self, pairs) -> Element:
+    def combine(self, terms) -> Element:
         # a product lives on the simplices where both factors are nonzero
         groups: Dict[Any, list] = {}
-        for x, y in pairs:
+        for a, xs in terms:
+            n = len(xs)
+            if n == 1:
+                for b, p in xs[0]:
+                    groups.setdefault(b, []).append((a, (p,)))
+                continue
+            if n > 2:
+                xs = (reduce(self.mul, xs[:-1]), xs[-1])
+            x, y = xs
             dy = dict(y)
             for b, p in x:
                 if b in dy:
-                    groups.setdefault(b, []).append((p, dy[b]))
-        return self.canon({b: cp_dot(self.base, g) for b, g in groups.items()})
+                    groups.setdefault(b, []).append((a, (p, dy[b])))
+        return self.canon({b: cp_combine(self.base, g) for b, g in groups.items()})
 
     def contains(self, x) -> bool:
         """Face compatibility plus vanishing (skipped over formal bases):

@@ -6,11 +6,10 @@ may be anything Python orders natively (exponent tuples, basis labels,
 tensor words, simplices).  :func:`cp_norm` is the one place that builds
 this canonical form, so two combinations are equal exactly when they are
 ``==``.  The ``cp_`` functions do the arithmetic with the coefficients
-interpreted by a :class:`~loopstable.carriers.Carrier`.  Sums of many
-terms canonicalise once: :func:`cp_lincomb` (Σ aᵢ·pᵢ) and :func:`cp_dot`
-(Σ pᵢ·qᵢ, of which :func:`cp_mul` is the one-pair case) group the
-coefficients by exponent and hand each group to the carrier's
-``lincomb`` or ``dot``.
+interpreted by a :class:`~loopstable.carriers.Carrier`.  A sum of
+products canonicalises once: :func:`cp_combine` (Σ aᵢ·pᵢ₁⋯pᵢₖ, of which
+:func:`cp_mul` is the one-term case) groups the coefficient products by
+exponent and hands each group to the carrier's ``combine``.
 
 A *polynomial* is a sparse combination keyed by exponent tuples.  A
 *scalar* polynomial (``QPoly``) is a carrier polynomial over
@@ -26,7 +25,7 @@ eliminated via ``t_0 = 1 − Σ t_i``); exponent tuples have length ``n``.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial, reduce
 from operator import add, itemgetter
 from typing import Any, Callable, Dict, Iterable, Sequence, Tuple
 
@@ -109,40 +108,38 @@ def cp_scale(car, a, p: CPoly) -> CPoly:
     return tuple((e, car.scale(a, c)) for e, c in p)
 
 
-def cp_lincomb(car, terms: Iterable[Tuple[Any, CPoly]]) -> CPoly:
-    """``Σ aᵢ·pᵢ`` over pairs of a rational and a carrier polynomial: the
-    coefficients are grouped by exponent and summed by one ``car.lincomb``
-    per exponent."""
+def cp_combine(car, terms: Iterable[Tuple[Any, Sequence[CPoly]]]) -> CPoly:
+    """``Σ aᵢ·pᵢ₁⋯pᵢₖ`` over terms ``(aᵢ, (pᵢ₁, …, pᵢₖ))`` of a rational
+    and k ≥ 1 carrier polynomials: the coefficient products are grouped by
+    exponent and summed by one ``car.combine`` per exponent.  The head of
+    a term of three or more factors is multiplied out first."""
     groups: Dict[Exps, list] = {}
-    for a, p in terms:
-        for e, c in p:
-            g = groups.get(e)
-            if g is None:
-                groups[e] = [(a, c)]
-            else:
-                g.append((a, c))
-    return cp_norm(car, {e: car.lincomb(g) for e, g in groups.items()})
-
-
-def cp_dot(car, pairs: Iterable[Tuple[CPoly, CPoly]]) -> CPoly:
-    """``Σ pᵢ·qᵢ`` over pairs of carrier polynomials: the coefficient pairs
-    are grouped by the exponent of their product and summed by one
-    ``car.dot`` per exponent."""
-    groups: Dict[Exps, list] = {}
-    for p, q in pairs:
+    for a, ps in terms:
+        n = len(ps)
+        if n == 1:
+            for e, c in ps[0]:
+                g = groups.get(e)
+                if g is None:
+                    groups[e] = [(a, (c,))]
+                else:
+                    g.append((a, (c,)))
+            continue
+        if n > 2:
+            ps = (reduce(partial(cp_mul, car), ps[:-1]), ps[-1])
+        p, q = ps
         for e1, c1 in p:
             for e2, c2 in q:
                 e = tuple(map(add, e1, e2))
                 g = groups.get(e)
                 if g is None:
-                    groups[e] = [(c1, c2)]
+                    groups[e] = [(a, (c1, c2))]
                 else:
-                    g.append((c1, c2))
-    return cp_norm(car, {e: car.dot(g) for e, g in groups.items()})
+                    g.append((a, (c1, c2)))
+    return cp_norm(car, {e: car.combine(g) for e, g in groups.items()})
 
 
 def cp_mul(car, p: CPoly, q: CPoly) -> CPoly:
-    return cp_dot(car, ((p, q),))
+    return cp_combine(car, ((1, (p, q)),))
 
 
 def cp_constant(car, c: Any, nvars: int) -> CPoly:

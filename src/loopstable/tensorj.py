@@ -75,19 +75,20 @@ class TensorAlgebra(Carrier):
         # (perfbench/spans.py) times the tensor canonicalisation by it
         return cp_norm(RAT, d)
 
-    def lincomb(self, terms) -> TElement:
+    def combine(self, terms) -> TElement:
         d: Dict[Word, Any] = {}
         get = d.get
-        for a, x in terms:
-            for w, c in x:
-                d[w] = get(w, 0) + a * c
-        return self._norm(d)
-
-    def dot(self, pairs) -> TElement:
-        d: Dict[Word, Any] = {}
-        get = d.get
-        for x, y in pairs:
+        for a, xs in terms:
+            n = len(xs)
+            if n == 1:
+                for w, c in xs[0]:
+                    d[w] = get(w, 0) + a * c
+                continue
+            if n > 2:
+                xs = (reduce(self.mul, xs[:-1]), xs[-1])
+            x, y = xs
             for w1, c1 in x:
+                c1 = a * c1
                 for w2, c2 in y:
                     w = w1 + w2
                     d[w] = get(w, 0) + c1 * c2
@@ -102,9 +103,6 @@ class TensorAlgebra(Carrier):
     def scale(self, a, x: TElement) -> TElement:
         return cp_scale(RAT, a, x)
 
-    def mul(self, x: TElement, y: TElement) -> TElement:
-        return self.dot(((x, y),))
-
     def contains(self, x) -> bool:
         if not isinstance(x, tuple):
             return False
@@ -115,16 +113,13 @@ class TensorAlgebra(Carrier):
 
     # -- letters, counit, splitting -------------------------------------
 
-    def letters(self, w: Word) -> List[Any]:
-        """The carrier elements behind the letters of a word."""
-        if self.based:
-            return [based_key_element(self.base, k) for k in w]
-        return list(w)
+    def letter(self, k):
+        """The carrier element behind a letter of a word."""
+        return based_key_element(self.base, k) if self.based else k
 
     def eta(self, x: TElement):
         """The counit: multiply each word out in the base carrier."""
-        mul = self.base.mul
-        return self.base.lincomb((c, reduce(mul, self.letters(w))) for w, c in x)
+        return self.base.combine((c, tuple(map(self.letter, w))) for w, c in x)
 
     def sigma(self, b) -> TElement:
         """The module splitting A → T(A) by length-1 words."""
@@ -153,6 +148,8 @@ class JKernel(Carrier):
         flavor = "" if ta.based else "'"
         self.name = f"J{flavor}({ta.base.name})"
         self.can_decide_zero = ta.can_decide_zero
+        #: e_w by word, filled on first use by :func:`based_key_element`
+        self.basis_elements: Dict[Word, TElement] = {}
 
     def zero(self):
         return ()
@@ -163,14 +160,8 @@ class JKernel(Carrier):
     def scale(self, a, x):
         return self.ta.scale(a, x)
 
-    def mul(self, x, y):
-        return self.ta.mul(x, y)
-
-    def lincomb(self, terms):
-        return self.ta.lincomb(terms)
-
-    def dot(self, pairs):
-        return self.ta.dot(pairs)
+    def combine(self, terms):
+        return self.ta.combine(terms)
 
     def eta(self, x):
         return self.ta.eta(x)
@@ -203,8 +194,11 @@ def based_key_element(car: Carrier, k):
     if isinstance(car, FinAlgebra):
         return car.basis_vec(k)
     if isinstance(car, JKernel) and car.ta.based:
-        w = ((k, 1),)
-        return car.ta.add(w, car.ta.neg(car.ta.sigma(car.ta.eta(w))))
+        e = car.basis_elements.get(k)
+        if e is None:
+            w = ((k, 1),)
+            e = car.basis_elements[k] = car.ta.sub(w, car.ta.sigma(car.ta.eta(w)))
+        return e
     raise ValueError(f"carrier {car.name} has no canonical basis")
 
 
@@ -277,11 +271,17 @@ def zero_morphism(source: Carrier, target: Carrier) -> Morphism:
 
 def word_image(ta: TensorAlgebra, x: TElement, letter_fn: Callable, target: Carrier):
     """Σ c_w Π letter_fn(letter): the evaluation scheme of classifying maps,
-    summed in one ``target.lincomb``."""
-    mul = target.mul
-    return target.lincomb(
-        (c, reduce(mul, map(letter_fn, ta.letters(w)))) for w, c in x
-    )
+    every word multiplied out and summed in one ``target.combine``.  Each
+    distinct letter is evaluated once."""
+    images: Dict[Any, Any] = {}
+
+    def image(k):
+        v = images.get(k)
+        if v is None:
+            v = images[k] = letter_fn(ta.letter(k))
+        return v
+
+    return target.combine((c, tuple(map(image, w))) for w, c in x)
 
 
 def j_of(f: Morphism) -> Morphism:

@@ -4,7 +4,7 @@ Every decidable carrier's arithmetic returns elements in one spelling:
 keys strictly increasing in their native order, no zero coefficient, and
 the same rule one level down for polynomial and pair components.  These
 tests pin that invariant on every carrier flavour the catalog compares,
-and check the one-pass sums ``lincomb`` and ``dot`` against folds of
+and check the one-pass sum of products ``combine`` against folds of
 ``add`` with ``scale`` and ``mul``.
 
 A coefficient is an int, or a Fraction when it is not integral.  Over an
@@ -179,7 +179,7 @@ def test_cp_norm_sorts_the_nonzero_items(key):
         assert cp_norm(RAT, d) == expected
 
 
-# -- one-pass sums ---------------------------------------------------------
+# -- one-pass sums of products ------------------------------------------------
 
 
 def nonzero_samples(car, sample, rng, n):
@@ -206,23 +206,55 @@ def fold_dot(car, pairs):
     return out
 
 
+def linear(terms):
+    """One-factor ``combine`` terms: Σ aᵢ·xᵢ."""
+    return [(a, (x,)) for a, x in terms]
+
+
+def products(pairs):
+    """Two-factor ``combine`` terms: Σ xᵢ·yᵢ."""
+    return [(1, (x, y)) for x, y in pairs]
+
+
 @pytest.mark.parametrize("alg", sorted(ALGEBRAS))
 @pytest.mark.parametrize("kind", KINDS)
 def test_sums_equal_the_fold(kind, alg):
     car, sample = carrier_and_sampler(kind, ALGEBRAS[alg])
     xs = nonzero_samples(car, sample, random.Random(11), 4)
     terms = list(zip([2, -1, 1, 3], xs))
-    s = car.lincomb(terms)
+    s = car.combine(linear(terms))
     assert s == fold_lincomb(car, terms)
     assert_canonical(car, s, integral=True)
     terms = list(zip([F(3, 2), -1, 1, F(-1, 3)], xs))
-    s = car.lincomb(iter(terms))  # any iterable of terms
+    s = car.combine(iter(linear(terms)))  # any iterable of terms
     assert s == fold_lincomb(car, terms)
     assert_canonical(car, s)
     pairs = list(zip(xs, xs[1:] + xs[:1]))
-    p = car.dot(pairs)
+    p = car.combine(products(pairs))
     assert p == fold_dot(car, pairs)
     assert_canonical(car, p, integral=True)
+
+
+@pytest.mark.parametrize("alg", sorted(ALGEBRAS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_three_factor_terms_equal_the_fold(kind, alg):
+    car, sample = carrier_and_sampler(kind, ALGEBRAS[alg])
+    x, y, z, w = nonzero_samples(car, sample, random.Random(13), 4)
+    for a in (1, -2, F(1, 2)):
+        s = car.combine([(a, (x, y, z))])
+        assert s == car.scale(a, car.mul(car.mul(x, y), z))
+        assert_canonical(car, s, integral=type(a) is int)
+    # mixed lengths in one sum, including a four-factor term
+    terms = [(2, (x, y, z)), (-1, (w,)), (1, (z, x)), (3, (y, z, w, x))]
+    expected = car.zero()
+    for a, factors in terms:
+        prod = factors[0]
+        for f in factors[1:]:
+            prod = car.mul(prod, f)
+        expected = car.add(expected, car.scale(a, prod))
+    s = car.combine(iter(terms))
+    assert s == expected
+    assert_canonical(car, s, integral=True)
 
 
 @pytest.mark.parametrize("alg", sorted(ALGEBRAS))
@@ -230,21 +262,23 @@ def test_sums_equal_the_fold(kind, alg):
 def test_sums_drop_what_cancels(kind, alg):
     car, sample = carrier_and_sampler(kind, ALGEBRAS[alg])
     x, y = nonzero_samples(car, sample, random.Random(5), 2)
-    assert car.lincomb([]) == car.zero()
-    assert car.dot(iter(())) == car.zero()
-    assert car.lincomb([(2, x), (1, y), (-1, y), (-2, x)]) == car.zero()
-    assert car.lincomb([(F(1, 2), x), (F(-1, 2), x)]) == car.zero()
-    assert car.dot([(x, y), (car.neg(x), y)]) == car.zero()
-    assert car.lincomb([(0, x)]) == car.zero()
-    assert car.lincomb([(0, x), (1, y)]) == y
-    assert car.lincomb([(1, y), (0, x)]) == y
+    assert car.combine([]) == car.zero()
+    assert car.combine(iter(())) == car.zero()
+    assert car.combine(linear([(2, x), (1, y), (-1, y), (-2, x)])) == car.zero()
+    assert car.combine(linear([(F(1, 2), x), (F(-1, 2), x)])) == car.zero()
+    assert car.combine(products([(x, y), (car.neg(x), y)])) == car.zero()
+    assert car.combine(linear([(0, x)])) == car.zero()
+    assert car.combine(linear([(0, x), (1, y)])) == y
+    assert car.combine(linear([(1, y), (0, x)])) == y
 
 
 def test_rational_sums():
-    assert RAT.lincomb([]) == 0 and RAT.dot([]) == 0
-    assert RAT.lincomb([(F(1, 2), 3), (2, F(1, 4))]) == 2
-    assert RAT.dot([(F(1, 2), 3), (-3, F(1, 2))]) == 0
-    assert type(RAT.lincomb([(2, 3), (-1, 1)])) is int
+    assert RAT.combine([]) == 0 and RAT.combine(products([])) == 0
+    assert RAT.combine(linear([(F(1, 2), 3), (2, F(1, 4))])) == 2
+    assert RAT.combine(products([(F(1, 2), 3), (-3, F(1, 2))])) == 0
+    assert type(RAT.combine(linear([(2, 3), (-1, 1)]))) is int
+    assert type(RAT.combine(products([(2, 3), (-1, 1)]))) is int
+    assert RAT.combine([(F(1, 2), (2, 3, -1))]) == -3
 
 
 # -- FinAlgebra's one-pass sums ----------------------------------------------
@@ -261,7 +295,7 @@ FIN_ALGEBRAS = {**ALGEBRAS, "file": HALF_TRIANGULAR}
 
 def table_product(A, x, y):
     """x·y expanded on basis pairs with ``add`` and ``scale`` only, as a
-    reference that does not go through ``mul`` or ``dot``."""
+    reference that does not go through ``mul`` or ``combine``."""
     out = A.zero()
     for i, ci in x:
         for j, cj in y:
@@ -276,18 +310,18 @@ def test_fin_algebra_sums_equal_the_fold(alg):
     xs = nonzero_samples(A, A.sample, random.Random(3), 4)
     for coeffs in ([2, -1, 1, 3], [F(3, 2), -1, 1, F(-1, 3)]):
         terms = list(zip(coeffs, xs))
-        s = A.lincomb(iter(terms))
+        s = A.combine(iter(linear(terms)))
         assert s == fold_lincomb(A, terms) != A.zero()
         assert_canonical(A, s, all(type(a) is int for a in coeffs))
     pairs = list(zip(xs, xs[1:] + xs[:1]))
     for x, y in pairs:
         assert A.mul(x, y) == table_product(A, x, y)
         assert_canonical(A, A.mul(x, y), integral)
-    p = A.dot(iter(pairs))
+    p = A.combine(iter(products(pairs)))
     expected = A.zero()
     for x, y in pairs:
         expected = A.add(expected, table_product(A, x, y))
     assert p == expected != A.zero()
     assert_canonical(A, p, integral)
-    assert A.lincomb([]) == A.zero() and A.dot([]) == A.zero()
-    assert A.dot([(x, y), (A.neg(x), y)]) == A.zero()
+    assert A.combine([]) == A.zero() and A.combine(products([])) == A.zero()
+    assert A.combine(products([(x, y), (A.neg(x), y)])) == A.zero()

@@ -31,6 +31,7 @@ from loopstable.tensorj import (
     lambda_,
     sample_j_elements,
     tensor_algebra,
+    word_image,
 )
 
 B = dual_numbers()
@@ -84,8 +85,43 @@ class TestEtaSigmaCurvature:
         assert ta.mul(ta.sigma(BX), ta.sigma(BX)) != ta.sigma(B.mul(BX, BX))
         assert ta.sigma(B.mul(BX, BX)) == ()
 
+    @pytest.mark.parametrize("A", [dual_numbers(), m2q()], ids=["dual", "m2q"])
+    def test_eta_of_three_letter_words_is_the_product(self, A):
+        ta = tensor_algebra(A)
+        for i in A.labels:
+            for j in A.labels:
+                for k in A.labels:
+                    x = ta.scale(3, (((i, j, k), 1),))
+                    a, b, c = (A.basis_vec(l) for l in (i, j, k))
+                    assert ta.eta(x) == A.scale(3, A.mul(A.mul(a, b), c))
+        x, y, z = (A.sample(random.Random(s)) for s in range(3))
+        word = ta.mul(ta.mul(ta.sigma(x), ta.sigma(y)), ta.sigma(z))
+        assert ta.eta(word) == A.mul(A.mul(x, y), z)
+
+
+class TestWordImage:
+    def test_each_distinct_letter_is_evaluated_once(self):
+        ta = tensor_algebra(B)
+        # the letter x occurs five times over three words
+        x = ((("1", "x"), 1), (("x",), 2), (("x", "1", "x"), 1), (("x", "x"), -1))
+        seen = []
+
+        def letter_fn(v):
+            seen.append(v)
+            return ta.sigma(v)
+
+        out = word_image(ta, x, letter_fn, ta)
+        assert sorted(seen) == sorted([B1, BX])
+        assert out == x  # σ on letters multiplies out to the word itself
+
 
 class TestBasedKernelBasis:
+    def test_basis_element_is_built_once(self):
+        J = j_kernel(m2q())
+        e = based_key_element(J, ("e12", "e21"))
+        assert based_key_element(J, ("e12", "e21")) is e
+        assert e == ((("e11",), -1), (("e12", "e21"), 1))
+
     def test_basis_elements_lie_in_kernel(self):
         J = j_kernel(B)
         for w in (("x", "x"), ("1", "x"), ("1", "1", "x")):
