@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from .carriers import RAT, Carrier, rat
+from .carriers import RAT, Carrier, Mismatch, rat
 from .poly import cp_add, cp_norm, cp_scale
 
 #: ``((label, coefficient), ...)``; a coefficient is an int, or a Fraction
@@ -117,23 +117,27 @@ class FinAlgebra(Carrier):
     def validate(self) -> None:
         for (i, j), v in self.table.items():
             if i not in self.labels or j not in self.labels:
-                raise ValueError(f"structure constant on unknown pair ({i},{j})")
+                raise Mismatch(f"structure constant on unknown pair ({i},{j})",
+                               pair=(i, j))
             if not self.contains(v):
-                raise ValueError(f"structure constant value for ({i},{j}) invalid")
+                raise Mismatch(f"structure constant value for ({i},{j}) invalid",
+                               value=v)
         for i in self.labels:
             for j in self.labels:
                 for k in self.labels:
                     lhs = self.mul(self.mul(self.basis_vec(i), self.basis_vec(j)), self.basis_vec(k))
                     rhs = self.mul(self.basis_vec(i), self.mul(self.basis_vec(j), self.basis_vec(k)))
                     if lhs != rhs:
-                        raise ValueError(
-                            f"multiplication not associative at ({i},{j},{k})"
+                        raise Mismatch(
+                            f"multiplication not associative at ({i},{j},{k})",
+                            lhs=lhs, rhs=rhs,
                         )
         if self.unit is not None:
             for i in self.labels:
                 b = self.basis_vec(i)
                 if self.mul(self.unit, b) != b or self.mul(b, self.unit) != b:
-                    raise ValueError(f"declared unit is not two-sided at {i}")
+                    raise Mismatch(f"declared unit is not two-sided at {i}",
+                                   unit=self.unit)
 
 
 class AlgebraMap:
@@ -167,7 +171,8 @@ class AlgebraMap:
                 lhs = self.apply(self.source.mul(self.source.basis_vec(i), self.source.basis_vec(j)))
                 rhs = self.target.mul(self.images[i], self.images[j])
                 if lhs != rhs:
-                    raise ValueError(f"not multiplicative at ({i},{j})")
+                    raise Mismatch(f"not multiplicative at ({i},{j})",
+                                   got=lhs, expected=rhs)
 
 
 # -- built-in algebras ---------------------------------------------------

@@ -26,6 +26,9 @@ integral.  ``hash`` and ``==`` agree across the two types, so canonical
 forms compare and hash alike whichever type a coefficient has; integers
 only keep the arithmetic off the slow ``Fraction`` path.  :func:`rat` is
 where a given or parsed coefficient enters.
+
+A replayed identity that fails raises :class:`Mismatch`; an argument out
+of a function's domain raises a plain ``ValueError``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,15 @@ import random
 from fractions import Fraction
 from functools import reduce
 from typing import Any, Callable, Iterable, Sequence, Tuple
+
+
+class Mismatch(ValueError):
+    """A replayed identity does not hold.  The message says which identity;
+    ``values`` holds each offending value by name (at least one)."""
+
+    def __init__(self, detail: str, **values: Any) -> None:
+        super().__init__(detail)
+        self.values = values
 
 
 class Carrier:

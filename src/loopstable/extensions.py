@@ -25,7 +25,7 @@ from functools import cache
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from .algebras import FinAlgebra
-from .carriers import RAT, Carrier, PullbackCarrier
+from .carriers import RAT, Carrier, Mismatch, PullbackCarrier
 from .funalg import (
     Element,
     FunctionAlgebra,
@@ -200,10 +200,6 @@ def _pairs_by_power(car: PullbackCarrier, left: Dict[int, Any], right: Dict[int,
 # -- extension records ----------------------------------------------------
 
 
-class ExtensionError(ValueError):
-    pass
-
-
 def _identity(x):
     return x
 
@@ -233,9 +229,9 @@ class ExtensionData(NamedTuple):
             x = self.kernel.sample(rng)
             m = self.iota(x)
             if quo.can_decide_zero and not quo.is_zero(self.pi(m)):
-                raise ExtensionError(f"{self.name}: pi∘iota != 0 at {x!r}")
+                raise Mismatch(f"{self.name}: pi∘iota != 0", element=x)
             if self.into_kernel(m) != x:
-                raise ExtensionError(f"{self.name}: kernel roundtrip at {x!r}")
+                raise Mismatch(f"{self.name}: kernel roundtrip", element=x)
         qs = []
         if isinstance(quo, FinAlgebra):
             qs = [quo.basis_vec(l) for l in quo.labels]
@@ -244,7 +240,7 @@ class ExtensionData(NamedTuple):
         for q in qs:
             s_q = self.s(q)
             if self.pi(s_q) != q:
-                raise ExtensionError(f"{self.name}: pi∘s != id at {q!r}")
+                raise Mismatch(f"{self.name}: pi∘s != id", element=q)
             sq.append(s_q)
         if mid.can_decide_zero:
             for q1, s1 in zip(qs, sq):
@@ -252,10 +248,8 @@ class ExtensionData(NamedTuple):
                     lhs = self.s(quo.add(q1, q2))
                     rhs = mid.add(s1, s2)
                     if lhs != rhs:
-                        raise ExtensionError(
-                            f"{self.name}: splitting not additive at "
-                            f"({q1!r}, {q2!r})"
-                        )
+                        raise Mismatch(f"{self.name}: splitting not additive",
+                                       x=q1, y=q2)
 
 
 def make_extension(**kw) -> ExtensionData:
@@ -321,22 +315,24 @@ def strong_morphism_check(
     c: Morphism,
     samples: int = 5,
     seed: int = 0,
-) -> bool:
-    """(a, b, c) commutes with iota, pi and the splittings, on samples."""
+) -> int:
+    """Replay that (a, b, c) commutes with iota, pi and the splittings;
+    returns the number of samples replayed."""
     rng = random.Random(seed)
+    name = f"({a.name}, {b.name}, {c.name}): {E1.name} -> {E2.name}"
     for _ in range(samples):
         x = E1.kernel.sample(rng)
         ix = E1.iota(x)
         if b(ix) != E2.iota(a(x)):
-            return False
+            raise Mismatch(f"{name} does not commute with iota", element=x)
         q = E1.quotient.sample(rng)
         sq = E1.s(q)
         if b(sq) != E2.s(c(q)):
-            return False
+            raise Mismatch(f"{name} does not commute with the splittings", element=q)
         m = E1.mid.add(sq, ix)
         if E2.pi(b(m)) != c(E1.pi(m)):
-            return False
-    return True
+            raise Mismatch(f"{name} does not commute with pi", element=m)
+    return samples
 
 
 def naturality_check(
@@ -346,8 +342,9 @@ def naturality_check(
     c: Morphism,
     samples: int = 10,
     seed: int = 0,
-) -> bool:
-    """xi2 ∘ J(c) = a ∘ xi1 on sampled counit-kernel elements."""
+) -> int:
+    """Replay xi2 ∘ J(c) = a ∘ xi1 on sampled counit-kernel elements;
+    returns the number of samples replayed."""
     xi1 = classifying_map(E1)
     xi2 = classifying_map(E2)
     jc = j_of(c)
@@ -355,8 +352,9 @@ def naturality_check(
     for _ in range(samples):
         x = sample_j_element(E1.quotient, rng)
         if xi2(jc(x)) != a(xi1(x)):
-            return False
-    return True
+            raise Mismatch(f"classifying maps of {E1.name} and {E2.name} do "
+                           f"not commute with ({a.name}, {c.name})", element=x)
+    return samples
 
 
 # -- path extensions ------------------------------------------------------
@@ -455,10 +453,6 @@ def splitting_homotopy(E: ExtensionData, s2: Morphism) -> "HomotopyCertificate":
 # -- homotopy certificates -----------------------------------------------
 
 
-class CertificateError(AssertionError):
-    pass
-
-
 class HomotopyCertificate(NamedTuple):
     """A chain of elementary polynomial homotopies between two morphisms.
 
@@ -483,7 +477,8 @@ class HomotopyCertificate(NamedTuple):
 
     def _verify(self, samples: int, seed: int) -> int:
         if not self.chain:
-            raise CertificateError(f"{self.name}: empty chain of homotopies")
+            raise Mismatch(f"{self.name}: empty chain of homotopies",
+                           chain=self.chain)
         rng = random.Random(seed)
         src = self.left.source
         xs = [src.sample(rng) for _ in range(max(samples, 2))]
@@ -493,28 +488,25 @@ class HomotopyCertificate(NamedTuple):
             images.append(vals)
             px = self.chain[0].target
             if px.evaluate(vals[0], 0) != self.left(x):
-                raise CertificateError(f"{self.name}: u=0 endpoint at {x!r}")
+                raise Mismatch(f"{self.name}: u=0 endpoint", element=x)
             pxl = self.chain[-1].target
             if pxl.evaluate(vals[-1], 1) != self.right(x):
-                raise CertificateError(f"{self.name}: u=1 endpoint at {x!r}")
+                raise Mismatch(f"{self.name}: u=1 endpoint", element=x)
             for i in range(len(vals) - 1):
                 a = self.chain[i].target.evaluate(vals[i], 1)
                 b = self.chain[i + 1].target.evaluate(vals[i + 1], 0)
                 if a != b:
-                    raise CertificateError(
-                        f"{self.name}: links {i},{i + 1} do not chain at {x!r}"
-                    )
+                    raise Mismatch(f"{self.name}: links {i},{i + 1} do not chain",
+                                   element=x)
         for x, y, vx, vy in zip(xs[::2], xs[1::2], images[::2], images[1::2]):
             for link, lx, ly in zip(self.chain, vx, vy):
                 px = link.target
                 if link(src.add(x, y)) != px.add(lx, ly):
-                    raise CertificateError(
-                        f"{self.name}: link {link.name} not additive"
-                    )
+                    raise Mismatch(f"{self.name}: link {link.name} not additive",
+                                   x=x, y=y)
                 if link(src.mul(x, y)) != px.mul(lx, ly):
-                    raise CertificateError(
-                        f"{self.name}: link {link.name} not multiplicative"
-                    )
+                    raise Mismatch(f"{self.name}: link {link.name} not multiplicative",
+                                   x=x, y=y)
         return len(xs)
 
 

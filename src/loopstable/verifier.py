@@ -4,7 +4,8 @@ Each check replays one construction of the engine — presentations,
 composition laws, exchange morphisms, classifying maps, homotopy
 certificates — exactly, on deterministic samples.  A check either passes,
 fails with a replayable counterexample, is skipped (zero samples), or
-reports NOT-FOUND together with the search it ran.
+reports NOT-FOUND together with the search it ran.  A failed identity
+raises :class:`~loopstable.carriers.Mismatch` with its offending values.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from .algebras import (
     dual_numbers,
     rationals,
 )
-from .carriers import Carrier
+from .carriers import Carrier, Mismatch
 from .extensions import (
-    CertificateError,
     alternate_path_splitting,
     classifying_map,
     mapping_cylinder,
@@ -133,20 +133,6 @@ class CheckResult(NamedTuple):
         return d
 
 
-class CheckFailure(Exception):
-    """Raised inside a check body; ``extra`` holds the repr of each
-    offending value, which the runner adds to the counterexample."""
-
-    def __init__(self, detail: str, extra: Dict[str, str]):
-        super().__init__(detail)
-        self.detail = detail
-        self.extra = extra
-
-
-def _fail(detail: str, **extra: Any) -> None:
-    raise CheckFailure(detail, {k: repr(v) for k, v in extra.items()})
-
-
 # -- frozen product oracles ----------------------------------------------
 
 # Basis products of the built-in algebras, written out literally so that a
@@ -211,8 +197,8 @@ def check_subdi1_presentations(cfg: CheckConfig) -> Tuple[str, str]:
         gen = make_element(E0.kernel, v, vanishing_scalar(S1))
         expected = ((EDGE, (((1,), A.neg(v)), ((2,), v))),)
         if gen != expected:
-            _fail(f"kernel generator for basis {l!r} deviates",
-                  got=gen, expected=expected)
+            raise Mismatch(f"kernel generator for basis {l!r} deviates",
+                           got=gen, expected=expected)
     # splitting at r=0: b ↦ b(1−t); the oracle builds 1 − t as a constant
     # minus the coordinate, not from poly.ONE_MINUS_T, which the splitting uses
     sfa = scalar_algebra(free_pair(interval_rel_one()), 0)
@@ -222,7 +208,7 @@ def check_subdi1_presentations(cfg: CheckConfig) -> Tuple[str, str]:
     for l in A.labels:
         v = A.basis_vec(l)
         if E0.s(v) != scalar_to_base(E0.mid, one_minus_t, v):
-            _fail(f"splitting formula b(1-t) fails at basis {l!r}", element=v)
+            raise Mismatch(f"splitting formula b(1-t) fails at basis {l!r}", element=v)
     # splitting at r=1: supported on the first half, second edge zero,
     # value at the global 0-endpoint recovers the element
     second_edge = (V1, (V0, V1))
@@ -230,23 +216,24 @@ def check_subdi1_presentations(cfg: CheckConfig) -> Tuple[str, str]:
         v = A.basis_vec(l)
         x = E1.s(v)
         if second_edge in dict(x):
-            _fail(f"subdivided splitting carries the second half at {l!r}", element=x)
+            raise Mismatch(f"subdivided splitting carries the second half at "
+                           f"{l!r}", element=x)
         if d1(E1.mid, x) != v:
-            _fail(f"subdivided splitting endpoint value wrong at {l!r}", element=x)
+            raise Mismatch(f"subdivided splitting endpoint value wrong at {l!r}",
+                           element=x)
     # the transition image of the kernel generator is the pair (p, 0)
     gen = make_element(E0.kernel, A.basis_vec(A.labels[0]), vanishing_scalar(S1))
     t = transition(E0.kernel, gen)[1]
     if second_edge in dict(t):
-        _fail("transition of the kernel generator is not of the form (p, 0)", element=t)
+        raise Mismatch("transition of the kernel generator is not of the form "
+                       "(p, 0)", element=t)
     # the transition is a strong morphism of extensions over the identity
     a = Morphism(E0.kernel, E1.kernel, lambda x: transition(E0.kernel, x)[1], "tr")
     b = Morphism(E0.mid, E1.mid, lambda x: transition(E0.mid, x)[1], "tr")
-    if not strong_morphism_check(E0, E1, a, b, identity_morphism(A),
-                                 samples=min(cfg.samples, 6), seed=cfg.seed):
-        _fail("transition is not a strong morphism of extensions")
-    if not naturality_check(E0, E1, a, identity_morphism(A),
-                            samples=min(cfg.samples, 8), seed=cfg.seed):
-        _fail("classifying maps do not commute with the transition")
+    strong_morphism_check(E0, E1, a, b, identity_morphism(A),
+                          samples=min(cfg.samples, 6), seed=cfg.seed)
+    naturality_check(E0, E1, a, identity_morphism(A),
+                     samples=min(cfg.samples, 8), seed=cfg.seed)
     return PASS, "presentations, splittings and transition replayed exactly"
 
 
@@ -275,7 +262,7 @@ def check_mu_properties(cfg: CheckConfig) -> Tuple[str, str]:
             ),
         )
         if mQ != apply_to_coefficients(tgt, m, Q, g):
-            _fail(f"base naturality fails at sample {i}", element=x)
+            raise Mismatch(f"base naturality fails at sample {i}", element=x)
     # (2) compatibility with the inner and outer transitions
     innerA = function_algebra(A, S1, 0)
     innerA1 = function_algebra(A, S1, 1)
@@ -288,12 +275,14 @@ def check_mu_properties(cfg: CheckConfig) -> Tuple[str, str]:
         _, tm = transition(tgt, m)
         _, tx = transition(outerA, x)
         if mu(outerA1, tx)[1] != tm:
-            _fail(f"outer transition compatibility fails at sample {i}", element=x)
+            raise Mismatch(f"outer transition compatibility fails at sample {i}",
+                           element=x)
         x2 = apply_to_coefficients(
             outerA, x, innerA1, lambda c: transition(innerA, c)[1]
         )
         if mu(outerA_i1, x2)[1] != tm:
-            _fail(f"inner transition compatibility fails at sample {i}", element=x)
+            raise Mismatch(f"inner transition compatibility fails at sample {i}",
+                           element=x)
     # (3) associativity on triple towers
     F1 = innerA
     F11 = outerA
@@ -306,14 +295,14 @@ def check_mu_properties(cfg: CheckConfig) -> Tuple[str, str]:
         w1 = apply_to_coefficients(F111, z, F2, lambda c: mu(F11, c)[1])
         right = mu(function_algebra(F2, S1, 0), w1)[1]
         if left != right:
-            _fail(f"associativity fails at sample {i}", element=z)
+            raise Mismatch(f"associativity fails at sample {i}", element=z)
     # (4) a point outer factor acts as the transition morphism
     outer_pt = function_algebra(innerA, point(), 1)
     for i in range(q):
         x = sample_element(innerA, rng, degree=1, terms=2)
         res = mu(outer_pt, constant_function(outer_pt, x))[1]
         if res != transition(innerA, x)[1]:
-            _fail(f"point-factor unit law fails at sample {i}", element=x)
+            raise Mismatch(f"point-factor unit law fails at sample {i}", element=x)
     return PASS, f"laws (1)-(4) hold exactly on {4 * q} samples"
 
 
@@ -333,7 +322,7 @@ def check_kappa_pq(cfg: CheckConfig) -> Tuple[str, str]:
     rhs = kappa1(towers[1], 1, 0).after(j_of(kappa(1, 1, A)))
     for i, x in enumerate(sample_j_elements(C, 2, cfg.samples, seed=cfg.seed)):
         if lhs(x) != rhs(x):
-            _fail(f"decomposition fails at sample {i}", element=x)
+            raise Mismatch(f"decomposition fails at sample {i}", element=x)
     return PASS, f"exchange decomposition exact on {cfg.samples} samples"
 
 
@@ -358,7 +347,7 @@ def check_penta(cfg: CheckConfig) -> Tuple[str, str]:
         left = mu(function_algebra(fa_JB1, S1, 0), y)[1]
         right = k12(j_of(mu_m)(x))
         if left != right:
-            _fail(f"exchange/flattening square fails at sample {i}", element=x)
+            raise Mismatch(f"exchange/flattening square fails at sample {i}", element=x)
     return PASS, f"exchange commutes with flattening on {cfg.samples} samples"
 
 
@@ -377,15 +366,18 @@ def check_lambda_curvature(cfg: CheckConfig) -> Tuple[str, str]:
             a, b = A.basis_vec(la), A.basis_vec(lb)
             if oracle is not None:
                 if (la, lb) not in oracle:
-                    _fail(f"basis pair ({la},{lb}) missing from the product oracle")
+                    raise Mismatch(f"basis pair ({la},{lb}) missing from the "
+                                   "product oracle", pair=(la, lb))
                 prod = oracle[(la, lb)]
                 if A.mul(a, b) != prod:
-                    _fail(f"product {la}·{lb} deviates from the recorded value",
-                          got=A.mul(a, b), expected=prod)
+                    raise Mismatch(f"product {la}·{lb} deviates from the recorded "
+                                   "value", got=A.mul(a, b), expected=prod)
             else:
                 prod = A.mul(a, b)
-            if lam(curvature(A, a, b)) != scalar_to_base(fa, V, prod):
-                _fail(f"curvature image wrong at basis pair ({la},{lb})")
+            x = curvature(A, a, b)
+            if lam(x) != scalar_to_base(fa, V, prod):
+                raise Mismatch(f"curvature image wrong at basis pair ({la},{lb})",
+                               element=x)
     n = len(A.labels) ** 2
     return PASS, f"curvature formula exact on all {n} basis pairs"
 
@@ -406,10 +398,8 @@ def check_classifying_uniqueness(cfg: CheckConfig) -> Tuple[str, str]:
         lambda x: word_image(ta1, x, lambda l: ta2.sigma(gm(l)), ta2),
         "T(aug)",
     )
-    if not strong_morphism_check(U1, U2, a1, b1, gm, samples=n, seed=cfg.seed):
-        _fail("tensor-algebra base change is not strong")
-    if not naturality_check(U1, U2, a1, gm, samples=n, seed=cfg.seed):
-        _fail("classifying map not natural for the tensor-algebra base change")
+    strong_morphism_check(U1, U2, a1, b1, gm, samples=n, seed=cfg.seed)
+    naturality_check(U1, U2, a1, gm, samples=n, seed=cfg.seed)
     # 2. base change of the path extension
     E1, E2 = path_extension(0, B, 0), path_extension(0, Q, 0)
     a2 = Morphism(
@@ -420,17 +410,13 @@ def check_classifying_uniqueness(cfg: CheckConfig) -> Tuple[str, str]:
         E1.mid, E2.mid,
         lambda x: apply_to_coefficients(E1.mid, x, Q, gm), "aug*",
     )
-    if not strong_morphism_check(E1, E2, a2, b2, gm, samples=n, seed=cfg.seed):
-        _fail("path-extension base change is not strong")
-    if not naturality_check(E1, E2, a2, gm, samples=n, seed=cfg.seed):
-        _fail("classifying map not natural for the path-extension base change")
+    strong_morphism_check(E1, E2, a2, b2, gm, samples=n, seed=cfg.seed)
+    naturality_check(E1, E2, a2, gm, samples=n, seed=cfg.seed)
     # 3. subdivision transition
     E0, E1s = path_extension(0, B, 0), path_extension(0, B, 1)
     a3 = Morphism(E0.kernel, E1s.kernel,
                   lambda x: transition(E0.kernel, x)[1], "tr")
-    if not naturality_check(E0, E1s, a3, identity_morphism(B),
-                            samples=n, seed=cfg.seed):
-        _fail("classifying map not natural for the subdivision transition")
+    naturality_check(E0, E1s, a3, identity_morphism(B), samples=n, seed=cfg.seed)
     return PASS, f"3 strong morphisms natural on {n} samples each"
 
 
@@ -463,7 +449,7 @@ def check_tr4_homotopies(cfg: CheckConfig) -> Tuple[str, str]:
     for i in range(cfg.samples):
         v = tw.mp_a.mid.sample(rng)
         if tw.theta(tw.section_theta(v)) != v:
-            _fail(f"section identity fails at sample {i}", element=v)
+            raise Mismatch(f"section identity fails at sample {i}", element=v)
     # the endpoints and chaining of [H1, rev H2]: H1(0) = ξ∘θ,
     # H1(1) = H2(1), H2(0) = the projection
     n = tw.triangle.verify(samples=cfg.samples, seed=cfg.seed)
@@ -493,7 +479,7 @@ def check_cylinder_classifying(cfg: CheckConfig) -> Tuple[str, str]:
     for i in range(cfg.samples):
         x = sample_j_element(A, rng)
         if xi(x) != cyl.mp.iota(omega(loop, lam(x))):
-            _fail(f"classifying map deviates at sample {i}", element=x)
+            raise Mismatch(f"classifying map deviates at sample {i}", element=x)
     n = cyl.retract.verify(samples=min(cfg.samples, 10), seed=cfg.seed)
     if n == cfg.samples:
         return PASS, f"classifying formula and retract homotopy on {n} samples"
@@ -513,23 +499,24 @@ def check_star_unit(cfg: CheckConfig) -> Tuple[str, str]:
     for l in A.labels:
         v = A.basis_vec(l)
         if h.rep(v) != v:
-            _fail(f"plain unit law fails at basis {l!r}")
+            raise Mismatch(f"plain unit law fails at basis {l!r}", element=v)
     # the degree-shift unit absorbed on the right
     id_JA = kk_hom((A, 1), (JA, 0), 0, identity_morphism(JA))
     lamH = kk_hom((JA, 0), (A, 1), 0, lam)
     hr = star(lamH, id_JA)
     if hr.pending_sign != 1 or hr.v != 0:
-        _fail("unit composite has wrong index data", sign=hr.pending_sign, v=hr.v)
+        raise Mismatch("unit composite has wrong index data",
+                       sign=hr.pending_sign, v=hr.v)
     for i, x in enumerate(sample_j_elements(A, 1, cfg.samples, seed=cfg.seed)):
         if hr.rep(x) != lam(x):
-            _fail(f"unit absorption fails at sample {i}", element=x)
+            raise Mismatch(f"unit absorption fails at sample {i}", element=x)
     # the graded identity on the shifted object
     g1 = identity_hom(A, 1)
     h1 = star(g1, lamH)
     for i, x in enumerate(sample_j_elements(A, 1, min(cfg.samples, 10),
                                             seed=cfg.seed + 1)):
         if h1.rep(x) != lam(x) or h1.pending_sign != 1:
-            _fail(f"graded unit law fails at sample {i}", element=x)
+            raise Mismatch(f"graded unit law fails at sample {i}", element=x)
     return PASS, f"unit laws exact on {cfg.samples} samples"
 
 
@@ -547,15 +534,17 @@ def check_star_lambda(cfg: CheckConfig) -> Tuple[str, str]:
     hr = star(lamH, id_JA)
     for i, x in enumerate(sample_j_elements(A, 1, cfg.samples, seed=cfg.seed)):
         if hr.rep(x) != lam(x):
-            _fail(f"right unit composite deviates from λ at sample {i}", element=x)
+            raise Mismatch(f"right unit composite deviates from λ at sample {i}",
+                           element=x)
     # left composite: carries the crossing sign of one kernel layer past
     # one loop coordinate
     h = star(id_JA, lamH, resolve=False)
     if h.pending_sign != crossing_sign(1, 1) or h.pending_sign != -1:
-        _fail("crossing sign missing on the left composite", sign=h.pending_sign)
+        raise Mismatch("crossing sign missing on the left composite",
+                       sign=h.pending_sign)
     hres = resolve_sign(h)
     if hres.pending_sign != 1:
-        _fail("sign did not materialize", sign=hres.pending_sign)
+        raise Mismatch("sign did not materialize", sign=hres.pending_sign)
     k11 = kappa(1, 1, A)
     jlam = j_of(lam)
     faJ = k11.target
@@ -564,8 +553,8 @@ def check_star_lambda(cfg: CheckConfig) -> Tuple[str, str]:
     for i, x in enumerate(xs2):
         rep = hres.rep(x)
         if rep != omega(faJ, k11(jlam(x))):
-            _fail(f"resolved composite deviates from the reversed exchange "
-                  f"at sample {i}", element=x)
+            raise Mismatch(f"resolved composite deviates from the reversed "
+                           f"exchange at sample {i}", element=x)
         reps.append(rep)
     # compare against the loop classifier of the kernel, by exact equality
     lamJ = lambda_(JA)
@@ -590,14 +579,14 @@ def check_triangle_signs(cfg: CheckConfig) -> Tuple[str, str]:
     tm = mapping_path_triangle(identity_morphism(A), 0)
     if (t0.boundary.pending_sign, t1.boundary.pending_sign,
             tm.boundary.pending_sign) != (1, -1, -1):
-        _fail("boundary signs deviate",
-              signs=(t0.boundary.pending_sign, t1.boundary.pending_sign,
-              tm.boundary.pending_sign))
+        raise Mismatch("boundary signs deviate",
+                       signs=(t0.boundary.pending_sign, t1.boundary.pending_sign,
+                              tm.boundary.pending_sign))
     for i, x in enumerate(sample_j_elements(A, 1, min(cfg.samples, 10),
                                             seed=cfg.seed)):
         if t0.boundary.rep(x) != lam(x):
-            _fail(f"grading-zero extension boundary deviates from λ "
-                  f"at sample {i}", element=x)
+            raise Mismatch(f"grading-zero extension boundary deviates from λ "
+                           f"at sample {i}", element=x)
     return PASS, "boundary signs and the grading-zero boundary replayed"
 
 
@@ -615,7 +604,8 @@ def check_appendix_m1n1(cfg: CheckConfig) -> Tuple[str, str]:
     n = max(2, cfg.samples // 3)
     for i, x in enumerate(sample_j_elements(fa, 1, n, seed=cfg.seed)):
         if k11(jom(x)) != omega(faJ, k11(x)):
-            _fail(f"exchange does not intertwine the reversal at sample {i}", element=x)
+            raise Mismatch(f"exchange does not intertwine the reversal at "
+                           f"sample {i}", element=x)
     rng = random.Random(cfg.seed + 1)
     for i in range(n):
         x = sample_element(fa, rng)
@@ -623,15 +613,16 @@ def check_appendix_m1n1(cfg: CheckConfig) -> Tuple[str, str]:
         fa1, c = concatenate(fa, x, y)
         _, rev_first = concatenate(fa, omega(fa, y), omega(fa, x))
         if omega(fa1, c) != rev_first:
-            _fail(f"reversal does not reverse concatenation at sample {i}", x=x, y=y)
+            raise Mismatch(f"reversal does not reverse concatenation at sample "
+                           f"{i}", x=x, y=y)
         # both operations are additive and the reversal is multiplicative
         if omega(fa, fa.add(x, y)) != fa.add(omega(fa, x), omega(fa, y)):
-            _fail(f"reversal not additive at sample {i}")
+            raise Mismatch(f"reversal not additive at sample {i}", x=x, y=y)
         if omega(fa, fa.mul(x, y)) != fa.mul(omega(fa, x), omega(fa, y)):
-            _fail(f"reversal not multiplicative at sample {i}")
+            raise Mismatch(f"reversal not multiplicative at sample {i}", x=x, y=y)
         _, cs = concatenate(fa, fa.add(x, x), fa.add(y, y))
         if cs != fa1.add(c, c):
-            _fail(f"concatenation not additive at sample {i}")
+            raise Mismatch(f"concatenation not additive at sample {i}", x=x, y=y)
     return PASS, f"reversal/concatenation/exchange identities on {3 * n} samples"
 
 
@@ -721,24 +712,21 @@ def run_check(check_id: str, cfg: CheckConfig) -> CheckResult:
     if cfg.samples == 0:
         return CheckResult(check_id, SKIPPED, "sample count is zero", None, 0.0)
     t0 = time.perf_counter()
+    ce: Optional[Dict[str, Any]] = None
     with paused_gc():
         try:
             if isinstance(cfg.algebra, FinAlgebra):
                 cfg.algebra.validate()
             status, detail = CATALOG[check_id].fn(cfg)
-        except CheckFailure as e:
-            status, detail, extra = FAIL, e.detail, e.extra
-        except (CertificateError, ValueError) as e:
-            status, detail, extra = FAIL, str(e), {}
-    ce: Optional[Dict[str, Any]] = None
-    if status == FAIL:
-        ce = {
-            "check": check_id,
-            "algebra": cfg.algebra_name,
-            "seed": cfg.seed,
-            "detail": detail,
-            **extra,
-        }
+        except Mismatch as e:
+            status, detail = FAIL, str(e)
+            ce = {
+                "check": check_id,
+                "algebra": cfg.algebra_name,
+                "seed": cfg.seed,
+                "detail": detail,
+                **{k: repr(v) for k, v in e.values.items()},
+            }
     return CheckResult(check_id, status, detail, ce, time.perf_counter() - t0)
 
 

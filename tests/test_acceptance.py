@@ -140,8 +140,8 @@ class TestAcceptance:
         )
         assert r.status == "FAIL"
         assert r.counterexample is not None
-        for key in ("check", "algebra", "seed", "detail"):
-            assert key in r.counterexample
+        # the four replay keys and at least one offending value
+        assert set(r.counterexample) > {"check", "algebra", "seed", "detail"}
         # ... and so does dropping the crossing sign of the composition
         monkeypatch.setattr(kkcat, "crossing_sign", lambda n2, n3: 1)
         r2 = run_check("star-lambda-identities", _cfg(samples=5))

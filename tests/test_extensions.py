@@ -6,10 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from loopstable.algebras import BUILTIN_ALGEBRAS, AlgebraMap, dual_numbers, rationals
+from loopstable.carriers import Mismatch
 from loopstable.extensions import (
-    CertificateError,
     ExtensionData,
-    ExtensionError,
     HomotopyCertificate,
     alternate_path_splitting,
     classifying_map,
@@ -157,8 +156,9 @@ class TestPathExtension:
             x = sample_j_element(B, rng)
             assert xi(x) == lam(x)
 
-    def test_index_one(self):
-        E = path_extension(1, B, 0)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_index_one(self, n):
+        E = path_extension(n, B, 0)
         rng = random.Random(3)
         for _ in range(3):
             q = sample_element(E.quotient, rng)
@@ -221,6 +221,31 @@ class TestClassifyingNaturality:
         E0, E1 = path_extension(0, B, 0), path_extension(0, B, 1)
         a = Morphism(E0.kernel, E1.kernel, lambda x: transition(E0.kernel, x)[1], "tr")
         assert naturality_check(E0, E1, a, identity_morphism(B), samples=10, seed=8)
+
+    @staticmethod
+    def _transition_times(k, car, tgt):
+        return Morphism(car, tgt, lambda x: tgt.scale(k, transition(car, x)[1]), f"{k}tr")
+
+    def test_non_commuting_triple_raises_with_its_sample(self):
+        # a doubled mid map breaks b∘iota = iota∘a on the first nonzero
+        # kernel sample, and the replay names that sample
+        E0, E1 = path_extension(0, B, 0), path_extension(0, B, 1)
+        a = self._transition_times(1, E0.kernel, E1.kernel)
+        b2 = self._transition_times(2, E0.mid, E1.mid)
+        with pytest.raises(Mismatch, match="does not commute with iota") as e:
+            strong_morphism_check(E0, E1, a, b2, identity_morphism(B), samples=6, seed=1)
+        x = E0.kernel.sample(random.Random(1))
+        assert x and e.value.values == {"element": x}
+
+    def test_non_natural_kernel_map_raises_with_its_sample(self):
+        E0, E1 = path_extension(0, B, 0), path_extension(0, B, 1)
+        a = self._transition_times(1, E0.kernel, E1.kernel)
+        a2 = self._transition_times(2, E0.kernel, E1.kernel)
+        with pytest.raises(Mismatch, match="do not commute") as e:
+            naturality_check(E0, E1, a2, identity_morphism(B), samples=10, seed=8)
+        x = e.value.values["element"]
+        xi = classifying_map(E0)(x)
+        assert classifying_map(E1)(x) == a(xi) != a2(xi)
 
 
 class TestMappingPath:
@@ -315,7 +340,7 @@ class TestCertificates:
             right=good.left,
             chain=good.chain,
         )
-        with pytest.raises(CertificateError):
+        with pytest.raises(Mismatch):
             bad.verify(samples=5, seed=18)
 
     def test_empty_chain_rejected(self):
@@ -326,7 +351,7 @@ class TestCertificates:
             right=good.left,
             chain=[],
         )
-        with pytest.raises(CertificateError, match="empty chain"):
+        with pytest.raises(Mismatch, match="empty chain"):
             empty.verify(samples=2, seed=0)
 
     @staticmethod
@@ -356,12 +381,12 @@ class TestCertificates:
         # the path algebra over Q has no zero divisors, so the cross term
         # u(1−u)·(H(x)H(y) + H(y)H(x)) of a nonzero pair is nonzero
         cert = self._bent(pb_contraction_certificate(Q), lambda px, h: px.mul(h, h))
-        with pytest.raises(CertificateError, match="not additive"):
+        with pytest.raises(Mismatch, match="not additive"):
             cert.verify(samples=2, seed=3)
 
     def test_non_multiplicative_link_detected(self):
         cert = self._bent(pb_contraction_certificate(Q), lambda px, h: h)
-        with pytest.raises(CertificateError, match="not multiplicative"):
+        with pytest.raises(Mismatch, match="not multiplicative"):
             cert.verify(samples=2, seed=3)
 
 
@@ -490,7 +515,7 @@ class TestExtensionInvariants:
         from loopstable.tensorj import j_kernel
 
         J = j_kernel(B)
-        with pytest.raises(ExtensionError):
+        with pytest.raises(Mismatch):
             make_extension(
                 kernel=J,
                 mid=ta,
@@ -509,7 +534,7 @@ class TestExtensionInvariants:
         s2 = Morphism(
             B, ta, lambda b: ta.add(ta.sigma(b), ta.curvature(b, b)), "sigma+curv"
         )
-        with pytest.raises(ExtensionError, match="splitting not additive"):
+        with pytest.raises(Mismatch, match="splitting not additive"):
             with_splitting(U, s2)
 
 

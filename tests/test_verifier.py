@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from loopstable import cli, kkcat
+from loopstable import cli, kkcat, verifier
 from loopstable.algebras import (
     BUILTIN_ALGEBRAS,
     FinAlgebra,
@@ -17,6 +17,7 @@ from loopstable.algebras import (
     format_algebra_file,
     parse_algebra_file,
 )
+from loopstable.funalg import transition
 from loopstable.verifier import (
     CATALOG,
     CheckConfig,
@@ -39,6 +40,10 @@ e21*e12 = 1/2*e22
 e22*e21 = 1*e21
 e22*e22 = 1*e22
 """
+
+
+# every counterexample has these keys and at least one offending value
+CE_KEYS = {"check", "algebra", "seed", "detail"}
 
 
 def _cfg(**kw):
@@ -143,6 +148,7 @@ class TestFalsification:
         assert r.counterexample["check"] == "lambda-curvature-formula"
         assert r.counterexample["algebra"] == "dual"
         assert "seed" in r.counterexample
+        assert set(r.counterexample) > CE_KEYS
 
     def test_nonassociative_corruption_detected(self):
         one = Fraction(1)
@@ -154,12 +160,26 @@ class TestFalsification:
         )
         r = run_check("tr2-homotopy", _cfg(algebra=corrupt))
         assert r.status == "FAIL" and r.counterexample is not None
+        assert set(r.counterexample) > CE_KEYS
 
     def test_dropped_sign_detected(self, monkeypatch):
         monkeypatch.setattr(kkcat, "crossing_sign", lambda n2, n3: 1)
         r = run_check("star-lambda-identities", _cfg())
         assert r.status == "FAIL"
         assert "sign" in r.counterexample
+
+    def test_broken_transition_fails_with_its_sample(self, monkeypatch):
+        # a transition doubled in every value still commutes with the
+        # inclusions, but no longer with the splittings
+        def doubled(fa, x):
+            tgt, y = transition(fa, x)
+            return tgt, tgt.scale(2, y)
+
+        monkeypatch.setattr(verifier, "transition", doubled)
+        r = run_check("subdi1-presentations", _cfg())
+        assert r.status == "FAIL"
+        assert "does not commute with the splittings" in r.detail
+        assert set(r.counterexample) == CE_KEYS | {"element"}
 
 
 class TestCLI:
@@ -222,6 +242,13 @@ class TestCLI:
                      "x*1 = 1*x\n")
         assert cli.main(["--algebra", f"file:{p}", "--samples", "0"]) == 2
         assert "declared unit is not two-sided" in capsys.readouterr().err
+
+    def test_exit_two_on_non_associative_file(self, tmp_path, capsys):
+        p = tmp_path / "non-associative.alg"
+        p.write_text("basis: a b\na*a = 1*b\nb*a = 1*a\n")
+        assert cli.main(["--algebra", f"file:{p}", "--samples", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: multiplication not associative at (a,a,a)\n"
 
     def test_exit_one_on_failure(self, monkeypatch):
         monkeypatch.setattr(kkcat, "crossing_sign", lambda n2, n3: 1)
