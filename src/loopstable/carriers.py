@@ -3,7 +3,8 @@
 A *carrier* is an algebra whose elements are canonical immutable (hashable)
 Python values; the carrier object interprets them (arithmetic, zero test,
 membership) and, where it can, draws deterministic samples of them from a
-``random.Random`` (:meth:`Carrier.sample`).  The arithmetic is ``zero``,
+``random.Random`` (:meth:`Carrier.sample`, and :meth:`Carrier.draws` for a
+list of them from one seed).  The arithmetic is ``zero``,
 ``add``, ``scale`` and one sum of products, :meth:`Carrier.combine`
 (Σ aᵢ·xᵢ₁⋯xᵢₖ), of which ``mul`` is the one-term case.  ``combine``
 defaults to a fold of ``mul``, ``scale`` and ``add``; a carrier whose
@@ -102,6 +103,11 @@ class Carrier:
     def sample(self, rng: random.Random) -> Any:
         """A deterministic random element drawn from ``rng``."""
         raise ValueError(f"no sampler for carrier {self.name}")
+
+    def draws(self, count: int, seed: int) -> list:
+        """``count`` samples drawn in turn from one ``random.Random(seed)``."""
+        rng = random.Random(seed)
+        return [self.sample(rng) for _ in range(count)]
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"

@@ -3,7 +3,8 @@
 Selects checks, binds an algebra (built-in or from a definition file),
 and emits a deterministic text or JSON report.  Exit codes: 0 all
 selected checks passed (or were skipped / reported ``NOT-FOUND``),
-1 at least one check failed, 2 configuration error.  A reader that
+1 at least one check failed, 2 configuration error, 3 at least one check
+raised an internal error (``ERROR``; this wins over 1).  A reader that
 closes the output early does not change the exit code.
 """
 
@@ -115,6 +116,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     _print(report.to_json() if args.format == "json" else report.to_text())
+    if report.errored:
+        return 3
     return 1 if report.failed else 0
 
 

@@ -71,7 +71,7 @@ from .tensorj import (
     j_kernel,
     j_of,
     path_splitting,
-    sample_j_element,
+    replay,
     tensor_algebra,
     word_image,
     zero_morphism,
@@ -345,16 +345,12 @@ def naturality_check(
 ) -> int:
     """Replay xi2 ∘ J(c) = a ∘ xi1 on sampled counit-kernel elements;
     returns the number of samples replayed."""
-    xi1 = classifying_map(E1)
-    xi2 = classifying_map(E2)
-    jc = j_of(c)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x = sample_j_element(E1.quotient, rng)
-        if xi2(jc(x)) != a(xi1(x)):
-            raise Mismatch(f"classifying maps of {E1.name} and {E2.name} do "
-                           f"not commute with ({a.name}, {c.name})", element=x)
-    return samples
+    return replay(
+        classifying_map(E2).after(j_of(c)), a.after(classifying_map(E1)),
+        samples, seed,
+        f"classifying maps of {E1.name} and {E2.name} do not commute with "
+        f"({a.name}, {c.name})",
+    )
 
 
 # -- path extensions ------------------------------------------------------
@@ -479,9 +475,8 @@ class HomotopyCertificate(NamedTuple):
         if not self.chain:
             raise Mismatch(f"{self.name}: empty chain of homotopies",
                            chain=self.chain)
-        rng = random.Random(seed)
         src = self.left.source
-        xs = [src.sample(rng) for _ in range(max(samples, 2))]
+        xs = src.draws(max(samples, 2), seed)
         images = []  # images[k][i] = chain[i](xs[k])
         for x in xs:
             vals = [link(x) for link in self.chain]

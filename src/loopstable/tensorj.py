@@ -19,7 +19,8 @@ On top of these live the counit ``η`` (multiply the letters), the module
 splitting ``σ``, curvature elements ``σ(a)σ(b) − σ(ab)``, the kernel
 functor ``J`` on objects and morphisms, the word-map evaluation behind
 classifying maps, the loop classifying map ``λ``, and the exchange maps
-``κ^{n,m}``.
+``κ^{n,m}``.  :func:`replay` compares two morphisms exactly on draws from
+their common source.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import cache, reduce
 from typing import Any, Callable, Dict, List, Tuple, Union
 
 from .algebras import FinAlgebra
-from .carriers import RAT, Carrier
+from .carriers import RAT, Carrier, Mismatch
 from .funalg import (
     FunctionAlgebra,
     apply_to_coefficients,
@@ -234,7 +235,7 @@ class Morphism:
 
     The ``name`` is the expression tree in textual form; composites record
     their constituents.  Equality of morphisms is never decided here — only
-    observational agreement on sampled elements (see the verifier).
+    observational agreement on sampled elements (:func:`replay`).
     """
 
     def __init__(self, source: Carrier, target: Carrier, fn: Callable, name: str):
@@ -267,6 +268,20 @@ def identity_morphism(car: Carrier) -> Morphism:
 
 def zero_morphism(source: Carrier, target: Carrier) -> Morphism:
     return Morphism(source, target, lambda x: target.zero(), "0")
+
+
+def replay(lhs: Morphism, rhs: Morphism, samples: int, seed: int, what: str) -> int:
+    """Compare ``lhs`` and ``rhs`` exactly on ``samples`` draws from their
+    common source; returns ``samples``.  The first sample where they differ
+    raises :class:`~loopstable.carriers.Mismatch` ``"<what> at sample i"``
+    with that sample as ``element``."""
+    if lhs.source is not rhs.source:
+        raise ValueError(f"{lhs.name} and {rhs.name} have different sources: "
+                         f"{lhs.source.name} and {rhs.source.name}")
+    for i, x in enumerate(lhs.source.draws(samples, seed)):
+        if lhs(x) != rhs(x):
+            raise Mismatch(f"{what} at sample {i}", element=x)
+    return samples
 
 
 def word_image(ta: TensorAlgebra, x: TElement, letter_fn: Callable, target: Carrier):
@@ -379,7 +394,10 @@ def kappa(n: int, m: int, B: Carrier, r: int = 0) -> Morphism:
 
 
 def sample_j_element(base: Carrier, rng: random.Random):
-    """A random element of J(base): curvature products with multipliers."""
+    """A random element of J(base): curvature products with multipliers.
+    The body of :meth:`JKernel.sample`, kept a module function because the
+    benchmark's span recorder (perfbench/spans.py) counts its outputs by
+    name."""
     ta = tensor_algebra(base)
     a = base.sample(rng)
     b = base.sample(rng)
@@ -388,17 +406,3 @@ def sample_j_element(base: Carrier, rng: random.Random):
         # J(A) is an ideal of T(A): multiplying by σ(c) stays inside
         el = ta.mul(el, ta.sigma(base.sample(rng)))
     return ta.scale(rng.randint(1, 2), el)
-
-
-def sample_j_elements(
-    A: Carrier, depth: int, count: int, seed: int
-) -> List[TElement]:
-    """Deterministic random elements of J^depth(A)."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    rng = random.Random(seed)
-    tower = j_tower(A, depth)
-    out = []
-    for _ in range(count):
-        out.append(sample_j_element(tower[depth - 1], rng))
-    return out

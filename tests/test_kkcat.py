@@ -27,7 +27,6 @@ from loopstable.tensorj import (
     j_of,
     kappa,
     lambda_,
-    sample_j_elements,
     zero_morphism,
 )
 
@@ -64,12 +63,12 @@ class TestHoms:
 class TestDegreeRaising:
     def test_degree_zero_is_loop_classifier(self):
         L0 = lambda_rep(identity_morphism(B), 0)
-        for x in sample_j_elements(B, 1, 10, seed=1):
+        for x in j_kernel(B).draws(10, 1):
             assert L0(x) == LAM(x)
 
     def test_zero_map(self):
         Lz = lambda_rep(zero_morphism(B, Q), 0)
-        for x in sample_j_elements(B, 1, 5, seed=2):
+        for x in j_kernel(B).draws(5, 2):
             assert Lz.target.is_zero(Lz(x))
 
     def test_composition_law(self):
@@ -79,7 +78,7 @@ class TestDegreeRaising:
         lhs = lambda_rep(gf, 1)
         rhs = lambda_rep(LAM, 1)
         jja = j_of(ja)
-        for x in sample_j_elements(Q, 2, 6, seed=3):
+        for x in j_kernel(j_kernel(Q)).draws(6, 3):
             assert lhs(x) == rhs(jja(x))
 
     def test_factors_through_identity(self):
@@ -87,7 +86,7 @@ class TestDegreeRaising:
         lid = lambda_rep(identity_morphism(faB1), 1)
         jlam = j_of(LAM)
         lgl = lambda_rep(LAM, 1)
-        for x in sample_j_elements(B, 2, 6, seed=4):
+        for x in j_kernel(j_kernel(B)).draws(6, 4):
             assert lgl(x) == lid(jlam(x))
 
     def test_commutes_with_flattening(self):
@@ -101,13 +100,13 @@ class TestDegreeRaising:
         )
         lhs = lambda_rep(muf, 2)
         l1 = lambda_rep(lam2, 1)
-        for x in sample_j_elements(faB1, 2, 2, seed=5):
+        for x in j_kernel(j_kernel(faB1)).draws(2, 5):
             assert lhs(x) == mu(l1.target, l1(x))[1]
 
     def test_promote_keeps_endpoints(self):
         h = promote(from_algebra_map(_g_map()))
         assert h.source == (B, 0) and h.target == (Q, 0) and h.v == 1
-        for x in sample_j_elements(B, 1, 4, seed=6):
+        for x in j_kernel(B).draws(4, 6):
             assert h.rep(x) == lambda_rep(_g_map(), 0)(x)
 
 
@@ -128,7 +127,7 @@ class TestStar:
         id_JB = kk_hom((B, 1), (JB, 0), 0, identity_morphism(JB))
         lamH = kk_hom((JB, 0), (B, 1), 0, LAM)
         h = star(lamH, id_JB)
-        for x in sample_j_elements(B, 1, 10, seed=7):
+        for x in j_kernel(B).draws(10, 7):
             assert h.rep(x) == LAM(x)
         assert h.v == 0 and h.pending_sign == 1
 
@@ -143,7 +142,7 @@ class TestStar:
         k11 = kappa(1, 1, B)
         jlam = j_of(LAM)
         faJB1 = k11.target
-        for x in sample_j_elements(B, 2, 5, seed=8):
+        for x in j_kernel(j_kernel(B)).draws(5, 8):
             assert hr.rep(x) == omega(faJB1, k11(jlam(x)))
 
     def test_endpoint_mismatch(self):
@@ -163,7 +162,7 @@ class TestSigns:
         once = _negated(lamH)
         assert once.pending_sign == 1 and once.rep.name == f"rev∘{LAM.name}"
         h = _negated(once)
-        for x in sample_j_elements(B, 1, 5, seed=9):
+        for x in j_kernel(B).draws(5, 9):
             assert h.rep(x) == lamH.rep(x)
 
     def test_negation_needs_a_coordinate(self):
@@ -180,7 +179,7 @@ class TestSigns:
         )
         h = _negated(zH)
         assert h.pending_sign == 1 and h.rep.name == f"(c* . {zH.rep.name})"
-        for x in sample_j_elements(B, 1, 3, seed=10):
+        for x in j_kernel(B).draws(3, 10):
             assert h.rep.target.is_zero(h.rep(x))
 
     def test_swap_twice_is_identity(self):
@@ -203,7 +202,7 @@ class TestTriangles:
         E = path_extension(0, B, 0)
         t = extension_triangle(E, 0)
         assert t.boundary.pending_sign == 1
-        for x in sample_j_elements(B, 1, 5, seed=13):
+        for x in j_kernel(B).draws(5, 13):
             assert t.boundary.rep(x) == LAM(x)
 
     def test_extension_triangle_sign_at_one(self):

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from loopstable.algebras import AlgebraMap, dual_numbers, m2q, rationals
+from loopstable.carriers import Mismatch
 from loopstable.funalg import (
     apply_to_coefficients,
     function_algebra,
@@ -29,7 +30,7 @@ from loopstable.tensorj import (
     kappa,
     kappa1,
     lambda_,
-    sample_j_elements,
+    replay,
     tensor_algebra,
     word_image,
 )
@@ -167,8 +168,8 @@ class TestLambda:
         lam = lambda_(B)
         fa = function_algebra(B, S1, 0)
         J = j_kernel(B)
-        xs = sample_j_elements(B, 1, 30, seed=2)
-        ys = sample_j_elements(B, 1, 30, seed=3)
+        xs = j_kernel(B).draws(30, 2)
+        ys = j_kernel(B).draws(30, 3)
         for x, y in zip(xs, ys):
             assert lam(J.mul(x, y)) == fa.mul(lam(x), lam(y))
             assert lam(J.add(x, y)) == fa.add(lam(x), lam(y))
@@ -177,7 +178,7 @@ class TestLambda:
 class TestJFunctor:
     def test_identity(self):
         jid = j_of(identity_morphism(B))
-        for x in sample_j_elements(B, 1, 10, seed=5):
+        for x in j_kernel(B).draws(10, 5):
             assert jid(x) == x
 
     def test_curvature_naturality(self):
@@ -196,7 +197,7 @@ class TestJFunctor:
         gf = Morphism(Q, Q, lambda x: g.apply(f.apply(x)), "gf")
         lhs = j_of(gf)
         rhs = j_of(gm).after(j_of(fm))
-        for x in sample_j_elements(Q, 1, 10, seed=7):
+        for x in j_kernel(Q).draws(10, 7):
             assert lhs(x) == rhs(x)
 
 
@@ -229,7 +230,7 @@ class TestKappa:
         towers = j_tower(B, 2)
         lhs = kappa(2, 1, B)
         rhs = kappa1(towers[1], 1, 0).after(j_of(kappa(1, 1, B)))
-        for x in sample_j_elements(C, 2, 10, seed=11):
+        for x in j_kernel(j_kernel(C)).draws(10, 11):
             assert lhs(x) == rhs(x)
 
     def test_bounds(self):
@@ -252,7 +253,7 @@ class TestKappa:
             "mu",
         )
         k12 = kappa(1, 2, B)
-        for x in sample_j_elements(C2, 1, 5, seed=13):
+        for x in j_kernel(C2).draws(5, 13):
             y = k_outer(x)
             y2 = apply_to_coefficients(
                 k_outer.target, y, fa_JB1, k_inner
@@ -264,19 +265,41 @@ class TestKappa:
 
 class TestSamplers:
     def test_deterministic(self):
-        a = sample_j_elements(B, 1, 20, seed=42)
-        b = sample_j_elements(B, 1, 20, seed=42)
+        a = j_kernel(B).draws(20, 42)
+        b = j_kernel(B).draws(20, 42)
         assert a == b
 
     def test_all_in_kernel(self):
         J = j_kernel(B)
-        for x in sample_j_elements(B, 1, 20, seed=42):
+        for x in j_kernel(B).draws(20, 42):
             assert J.contains(x)
         J2 = j_tower(B, 2)[2]
-        for x in sample_j_elements(B, 2, 10, seed=43):
+        for x in j_kernel(j_kernel(B)).draws(10, 43):
             assert J2.contains(x)
 
     def test_depth1_rationals(self):
         ta = tensor_algebra(Q)
-        for x in sample_j_elements(Q, 1, 10, seed=44):
+        for x in j_kernel(Q).draws(10, 44):
             assert Q.is_zero(ta.eta(x))
+
+
+class TestReplay:
+    def test_different_sources_rejected(self):
+        # λ_A lives on J(A), λ_{JA} on J(JA): no common draws to compare on
+        with pytest.raises(ValueError, match="different sources") as e:
+            replay(lambda_(B), lambda_(j_kernel(B)), 3, 0, "λ")
+        assert type(e.value) is ValueError
+
+    def test_wrong_side_raises_with_its_sample(self):
+        lam = lambda_(B)
+        doubled = Morphism(
+            lam.source, lam.target, lambda x: lam.target.scale(2, lam(x)), "2λ"
+        )
+        with pytest.raises(Mismatch, match="λ doubled at sample 0") as e:
+            replay(lam, doubled, 5, 1, "λ doubled")
+        (x,) = j_kernel(B).draws(1, 1)
+        assert lam(x) and e.value.values == {"element": x}
+
+    def test_agreeing_pair_returns_its_count(self):
+        lam = lambda_(B)
+        assert replay(lam, identity_morphism(lam.target).after(lam), 7, 2, "λ") == 7

@@ -182,6 +182,34 @@ class TestFalsification:
         assert set(r.counterexample) == CE_KEYS | {"element"}
 
 
+class TestInternalErrors:
+    @staticmethod
+    def _break_penta(monkeypatch):
+        def boom(cfg):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(CATALOG, "penta", CATALOG["penta"]._replace(fn=boom))
+
+    def test_plain_exception_is_an_error_and_the_rest_still_report(self, monkeypatch):
+        self._break_penta(monkeypatch)
+        rep = run_suite(["penta", "star-unit"], _cfg())
+        by_id = {r.check: r for r in rep.results}
+        assert by_id["penta"].status == "ERROR"
+        assert by_id["penta"].detail == "ValueError: boom"
+        assert by_id["penta"].counterexample is None
+        assert by_id["star-unit"].status == "PASS"
+
+    def test_exit_three_wins_over_one(self, monkeypatch, capsys):
+        self._break_penta(monkeypatch)
+        monkeypatch.setattr(kkcat, "crossing_sign", lambda n2, n3: 1)
+        code = cli.main(["--check", "penta", "--check", "star-lambda-identities",
+                         "--samples", "1", "--format", "json"])
+        assert code == 3
+        out = json.loads(capsys.readouterr().out)
+        statuses = {r["check"]: r["status"] for r in out["results"]}
+        assert statuses == {"penta": "ERROR", "star-lambda-identities": "FAIL"}
+
+
 class TestCLI:
     def test_list(self, capsys):
         assert cli.main(["--list"]) == 0
