@@ -4,7 +4,8 @@ A *carrier* is an algebra whose elements are canonical immutable (hashable)
 Python values; the carrier object interprets them (arithmetic, zero test,
 membership) and, where it can, draws deterministic samples of them from a
 ``random.Random`` (:meth:`Carrier.sample`, and :meth:`Carrier.draws` for a
-list of them from one seed).  The arithmetic is ``zero``,
+list of them from one seed, the one place in the package that seeds a
+``random.Random``).  The arithmetic is ``zero``,
 ``add``, ``scale`` and one sum of products, :meth:`Carrier.combine`
 (Σ aᵢ·xᵢ₁⋯xᵢₖ), of which ``mul`` is the one-term case.  ``combine``
 defaults to a fold of ``mul``, ``scale`` and ``add``; a carrier whose

@@ -6,8 +6,8 @@ with their t0-splitting, classifying maps of split extensions, mapping paths
 (each returned as its split extension loops → P[f] → source), the comparison
 map into a double mapping path, mapping cylinders, and the three-map tower
 used to rotate composable morphisms, with all accompanying elementary-homotopy
-certificates, verified exactly on samples that each carrier draws itself
-(:meth:`~loopstable.carriers.Carrier.sample`).  Each elementary homotopy is
+certificates, verified exactly on samples drawn by
+:meth:`~loopstable.carriers.Carrier.draws`.  Each elementary homotopy is
 a polynomial substitution h(t, u): read the family's global polynomial
 (:func:`~loopstable.funalg.global_poly`), substitute the images of h
 (:func:`~loopstable.poly.cp_subst`), and split the result by powers of the
@@ -19,7 +19,6 @@ carrier polynomials and does its arithmetic with :mod:`loopstable.poly`.
 from __future__ import annotations
 
 import gc
-import random
 from contextlib import contextmanager
 from functools import cache
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
@@ -121,12 +120,6 @@ class PolyExtension(Carrier):
         )
 
 
-@cache
-def poly_carrier(car: Carrier) -> PolyExtension:
-    """``car[u]``: the one-homotopy-variable extension, one per carrier."""
-    return PolyExtension(car)
-
-
 def reversed_link(link: Morphism) -> Morphism:
     """The link followed by the substitution u ↦ 1 − u."""
     px = link.target
@@ -207,8 +200,9 @@ def _identity(x):
 class ExtensionData(NamedTuple):
     """A split extension kernel → mid → quotient with module splitting s.
 
-    Validation and the strong-morphism check draw their samples from the
-    kernel and quotient carriers themselves.
+    Validation and the strong-morphism check draw kernel samples with
+    ``kernel.draws(samples, seed)`` and quotient samples with
+    ``quotient.draws(samples, seed + 1)``.
     """
 
     kernel: Carrier
@@ -223,10 +217,8 @@ class ExtensionData(NamedTuple):
     # -- invariant suite -------------------------------------------------
 
     def validate(self, samples: int = 4, seed: int = 0) -> None:
-        rng = random.Random(seed)
         mid, quo = self.mid, self.quotient
-        for _ in range(samples):
-            x = self.kernel.sample(rng)
+        for x in self.kernel.draws(samples, seed):
             m = self.iota(x)
             if quo.can_decide_zero and not quo.is_zero(self.pi(m)):
                 raise Mismatch(f"{self.name}: pi∘iota != 0", element=x)
@@ -235,7 +227,7 @@ class ExtensionData(NamedTuple):
         qs = []
         if isinstance(quo, FinAlgebra):
             qs = [quo.basis_vec(l) for l in quo.labels]
-        qs += [quo.sample(rng) for _ in range(samples)]
+        qs += quo.draws(samples, seed + 1)
         sq = []  # s(q) for q in qs, shared by both checks
         for q in qs:
             s_q = self.s(q)
@@ -318,14 +310,12 @@ def strong_morphism_check(
 ) -> int:
     """Replay that (a, b, c) commutes with iota, pi and the splittings;
     returns the number of samples replayed."""
-    rng = random.Random(seed)
     name = f"({a.name}, {b.name}, {c.name}): {E1.name} -> {E2.name}"
-    for _ in range(samples):
-        x = E1.kernel.sample(rng)
+    xs = E1.kernel.draws(samples, seed)
+    for x, q in zip(xs, E1.quotient.draws(samples, seed + 1)):
         ix = E1.iota(x)
         if b(ix) != E2.iota(a(x)):
             raise Mismatch(f"{name} does not commute with iota", element=x)
-        q = E1.quotient.sample(rng)
         sq = E1.s(q)
         if b(sq) != E2.s(c(q)):
             raise Mismatch(f"{name} does not commute with the splittings", element=q)
@@ -423,8 +413,8 @@ def splitting_homotopy(E: ExtensionData, s2: Morphism) -> "HomotopyCertificate":
     """Interpolate two splittings linearly in the homotopy variable; the
     word products give an elementary homotopy between the two classifying
     maps (each coefficient lands in the kernel)."""
-    px_mid = poly_carrier(E.mid)
-    px_ker = poly_carrier(E.kernel)
+    px_mid = PolyExtension(E.mid)
+    px_ker = PolyExtension(E.kernel)
     ta = tensor_algebra(E.quotient)
     dom = j_kernel(E.quotient)
 
@@ -508,37 +498,36 @@ class HomotopyCertificate(NamedTuple):
 # -- mapping paths --------------------------------------------------------
 
 
-def mapping_path(f: Morphism, r: int = 0) -> ExtensionData:
+def mapping_path(f: Morphism) -> ExtensionData:
     """The mapping path of f : A → B as the split extension
-    B^(S_1)_r → P[f]_r → A, built once per ``(f, r)``, the morphism by
-    identity.
+    B^(S_1) → P[f] → A, built once per morphism, by identity.
 
     The mid holds pairs (p, a) with p a path in B vanishing at 1 and
     p(0) = f(a); ``mid.left`` is that path algebra.  Loops include as
     (q, 0), the projection is (p, a) ↦ a and the section
     a ↦ (f(a)(1 − t), a).
     """
-    return _mapping_path(f, r)
+    return _mapping_path(f)
 
 
 @cache
-def _mapping_path(f: Morphism, r: int) -> ExtensionData:
+def _mapping_path(f: Morphism) -> ExtensionData:
     A, Bc = f.source, f.target
-    PBr = function_algebra(Bc, interval_rel_one(), r)
-    loop = function_algebra(Bc, cube(1), r)
-    s_path = path_splitting(Bc, PBr)
+    PB = function_algebra(Bc, interval_rel_one(), 0)
+    loop = function_algebra(Bc, cube(1), 0)
+    s_path = path_splitting(Bc, PB)
 
     def sample(rng):
         a = A.sample(rng)
         extra = sample_element(loop, rng, terms=1)
-        p = PBr.add(s_path(f(a)), PBr.canon(dict(extra)))
+        p = PB.add(s_path(f(a)), PB.canon(dict(extra)))
         return car.make(p, a)
 
     car = PullbackCarrier(
-        PBr, A, Bc, lambda p: d1(PBr, p), f, sample, name=f"P[{f.name}]_{r}"
+        PB, A, Bc, lambda p: d1(PB, p), f, sample, name=f"P[{f.name}]_0"
     )
     iota = Morphism(
-        loop, car, lambda q: car.make(PBr.canon(dict(q)), A.zero()), "q->(q,0)"
+        loop, car, lambda q: car.make(PB.canon(dict(q)), A.zero()), "q->(q,0)"
     )
     pi = Morphism(car, A, lambda z: z[1], "pr2")
     section = Morphism(
@@ -558,7 +547,7 @@ def _mapping_path(f: Morphism, r: int) -> ExtensionData:
         iota=iota,
         pi=pi,
         s=section,
-        name=f"MP[{f.name}]_{r}",
+        name=f"MP[{f.name}]_0",
         into_kernel=into_kernel,
     )
 
@@ -599,7 +588,7 @@ def tr2_certificate(f: Morphism) -> HomotopyCertificate:
     loopA = ph.mp_pi.kernel
     Pf, Ppi = ph.mp_f.mid, ph.mp_pi.mid
     PA, PB = Ppi.left, Pf.left
-    px = poly_carrier(Ppi)
+    px = PolyExtension(Ppi)
 
     def left_fn(q):
         qrev = omega(loopA, q)
@@ -627,7 +616,7 @@ def tr2_certificate(f: Morphism) -> HomotopyCertificate:
 
 def _contraction(fa: FunctionAlgebra, images, link: str, name: str) -> HomotopyCertificate:
     """id ≃ 0 on ``fa`` by the one elementary homotopy H(p) = p(images)."""
-    px = poly_carrier(fa)
+    px = PolyExtension(fa)
     H = lambda x: px.from_powers(_substitute(global_poly(fa, x), images, fa))
     return HomotopyCertificate(
         name=name,
@@ -703,7 +692,7 @@ def mapping_cylinder(g: Morphism) -> MappingCylinder:
     section = Morphism(
         B, car, lambda b: car.make(constant_function(CI, g(b)), b), "b->(g(b),b)"
     )
-    px = poly_carrier(car)
+    px = PolyExtension(car)
 
     def H(z):
         p, b = z
@@ -793,7 +782,7 @@ def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
 
     section_theta = Morphism(Pa, Peta, section_fn, "path-thickening")
 
-    px_c = poly_carrier(Pc)
+    px_c = PolyExtension(Pc)
 
     def sweep(zel, images):
         """The square ρ(t')(t) at (t, t') := images."""

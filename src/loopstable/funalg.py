@@ -467,17 +467,13 @@ def make_element(fa: FunctionAlgebra, b, scalar: Element) -> Element:
     return fa.check(scalar_to_base(fa, scalar, b))
 
 
-def sample_element(
-    fa: FunctionAlgebra,
-    rng: random.Random,
-    degree: int = 2,
-    terms: int = 2,
-) -> Element:
+def sample_element(fa: FunctionAlgebra, rng: random.Random, terms: int = 2) -> Element:
     """Deterministic random element of a cube-like function algebra.
 
-    Sums of ``b · V · (affine combinations of coordinates)`` transitioned to
-    the requested subdivision level, where V is the vanishing generator and
-    each ``b`` is drawn by the base carrier's own :meth:`~Carrier.sample`.
+    A sum of ``terms`` terms ``b · V``, each times at most one affine
+    combination of coordinates, transitioned to the requested subdivision
+    level, where V is the vanishing generator and each ``b`` is drawn by
+    the base carrier's own :meth:`~Carrier.sample`.
     """
     pair0 = fa.pair0
     n = len(pair0.coords)
@@ -491,7 +487,7 @@ def sample_element(
     for _ in range(terms):
         b = fa.base.sample(rng)
         P = V
-        for _ in range(rng.randint(0, max(degree - 1, 0))):
+        if rng.randint(0, 1):
             combo = constant_function(sfa, rng.randint(-2, 2))
             for h in handles:
                 combo = sfa.add(combo, sfa.scale(rng.randint(-2, 2), h))

@@ -1,8 +1,9 @@
 """The loop-stable category at the representative level.
 
 Objects are pairs (A, m) of an algebra carrier and an integer grading.
-Morphisms are stored as concrete representatives f : Jᵃ A → B^{𝔖_b}_r
-together with a stabilization index; homotopy classes are never reified.
+Morphisms are stored as concrete representatives f : Jᵃ A → B^{𝔖_b},
+unsubdivided, together with a stabilization index; homotopy classes are
+never reified.
 This module provides the degree-raising operator on representatives, the
 ⋆ composition with its sign bookkeeping (a pending −1 is materialized by
 interval reversal or a coordinate swap), and the two triangle
@@ -40,7 +41,8 @@ Obj = Tuple[Carrier, int]
 class KKHom(NamedTuple):
     """A graded morphism representative.
 
-    ``rep`` is a concrete map J^{m+v}A → B^{𝔖_{n+v}}_r.  ``pending_sign``
+    ``rep`` is a concrete map J^{m+v}A → B^{𝔖_{n+v}}, at subdivision
+    level 0.  ``pending_sign``
     records an unmaterialized factor of ±1; it is resolved through an
     interval coordinate as soon as one is available and is part of the
     value until then.
@@ -49,7 +51,6 @@ class KKHom(NamedTuple):
     source: Obj
     target: Obj
     v: int
-    r: int
     rep: Morphism
     pending_sign: int = 1
 
@@ -70,9 +71,10 @@ def kk_hom(
     target: Obj,
     v: int,
     rep: Morphism,
-    r: int = 0,
     pending_sign: int = 1,
 ) -> KKHom:
+    """A representative of grading-``(m, n)`` morphisms with stabilization
+    index ``v``; its target must not be subdivided."""
     m, n = source[1], target[1]
     if not (0 <= m + v <= INDEX_BOUND and 0 <= n + v <= INDEX_BOUND):
         raise ValueError(
@@ -80,7 +82,10 @@ def kk_hom(
         )
     if pending_sign not in (1, -1):
         raise ValueError("pending_sign must be ±1")
-    return KKHom(source, target, v, r, rep, pending_sign)
+    if isinstance(rep.target, FunctionAlgebra) and rep.target.r != 0:
+        raise ValueError(f"representative target {rep.target.name} is subdivided; "
+                         "representatives land at subdivision level 0")
+    return KKHom(source, target, v, rep, pending_sign)
 
 
 def from_algebra_map(f: Morphism, m: int = 0) -> KKHom:
@@ -131,7 +136,6 @@ def promote(h: KKHom) -> KKHom:
         h.target,
         h.v + 1,
         lambda_rep(h.rep, h.cod_index),
-        h.r,
         h.pending_sign,
     )
 
@@ -171,7 +175,7 @@ def resolve_sign(h: KKHom) -> KKHom:
             h.rep.source, fa, lambda x: omega(fa, h.rep(x)), f"rev∘{h.rep.name}"
         )
         return h._replace(rep=new, pending_sign=1)
-    if N >= 2 and h.r == 0:
+    if N >= 2:
         c = swap_pullback(fa)
         return h._replace(rep=c.after(h.rep), pending_sign=1)
     return h
@@ -209,10 +213,10 @@ def star(g: KKHom, f: KKHom, resolve: bool = True) -> KKHom:
             kap = None
             mid_fa = f.rep.target
         else:
-            kap = kappa(N3, N2, Bc, f.r)
+            kap = kappa(N3, N2, Bc)
             mid_fa = kap.target
         g_tgt = g.rep.target
-        nested = function_algebra(g_tgt, mid_fa.pair0, mid_fa.r)
+        nested = function_algebra(g_tgt, mid_fa.pair0, 0)
         if N4 == 0:
             tgt = nested
 
@@ -223,7 +227,7 @@ def star(g: KKHom, f: KKHom, resolve: bool = True) -> KKHom:
                 return apply_to_coefficients(mid_fa, y, g_tgt, g.rep)
 
         else:
-            tgt = function_algebra(Cc, cube(N4 + N2), mid_fa.r + g.r)
+            tgt = function_algebra(Cc, cube(N4 + N2), 0)
 
             def fn_inner(x):
                 y = jf(x)
@@ -236,9 +240,7 @@ def star(g: KKHom, f: KKHom, resolve: bool = True) -> KKHom:
     sign = f.pending_sign * g.pending_sign * crossing_sign(N2, N3)
     # the composite has J-depth N1+N3 and loop exponent N4+N2, i.e. its
     # stabilization index is v + w + n (which is v + w when n = 0)
-    out = kk_hom(
-        (f.source[0], m), (Cc, k), f.v + g.v + n, fn, f.r + g.r, sign
-    )
+    out = kk_hom((f.source[0], m), (Cc, k), f.v + g.v + n, fn, sign)
     return resolve_sign(out) if resolve else out
 
 

@@ -177,11 +177,6 @@ class JKernel(Carrier):
     def sample(self, rng):
         return sample_j_element(self.ta.base, rng)
 
-    def check(self, x):
-        if not self.contains(x):
-            raise ValueError(f"element has nonzero counit image in {self.name}")
-        return x
-
 
 def based_decompose(car: Carrier, x) -> Tuple[Tuple[Any, int | Fraction], ...]:
     if isinstance(car, FinAlgebra):
@@ -331,10 +326,10 @@ def path_splitting(B: Carrier, fa_path: FunctionAlgebra) -> Morphism:
     )
 
 
-def lambda_(B: Carrier, r: int = 0) -> Morphism:
-    """The classifying map J(B) → B^{𝔖_1}_r of the loop extension."""
-    fa_path = function_algebra(B, interval_rel_one(), r)
-    fa_loop = function_algebra(B, cube(1), r)
+def lambda_(B: Carrier) -> Morphism:
+    """The classifying map J(B) → B^{𝔖_1} of the loop extension."""
+    fa_path = function_algebra(B, interval_rel_one(), 0)
+    fa_loop = function_algebra(B, cube(1), 0)
     s = path_splitting(B, fa_path)
     dom = j_kernel(B)
     ta = tensor_algebra(B)
@@ -343,21 +338,21 @@ def lambda_(B: Carrier, r: int = 0) -> Morphism:
         mid = word_image(ta, x, s, fa_path)
         return fa_loop.canon(dict(mid))
 
-    return Morphism(dom, fa_loop, fn, f"lambda[{B.name}]_{r}")
+    return Morphism(dom, fa_loop, fn, f"lambda[{B.name}]_0")
 
 
 # -- the exchange maps κ^{n,m} -------------------------------------------
 
 
-def kappa1(Bc: Carrier, m: int, r: int = 0) -> Morphism:
+def kappa1(Bc: Carrier, m: int) -> Morphism:
     """κ^{1,m}: classifying map of the simplicially-extended universal
     extension: a word of function families goes to the product of their
     coefficientwise σ-lifts, landing in kernel-valued families."""
-    C = function_algebra(Bc, cube(m), r)
+    C = function_algebra(Bc, cube(m), 0)
     TB = tensor_algebra(Bc)
     JB = j_kernel(Bc)
-    faT = function_algebra(TB, cube(m), r)
-    faJ = function_algebra(JB, cube(m), r)
+    faT = function_algebra(TB, cube(m), 0)
+    faJ = function_algebra(JB, cube(m), 0)
     dom = j_kernel(C)
     ta = tensor_algebra(C)
 
@@ -368,26 +363,26 @@ def kappa1(Bc: Carrier, m: int, r: int = 0) -> Morphism:
         mid = word_image(ta, x, slift, faT)
         return faJ.canon(dict(mid))
 
-    return Morphism(dom, faJ, fn, f"kappa(1,{m})[{Bc.name}]_{r}")
+    return Morphism(dom, faJ, fn, f"kappa(1,{m})[{Bc.name}]_0")
 
 
 KAPPA_N_BOUND = 2
 KAPPA_M_BOUND = 2
 
 
-def kappa(n: int, m: int, B: Carrier, r: int = 0) -> Morphism:
-    """κ^{n,m}: J^n(B^{𝔖_m}_r) → (J^nB)^{𝔖_m}_r, inductively."""
+def kappa(n: int, m: int, B: Carrier) -> Morphism:
+    """κ^{n,m}: J^n(B^{𝔖_m}) → (J^nB)^{𝔖_m}, inductively."""
     if n > KAPPA_N_BOUND or m > KAPPA_M_BOUND:
         raise ValueError(
             f"kappa indices ({n},{m}) exceed bounds "
             f"({KAPPA_N_BOUND},{KAPPA_M_BOUND})"
         )
     if n == 0:
-        return identity_morphism(function_algebra(B, cube(m), r))
+        return identity_morphism(function_algebra(B, cube(m), 0))
     if n == 1:
-        return kappa1(B, m, r)
+        return kappa1(B, m)
     towers = j_tower(B, n)
-    return kappa1(towers[n - 1], m, r).after(j_of(kappa(n - 1, m, B, r)))
+    return kappa1(towers[n - 1], m).after(j_of(kappa(n - 1, m, B)))
 
 
 # -- samples -------------------------------------------------------------

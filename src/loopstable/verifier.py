@@ -13,7 +13,6 @@ checks still run.
 from __future__ import annotations
 
 import json
-import random
 import time
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -48,7 +47,6 @@ from .funalg import (
     mu,
     omega,
     poly_family,
-    sample_element,
     scalar_algebra,
     scalar_to_base,
     transition,
@@ -241,69 +239,71 @@ def check_subdi1_presentations(cfg: CheckConfig) -> Tuple[str, str]:
 def check_mu_properties(cfg: CheckConfig) -> Tuple[str, str]:
     """The four laws of the flattening multiplication: base naturality,
     transition compatibility, associativity, and the point-factor unit
-    law, each on a share of the sample budget."""
+    law, each on a share of the sample budget.
+
+    Each law is replayed on decomposable elements b ⊗ V of its outer
+    algebra, where V is the vanishing generator of the outer cube and b is
+    drawn from the algebra one level down (for the unit law, a ⊗ V with a
+    drawn from the algebra itself); on these μ is the projection-pullback
+    formula."""
     A = cfg.algebra
     S1 = cube(1)
+    V = vanishing_scalar(S1)
     q = max(1, cfg.samples // 4)
-    rng = random.Random(cfg.seed)
+
+    def on_bv(fa, target, name, fn):
+        """``fn`` on b ⊗ V ∈ ``fa``, as a morphism from ``fa.base``."""
+        return Morphism(fa.base, target, lambda b: fn(scalar_to_base(fa, V, b)), name)
+
     # (1) naturality in the base algebra, on the augmentation battery
     B, Q, g = _dual_to_q()
     inner = function_algebra(B, S1, 0)
     innerQ = function_algebra(Q, S1, 0)
     outer = function_algebra(inner, S1, 0)
     outerQ = function_algebra(innerQ, S1, 0)
-    for i in range(q):
-        x = sample_element(outer, rng, degree=1, terms=2)
-        tgt, m = mu(outer, x)
-        _, mQ = mu(
-            outerQ,
-            apply_to_coefficients(
-                outer, x, innerQ,
-                lambda c: apply_to_coefficients(inner, c, Q, g),
-            ),
-        )
-        if mQ != apply_to_coefficients(tgt, m, Q, g):
-            raise Mismatch(f"base naturality fails at sample {i}", element=x)
-    # (2) compatibility with the inner and outer transitions
+    flatQ = function_algebra(Q, cube(2), 0)
+    g_inner = lambda c: apply_to_coefficients(inner, c, Q, g)
+    replay(
+        on_bv(outer, flatQ, "mu∘aug", lambda x: mu(
+            outerQ, apply_to_coefficients(outer, x, innerQ, g_inner))[1]),
+        on_bv(outer, flatQ, "aug∘mu",
+              lambda x: apply_to_coefficients(*mu(outer, x), Q, g)),
+        q, cfg.seed, "base naturality fails")
+    # (2) compatibility with the outer and the inner transition
     innerA = function_algebra(A, S1, 0)
     innerA1 = function_algebra(A, S1, 1)
     outerA = function_algebra(innerA, S1, 0)
     outerA1 = function_algebra(innerA, S1, 1)
     outerA_i1 = function_algebra(innerA1, S1, 0)
-    for i in range(q):
-        x = sample_element(outerA, rng, degree=1, terms=1)
-        tgt, m = mu(outerA, x)
-        _, tm = transition(tgt, m)
-        _, tx = transition(outerA, x)
-        if mu(outerA1, tx)[1] != tm:
-            raise Mismatch(f"outer transition compatibility fails at sample {i}",
-                           element=x)
-        x2 = apply_to_coefficients(
-            outerA, x, innerA1, lambda c: transition(innerA, c)[1]
-        )
-        if mu(outerA_i1, x2)[1] != tm:
-            raise Mismatch(f"inner transition compatibility fails at sample {i}",
-                           element=x)
+    flat1 = function_algebra(A, cube(2), 1)
+    tr_mu = on_bv(outerA, flat1, "tr∘mu", lambda x: transition(*mu(outerA, x))[1])
+    replay(
+        on_bv(outerA, flat1, "mu∘tr",
+              lambda x: mu(outerA1, transition(outerA, x)[1])[1]),
+        tr_mu, q, cfg.seed, "outer transition compatibility fails")
+    tr_inner = lambda c: transition(innerA, c)[1]
+    replay(
+        on_bv(outerA, flat1, "mu∘tr*", lambda x: mu(
+            outerA_i1, apply_to_coefficients(outerA, x, innerA1, tr_inner))[1]),
+        tr_mu, q, cfg.seed, "inner transition compatibility fails")
     # (3) associativity on triple towers
-    F1 = innerA
-    F11 = outerA
-    F111 = function_algebra(F11, S1, 0)
+    F111 = function_algebra(outerA, S1, 0)
     F2 = function_algebra(A, cube(2), 0)
-    for i in range(q):
-        z = sample_element(F111, rng, degree=1, terms=1)
-        _, v1 = mu(F111, z)
-        left = mu(function_algebra(F1, cube(2), 0), v1)[1]
-        w1 = apply_to_coefficients(F111, z, F2, lambda c: mu(F11, c)[1])
-        right = mu(function_algebra(F2, S1, 0), w1)[1]
-        if left != right:
-            raise Mismatch(f"associativity fails at sample {i}", element=z)
+    F3 = function_algebra(A, cube(3), 0)
+    mu_inner = lambda c: mu(outerA, c)[1]
+    replay(
+        on_bv(F111, F3, "mu∘mu", lambda z: mu(
+            function_algebra(innerA, cube(2), 0), mu(F111, z)[1])[1]),
+        on_bv(F111, F3, "mu∘mu*", lambda z: mu(
+            function_algebra(F2, S1, 0), apply_to_coefficients(F111, z, F2, mu_inner))[1]),
+        q, cfg.seed, "associativity fails")
     # (4) a point outer factor acts as the transition morphism
     outer_pt = function_algebra(innerA, point(), 1)
-    for i in range(q):
-        x = sample_element(innerA, rng, degree=1, terms=2)
-        res = mu(outer_pt, constant_function(outer_pt, x))[1]
-        if res != transition(innerA, x)[1]:
-            raise Mismatch(f"point-factor unit law fails at sample {i}", element=x)
+    replay(
+        on_bv(innerA, innerA1, "mu∘const",
+              lambda x: mu(outer_pt, constant_function(outer_pt, x))[1]),
+        on_bv(innerA, innerA1, "tr", lambda x: transition(innerA, x)[1]),
+        q, cfg.seed, "point-factor unit law fails")
     return PASS, f"laws (1)-(4) hold exactly on {4 * q} samples"
 
 
@@ -317,7 +317,7 @@ def check_kappa_pq(cfg: CheckConfig) -> Tuple[str, str]:
     It does not compare κ^{2,1} with an independent construction.
     """
     A = cfg.algebra
-    rhs = kappa1(j_kernel(A), 1, 0).after(j_of(kappa(1, 1, A)))
+    rhs = kappa1(j_kernel(A), 1).after(j_of(kappa(1, 1, A)))
     n = replay(kappa(2, 1, A), rhs, cfg.samples, cfg.seed, "decomposition fails")
     return PASS, f"exchange decomposition exact on {n} samples"
 
@@ -588,10 +588,8 @@ def check_appendix_m1n1(cfg: CheckConfig) -> Tuple[str, str]:
     n = max(2, cfg.samples // 3)
     replay(k11.after(j_of(om)), omJ.after(k11), n, cfg.seed,
            "exchange does not intertwine the reversal")
-    rng = random.Random(cfg.seed + 1)
-    for i in range(n):
-        x = sample_element(fa, rng)
-        y = sample_element(fa, rng)
+    xs = fa.draws(2 * n, cfg.seed + 1)
+    for i, (x, y) in enumerate(zip(xs[::2], xs[1::2])):
         fa1, c = concatenate(fa, x, y)
         _, rev_first = concatenate(fa, omega(fa, y), omega(fa, x))
         if omega(fa1, c) != rev_first:
@@ -726,12 +724,17 @@ class Report(NamedTuple):
     def errored(self) -> bool:
         return any(r.status == ERROR for r in self.results)
 
-    def to_dict(self, include_timing: bool = True) -> Dict[str, Any]:
+    @property
+    def summary(self) -> Dict[str, int]:
+        """The number of checks with each status, by status name."""
         statuses = [r.status for r in self.results]
+        return {s: statuses.count(s) for s in sorted(set(statuses))}
+
+    def to_dict(self, include_timing: bool = True) -> Dict[str, Any]:
         return {
             "config": self.config,
             "results": [r.to_dict(include_timing) for r in self.results],
-            "summary": {s: statuses.count(s) for s in sorted(set(statuses))},
+            "summary": self.summary,
         }
 
     def to_json(self, include_timing: bool = True) -> str:
@@ -743,9 +746,8 @@ class Report(NamedTuple):
             lines.append(f"{r.check:28s} {r.status:14s} {r.detail}")
             if r.counterexample is not None:
                 lines.append(f"{'':28s} counterexample: {r.counterexample}")
-        total = len(self.results)
-        fails = sum(1 for r in self.results if r.status == FAIL)
-        lines.append(f"{total} checks, {fails} failures")
+        counts = ", ".join(f"{n} {s}" for s, n in self.summary.items())
+        lines.append(f"{len(self.results)} checks: {counts}")
         return "\n".join(lines)
 
 

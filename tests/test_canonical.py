@@ -20,7 +20,7 @@ import pytest
 
 from loopstable.algebras import FinAlgebra, dual_numbers, m2q, parse_algebra_file
 from loopstable.carriers import RAT, PullbackCarrier, Rationals
-from loopstable.extensions import PolyExtension, mapping_path, poly_carrier
+from loopstable.extensions import PolyExtension, mapping_path
 from loopstable.funalg import FunctionAlgebra, function_algebra, sample_element
 from loopstable.poly import cp_norm
 from loopstable.simplicial import cube, free_pair
@@ -102,7 +102,7 @@ def carrier_and_sampler(kind, A):
         fa = function_algebra(A, pair, 0)
         return fa, lambda rng: sample_element(fa, rng)
     if kind == "A[u]":
-        px = poly_carrier(A)
+        px = PolyExtension(A)
         return px, lambda rng: px.from_powers(
             {k: small_element(A, rng) for k in range(3)}
         )
@@ -140,9 +140,9 @@ def test_detects_a_non_canonical_spelling():
     with pytest.raises(AssertionError):
         assert_canonical(A, (("1", F(0)),))
     with pytest.raises(AssertionError):
-        assert_canonical(poly_carrier(A), (((0,), A.zero()),))
+        assert_canonical(PolyExtension(A), (((0,), A.zero()),))
     with pytest.raises(AssertionError):
-        assert_canonical(poly_carrier(A), (((0,), (("x", F(1)),)),), integral=True)
+        assert_canonical(PolyExtension(A), (((0,), (("x", F(1)),)),), integral=True)
 
 
 def test_rational_coefficients_are_exact():

@@ -550,9 +550,7 @@ class TestBuilderCaches:
         assert path_extension(0, A) is path_extension(0, A, 0)
         assert path_extension(1, A, 0) is path_extension(1, A, 0)
         assert path_extension(0, A, 1) is not path_extension(0, A)
-        assert mapping_path(f) is mapping_path(f, 0)
-        assert mapping_path(f, 1) is mapping_path(f, 1)
-        assert mapping_path(f, 1) is not mapping_path(f)
+        assert mapping_path(f) is mapping_path(f)
         assert vanishing_scalar(cube(1)) is vanishing_scalar(cube(1))
 
     def test_equal_names_get_distinct_objects(self):
@@ -585,5 +583,4 @@ class TestBuilderCaches:
             universal_extension(A)
             path_extension(0, A)
             mapping_path(identity_morphism(A))
-            mapping_path(identity_morphism(A), 0)
         assert len(names) == 3, names

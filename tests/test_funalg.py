@@ -54,6 +54,12 @@ V0, V1V, EDGE = ((0,),), ((1,),), ((0,), (1,))
 T2MT = (((1,), F(-1)), ((2,), F(1)))  # t² − t
 
 
+def _decomposable(outer, rng):
+    """b ⊗ V in ``outer`` over the 1-cube, with b drawn from its base: an
+    element on which μ is the projection-pullback formula."""
+    return scalar_to_base(outer, vanishing_scalar(S1), outer.base.sample(rng))
+
+
 def coordinate(sfa, i):
     """The cube coordinate t_{i+1} as a scalar family."""
     return poly_family(sfa, qp_var(i + 1, len(sfa.pair0.coords)))
@@ -300,7 +306,7 @@ class TestMu:
         F2 = function_algebra(B, cube(2), 0)
         rng = random.Random(23)
         for _ in range(30):
-            z = sample_element(F111, rng, degree=1, terms=1)
+            z = _decomposable(F111, rng)
             # combine the outer two levels first, then the inner one
             _, v1 = mu(F111, z)
             left = mu(function_algebra(F1, cube(2), 0), v1)[1]
@@ -321,7 +327,7 @@ class TestMu:
         outerQ = function_algebra(innerQ, S1, 0)
         rng = random.Random(29)
         for _ in range(10):
-            x = sample_element(outer, rng, degree=1, terms=2)
+            x = _decomposable(outer, rng)
             tgt, m = mu(outer, x)
             tgtQ, mQ = mu(
                 outerQ,
@@ -337,7 +343,7 @@ class TestMu:
         outer = function_algebra(inner, S1, 0)
         rng = random.Random(31)
         for _ in range(5):
-            x = sample_element(outer, rng, degree=1, terms=1)
+            x = _decomposable(outer, rng)
             tgt, m = mu(outer, x)
             _, tm = transition(tgt, m)
             _, tx = transition(outer, x)
@@ -352,7 +358,7 @@ class TestMu:
         outer_i1 = function_algebra(inner1, S1, 0)
         rng = random.Random(37)
         for _ in range(5):
-            x = sample_element(outer, rng, degree=1, terms=1)
+            x = _decomposable(outer, rng)
             tgt, m = mu(outer, x)
             _, tm = transition(tgt, m)
             x2 = apply_to_coefficients(
@@ -365,7 +371,7 @@ class TestMu:
         inner = function_algebra(B, S1, 1)
         outer = function_algebra(inner, S1, 0)
         rng = random.Random(41)
-        x = sample_element(outer, rng, degree=1, terms=1)
+        x = _decomposable(outer, rng)
         tgt, m = mu(outer, x)
         assert tgt.r == 1
         tgt.check(m)
@@ -388,7 +394,7 @@ class TestCarrierIdentity:
         assert function_algebra(B, cube_pair(("both",)), 0) is fa
         assert tensor_algebra(B) is tensor_algebra(B)
         outer = function_algebra(function_algebra(B, S1, 0), S1, 0)
-        x = sample_element(outer, random.Random(43), degree=1, terms=1)
+        x = _decomposable(outer, random.Random(43))
         assert mu(outer, x)[0] is mu(outer, x)[0]
 
 

@@ -53,6 +53,12 @@ class TestHoms:
         with pytest.raises(ValueError):
             kk_hom((B, 0), (B, 0), -1, identity_morphism(B))
 
+    def test_subdivided_representative_is_rejected(self):
+        # ⋆ applies level-0 κ to a representative's target
+        rep = zero_morphism(JB, function_algebra(B, cube(1), 1))
+        with pytest.raises(ValueError, match="subdivided"):
+            kk_hom((JB, 0), (B, 1), 0, rep)
+
     def test_identity(self):
         h = identity_hom(B, 1)
         assert h.dom_index == 0 and h.cod_index == 0

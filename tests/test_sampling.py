@@ -1,18 +1,22 @@
 """Carriers sample themselves: every carrier the catalog draws from yields
-members of itself, and a carrier without a sampler says so by name."""
+members of itself, a carrier without a sampler says so by name, and every
+sample comes from ``Carrier.draws``, the one place that seeds a
+``random.Random``."""
 
+import ast
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 from loopstable.algebras import AlgebraMap, dual_numbers, rationals, square_zero
 from loopstable.carriers import RAT
 from loopstable.extensions import (
+    PolyExtension,
     mapping_cylinder,
     mapping_path,
     phi,
-    poly_carrier,
     tr4_tower,
 )
 from loopstable.funalg import function_algebra
@@ -72,9 +76,51 @@ def test_samples_are_members(kind, alg):
         assert car.contains(x), (car.name, x)
 
 
-@pytest.mark.parametrize("make", [tensor_algebra, poly_carrier],
+@pytest.mark.parametrize("make", [tensor_algebra, PolyExtension],
                          ids=["T(A)", "A[u]"])
 def test_carrier_without_sampler_names_itself(make):
     car = make(ALGEBRAS["dual"])
     with pytest.raises(ValueError, match=re.escape(f"no sampler for carrier {car.name}")):
         car.sample(random.Random(0))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "loopstable"
+
+
+def rng_constructions(source: str):
+    """The qualified name of the definition around each call of
+    ``random.Random`` (or a bare ``Random``), ``<module>`` at top level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Call)
+                  and ast.unparse(child.func) in ("random.Random", "Random")):
+                found.append(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_only_draws_seeds_a_generator():
+    calls = {p.stem: rng_constructions(p.read_text(encoding="utf-8"))
+             for p in SRC.glob("*.py")}
+    assert {m: c for m, c in calls.items() if c} == {"carriers": ["Carrier.draws"]}
+
+
+def test_detects_a_private_generator():
+    src = (
+        "import random\n"
+        "from random import Random\n"
+        "class C:\n"
+        "    def draws(self, seed):\n"
+        "        return random.Random(seed)\n"
+        "def check(seed):\n"
+        "    rng = Random(seed)\n"
+        "    return [random.Random(s) for s in (seed,)]\n"
+    )
+    assert rng_constructions(src) == ["C.draws", "check", "check"]

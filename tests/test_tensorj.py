@@ -229,7 +229,7 @@ class TestKappa:
         C = function_algebra(B, S1, 0)
         towers = j_tower(B, 2)
         lhs = kappa(2, 1, B)
-        rhs = kappa1(towers[1], 1, 0).after(j_of(kappa(1, 1, B)))
+        rhs = kappa1(towers[1], 1).after(j_of(kappa(1, 1, B)))
         for x in j_kernel(j_kernel(C)).draws(10, 11):
             assert lhs(x) == rhs(x)
 

@@ -130,6 +130,12 @@ class TestDeterminism:
         assert d == d2
 
 
+def _doubled_transition(fa, x):
+    """The transition scaled by 2 in every value."""
+    tgt, y = transition(fa, x)
+    return tgt, tgt.scale(2, y)
+
+
 class TestFalsification:
     def test_corrupted_structure_constant_detected(self):
         one = Fraction(1)
@@ -171,14 +177,20 @@ class TestFalsification:
     def test_broken_transition_fails_with_its_sample(self, monkeypatch):
         # a transition doubled in every value still commutes with the
         # inclusions, but no longer with the splittings
-        def doubled(fa, x):
-            tgt, y = transition(fa, x)
-            return tgt, tgt.scale(2, y)
-
-        monkeypatch.setattr(verifier, "transition", doubled)
+        monkeypatch.setattr(verifier, "transition", _doubled_transition)
         r = run_check("subdi1-presentations", _cfg())
         assert r.status == "FAIL"
         assert "does not commute with the splittings" in r.detail
+        assert set(r.counterexample) == CE_KEYS | {"element"}
+
+    def test_broken_transition_breaks_the_point_factor_law(self, monkeypatch):
+        # both transition laws (2) hold for any multiple of the transition,
+        # since μ is linear; the point-factor law (4) holds only for the
+        # transition itself
+        monkeypatch.setattr(verifier, "transition", _doubled_transition)
+        r = run_check("mu-properties-1-4", _cfg())
+        assert r.status == "FAIL"
+        assert r.detail == "point-factor unit law fails at sample 0"
         assert set(r.counterexample) == CE_KEYS | {"element"}
 
 
@@ -198,6 +210,11 @@ class TestInternalErrors:
         assert by_id["penta"].detail == "ValueError: boom"
         assert by_id["penta"].counterexample is None
         assert by_id["star-unit"].status == "PASS"
+
+    def test_text_report_counts_every_status(self, monkeypatch):
+        self._break_penta(monkeypatch)
+        rep = run_suite(["penta", "star-unit"], _cfg())
+        assert rep.to_text().splitlines()[-1] == "2 checks: 1 ERROR, 1 PASS"
 
     def test_exit_three_wins_over_one(self, monkeypatch, capsys):
         self._break_penta(monkeypatch)
