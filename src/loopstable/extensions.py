@@ -21,7 +21,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from functools import cache
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple
 
 from .algebras import FinAlgebra
 from .carriers import RAT, Carrier, Mismatch, PullbackCarrier
@@ -279,24 +279,16 @@ def universal_extension(A: Carrier) -> ExtensionData:
 # -- classifying maps -----------------------------------------------------
 
 
-def classifying_map(E: ExtensionData, f: Optional[Morphism] = None) -> Morphism:
-    """The kernel-valued map classifying E along f (default: along id).
+def classifying_map(E: ExtensionData) -> Morphism:
+    """The kernel-valued map classifying E.
 
-    Words of the counit kernel of the (co)domain are multiplied out through
+    Words of the counit kernel of the quotient are multiplied out through
     the splitting; for x with zero counit image the product lies in the
     kernel of pi and is converted by the extension's kernel presentation.
     """
-    src = f.source if f is not None else E.quotient
-    ta = tensor_algebra(src)
-    dom = j_kernel(src)
-    if f is not None:
-        letter = lambda l: E.s(f(l))
-        name = f"xi[{E.name}]∘T({f.name})"
-    else:
-        letter = E.s
-        name = f"xi[{E.name}]"
-    fn = lambda x: E.into_kernel(word_image(ta, x, letter, E.mid))
-    return Morphism(dom, E.kernel, fn, name)
+    ta = tensor_algebra(E.quotient)
+    fn = lambda x: E.into_kernel(word_image(ta, x, E.s, E.mid))
+    return Morphism(j_kernel(E.quotient), E.kernel, fn, f"xi[{E.name}]")
 
 
 def strong_morphism_check(
@@ -743,7 +735,7 @@ def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
     shortcut ξ, the two elementary homotopies showing ξ∘θ ≃ projection,
     and the contraction of ker θ."""
     A, Bc, C = a.source, a.target, b.target
-    c = Morphism(A, C, lambda x: b(a(x)), f"{b.name}∘{a.name}")
+    c = b.after(a)  # b∘a, or a or b itself when the other is an identity
     mp_a = mapping_path(a)
     mp_b = mapping_path(b)
     mp_c = mapping_path(c)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from functools import cache, reduce
+from operator import add
 from typing import Any, Dict, Tuple
 
 from .carriers import RAT, Carrier
@@ -249,7 +250,10 @@ def mu(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
     v ↦ v[:n] and v ↦ v[n:]; the value at ``z`` is the value at ``a`` of
     the (inner-transitioned) coefficients of the value at ``b`` of the
     (outer-transitioned) family.  On decomposable tensors this is the
-    projection-pullback formula.
+    projection-pullback formula.  Many simplices ``z`` share a projected
+    chain, so one call reads each outer value (by ``b``) and each inner
+    value (by coefficient and ``a``) once; the terms of each exponent at
+    ``z`` are summed by one ``B.combine``.
     """
     inner = outer.base
     if not isinstance(inner, FunctionAlgebra):
@@ -258,20 +262,33 @@ def mu(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
     target, inner_rs, prK, prK2 = _mu_plan(outer)
     outer_rs_fa, x2 = transition_n(outer, x, r)
     tcache: Dict[Element, Element] = {}
+    outer_values: Dict[Any, CPoly] = {}  # by chain b
+    inner_values: Dict[Tuple[Element, Any], CPoly] = {}  # by (c, chain a)
     parts: Dict[Any, CPoly] = {}
     for z in target.sset.bases():
         a = prK.apply(z)
         b = prK2.apply(z)
-        Q = outer_rs_fa.value(x2, b)  # coefficients are inner elements at r
-        acc: Dict[Tuple[int, ...], Any] = {}
+        Q = outer_values.get(b)
+        if Q is None:
+            # coefficients are inner elements at r
+            Q = outer_values[b] = outer_rs_fa.value(x2, b)
+        groups: Dict[Tuple[int, ...], list] = {}
         for e, c in Q:
-            if c not in tcache:
-                tcache[c] = transition_n(inner, c, s)[1]
-            v = inner_rs.value(tcache[c], a)
+            v = inner_values.get((c, a))
+            if v is None:
+                if c not in tcache:
+                    tcache[c] = transition_n(inner, c, s)[1]
+                v = inner_values[c, a] = inner_rs.value(tcache[c], a)
             for e2, c2 in v:
-                ee = tuple(m + n for m, n in zip(e2, e))
-                acc[ee] = B.add(acc[ee], c2) if ee in acc else c2
-        parts[z] = cp_norm(B, acc)
+                ee = tuple(map(add, e2, e))
+                g = groups.get(ee)
+                if g is None:
+                    groups[ee] = [(1, (c2,))]
+                else:
+                    g.append((1, (c2,)))
+        parts[z] = cp_norm(B, {
+            ee: B.combine(g) if len(g) > 1 else g[0][1][0] for ee, g in groups.items()
+        })
     return target, target.canon(parts)
 
 

@@ -59,13 +59,20 @@ def qp_monomial(images: Tuple[QPoly, ...], e: Exps, nvars: int) -> QPoly:
     """``Π images[i]^{e_i}``, a polynomial in ``nvars`` variables.
 
     Cached by value: the same few images (simplex coordinates, face and
-    degeneracy substitutions, homotopies) recur across every family.
+    degeneracy substitutions, homotopies) recur across every family.  A
+    miss costs one product: the cached monomial with one power fewer in
+    the last nonzero exponent, times that image.  Raises ``ValueError``
+    unless there is one exponent per image.
     """
-    out = qp_const(1, nvars)
-    for img, k in zip(images, e):
-        for _ in range(k):
-            out = cp_mul(RAT, out, img)
-    return out
+    if len(images) != len(e):
+        raise ValueError(f"{len(e)} exponents for {len(images)} images")
+    i = len(e) - 1
+    while i >= 0 and not e[i]:
+        i -= 1
+    if i < 0:
+        return qp_const(1, nvars)
+    prev = e[:i] + (e[i] - 1,) + e[i + 1:]
+    return cp_mul(RAT, qp_monomial(images, prev, nvars), images[i])
 
 
 # -- carrier polynomials ------------------------------------------------
@@ -164,14 +171,24 @@ def cp_flatten(car, p: CPoly, inner: Callable[[Any], CPoly]) -> CPoly:
 
 
 def cp_subst(car, p: CPoly, images: Sequence[QPoly], nvars_out: int) -> CPoly:
-    """Substitute scalar polynomials for the variables of a carrier poly."""
+    """Substitute scalar polynomials for the variables of a carrier poly.
+
+    The terms a·c of the substituted monomials are collected per output
+    exponent: a lone term is one ``car.scale``, two or more are summed by
+    one ``car.combine``."""
     images = tuple(images)
-    d: Dict[Exps, Any] = {}
+    groups: Dict[Exps, list] = {}
     for e, c in p:
         for e2, a in qp_monomial(images, e, nvars_out):
-            v = car.scale(a, c)
-            d[e2] = car.add(d[e2], v) if e2 in d else v
-    return cp_norm(car, d)
+            g = groups.get(e2)
+            if g is None:
+                groups[e2] = [(a, (c,))]
+            else:
+                g.append((a, (c,)))
+    return cp_norm(car, {
+        e2: car.combine(g) if len(g) > 1 else car.scale(g[0][0], g[0][1][0])
+        for e2, g in groups.items()
+    })
 
 
 #: 1 − t in one variable: the reversal t ↦ 1 − t and the path splitting

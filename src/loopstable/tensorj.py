@@ -243,7 +243,14 @@ class Morphism:
         return self.fn(x)
 
     def after(self, other: "Morphism") -> "Morphism":
-        """The composite self ∘ other."""
+        """The composite self ∘ other.  When one side is the identity of
+        its carrier (``identity_morphism``), the other side is returned
+        itself; a map with an identity function between two different
+        carriers, such as an inclusion, is composed like any other."""
+        if is_identity(other) and other.target is self.source:
+            return self
+        if is_identity(self) and self.source is other.target:
+            return other
         return Morphism(
             other.source,
             self.target,
@@ -259,6 +266,12 @@ class Morphism:
 def identity_morphism(car: Carrier) -> Morphism:
     """id on ``car``, one per carrier (by identity)."""
     return Morphism(car, car, lambda x: x, f"id[{car.name}]")
+
+
+def is_identity(f: Morphism) -> bool:
+    """Whether ``f`` is :func:`identity_morphism` of its carrier; only an
+    endomorphism is looked up."""
+    return f.source is f.target and f is identity_morphism(f.source)
 
 
 def zero_morphism(source: Carrier, target: Carrier) -> Morphism:
