@@ -34,10 +34,8 @@ from .funalg import (
     d1,
     function_algebra,
     global_poly,
-    mu,
     omega,
     poly_family,
-    pullback_along,
     sample_element,
     scalar_algebra,
     scalar_to_base,
@@ -56,28 +54,20 @@ from .poly import (
     qp_const,
     qp_var,
 )
-from .simplicial import (
-    SimplicialMap,
-    cube,
-    free_pair,
-    interval_rel_one,
-    path_pair,
-    subdivide_map,
-)
+from .simplicial import cube, free_pair, interval_rel_one, path_pair
 from .tensorj import (
     Morphism,
     identity_morphism,
     j_kernel,
     j_of,
+    omega_map,
     path_splitting,
+    pushforward,
     replay,
     tensor_algebra,
     word_image,
     zero_morphism,
 )
-
-PATH_EXT_BOUND = 2
-
 
 class PolyExtension(Carrier):
     """``C[u]``: polynomials in one homotopy variable with C coefficients.
@@ -338,54 +328,28 @@ def naturality_check(
 # -- path extensions ------------------------------------------------------
 
 
-def path_extension(n: int, B: Carrier, r: int = 0) -> ExtensionData:
-    """Functions on the cube-with-path pair, as an extension over the
-    n-cube algebra, split by b ↦ b·(1 − t_last); built once per
-    ``(n, B, r)``, the carrier by identity."""
-    if not 0 <= n <= PATH_EXT_BOUND:
-        raise ValueError(f"path extension index {n} out of range")
-    return _path_extension(n, B, r)
+def path_extension(B: Carrier, r: int = 0) -> ExtensionData:
+    """Functions on the interval vanishing at 1, as an extension of B by
+    the loops, split by b ↦ b·(1 − t); built once per ``(B, r)``, the
+    carrier by identity.  The path extension of B^{𝔖_n} is this one over
+    that function-algebra base."""
+    return _path_extension(B, r)
 
 
 @cache
-def _path_extension(n: int, B: Carrier, r: int) -> ExtensionData:
-    if n == 0:
-        mid = function_algebra(B, interval_rel_one(), r)
-        kernel = function_algebra(B, cube(1), r)
-        quotient = B
-        s = path_splitting(B, mid)
-        pi = Morphism(mid, B, lambda x: d1(mid, x), "ev0")
-        iota = Morphism(kernel, mid, lambda x: mid.canon(dict(x)), "incl")
-        into_kernel = lambda y: kernel.canon(dict(y))
-    else:
-        quotient = function_algebra(B, cube(n), r)
-        mid = function_algebra(B, path_pair(n), r)
-        kernel = function_algebra(B, cube(n + 1), r)
-        iota = Morphism(kernel, mid, lambda x: mid.canon(dict(x)), "incl")
-        into_kernel = lambda y: kernel.canon(dict(y))
-        f0 = SimplicialMap.from_vertex_map(
-            quotient.pair0.total, mid.pair0.total, lambda v: v + (0,)
-        )
-        fr = subdivide_map(f0, r)
-        pi = Morphism(
-            mid, quotient, lambda x: pullback_along(mid, x, fr, quotient), "ev-t0"
-        )
-        outer = function_algebra(quotient, interval_rel_one(), 0)
-        one_minus = poly_family(scalar_algebra(interval_rel_one(), 0), ONE_MINUS_T)
-
-        def split(x):
-            return mu(outer, scalar_to_base(outer, one_minus, x))[1]
-
-        s = Morphism(quotient, mid, split, "b->b(1-t)")
+def _path_extension(B: Carrier, r: int) -> ExtensionData:
+    mid = function_algebra(B, interval_rel_one(), r)
+    kernel = function_algebra(B, cube(1), r)
     return make_extension(
         kernel=kernel,
         mid=mid,
-        quotient=quotient,
-        iota=iota,
-        pi=pi,
-        s=s,
-        name=f"P[{n},{B.name}]_{r}",
-        into_kernel=into_kernel,
+        quotient=B,
+        iota=Morphism(kernel, mid, lambda x: mid.canon(dict(x)), "incl"),
+        pi=Morphism(mid, B, lambda x: d1(mid, x), "ev0"),
+        s=path_splitting(B, mid),
+        # the 0 is the dimension of the base cube, as reports have printed it
+        name=f"P[0,{B.name}]_{r}",
+        into_kernel=lambda y: kernel.canon(dict(y)),
     )
 
 
@@ -582,14 +546,6 @@ def tr2_certificate(f: Morphism) -> HomotopyCertificate:
     PA, PB = Ppi.left, Pf.left
     px = PolyExtension(Ppi)
 
-    def left_fn(q):
-        qrev = omega(loopA, q)
-        qf = apply_to_coefficients(loopA, qrev, Bc, f)
-        return ph.phi(qf)
-
-    right = Morphism(loopA, Ppi, left_fn, f"phi∘{f.name}*∘rev")
-    left = ph.mp_pi.iota
-
     def H(q):
         qp = global_poly(loopA, q)
         pa = _substitute(qp, (G_SHRINK,), PA)
@@ -600,8 +556,9 @@ def tr2_certificate(f: Morphism) -> HomotopyCertificate:
     link = Morphism(loopA, px, H, "rotation-interpolation")
     return HomotopyCertificate(
         name=f"rotation[{f.name}]",
-        left=left,
-        right=right,
+        left=ph.mp_pi.iota,
+        right=ph.phi.after(pushforward(f, loopA)).after(omega_map(loopA))
+        .named(f"phi∘{f.name}*∘rev"),
         chain=[link],
     )
 
@@ -775,13 +732,16 @@ def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
     section_theta = Morphism(Pa, Peta, section_fn, "path-thickening")
 
     px_c = PolyExtension(Pc)
+    squares: Dict[Any, CPoly] = {}  # by ρ: H1 and H2 sweep the same square
 
     def sweep(zel, images):
         """The square ρ(t')(t) at (t, t') := images."""
         rho, w = zel
-        square = cp_flatten(
-            C, global_poly(faPPb, rho), lambda pb: global_poly(PC, pb[0])
-        )
+        square = squares.get(rho)
+        if square is None:
+            square = squares[rho] = cp_flatten(
+                C, global_poly(faPPb, rho), lambda pb: global_poly(PC, pb[0])
+            )
         parts = _substitute(square, images, PC)
         return px_c.from_powers(_pairs_by_power(Pc, parts, {0: w[1]}))
 

@@ -225,10 +225,12 @@ def transition_n(src: FunctionAlgebra, x: Element, n: int) -> Tuple[FunctionAlge
 
 
 @cache
-def _mu_plan(outer: FunctionAlgebra):
+def mu_plan(outer: FunctionAlgebra):
     """The target of μ on ``outer``, the inner algebra at level r+s and the
     two subdivided projections of the flat cube onto the factors' cubes."""
     inner = outer.base
+    if not isinstance(inner, FunctionAlgebra):
+        raise ValueError("mu needs a function algebra of function algebras")
     B, r, s = inner.base, inner.r, outer.r
     n = len(inner.pair0.coords)
     target = function_algebra(
@@ -255,11 +257,9 @@ def mu(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
     value (by coefficient and ``a``) once; the terms of each exponent at
     ``z`` are summed by one ``B.combine``.
     """
+    target, inner_rs, prK, prK2 = mu_plan(outer)
     inner = outer.base
-    if not isinstance(inner, FunctionAlgebra):
-        raise ValueError("mu needs a function algebra of function algebras")
     B, r, s = inner.base, inner.r, outer.r
-    target, inner_rs, prK, prK2 = _mu_plan(outer)
     outer_rs_fa, x2 = transition_n(outer, x, r)
     tcache: Dict[Element, Element] = {}
     outer_values: Dict[Any, CPoly] = {}  # by chain b

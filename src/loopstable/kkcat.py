@@ -14,22 +14,17 @@ from typing import NamedTuple, Tuple
 
 from .carriers import Carrier
 from .extensions import ExtensionData, classifying_map, mapping_path
-from .funalg import (
-    FunctionAlgebra,
-    apply_to_coefficients,
-    function_algebra,
-    mu,
-    omega,
-    pullback_along,
-)
-from .simplicial import SimplicialMap, cube
+from .funalg import FunctionAlgebra, pullback_along
+from .simplicial import SimplicialMap
 from .tensorj import (
     Morphism,
     identity_morphism,
-    j_kernel,
     j_of_n,
     kappa,
     lambda_,
+    mu_map,
+    omega_map,
+    pushforward,
 )
 
 INDEX_BOUND = 2
@@ -101,32 +96,17 @@ def identity_hom(B: Carrier, n: int = 0) -> KKHom:
 
 
 def lambda_rep(f: Morphism, n: int) -> Morphism:
-    """Raise a representative's degree: μ^{n,1} ∘ f^{𝔖_1} ∘ λ.
+    """Raise a representative's degree: μ^{n,1} ∘ f^{𝔖_1} ∘ λ, the chain
+    ``pushforward(f) . λ`` followed by μ when n > 0.
 
     ``f`` maps some carrier X into B^{𝔖_n} (a plain carrier when n = 0);
     the result maps J(X) into B^{𝔖_{n+1}}.
     """
-    X, F = f.source, f.target
-    lam = lambda_(X)
-    faX1 = lam.target
-    dom = j_kernel(X)
-    if n == 0:
-        faF1 = function_algebra(F, cube(1), 0)
-
-        def fn0(x):
-            return apply_to_coefficients(faX1, lam(x), F, f)
-
-        return Morphism(dom, faF1, fn0, f"raise({f.name})")
-    if not isinstance(F, FunctionAlgebra):
-        raise ValueError("positive degree needs a function-algebra target")
-    faF1 = function_algebra(F, cube(1), 0)
-    tgt = function_algebra(F.base, cube(n + 1), F.r)
-
-    def fn(x):
-        y = apply_to_coefficients(faX1, lam(x), F, f)
-        return mu(faF1, y)[1]
-
-    return Morphism(dom, tgt, fn, f"raise({f.name})")
+    lam = lambda_(f.source)
+    rep = pushforward(f, lam.target).after(lam)
+    if n > 0:
+        rep = mu_map(rep.target).after(rep)
+    return rep.named(f"raise({f.name})")
 
 
 def promote(h: KKHom) -> KKHom:
@@ -171,9 +151,7 @@ def resolve_sign(h: KKHom) -> KKHom:
     N = h.cod_index
     fa = h.rep.target
     if N == 1:
-        new = Morphism(
-            h.rep.source, fa, lambda x: omega(fa, h.rep(x)), f"rev∘{h.rep.name}"
-        )
+        new = omega_map(fa).after(h.rep).named(f"rev∘{h.rep.name}")
         return h._replace(rep=new, pending_sign=1)
     if N >= 2:
         c = swap_pullback(fa)
@@ -191,7 +169,12 @@ def crossing_sign(n2: int, n3: int) -> int:
 
 
 def star(g: KKHom, f: KKHom, resolve: bool = True) -> KKHom:
-    """The composite μ ∘ g^{𝔖} ∘ ±κ ∘ Jⁿ(f) of graded representatives."""
+    """The composite μ ∘ g^{𝔖} ∘ ±κ ∘ Jⁿ(f) of graded representatives.
+
+    One ``after`` chain from J^{N3}(f): g itself when f lands in a plain
+    carrier (N2 = 0); otherwise κ^{N3,N2} (the identity when N3 = 0), g
+    on coefficients, and μ when g lands in a cube algebra (N4 > 0).
+    """
     if f.target[0] is not g.source[0] or f.target[1] != g.source[1]:
         raise ValueError("endpoint mismatch: target of f != source of g")
     m, n = f.source[1], f.target[1]
@@ -200,47 +183,21 @@ def star(g: KKHom, f: KKHom, resolve: bool = True) -> KKHom:
     N3, N4 = g.dom_index, g.cod_index
     if N1 + N3 > J_DEPTH_BOUND:
         raise ValueError(f"composite depth {N1 + N3} exceeds {J_DEPTH_BOUND}")
-    Bc = g.source[0]
     Cc = g.target[0]
-    jf = j_of_n(f.rep, N3)
-
+    rep = j_of_n(f.rep, N3)
     if N2 == 0:
         # κ^{N3,0} and μ^{N4,0} are identities
-        tgt = g.rep.target
-        fn_inner = lambda x: g.rep(jf(x))
+        rep = g.rep.after(rep)
     else:
-        if N3 == 0:
-            kap = None
-            mid_fa = f.rep.target
-        else:
-            kap = kappa(N3, N2, Bc)
-            mid_fa = kap.target
-        g_tgt = g.rep.target
-        nested = function_algebra(g_tgt, mid_fa.pair0, 0)
-        if N4 == 0:
-            tgt = nested
-
-            def fn_inner(x):
-                y = jf(x)
-                if kap is not None:
-                    y = kap(y)
-                return apply_to_coefficients(mid_fa, y, g_tgt, g.rep)
-
-        else:
-            tgt = function_algebra(Cc, cube(N4 + N2), 0)
-
-            def fn_inner(x):
-                y = jf(x)
-                if kap is not None:
-                    y = kap(y)
-                z = apply_to_coefficients(mid_fa, y, g_tgt, g.rep)
-                return mu(nested, z)[1]
-
-    fn = Morphism(jf.source, tgt, fn_inner, f"{g.rep.name}⋆{f.rep.name}")
+        rep = kappa(N3, N2, g.source[0]).after(rep)
+        rep = pushforward(g.rep, rep.target).after(rep)
+        if N4 > 0:
+            rep = mu_map(rep.target).after(rep)
+    rep = rep.named(f"{g.rep.name}⋆{f.rep.name}")
     sign = f.pending_sign * g.pending_sign * crossing_sign(N2, N3)
     # the composite has J-depth N1+N3 and loop exponent N4+N2, i.e. its
     # stabilization index is v + w + n (which is v + w when n = 0)
-    out = kk_hom((f.source[0], m), (Cc, k), f.v + g.v + n, fn, sign)
+    out = kk_hom((f.source[0], m), (Cc, k), f.v + g.v + n, rep, sign)
     return resolve_sign(out) if resolve else out
 
 
@@ -266,9 +223,7 @@ def mapping_path_triangle(f: Morphism, n: int = 0) -> TriangleData:
     mp = mapping_path(f)
     P = mp.mid
     lam = lambda_(Bc)
-    brep = Morphism(
-        j_kernel(Bc), P, lambda x: mp.iota(lam(x)), f"incl∘loops[{f.name}]"
-    )
+    brep = mp.iota.after(lam).named(f"incl∘loops[{f.name}]")
     boundary = kk_hom((Bc, n + 1), (P, n), -n, brep, pending_sign=(-1) ** (n + 1))
     maps = (boundary, from_algebra_map(mp.pi, n), from_algebra_map(f, n))
     objects = ((Bc, n + 1), (P, n), (A, n), (Bc, n))

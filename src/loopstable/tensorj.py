@@ -19,8 +19,11 @@ On top of these live the counit ``η`` (multiply the letters), the module
 splitting ``σ``, curvature elements ``σ(a)σ(b) − σ(ab)``, the kernel
 functor ``J`` on objects and morphisms, the word-map evaluation behind
 classifying maps, the loop classifying map ``λ``, and the exchange maps
-``κ^{n,m}``.  :func:`replay` compares two morphisms exactly on draws from
-their common source.
+``κ^{n,m}``.  Change of coefficients, the flattening μ and the reversal ω
+of :mod:`loopstable.funalg` come as morphisms too (:func:`pushforward`,
+:func:`mu_map`, :func:`omega_map`), so every composite is a chain of
+:meth:`Morphism.after`.  :func:`replay` compares two morphisms exactly on
+draws from their common source.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ from .funalg import (
     FunctionAlgebra,
     apply_to_coefficients,
     function_algebra,
+    mu,
+    mu_plan,
+    omega,
     poly_family,
     scalar_algebra,
     scalar_to_base,
@@ -258,6 +264,10 @@ class Morphism:
             f"({self.name} . {other.name})",
         )
 
+    def named(self, name: str) -> "Morphism":
+        """This map under another name."""
+        return Morphism(self.source, self.target, self.fn, name)
+
     def __repr__(self):
         return f"<Morphism {self.name}: {self.source.name} -> {self.target.name}>"
 
@@ -276,6 +286,26 @@ def is_identity(f: Morphism) -> bool:
 
 def zero_morphism(source: Carrier, target: Carrier) -> Morphism:
     return Morphism(source, target, lambda x: target.zero(), "0")
+
+
+def pushforward(f: Morphism, fa: FunctionAlgebra) -> Morphism:
+    """Change of coefficients along ``f``: fa → f.target^{(pair)}_r, where
+    ``fa`` has coefficients in ``f.source``."""
+    if fa.base is not f.source:
+        raise ValueError(f"{fa.name} does not have coefficients in {f.source.name}")
+    tgt = function_algebra(f.target, fa.pair0, fa.r)
+    return Morphism(fa, tgt, lambda x: apply_to_coefficients(fa, x, f.target, f),
+                    f"{f.name}*")
+
+
+def mu_map(outer: FunctionAlgebra) -> Morphism:
+    """The flattening μ on ``outer``, onto the flat cube of its plan."""
+    return Morphism(outer, mu_plan(outer)[0], lambda x: mu(outer, x)[1], "mu")
+
+
+def omega_map(fa: FunctionAlgebra) -> Morphism:
+    """The reversal ω of a one-coordinate function algebra."""
+    return Morphism(fa, fa, lambda x: omega(fa, x), "rev")
 
 
 def replay(lhs: Morphism, rhs: Morphism, samples: int, seed: int, what: str) -> int:

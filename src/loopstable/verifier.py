@@ -38,14 +38,12 @@ from .extensions import (
     universal_extension,
 )
 from .funalg import (
-    apply_to_coefficients,
+    FunctionAlgebra,
     concatenate,
     constant_function,
     d1,
     function_algebra,
     make_element,
-    mu,
-    omega,
     poly_family,
     scalar_algebra,
     scalar_to_base,
@@ -73,8 +71,10 @@ from .tensorj import (
     kappa,
     kappa1,
     lambda_,
+    mu_map,
+    omega_map,
+    pushforward,
     replay,
-    word_image,
 )
 
 PASS = "PASS"
@@ -182,13 +182,20 @@ def _dual_to_q() -> Tuple[FinAlgebra, FinAlgebra, Morphism]:
     return B, Q, Morphism(B, Q, g.apply, "aug")
 
 
+def _tr(fa: FunctionAlgebra) -> Morphism:
+    """The transition out of ``fa`` as a morphism; it calls this module's
+    ``transition`` when applied."""
+    tgt = function_algebra(fa.base, fa.pair0, fa.r + 1)
+    return Morphism(fa, tgt, lambda x: transition(fa, x)[1], "tr")
+
+
 def check_subdi1_presentations(cfg: CheckConfig) -> Tuple[str, str]:
     """Replay the explicit presentations of the unsubdivided and once-
     subdivided path extension, their splittings, and the transition
     strong morphism p ↦ (p, 0)."""
     A = cfg.algebra
-    E0 = path_extension(0, A, 0)
-    E1 = path_extension(0, A, 1)
+    E0 = path_extension(A, 0)
+    E1 = path_extension(A, 1)
     S1 = cube(1)
     # kernel presentation at r=0: b ⊗ (t²−t), a single-edge family
     for l in A.labels:
@@ -227,9 +234,8 @@ def check_subdi1_presentations(cfg: CheckConfig) -> Tuple[str, str]:
         raise Mismatch("transition of the kernel generator is not of the form "
                        "(p, 0)", element=t)
     # the transition is a strong morphism of extensions over the identity
-    a = Morphism(E0.kernel, E1.kernel, lambda x: transition(E0.kernel, x)[1], "tr")
-    b = Morphism(E0.mid, E1.mid, lambda x: transition(E0.mid, x)[1], "tr")
-    strong_morphism_check(E0, E1, a, b, identity_morphism(A),
+    a = _tr(E0.kernel)
+    strong_morphism_check(E0, E1, a, _tr(E0.mid), identity_morphism(A),
                           samples=min(cfg.samples, 6), seed=cfg.seed)
     naturality_check(E0, E1, a, identity_morphism(A),
                      samples=min(cfg.samples, 8), seed=cfg.seed)
@@ -251,68 +257,51 @@ def check_mu_properties(cfg: CheckConfig) -> Tuple[str, str]:
     V = vanishing_scalar(S1)
     q = max(1, cfg.samples // 4)
 
-    def on_bv(fa, target, name, fn):
-        """``fn`` on b ⊗ V ∈ ``fa``, as a morphism from ``fa.base``."""
-        return Morphism(fa.base, target, lambda b: fn(scalar_to_base(fa, V, b)), name)
+    def bv(fa):
+        """b ↦ b ⊗ V, from ``fa.base`` into ``fa``."""
+        return Morphism(fa.base, fa, lambda b: scalar_to_base(fa, V, b), "b⊗V")
 
     # (1) naturality in the base algebra, on the augmentation battery
     B, Q, g = _dual_to_q()
-    inner = function_algebra(B, S1, 0)
-    innerQ = function_algebra(Q, S1, 0)
-    outer = function_algebra(inner, S1, 0)
-    outerQ = function_algebra(innerQ, S1, 0)
-    flatQ = function_algebra(Q, cube(2), 0)
-    g_inner = lambda c: apply_to_coefficients(inner, c, Q, g)
-    replay(
-        on_bv(outer, flatQ, "mu∘aug", lambda x: mu(
-            outerQ, apply_to_coefficients(outer, x, innerQ, g_inner))[1]),
-        on_bv(outer, flatQ, "aug∘mu",
-              lambda x: apply_to_coefficients(*mu(outer, x), Q, g)),
-        q, cfg.seed, "base naturality fails")
+    outer = function_algebra(function_algebra(B, S1, 0), S1, 0)
+    mu_B = mu_map(outer)
+    aug_in = pushforward(pushforward(g, outer.base), outer)
+    replay(mu_map(aug_in.target).after(aug_in).after(bv(outer)),
+           pushforward(g, mu_B.target).after(mu_B).after(bv(outer)),
+           q, cfg.seed, "base naturality fails")
     # (2) compatibility with the outer and the inner transition
     innerA = function_algebra(A, S1, 0)
-    innerA1 = function_algebra(A, S1, 1)
     outerA = function_algebra(innerA, S1, 0)
-    outerA1 = function_algebra(innerA, S1, 1)
-    outerA_i1 = function_algebra(innerA1, S1, 0)
-    flat1 = function_algebra(A, cube(2), 1)
+    mu_A = mu_map(outerA)
     # both replays draw the same elements: evaluate their shared side once
+    tr_mu_chain = _tr(mu_A.target).after(mu_A).after(bv(outerA))
     tr_mu_by_b: Dict[Any, Any] = {}
 
     def tr_mu_fn(b):
         if b not in tr_mu_by_b:
-            x = scalar_to_base(outerA, V, b)
-            tr_mu_by_b[b] = transition(*mu(outerA, x))[1]
+            tr_mu_by_b[b] = tr_mu_chain(b)
         return tr_mu_by_b[b]
 
-    tr_mu = Morphism(innerA, flat1, tr_mu_fn, "tr∘mu")
-    replay(
-        on_bv(outerA, flat1, "mu∘tr",
-              lambda x: mu(outerA1, transition(outerA, x)[1])[1]),
-        tr_mu, q, cfg.seed, "outer transition compatibility fails")
-    tr_inner = lambda c: transition(innerA, c)[1]
-    replay(
-        on_bv(outerA, flat1, "mu∘tr*", lambda x: mu(
-            outerA_i1, apply_to_coefficients(outerA, x, innerA1, tr_inner))[1]),
-        tr_mu, q, cfg.seed, "inner transition compatibility fails")
+    tr_mu = Morphism(innerA, tr_mu_chain.target, tr_mu_fn, "tr∘mu")
+    tr_outer = _tr(outerA)
+    replay(mu_map(tr_outer.target).after(tr_outer).after(bv(outerA)),
+           tr_mu, q, cfg.seed, "outer transition compatibility fails")
+    tr_inner = pushforward(_tr(innerA), outerA)
+    replay(mu_map(tr_inner.target).after(tr_inner).after(bv(outerA)),
+           tr_mu, q, cfg.seed, "inner transition compatibility fails")
     # (3) associativity on triple towers
     F111 = function_algebra(outerA, S1, 0)
-    F2 = function_algebra(A, cube(2), 0)
-    F3 = function_algebra(A, cube(3), 0)
-    mu_inner = lambda c: mu(outerA, c)[1]
-    replay(
-        on_bv(F111, F3, "mu∘mu", lambda z: mu(
-            function_algebra(innerA, cube(2), 0), mu(F111, z)[1])[1]),
-        on_bv(F111, F3, "mu∘mu*", lambda z: mu(
-            function_algebra(F2, S1, 0), apply_to_coefficients(F111, z, F2, mu_inner))[1]),
-        q, cfg.seed, "associativity fails")
+    mu_out = mu_map(F111)
+    mu_in = pushforward(mu_A, F111)
+    replay(mu_map(mu_out.target).after(mu_out).after(bv(F111)),
+           mu_map(mu_in.target).after(mu_in).after(bv(F111)),
+           q, cfg.seed, "associativity fails")
     # (4) a point outer factor acts as the transition morphism
     outer_pt = function_algebra(innerA, point(), 1)
-    replay(
-        on_bv(innerA, innerA1, "mu∘const",
-              lambda x: mu(outer_pt, constant_function(outer_pt, x))[1]),
-        on_bv(innerA, innerA1, "tr", lambda x: transition(innerA, x)[1]),
-        q, cfg.seed, "point-factor unit law fails")
+    const = Morphism(innerA, outer_pt, lambda x: constant_function(outer_pt, x), "const")
+    replay(mu_map(outer_pt).after(const).after(bv(innerA)),
+           _tr(innerA).after(bv(innerA)),
+           q, cfg.seed, "point-factor unit law fails")
     return PASS, f"laws (1)-(4) hold exactly on {4 * q} samples"
 
 
@@ -338,23 +327,11 @@ def check_penta(cfg: CheckConfig) -> Tuple[str, str]:
     A = cfg.algebra
     S1 = cube(1)
     fa1 = function_algebra(A, S1, 0)
-    C2 = function_algebra(fa1, S1, 0)
     k_outer = kappa(1, 1, fa1)
-    k_inner = kappa(1, 1, A)
-    fa_JB1 = k_inner.target
-    mu_m = Morphism(
-        C2, function_algebra(A, cube(2), 0),
-        lambda x: mu(C2, x)[1], "mu",
-    )
-    k12 = kappa(1, 2, A)
-    C_JB1 = function_algebra(fa_JB1, S1, 0)
-    one_at_a_time = Morphism(
-        k_outer.source, k12.target,
-        lambda x: mu(C_JB1, apply_to_coefficients(
-            k_outer.target, k_outer(x), fa_JB1, k_inner))[1],
-        "mu∘kappa∘kappa",
-    )
-    n = replay(one_at_a_time, k12.after(j_of(mu_m)), cfg.samples, cfg.seed,
+    kk = pushforward(kappa(1, 1, A), k_outer.target).after(k_outer)
+    one_at_a_time = mu_map(kk.target).after(kk)
+    flat_first = kappa(1, 2, A).after(j_of(mu_map(function_algebra(fa1, S1, 0))))
+    n = replay(one_at_a_time, flat_first, cfg.samples, cfg.seed,
                "exchange/flattening square fails")
     return PASS, f"exchange commutes with flattening on {n} samples"
 
@@ -399,32 +376,21 @@ def check_classifying_uniqueness(cfg: CheckConfig) -> Tuple[str, str]:
     n = max(3, min(cfg.samples, 10))
     # 1. base change of the universal extension
     U1, U2 = universal_extension(B), universal_extension(Q)
-    ta1, ta2 = U1.mid, U2.mid
     a1 = j_of(gm)
-    b1 = Morphism(
-        ta1, ta2,
-        lambda x: word_image(ta1, x, lambda l: ta2.sigma(gm(l)), ta2),
-        "T(aug)",
-    )
+    # T(aug) is J(aug) on all of T(B)
+    b1 = Morphism(U1.mid, U2.mid, a1.fn, "T(aug)")
     strong_morphism_check(U1, U2, a1, b1, gm, samples=n, seed=cfg.seed)
     naturality_check(U1, U2, a1, gm, samples=n, seed=cfg.seed)
     # 2. base change of the path extension
-    E1, E2 = path_extension(0, B, 0), path_extension(0, Q, 0)
-    a2 = Morphism(
-        E1.kernel, E2.kernel,
-        lambda x: apply_to_coefficients(E1.kernel, x, Q, gm), "aug*",
-    )
-    b2 = Morphism(
-        E1.mid, E2.mid,
-        lambda x: apply_to_coefficients(E1.mid, x, Q, gm), "aug*",
-    )
-    strong_morphism_check(E1, E2, a2, b2, gm, samples=n, seed=cfg.seed)
+    E1, E2 = path_extension(B, 0), path_extension(Q, 0)
+    a2 = pushforward(gm, E1.kernel)
+    strong_morphism_check(E1, E2, a2, pushforward(gm, E1.mid), gm,
+                          samples=n, seed=cfg.seed)
     naturality_check(E1, E2, a2, gm, samples=n, seed=cfg.seed)
     # 3. subdivision transition
-    E0, E1s = path_extension(0, B, 0), path_extension(0, B, 1)
-    a3 = Morphism(E0.kernel, E1s.kernel,
-                  lambda x: transition(E0.kernel, x)[1], "tr")
-    naturality_check(E0, E1s, a3, identity_morphism(B), samples=n, seed=cfg.seed)
+    E0, E1s = path_extension(B, 0), path_extension(B, 1)
+    naturality_check(E0, E1s, _tr(E0.kernel), identity_morphism(B),
+                     samples=n, seed=cfg.seed)
     return PASS, f"3 strong morphisms natural on {n} samples each"
 
 
@@ -433,7 +399,7 @@ def check_splitting_independence(cfg: CheckConfig) -> Tuple[str, str]:
     interpolated classifying maps; the interpolation's faces are the two
     classifying maps exactly."""
     A = cfg.algebra
-    E = path_extension(0, A, 0)
+    E = path_extension(A, 0)
     s2 = alternate_path_splitting(A, E.mid)
     cert = splitting_homotopy(E, s2)
     n = cert.verify(samples=cfg.samples, seed=cfg.seed)
@@ -478,8 +444,7 @@ def check_cylinder_classifying(cfg: CheckConfig) -> Tuple[str, str]:
     A = cfg.algebra
     cyl = mapping_cylinder(identity_morphism(A))
     lam = lambda_(A)
-    loop = lam.target
-    rev = Morphism(loop, loop, lambda x: omega(loop, x), "rev")
+    rev = omega_map(lam.target)
     replay(classifying_map(cyl.extension), cyl.mp.iota.after(rev).after(lam),
            cfg.samples, cfg.seed, "classifying map deviates")
     n = cyl.retract.verify(samples=min(cfg.samples, 10), seed=cfg.seed)
@@ -542,13 +507,12 @@ def check_star_lambda(cfg: CheckConfig) -> Tuple[str, str]:
     if hres.pending_sign != 1:
         raise Mismatch("sign did not materialize", sign=hres.pending_sign)
     k11 = kappa(1, 1, A)
-    jlam = j_of(lam)
-    faJ = k11.target
+    rev_exchange = omega_map(k11.target).after(k11).after(j_of(lam))
     xs2 = hres.rep.source.draws(min(cfg.samples, 10), cfg.seed)
     reps = []  # hres.rep on xs2, shared by both comparisons
     for i, x in enumerate(xs2):
         rep = hres.rep(x)
-        if rep != omega(faJ, k11(jlam(x))):
+        if rep != rev_exchange(x):
             raise Mismatch(f"resolved composite deviates from the reversed "
                            f"exchange at sample {i}", element=x)
         reps.append(rep)
@@ -569,7 +533,7 @@ def check_triangle_signs(cfg: CheckConfig) -> Tuple[str, str]:
     grading, and the extension boundary at grading zero is λ."""
     A = cfg.algebra
     lam = lambda_(A)
-    E = path_extension(0, A, 0)
+    E = path_extension(A, 0)
     t0 = extension_triangle(E, 0)
     t1 = extension_triangle(E, 1)
     tm = mapping_path_triangle(identity_morphism(A), 0)
@@ -590,24 +554,23 @@ def check_appendix_m1n1(cfg: CheckConfig) -> Tuple[str, str]:
     A = cfg.algebra
     S1 = cube(1)
     fa = function_algebra(A, S1, 0)
-    om = Morphism(fa, fa, lambda x: omega(fa, x), "rev")
+    om = omega_map(fa)
+    om1 = omega_map(function_algebra(A, S1, 1))  # on concatenations
     k11 = kappa(1, 1, A)
-    faJ = k11.target
-    omJ = Morphism(faJ, faJ, lambda y: omega(faJ, y), "rev")
     n = max(2, cfg.samples // 3)
-    replay(k11.after(j_of(om)), omJ.after(k11), n, cfg.seed,
+    replay(k11.after(j_of(om)), omega_map(k11.target).after(k11), n, cfg.seed,
            "exchange does not intertwine the reversal")
     xs = fa.draws(2 * n, cfg.seed + 1)
     for i, (x, y) in enumerate(zip(xs[::2], xs[1::2])):
         fa1, c = concatenate(fa, x, y)
-        _, rev_first = concatenate(fa, omega(fa, y), omega(fa, x))
-        if omega(fa1, c) != rev_first:
+        _, rev_first = concatenate(fa, om(y), om(x))
+        if om1(c) != rev_first:
             raise Mismatch(f"reversal does not reverse concatenation at sample "
                            f"{i}", x=x, y=y)
         # both operations are additive and the reversal is multiplicative
-        if omega(fa, fa.add(x, y)) != fa.add(omega(fa, x), omega(fa, y)):
+        if om(fa.add(x, y)) != fa.add(om(x), om(y)):
             raise Mismatch(f"reversal not additive at sample {i}", x=x, y=y)
-        if omega(fa, fa.mul(x, y)) != fa.mul(omega(fa, x), omega(fa, y)):
+        if om(fa.mul(x, y)) != fa.mul(om(x), om(y)):
             raise Mismatch(f"reversal not multiplicative at sample {i}", x=x, y=y)
         _, cs = concatenate(fa, fa.add(x, x), fa.add(y, y))
         if cs != fa1.add(c, c):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from loopstable.algebras import BUILTIN_ALGEBRAS, AlgebraMap, dual_numbers, rationals
+from loopstable.algebras import AlgebraMap, dual_numbers, rationals
 from loopstable.carriers import Mismatch
 from loopstable.extensions import (
     ExtensionData,
@@ -104,7 +104,7 @@ class TestUniversalExtension:
 
 class TestPathExtension:
     def test_presentation_r0(self):
-        E = path_extension(0, B, 0)
+        E = path_extension(B, 0)
         # kernel: families vanishing at both endpoints, generated by t^2-t
         gen = make_element(E.kernel, B1, vanishing_scalar(cube(1)))
         assert gen == ((EDGE, (((1,), B.neg(B1)), ((2,), B1))),)
@@ -114,7 +114,7 @@ class TestPathExtension:
         assert make_element(E.mid, B1, tm1)  # (t-1)·1 is a valid element
 
     def test_splitting_formula_r0(self):
-        E = path_extension(0, B, 0)
+        E = path_extension(B, 0)
         sfa = scalar_algebra(free_pair(interval_rel_one()), 0)
         # 1 − t as a constant minus the coordinate, not poly.ONE_MINUS_T,
         # which the splitting itself uses
@@ -127,7 +127,7 @@ class TestPathExtension:
 
     def test_splitting_formula_r1(self):
         # at one subdivision the splitting is supported on the first half
-        E = path_extension(0, B, 1)
+        E = path_extension(B, 1)
         x = E.s(BX)
         halves = {bsx for bsx, _ in x}
         first_edge = (V0, (V0, V1))
@@ -140,46 +140,21 @@ class TestPathExtension:
         assert second_edge not in dict(x)
 
     def test_transition_is_strong_morphism(self):
-        E0 = path_extension(0, B, 0)
-        E1 = path_extension(0, B, 1)
+        E0 = path_extension(B, 0)
+        E1 = path_extension(B, 1)
         a = Morphism(E0.kernel, E1.kernel, lambda x: transition(E0.kernel, x)[1], "tr")
         b = Morphism(E0.mid, E1.mid, lambda x: transition(E0.mid, x)[1], "tr")
         c = identity_morphism(B)
         assert strong_morphism_check(E0, E1, a, b, c, samples=6, seed=1)
 
     def test_classifying_equals_loop_map(self):
-        E = path_extension(0, B, 0)
+        E = path_extension(B, 0)
         xi = classifying_map(E)
         lam = lambda_(B)
         rng = random.Random(2)
         for _ in range(10):
             x = sample_j_element(B, rng)
             assert xi(x) == lam(x)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_index_one(self, n):
-        E = path_extension(n, B, 0)
-        rng = random.Random(3)
-        for _ in range(3):
-            q = sample_element(E.quotient, rng)
-            assert E.pi(E.s(q)) == q
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            path_extension(3, B, 0)
-
-    @pytest.mark.parametrize("algebra", ["dual", "sq0"])
-    @pytest.mark.parametrize("r", [1, 2])
-    def test_index_one_subdivided(self, algebra, r):
-        # ev-t0 at r >= 1 pulls back along sd^r of the face v -> v + (0,);
-        # building the extension validates it
-        A = BUILTIN_ALGEBRAS[algebra]()
-        E, prev = path_extension(1, A, r), path_extension(1, A, r - 1)
-        rng = random.Random(r)
-        for _ in range(3):
-            x = prev.mid.sample(rng)
-            lhs = E.pi(transition(prev.mid, x)[1])
-            assert lhs and lhs == transition(prev.quotient, prev.pi(x))[1]
 
 
 class TestClassifyingNaturality:
@@ -201,7 +176,7 @@ class TestClassifyingNaturality:
 
     def test_path_base_change(self):
         gm = _g_map()
-        E1, E2 = path_extension(0, B, 0), path_extension(0, Q, 0)
+        E1, E2 = path_extension(B, 0), path_extension(Q, 0)
         a = Morphism(
             E1.kernel,
             E2.kernel,
@@ -218,7 +193,7 @@ class TestClassifyingNaturality:
         assert naturality_check(E1, E2, a, gm, samples=10, seed=7)
 
     def test_subdivision_change(self):
-        E0, E1 = path_extension(0, B, 0), path_extension(0, B, 1)
+        E0, E1 = path_extension(B, 0), path_extension(B, 1)
         a = Morphism(E0.kernel, E1.kernel, lambda x: transition(E0.kernel, x)[1], "tr")
         assert naturality_check(E0, E1, a, identity_morphism(B), samples=10, seed=8)
 
@@ -229,7 +204,7 @@ class TestClassifyingNaturality:
     def test_non_commuting_triple_raises_with_its_sample(self):
         # a doubled mid map breaks b∘iota = iota∘a on the first nonzero
         # kernel sample, and the replay names that sample
-        E0, E1 = path_extension(0, B, 0), path_extension(0, B, 1)
+        E0, E1 = path_extension(B, 0), path_extension(B, 1)
         a = self._transition_times(1, E0.kernel, E1.kernel)
         b2 = self._transition_times(2, E0.mid, E1.mid)
         with pytest.raises(Mismatch, match="does not commute with iota") as e:
@@ -238,7 +213,7 @@ class TestClassifyingNaturality:
         assert x and e.value.values == {"element": x}
 
     def test_non_natural_kernel_map_raises_with_its_sample(self):
-        E0, E1 = path_extension(0, B, 0), path_extension(0, B, 1)
+        E0, E1 = path_extension(B, 0), path_extension(B, 1)
         a = self._transition_times(1, E0.kernel, E1.kernel)
         a2 = self._transition_times(2, E0.kernel, E1.kernel)
         with pytest.raises(Mismatch, match="do not commute") as e:
@@ -326,7 +301,7 @@ class TestCertificates:
         cert.verify(samples=10, seed=16)
 
     def test_splitting_independence(self):
-        E = path_extension(0, B, 0)
+        E = path_extension(B, 0)
         s2 = alternate_path_splitting(B, E.mid)
         cert = splitting_homotopy(E, s2)
         cert.verify(samples=20, seed=17)
@@ -466,7 +441,7 @@ class TestMappingCylinder:
 
     def test_reversal_inclusion_is_strong(self):
         # the path extension of the target maps strongly into the cylinder
-        E1 = path_extension(0, Q, 0)
+        E1 = path_extension(Q, 0)
         lam = lambda_(Q)
         loopQ = E1.kernel
         a = Morphism(
@@ -547,9 +522,8 @@ class TestBuilderCaches:
         f = identity_morphism(A)
         assert identity_morphism(A) is f
         assert universal_extension(A) is universal_extension(A)
-        assert path_extension(0, A) is path_extension(0, A, 0)
-        assert path_extension(1, A, 0) is path_extension(1, A, 0)
-        assert path_extension(0, A, 1) is not path_extension(0, A)
+        assert path_extension(A) is path_extension(A, 0)
+        assert path_extension(A, 1) is not path_extension(A)
         assert mapping_path(f) is mapping_path(f)
         assert vanishing_scalar(cube(1)) is vanishing_scalar(cube(1))
 
@@ -559,7 +533,7 @@ class TestBuilderCaches:
         id1, id2 = identity_morphism(A1), identity_morphism(A2)
         assert id1.name == id2.name and id1 is not id2
         assert universal_extension(A1) is not universal_extension(A2)
-        E1, E2 = path_extension(0, A1), path_extension(0, A2)
+        E1, E2 = path_extension(A1), path_extension(A2)
         assert E1.name == E2.name and E1 is not E2
         assert E1.quotient is A1 and E2.quotient is A2
         M1, M2 = mapping_path(id1), mapping_path(id2)
@@ -581,6 +555,6 @@ class TestBuilderCaches:
         A = dual_numbers()
         for _ in range(2):
             universal_extension(A)
-            path_extension(0, A)
+            path_extension(A)
             mapping_path(identity_morphism(A))
         assert len(names) == 3, names

@@ -205,14 +205,14 @@ class TestTriangles:
         assert (n1, n2, n3, n4) == (1, 0, 0, 0) and Bo is Q and Ao is B
 
     def test_extension_triangle_boundary(self):
-        E = path_extension(0, B, 0)
+        E = path_extension(B, 0)
         t = extension_triangle(E, 0)
         assert t.boundary.pending_sign == 1
         for x in j_kernel(B).draws(5, 13):
             assert t.boundary.rep(x) == LAM(x)
 
     def test_extension_triangle_sign_at_one(self):
-        E = path_extension(0, B, 0)
+        E = path_extension(B, 0)
         t = extension_triangle(E, 1)
         assert t.boundary.pending_sign == -1
 
@@ -224,3 +224,39 @@ class TestProducts:
         assert len(P0.labels) == len(B.labels)
         x = P0.basis_vec("l.x")
         assert q1(x) == B.basis_vec("x")
+
+
+def _promotion_pairs(A):
+    """The four ⋆ composites of λ_A and the identities with one factor
+    promoted, each paired with the promotion of the plain composite."""
+    JA = j_kernel(A)
+    lamH = kk_hom((JA, 0), (A, 1), 0, lambda_(A))
+    g1, idJ = identity_hom(A, 1), identity_hom(JA, 0)
+    left, right = promote(star(g1, lamH)), promote(star(lamH, idJ))
+    return {
+        "g1*promote(lam)": (star(g1, promote(lamH)), left),
+        "promote(g1)*lam": (star(promote(g1), lamH), left),
+        "lam*promote(idJ)": (star(lamH, promote(idJ)), right),
+        "promote(lam)*idJ": (star(promote(lamH), idJ), right),
+    }
+
+
+class TestStarPromotion:
+    """⋆ commutes with promotion on the nose, in the μ branch of ⋆
+    (both middle indices positive) as well as the others."""
+
+    @pytest.mark.parametrize("A", [B, Q], ids=["dual", "q"])
+    @pytest.mark.parametrize(
+        "pair", ["g1*promote(lam)", "promote(g1)*lam", "lam*promote(idJ)",
+                 "promote(lam)*idJ"])
+    def test_star_commutes_with_promote(self, A, pair):
+        lhs, rhs = _promotion_pairs(A)[pair]
+        assert (lhs.v, lhs.pending_sign) == (rhs.v, rhs.pending_sign)
+        assert lhs.rep.source is rhs.rep.source
+        values = []
+        for x in lhs.rep.source.draws(4, 1):
+            value = lhs.rep(x)
+            assert value == rhs.rep(x)
+            values.append(value)
+        if A is B:
+            assert any(not lhs.rep.target.is_zero(v) for v in values)

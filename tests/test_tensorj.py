@@ -30,6 +30,8 @@ from loopstable.tensorj import (
     kappa,
     kappa1,
     lambda_,
+    mu_map,
+    pushforward,
     replay,
     tensor_algebra,
     word_image,
@@ -303,3 +305,20 @@ class TestReplay:
     def test_agreeing_pair_returns_its_count(self):
         lam = lambda_(B)
         assert replay(lam, identity_morphism(lam.target).after(lam), 7, 2, "λ") == 7
+
+
+class TestMorphismForms:
+    def test_pushforward_needs_coefficients_in_the_source(self):
+        g = AlgebraMap(B, Q, {"1": Q.basis_vec("1"), "x": Q.zero()})
+        aug = Morphism(B, Q, g.apply, "aug")
+        fa = function_algebra(B, S1, 0)
+        assert pushforward(aug, fa).target is function_algebra(Q, S1, 0)
+        with pytest.raises(ValueError, match="coefficients"):
+            pushforward(aug, function_algebra(Q, S1, 0))
+
+    def test_mu_map_lands_where_mu_does(self):
+        outer = function_algebra(function_algebra(B, S1, 0), S1, 1)
+        (x,) = outer.draws(1, 0)
+        assert mu(outer, x) == (mu_map(outer).target, mu_map(outer)(x))
+        with pytest.raises(ValueError, match="function algebra of function"):
+            mu_map(function_algebra(B, S1, 0))
