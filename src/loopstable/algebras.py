@@ -43,6 +43,8 @@ class FinAlgebra(Carrier):
         deliberately corrupted instances for falsification tests turn it off).
     """
 
+    based = True
+
     def __init__(
         self,
         name: str,
@@ -69,6 +71,10 @@ class FinAlgebra(Carrier):
         if label not in self.labels:
             raise ValueError(f"unknown basis label {label!r}")
         return ((label, 1),)
+
+    def coordinates(self, x: Vec) -> Vec:
+        """The coordinates of ``x`` in the basis: ``x`` itself."""
+        return x
 
     def basis(self) -> List[Vec]:
         return [self.basis_vec(l) for l in self.labels]

@@ -11,11 +11,14 @@ list of them from one seed, the one place in the package that seeds a
 defaults to a fold of ``mul``, ``scale`` and ``add``; a carrier whose
 elements are sparse combinations overrides it to build one dict and
 canonicalise it once, instead of once per term.  The one-pass overrides
-are ``RAT``, ``FinAlgebra``, ``TensorAlgebra`` (and ``JKernel``, which
-delegates to it) and ``FunctionAlgebra``; ``PullbackCarrier`` and
+are ``RAT``, ``FinAlgebra``, ``TensorAlgebra`` (and its subclass
+``JKernel``) and ``FunctionAlgebra``; ``PullbackCarrier`` and
 ``PolyExtension`` keep the fold and give their own ``mul``.  Where zero
 is decidable every element has exactly one representation, so ``==`` is
-equality and ``x == zero()`` is the zero test.  Concrete carriers:
+equality and ``x == zero()`` is the zero test.  A carrier with a
+canonical basis sets ``based`` and answers ``basis_vec`` and
+``coordinates``; these are ``FinAlgebra`` and the tensor carriers over a
+based carrier.  Concrete carriers:
 finite-dimensional algebras (:mod:`loopstable.algebras`), polynomial
 function algebras (:mod:`loopstable.funalg`), tensor algebras and
 J-kernels (:mod:`loopstable.tensorj`), and the homotopy carrier ``C[u]``
@@ -64,6 +67,10 @@ class Carrier:
     #: whether ``==`` decides equality (False for formal tensors, whose
     #: equal elements may be spelled differently)
     can_decide_zero: bool = True
+    #: whether the carrier has a canonical basis, answered by
+    #: ``basis_vec(key)`` and ``coordinates(x)`` (the ``(key, coefficient)``
+    #: pairs of ``x`` in key order)
+    based: bool = False
 
     def zero(self) -> Any:
         raise NotImplementedError

@@ -6,15 +6,21 @@ rationals in the canonical form of :mod:`loopstable.poly` (sorted by the
 native order of the words, which are tuples of letters); a coefficient is
 an int, or a Fraction when not integral:
 
-- *based*: the letters of a word are basis keys of the base carrier
-  (labels of a finite-dimensional algebra, or length-≥2 words indexing the
-  canonical basis of a counit kernel).  Words over a basis are linearly
-  independent, so zero is decidable and ``==`` is equality.
+- *based*, over a carrier whose ``based`` is True: the letters of a word
+  are basis keys of the base, which answers for its own basis —
+  ``basis_vec(key)`` is the element behind a letter and ``coordinates(x)``
+  the keyed coefficients that σ lifts.  The keys are the labels of a
+  finite-dimensional algebra, or the length-≥2 words indexing the basis
+  ``e_w = w − σ(η(w))`` of a counit kernel.  Words over a basis are
+  linearly independent, so zero is decidable and ``==`` is equality.
 - *formal*: letters are literal elements of the base carrier (used over
   function algebras and other unbased carriers).  Elements are only ever
   consumed letterwise; zero is not decidable, and ``==`` only compares
   spellings.
 
+The counit kernel J(A) is a :class:`TensorAlgebra` over the same base —
+an ideal of T(A) with T's arithmetic — that adds only its membership test
+(η(x) = 0 where zero is decidable), its sampler and, when based, its basis.
 On top of these live the counit ``η`` (multiply the letters), the module
 splitting ``σ``, curvature elements ``σ(a)σ(b) − σ(ab)``, the kernel
 functor ``J`` on objects and morphisms, the word-map evaluation behind
@@ -33,7 +39,6 @@ from fractions import Fraction
 from functools import cache, reduce
 from typing import Any, Callable, Dict, List, Tuple, Union
 
-from .algebras import FinAlgebra
 from .carriers import RAT, Carrier, Mismatch
 from .funalg import (
     FunctionAlgebra,
@@ -56,21 +61,12 @@ Word = Tuple[Any, ...]
 TElement = Tuple[Tuple[Word, Union[int, Fraction]], ...]
 
 
-def is_based(car: Carrier) -> bool:
-    """Whether the carrier exposes a canonical basis for σ."""
-    if isinstance(car, FinAlgebra):
-        return True
-    if isinstance(car, JKernel):
-        return car.ta.based
-    return False
-
-
 class TensorAlgebra(Carrier):
     """The nonunital tensor algebra T(A) (words of length ≥ 1)."""
 
     def __init__(self, base: Carrier) -> None:
         self.base = base
-        self.based = is_based(base)
+        self.based = base.based
         flavor = "" if self.based else "'"
         self.name = f"T{flavor}({base.name})"
         self.can_decide_zero = self.based
@@ -118,11 +114,25 @@ class TensorAlgebra(Carrier):
                 return False
         return True
 
-    # -- letters, counit, splitting -------------------------------------
+    # -- basis, letters, counit, splitting ------------------------------
+
+    def basis_vec(self, w: Word) -> TElement:
+        """The basis element of a word over a based carrier: the word."""
+        self.need_basis()
+        return ((w, 1),)
+
+    def coordinates(self, x: TElement) -> TElement:
+        """The coordinates of ``x`` in the basis of words: ``x`` itself."""
+        self.need_basis()
+        return x
+
+    def need_basis(self) -> None:
+        if not self.based:
+            raise ValueError(f"carrier {self.name} has no canonical basis")
 
     def letter(self, k):
         """The carrier element behind a letter of a word."""
-        return based_key_element(self.base, k) if self.based else k
+        return self.base.basis_vec(k) if self.based else k
 
     def eta(self, x: TElement):
         """The counit: multiply each word out in the base carrier."""
@@ -131,8 +141,8 @@ class TensorAlgebra(Carrier):
     def sigma(self, b) -> TElement:
         """The module splitting A → T(A) by length-1 words."""
         if self.based:
-            # the decomposition is canonical, and k ↦ (k,) keeps its order
-            return tuple(((k,), c) for k, c in based_decompose(self.base, b))
+            # coordinates come in canonical order, which k ↦ (k,) keeps
+            return tuple(((k,), c) for k, c in self.base.coordinates(b))
         if b == self.base.zero():
             return ()
         return (((b,), 1),)
@@ -143,65 +153,46 @@ class TensorAlgebra(Carrier):
                         self.sigma(self.base.mul(a, b)))
 
 
-class JKernel(Carrier):
-    """The counit kernel J(A) ⊆ T(A), as a carrier in its own right.
+class JKernel(TensorAlgebra):
+    """The counit kernel J(A) ⊆ T(A): an ideal of T(A) with T's
+    arithmetic, and a carrier in its own right.
 
-    When the underlying tensor algebra is based, J(A) is itself based, with
-    basis ``e_w = w − σ(η(w))`` indexed by the words of length ≥ 2.
+    When A is based, so is J(A), with basis ``e_w = w − σ(η(w))`` indexed
+    by the words of length ≥ 2.
     """
 
-    def __init__(self, ta: TensorAlgebra) -> None:
-        self.ta = ta
-        flavor = "" if ta.based else "'"
-        self.name = f"J{flavor}({ta.base.name})"
-        self.can_decide_zero = ta.can_decide_zero
-        #: e_w by word, filled on first use by :func:`based_key_element`
+    def __init__(self, base: Carrier) -> None:
+        super().__init__(base)
+        self.name = f"J{self.name[1:]}"  # J(A), or J'(A) when formal
+        #: the ambient T(A)
+        self.ta = tensor_algebra(base)
+        #: e_w by word, filled on first use by :meth:`basis_vec`
         self.basis_elements: Dict[Word, TElement] = {}
 
-    def zero(self):
-        return ()
-
-    def add(self, x, y):
-        return self.ta.add(x, y)
-
-    def scale(self, a, x):
-        return self.ta.scale(a, x)
-
-    def combine(self, terms):
-        return self.ta.combine(terms)
-
-    def eta(self, x):
-        return self.ta.eta(x)
-
     def contains(self, x) -> bool:
-        if not self.ta.contains(x):
+        if not super().contains(x):
             return False
-        if not self.ta.base.can_decide_zero:
+        if not self.base.can_decide_zero:
             return True
-        return self.ta.base.is_zero(self.ta.eta(x))
+        return self.base.is_zero(self.eta(x))
 
     def sample(self, rng):
-        return sample_j_element(self.ta.base, rng)
+        return sample_j_element(self.base, rng)
 
-
-def based_decompose(car: Carrier, x) -> Tuple[Tuple[Any, int | Fraction], ...]:
-    if isinstance(car, FinAlgebra):
-        return x  # already ((label, coeff), ...)
-    if isinstance(car, JKernel) and car.ta.based:
-        return tuple((w, c) for w, c in x if len(w) >= 2)
-    raise ValueError(f"carrier {car.name} has no canonical basis")
-
-
-def based_key_element(car: Carrier, k):
-    if isinstance(car, FinAlgebra):
-        return car.basis_vec(k)
-    if isinstance(car, JKernel) and car.ta.based:
-        e = car.basis_elements.get(k)
+    def basis_vec(self, w: Word) -> TElement:
+        """e_w = w − σ(η(w)) for a word w of length ≥ 2."""
+        e = self.basis_elements.get(w)
         if e is None:
-            w = ((k, 1),)
-            e = car.basis_elements[k] = car.ta.sub(w, car.ta.sigma(car.ta.eta(w)))
+            self.need_basis()
+            x = ((w, 1),)
+            e = self.basis_elements[w] = self.sub(x, self.sigma(self.eta(x)))
         return e
-    raise ValueError(f"carrier {car.name} has no canonical basis")
+
+    def coordinates(self, x: TElement) -> TElement:
+        """The coordinates of ``x`` in the basis e_w: its words of length
+        ≥ 2, in order."""
+        self.need_basis()
+        return tuple((w, c) for w, c in x if len(w) >= 2)
 
 
 @cache
@@ -213,7 +204,7 @@ def tensor_algebra(base: Carrier) -> TensorAlgebra:
 @cache
 def j_kernel(base: Carrier) -> JKernel:
     """J(base), one per carrier (by identity)."""
-    return JKernel(tensor_algebra(base))
+    return JKernel(base)
 
 
 def j_tower(base: Carrier, depth: int) -> List[Carrier]:
@@ -341,12 +332,11 @@ def j_of(f: Morphism) -> Morphism:
     """J applied to a morphism: letterwise image, formal target words."""
     dom = j_kernel(f.source)
     tgt = j_kernel(f.target)
-    ta = tensor_algebra(f.source)
     tta = tensor_algebra(f.target)
 
     def fn(x):
         # T(f): letter l ↦ σ(f(l)), multiplied out in T(target)
-        return word_image(ta, x, lambda l: tta.sigma(f(l)), tta)
+        return word_image(dom, x, lambda l: tta.sigma(f(l)), tta)
 
     return Morphism(dom, tgt, fn, f"J({f.name})")
 
@@ -375,10 +365,9 @@ def lambda_(B: Carrier) -> Morphism:
     fa_loop = function_algebra(B, cube(1), 0)
     s = path_splitting(B, fa_path)
     dom = j_kernel(B)
-    ta = tensor_algebra(B)
 
     def fn(x):
-        mid = word_image(ta, x, s, fa_path)
+        mid = word_image(dom, x, s, fa_path)
         return fa_loop.canon(dict(mid))
 
     return Morphism(dom, fa_loop, fn, f"lambda[{B.name}]_0")
@@ -397,13 +386,12 @@ def kappa1(Bc: Carrier, m: int) -> Morphism:
     faT = function_algebra(TB, cube(m), 0)
     faJ = function_algebra(JB, cube(m), 0)
     dom = j_kernel(C)
-    ta = tensor_algebra(C)
 
     def slift(x):
         return apply_to_coefficients(C, x, TB, TB.sigma)
 
     def fn(x):
-        mid = word_image(ta, x, slift, faT)
+        mid = word_image(dom, x, slift, faT)
         return faJ.canon(dict(mid))
 
     return Morphism(dom, faJ, fn, f"kappa(1,{m})[{Bc.name}]_0")

@@ -485,18 +485,16 @@ def check_star_unit(cfg: CheckConfig) -> Tuple[str, str]:
 
 
 def check_star_lambda(cfg: CheckConfig) -> Tuple[str, str]:
-    """The two composites of λ with the degree-shift unit: one is λ on
-    the nose; the other carries the crossing sign and resolves to the
-    reversed exchange composite.  The latter is compared with the loop
-    classifier of the kernel by exact equality on a few samples."""
+    """The left composite of λ with the degree-shift unit carries the
+    crossing sign and resolves to the reversed exchange composite, which
+    is compared with the loop classifier of the kernel by exact equality
+    on a few samples.  The right composite is λ on the nose; star-unit
+    replays it."""
     A = cfg.algebra
     JA = j_kernel(A)
     lam = lambda_(A)
     id_JA = kk_hom((A, 1), (JA, 0), 0, identity_morphism(JA))
     lamH = kk_hom((JA, 0), (A, 1), 0, lam)
-    # right unit: λ ⋆ id = λ exactly
-    replay(star(lamH, id_JA).rep, lam, cfg.samples, cfg.seed,
-           "right unit composite deviates from λ")
     # left composite: carries the crossing sign of one kernel layer past
     # one loop coordinate
     h = star(id_JA, lamH, resolve=False)

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from loopstable.algebras import AlgebraMap, FinAlgebra, dual_numbers, product_algebra, rationals
+from loopstable.algebras import (
+    AlgebraMap,
+    FinAlgebra,
+    dual_numbers,
+    product_algebra,
+    rationals,
+    square_zero,
+)
 from loopstable.extensions import path_extension
 from loopstable.funalg import function_algebra, mu, omega, sample_element
 from loopstable.kkcat import (
@@ -154,6 +161,17 @@ class TestStar:
     def test_endpoint_mismatch(self):
         with pytest.raises(ValueError):
             star(from_algebra_map(_a_map()), from_algebra_map(_a_map()))
+
+    @pytest.mark.parametrize("A", [rationals(), dual_numbers(), square_zero()],
+                             ids=["q", "dual", "sq0"])
+    def test_right_unit_composite_is_lambda_itself(self, A):
+        # ⋆ elides the identity, so λ ⋆ id runs λ's own function:
+        # star-unit's replay of it is the only one the right unit needs
+        JA = j_kernel(A)
+        lam = lambda_(A)
+        id_JA = kk_hom((A, 1), (JA, 0), 0, identity_morphism(JA))
+        lamH = kk_hom((JA, 0), (A, 1), 0, lam)
+        assert star(lamH, id_JA).rep.fn is lam.fn
 
 
 def _negated(h):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from loopstable.algebras import AlgebraMap, dual_numbers, m2q, rationals
+from loopstable.algebras import BUILTIN_ALGEBRAS, AlgebraMap, dual_numbers, m2q, rationals
 from loopstable.carriers import Mismatch
 from loopstable.funalg import (
     apply_to_coefficients,
@@ -20,8 +20,6 @@ from loopstable.funalg import (
 from loopstable.simplicial import cube
 from loopstable.tensorj import (
     Morphism,
-    based_decompose,
-    based_key_element,
     curvature,
     identity_morphism,
     j_kernel,
@@ -121,14 +119,14 @@ class TestWordImage:
 class TestBasedKernelBasis:
     def test_basis_element_is_built_once(self):
         J = j_kernel(m2q())
-        e = based_key_element(J, ("e12", "e21"))
-        assert based_key_element(J, ("e12", "e21")) is e
+        e = J.basis_vec(("e12", "e21"))
+        assert J.basis_vec(("e12", "e21")) is e
         assert e == ((("e11",), -1), (("e12", "e21"), 1))
 
     def test_basis_elements_lie_in_kernel(self):
         J = j_kernel(B)
         for w in (("x", "x"), ("1", "x"), ("1", "1", "x")):
-            e = based_key_element(J, w)
+            e = J.basis_vec(w)
             assert J.contains(e)
 
     def test_decompose_roundtrip(self):
@@ -139,9 +137,52 @@ class TestBasedKernelBasis:
             ta.scale(F(3), curvature(B, B1, BX)),
         )
         recon = ta.zero()
-        for w, c in based_decompose(J, x):
-            recon = ta.add(recon, ta.scale(c, based_key_element(J, w)))
+        for w, c in J.coordinates(x):
+            recon = ta.add(recon, ta.scale(c, J.basis_vec(w)))
         assert recon == x
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_ALGEBRAS))
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_kernel_answers_for_its_basis(self, name, depth):
+        A = j_tower(BUILTIN_ALGEBRAS[name](), depth - 1)[-1]
+        J = j_kernel(A)
+        assert J.based and J is not tensor_algebra(A)
+        assert J.ta is tensor_algebra(A)
+        # seed 24: both draws are nonzero on every built-in, and their
+        # product in J²(M2(Q)) stays small
+        x, y = J.draws(2, 24)
+        assert x and y
+        assert J.combine((c, (J.basis_vec(w),)) for w, c in J.coordinates(x)) == x
+        assert tensor_algebra(J).sigma(x) == tuple(
+            ((w,), c) for w, c in x if len(w) >= 2)
+        assert J.mul(x, y) == tensor_algebra(A).mul(x, y)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_ALGEBRAS))
+    def test_tensor_over_a_tensor_algebra_is_based_on_words(self, name):
+        A = BUILTIN_ALGEBRAS[name]()
+        T, TT = tensor_algebra(A), tensor_algebra(tensor_algebra(A))
+        assert TT.based and TT.can_decide_zero and TT.name == f"T(T({A.name}))"
+        x = j_kernel(A).draws(1, 24)[0]
+        assert x and T.coordinates(x) == x
+        s = TT.sigma(x)
+        assert s == tuple(((w,), c) for w, c in x)
+        assert all(TT.letter(w) == ((w, 1),) for w, _ in x)
+        assert TT.eta(s) == x
+
+    def test_formal_carriers_have_no_basis(self):
+        fa = function_algebra(B, S1, 0)
+        J, T = j_kernel(fa), tensor_algebra(fa)
+        assert not J.based and not T.based
+        w = ((fa.zero(), fa.zero()), 1)
+        for ask in (lambda: J.basis_vec(w[0]), lambda: J.coordinates((w,)),
+                    lambda: T.basis_vec(w[0]), lambda: T.coordinates((w,))):
+            with pytest.raises(ValueError, match="no canonical basis"):
+                ask()
+
+    def test_coordinates_can_be_read_twice(self):
+        J = j_kernel(B)
+        c = J.coordinates(curvature(B, BX, BX))
+        assert isinstance(c, tuple) and c and list(c) == list(c)
 
 
 class TestLambda:
