@@ -7,13 +7,12 @@ membership) and, where it can, draws deterministic samples of them from a
 list of them from one seed, the one place in the package that seeds a
 ``random.Random``).  The arithmetic is ``zero``,
 ``add``, ``scale`` and one sum of products, :meth:`Carrier.combine`
-(Σ aᵢ·xᵢ₁⋯xᵢₖ), of which ``mul`` is the one-term case.  ``combine``
-defaults to a fold of ``mul``, ``scale`` and ``add``; a carrier whose
-elements are sparse combinations overrides it to build one dict and
-canonicalise it once, instead of once per term.  The one-pass overrides
-are ``RAT``, ``FinAlgebra``, ``TensorAlgebra`` (and its subclass
-``JKernel``) and ``FunctionAlgebra``; ``PullbackCarrier`` and
-``PolyExtension`` keep the fold and give their own ``mul``.  Where zero
+(Σ aᵢ·xᵢ₁⋯xᵢₖ), of which ``mul`` is the one-term case.  Every carrier
+sums in one pass: ``RAT``, ``FinAlgebra``, ``TensorAlgebra`` (and its
+subclass ``JKernel``) and ``FunctionAlgebra`` build one dict and
+canonicalise it once, instead of once per term; a ``PullbackCarrier``
+sums each component in one pass of its own carrier, and the homotopy
+carrier ``PolyExtension`` sums with ``poly.cp_combine``.  Where zero
 is decidable every element has exactly one representation, so ``==`` is
 equality and ``x == zero()`` is the zero test.  A carrier with a
 canonical basis sets ``based`` and answers ``basis_vec`` and
@@ -40,7 +39,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import reduce
 from typing import Any, Callable, Iterable, Sequence, Tuple
 
 
@@ -58,9 +56,8 @@ class Carrier:
 
     Arithmetic returns canonical elements, so two elements of a carrier
     that decides zero are equal exactly when they are ``==``.  A subclass
-    implements ``zero``, ``add``, ``scale``, ``contains`` and either
-    ``mul`` (which the default :meth:`combine` folds) or a one-pass
-    :meth:`combine` (through which ``mul`` multiplies).
+    implements ``zero``, ``add``, ``scale``, ``contains`` and a one-pass
+    :meth:`combine`, through which ``mul`` multiplies.
     """
 
     name: str = "?"
@@ -95,11 +92,7 @@ class Carrier:
     def combine(self, terms: Iterable[Tuple[int | Fraction, Sequence[Any]]]) -> Any:
         """Σ aᵢ·xᵢ₁⋯xᵢₖ over terms ``(aᵢ, (xᵢ₁, …, xᵢₖ))`` of a rational and
         k ≥ 1 elements."""
-        out = []
-        for a, xs in terms:
-            p = reduce(self.mul, xs)
-            out.append(p if a == 1 else self.scale(a, p))
-        return reduce(self.add, out) if out else self.zero()
+        raise NotImplementedError
 
     def is_zero(self, x: Any) -> bool:
         return x == self.zero()
@@ -213,8 +206,12 @@ class PullbackCarrier(Carrier):
     def scale(self, a, x):
         return (self.left.scale(a, x[0]), self.right.scale(a, x[1]))
 
-    def mul(self, x, y):
-        return (self.left.mul(x[0], y[0]), self.right.mul(x[1], y[1]))
+    def combine(self, terms):
+        terms = list(terms)
+        return tuple(
+            car.combine((a, tuple(x[side] for x in xs)) for a, xs in terms)
+            for side, car in enumerate((self.left, self.right))
+        )
 
     def contains(self, x):
         if not (isinstance(x, tuple) and len(x) == 2):

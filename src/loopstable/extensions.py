@@ -6,8 +6,8 @@ with their t0-splitting, classifying maps of split extensions, mapping paths
 (each returned as its split extension loops → P[f] → source), the comparison
 map into a double mapping path, mapping cylinders, and the three-map tower
 used to rotate composable morphisms, with all accompanying elementary-homotopy
-certificates, verified exactly on samples drawn by
-:meth:`~loopstable.carriers.Carrier.draws`.  Each elementary homotopy is
+certificates.  Certificates, validation and the strong-morphism check are
+:func:`~loopstable.tensorj.replay` laws and pair laws.  Each elementary homotopy is
 a polynomial substitution h(t, u): read the family's global polynomial
 (:func:`~loopstable.funalg.global_poly`), substitute the images of h
 (:func:`~loopstable.poly.cp_subst`), and split the result by powers of the
@@ -45,6 +45,7 @@ from .poly import (
     ONE_MINUS_T,
     CPoly,
     cp_add,
+    cp_combine,
     cp_flatten,
     cp_map_coeffs,
     cp_mul,
@@ -62,6 +63,7 @@ from .tensorj import (
     j_of,
     omega_map,
     path_splitting,
+    preserves,
     pushforward,
     replay,
     tensor_algebra,
@@ -94,13 +96,17 @@ class PolyExtension(Carrier):
     def scale(self, a, x):
         return cp_scale(self.base, a, x)
 
-    def mul(self, x, y):
-        return cp_mul(self.base, x, y)
+    def combine(self, terms):
+        return cp_combine(self.base, terms)
 
     def evaluate(self, x, at):
         """Evaluate at a rational value of the homotopy variable."""
         value = cp_subst(self.base, x, (qp_const(at, 0),), 0)
         return value[0][1] if value else self.base.zero()
+
+    def evaluation(self, u) -> Morphism:
+        """The evaluation at ``u`` as a morphism ``C[u] → C``."""
+        return Morphism(self, self.base, lambda x: self.evaluate(x, u), f"u={u}")
 
     def contains(self, x):
         return isinstance(x, tuple) and all(
@@ -190,9 +196,9 @@ def _identity(x):
 class ExtensionData(NamedTuple):
     """A split extension kernel → mid → quotient with module splitting s.
 
-    Validation and the strong-morphism check draw kernel samples with
-    ``kernel.draws(samples, seed)`` and quotient samples with
-    ``quotient.draws(samples, seed + 1)``.
+    Validation and the strong-morphism check :func:`replay` laws on kernel
+    draws at ``seed`` and quotient draws at ``seed + 1``, two lists even when
+    the kernel is the quotient.
     """
 
     kernel: Carrier
@@ -207,31 +213,28 @@ class ExtensionData(NamedTuple):
     # -- invariant suite -------------------------------------------------
 
     def validate(self, samples: int = 4, seed: int = 0) -> None:
-        mid, quo = self.mid, self.quotient
-        for x in self.kernel.draws(samples, seed):
-            m = self.iota(x)
-            if quo.can_decide_zero and not quo.is_zero(self.pi(m)):
-                raise Mismatch(f"{self.name}: pi∘iota != 0", element=x)
-            if self.into_kernel(m) != x:
-                raise Mismatch(f"{self.name}: kernel roundtrip", element=x)
-        qs = []
-        if isinstance(quo, FinAlgebra):
-            qs = [quo.basis_vec(l) for l in quo.labels]
-        qs += quo.draws(samples, seed + 1)
-        sq = []  # s(q) for q in qs, shared by both checks
-        for q in qs:
-            s_q = self.s(q)
-            if self.pi(s_q) != q:
-                raise Mismatch(f"{self.name}: pi∘s != id", element=q)
-            sq.append(s_q)
-        if mid.can_decide_zero:
-            for q1, s1 in zip(qs, sq):
-                for q2, s2 in zip(qs[:3], sq[:3]):
-                    lhs = self.s(quo.add(q1, q2))
-                    rhs = mid.add(s1, s2)
-                    if lhs != rhs:
-                        raise Mismatch(f"{self.name}: splitting not additive",
-                                       x=q1, y=q2)
+        """Replay π∘ι = 0 (where the quotient decides zero) and the kernel
+        roundtrip on kernel draws, π∘s = id on the quotient's basis vectors
+        (if any) and draws, and, where the mid decides zero, additivity of s
+        on each of those q₁ with each of the first three q₂."""
+        kernel, quo, name = self.kernel, self.quotient, self.name
+        basis = [quo.basis_vec(l) for l in quo.labels] if isinstance(quo, FinAlgebra) else []
+
+        def quotient(xs, qs):  # the quotient's basis vectors, then its draws
+            return basis + qs
+
+        def with_first_three(xs, qs):
+            q2s = quotient(xs, qs)
+            return [(q1, q2) for q1 in q2s for q2 in q2s[:3]]
+
+        into = Morphism(self.mid, kernel, self.into_kernel, "into-kernel")
+        laws = [(self.pi.after(self.iota), zero_morphism(kernel, quo),
+                 f"{name}: pi∘iota != 0")] if quo.can_decide_zero else []
+        laws += [(into.after(self.iota), identity_morphism(kernel), f"{name}: kernel roundtrip"),
+                 (self.pi.after(self.s), identity_morphism(quo), f"{name}: pi∘s != id", quotient)]
+        pairs = ([preserves(self.s, "add", f"{name}: splitting") + (with_first_three,)]
+                 if self.mid.can_decide_zero else [])
+        replay(laws, samples, seed, pairs, sources=[kernel, quo])
 
 
 def make_extension(**kw) -> ExtensionData:
@@ -281,48 +284,34 @@ def classifying_map(E: ExtensionData) -> Morphism:
     return Morphism(j_kernel(E.quotient), E.kernel, fn, f"xi[{E.name}]")
 
 
-def strong_morphism_check(
-    E1: ExtensionData,
-    E2: ExtensionData,
-    a: Morphism,
-    b: Morphism,
-    c: Morphism,
-    samples: int = 5,
-    seed: int = 0,
-) -> int:
-    """Replay that (a, b, c) commutes with iota, pi and the splittings;
-    returns the number of samples replayed."""
+def strong_morphism_check(E1: ExtensionData, E2: ExtensionData, a: Morphism, b: Morphism,
+                          c: Morphism, samples: int = 5, seed: int = 0) -> int:
+    """Replay that (a, b, c) commutes with iota on kernel draws x, with the
+    splittings on quotient draws q, and with pi on each m = s(q) + ι(x) of
+    the i-th x and q; returns the number of samples replayed."""
     name = f"({a.name}, {b.name}, {c.name}): {E1.name} -> {E2.name}"
-    xs = E1.kernel.draws(samples, seed)
-    for x, q in zip(xs, E1.quotient.draws(samples, seed + 1)):
-        ix = E1.iota(x)
-        if b(ix) != E2.iota(a(x)):
-            raise Mismatch(f"{name} does not commute with iota", element=x)
-        sq = E1.s(q)
-        if b(sq) != E2.s(c(q)):
-            raise Mismatch(f"{name} does not commute with the splittings", element=q)
-        m = E1.mid.add(sq, ix)
-        if E2.pi(b(m)) != c(E1.pi(m)):
-            raise Mismatch(f"{name} does not commute with pi", element=m)
-    return samples
+
+    def mid(at, x, q):  # m = s(q) + ι(x), shared by both sides
+        return E1.mid.add(at(E1.s, q), at(E1.iota, x))
+
+    return replay(
+        [(b.after(E1.iota), E2.iota.after(a), f"{name} does not commute with iota"),
+         (b.after(E1.s), E2.s.after(c), f"{name} does not commute with the splittings",
+          lambda xs, qs: qs)],
+        samples, seed, sources=[E1.kernel, E1.quotient],
+        pairs=[(lambda at, x, q: E2.pi(b(at(mid, x, q))),
+                lambda at, x, q: c(E1.pi(at(mid, x, q))),
+                f"{name} does not commute with pi", zip)],
+    )
 
 
-def naturality_check(
-    E1: ExtensionData,
-    E2: ExtensionData,
-    a: Morphism,
-    c: Morphism,
-    samples: int = 10,
-    seed: int = 0,
-) -> int:
+def naturality_check(E1: ExtensionData, E2: ExtensionData, a: Morphism, c: Morphism,
+                     samples: int = 10, seed: int = 0) -> int:
     """Replay xi2 ∘ J(c) = a ∘ xi1 on sampled counit-kernel elements;
     returns the number of samples replayed."""
-    return replay(
-        classifying_map(E2).after(j_of(c)), a.after(classifying_map(E1)),
-        samples, seed,
-        f"classifying maps of {E1.name} and {E2.name} do not commute with "
-        f"({a.name}, {c.name})",
-    )
+    return replay([(classifying_map(E2).after(j_of(c)), a.after(classifying_map(E1)),
+                    f"classifying maps of {E1.name} and {E2.name} do not commute with "
+                    f"({a.name}, {c.name})")], samples, seed)
 
 
 # -- path extensions ------------------------------------------------------
@@ -398,12 +387,12 @@ def splitting_homotopy(E: ExtensionData, s2: Morphism) -> "HomotopyCertificate":
 class HomotopyCertificate(NamedTuple):
     """A chain of elementary polynomial homotopies between two morphisms.
 
-    Each link is a morphism into the [u]-extension of the common target;
-    verification checks the endpoint equalities, the chaining of
-    consecutive links, and that every link is an algebra map, exactly on
-    deterministic samples of the common source.  Each link is evaluated
-    once per sample; the algebra-map checks reuse those images and
-    evaluate the links again only on sums and products of two samples.
+    Each link is a morphism into the [u]-extension of the common target.
+    Verification replays on draws of the common source that link₀ at u = 0
+    is ``left``, the last link at u = 1 is ``right`` and linkᵢ at 1 is
+    linkᵢ₊₁ at 0, and on pairs of draws that every link is additive and
+    multiplicative.  Each link is evaluated once per draw, and again only
+    on the sum and the product of each pair.
     """
 
     name: str
@@ -414,41 +403,18 @@ class HomotopyCertificate(NamedTuple):
     def verify(self, samples: int = 20, seed: int = 0) -> int:
         """Replay the certificate; returns the number of samples replayed,
         at least two so that the algebra-map checks see a pair."""
-        with paused_gc():
-            return self._verify(samples, seed)
-
-    def _verify(self, samples: int, seed: int) -> int:
         if not self.chain:
             raise Mismatch(f"{self.name}: empty chain of homotopies",
                            chain=self.chain)
-        src = self.left.source
-        xs = src.draws(max(samples, 2), seed)
-        images = []  # images[k][i] = chain[i](xs[k])
-        for x in xs:
-            vals = [link(x) for link in self.chain]
-            images.append(vals)
-            px = self.chain[0].target
-            if px.evaluate(vals[0], 0) != self.left(x):
-                raise Mismatch(f"{self.name}: u=0 endpoint", element=x)
-            pxl = self.chain[-1].target
-            if pxl.evaluate(vals[-1], 1) != self.right(x):
-                raise Mismatch(f"{self.name}: u=1 endpoint", element=x)
-            for i in range(len(vals) - 1):
-                a = self.chain[i].target.evaluate(vals[i], 1)
-                b = self.chain[i + 1].target.evaluate(vals[i + 1], 0)
-                if a != b:
-                    raise Mismatch(f"{self.name}: links {i},{i + 1} do not chain",
-                                   element=x)
-        for x, y, vx, vy in zip(xs[::2], xs[1::2], images[::2], images[1::2]):
-            for link, lx, ly in zip(self.chain, vx, vy):
-                px = link.target
-                if link(src.add(x, y)) != px.add(lx, ly):
-                    raise Mismatch(f"{self.name}: link {link.name} not additive",
-                                   x=x, y=y)
-                if link(src.mul(x, y)) != px.mul(lx, ly):
-                    raise Mismatch(f"{self.name}: link {link.name} not multiplicative",
-                                   x=x, y=y)
-        return len(xs)
+        at0, at1 = ([h.target.evaluation(u).after(h) for h in self.chain] for u in (0, 1))
+        laws = [(at0[0], self.left, f"{self.name}: u=0 endpoint"),
+                (at1[-1], self.right, f"{self.name}: u=1 endpoint")]
+        laws += [(h1, k0, f"{self.name}: links {i},{i + 1} do not chain")
+                 for i, (h1, k0) in enumerate(zip(at1, at0[1:]))]
+        pairs = [preserves(h, op, f"{self.name}: link {h.name}")
+                 for h in self.chain for op in ("add", "mul")]
+        with paused_gc():
+            return replay(laws, max(samples, 2), seed, pairs=pairs)
 
 
 # -- mapping paths --------------------------------------------------------

@@ -28,8 +28,9 @@ classifying maps, the loop classifying map ``λ``, and the exchange maps
 ``κ^{n,m}``.  Change of coefficients, the flattening μ and the reversal ω
 of :mod:`loopstable.funalg` come as morphisms too (:func:`pushforward`,
 :func:`mu_map`, :func:`omega_map`), so every composite is a chain of
-:meth:`Morphism.after`.  :func:`replay` compares two morphisms exactly on
-draws from their common source.
+:meth:`Morphism.after`.  :func:`replay`, the one caller of ``Carrier.draws``,
+checks lists of laws (two morphisms on one source) and pair laws (such as
+additivity) exactly on draws, each morphism evaluated once per draw.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache, reduce
-from typing import Any, Callable, Dict, List, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .carriers import RAT, Carrier, Mismatch
 from .funalg import (
@@ -230,11 +231,13 @@ class Morphism:
     observational agreement on sampled elements (:func:`replay`).
     """
 
-    def __init__(self, source: Carrier, target: Carrier, fn: Callable, name: str):
+    def __init__(self, source: Carrier, target: Carrier, fn: Callable, name: str,
+                 factors: Optional[Tuple["Morphism", "Morphism"]] = None):
         self.source = source
         self.target = target
         self.fn = fn
         self.name = name
+        self.factors = factors  # (g, f) for the composite g ∘ f of :meth:`after`
 
     def __call__(self, x):
         return self.fn(x)
@@ -253,11 +256,12 @@ class Morphism:
             self.target,
             lambda x: self.fn(other.fn(x)),
             f"({self.name} . {other.name})",
+            (self, other),
         )
 
     def named(self, name: str) -> "Morphism":
         """This map under another name."""
-        return Morphism(self.source, self.target, self.fn, name)
+        return Morphism(self.source, self.target, self.fn, name, self.factors)
 
     def __repr__(self):
         return f"<Morphism {self.name}: {self.source.name} -> {self.target.name}>"
@@ -299,18 +303,59 @@ def omega_map(fa: FunctionAlgebra) -> Morphism:
     return Morphism(fa, fa, lambda x: omega(fa, x), "rev")
 
 
-def replay(lhs: Morphism, rhs: Morphism, samples: int, seed: int, what: str) -> int:
-    """Compare ``lhs`` and ``rhs`` exactly on ``samples`` draws from their
-    common source; returns ``samples``.  The first sample where they differ
-    raises :class:`~loopstable.carriers.Mismatch` ``"<what> at sample i"``
-    with that sample as ``element``."""
-    if lhs.source is not rhs.source:
-        raise ValueError(f"{lhs.name} and {rhs.name} have different sources: "
-                         f"{lhs.source.name} and {rhs.source.name}")
-    for i, x in enumerate(lhs.source.draws(samples, seed)):
-        if lhs(x) != rhs(x):
-            raise Mismatch(f"{what} at sample {i}", element=x)
+def replay(laws: Sequence[tuple], samples: int, seed: int, pairs: Sequence[tuple] = (),
+           sources: Optional[Sequence[Carrier]] = None) -> int:
+    """Replay laws exactly on deterministic draws; returns ``samples``.
+
+    ``sources`` (by default the first law's source) draw ``samples``
+    elements each, the k-th at ``seed + k``, so a carrier listed twice
+    draws two lists xs₀, xs₁.  A law ``(lhs, rhs, what)`` compares two
+    morphisms on each element of xs₀, or of ``on(xs₀, xs₁, …)`` if it has a
+    fourth item ``on``.  Then a pair law ``(lhs, rhs, what)`` compares
+    ``lhs(at, x, y)`` with ``rhs(at, x, y)`` on each pair of xs₀[::2] with
+    xs₀[1::2], or of its own ``on``.  ``at(f, x)`` is ``f(x)`` for a
+    morphism, ``at(g, x, y)`` is ``g(at, x, y)``, and each, like the right
+    factor of each composite of :meth:`Morphism.after`, is evaluated once
+    per element or pair.  The first element or pair i where the sides
+    differ raises ``Mismatch("<what> at sample i")`` naming it ``element``,
+    or ``x`` and ``y``.
+    """
+    for lhs, rhs, *_ in laws:
+        if lhs.source is not rhs.source:
+            raise ValueError(f"{lhs.name} and {rhs.name} have different sources: "
+                             f"{lhs.source.name} and {rhs.source.name}")
+    drawn = [s.draws(samples, seed + k)
+             for k, s in enumerate(sources or [laws[0][0].source])]
+    memo: Dict[tuple, Tuple[tuple, Any]] = {}
+
+    def at(f, *xs):
+        key = (f, *map(id, xs))
+        if key not in memo:  # holding xs keeps their ids their own
+            memo[key] = (xs, f(at, *xs) if not isinstance(f, Morphism) else
+                         f.factors[0].fn(at(f.factors[1], *xs)) if f.factors else f.fn(*xs))
+        return memo[key][1]
+
+    try:
+        for lhs, rhs, what, *on in laws:
+            for i, x in enumerate(on[0](*drawn) if on else drawn[0]):
+                if at(lhs, x) != at(rhs, x):
+                    raise Mismatch(f"{what} at sample {i}", element=x)
+        xs = drawn[0]
+        for lhs, rhs, what, *on in pairs:
+            for i, (x, y) in enumerate(on[0](*drawn) if on else zip(xs[::2], xs[1::2])):
+                if lhs(at, x, y) != rhs(at, x, y):
+                    raise Mismatch(f"{what} at sample {i}", x=x, y=y)
+    finally:
+        memo.clear()  # `at` refers to itself: free the values now, not at the next collection
     return samples
+
+
+def preserves(f: Morphism, op: str, what: str) -> tuple:
+    """The pair law f(x + y) = f(x) + f(y) for ``op`` "add", "<what> not
+    additive", or f(xy) = f(x)f(y) for "mul", "<what> not multiplicative"."""
+    src_op, tgt_op = getattr(f.source, op), getattr(f.target, op)
+    return (lambda at, x, y: f(src_op(x, y)), lambda at, x, y: tgt_op(at(f, x), at(f, y)),
+            f"{what} not {'additive' if op == 'add' else 'multiplicative'}")
 
 
 def word_image(ta: TensorAlgebra, x: TElement, letter_fn: Callable, target: Carrier):

@@ -73,6 +73,7 @@ from .tensorj import (
     lambda_,
     mu_map,
     omega_map,
+    preserves,
     pushforward,
     replay,
 )
@@ -266,42 +267,34 @@ def check_mu_properties(cfg: CheckConfig) -> Tuple[str, str]:
     outer = function_algebra(function_algebra(B, S1, 0), S1, 0)
     mu_B = mu_map(outer)
     aug_in = pushforward(pushforward(g, outer.base), outer)
-    replay(mu_map(aug_in.target).after(aug_in).after(bv(outer)),
-           pushforward(g, mu_B.target).after(mu_B).after(bv(outer)),
-           q, cfg.seed, "base naturality fails")
+    replay([(mu_map(aug_in.target).after(aug_in).after(bv(outer)),
+             pushforward(g, mu_B.target).after(mu_B).after(bv(outer)),
+             "base naturality fails")], q, cfg.seed)
     # (2) compatibility with the outer and the inner transition
     innerA = function_algebra(A, S1, 0)
     outerA = function_algebra(innerA, S1, 0)
     mu_A = mu_map(outerA)
-    # both replays draw the same elements: evaluate their shared side once
-    tr_mu_chain = _tr(mu_A.target).after(mu_A).after(bv(outerA))
-    tr_mu_by_b: Dict[Any, Any] = {}
-
-    def tr_mu_fn(b):
-        if b not in tr_mu_by_b:
-            tr_mu_by_b[b] = tr_mu_chain(b)
-        return tr_mu_by_b[b]
-
-    tr_mu = Morphism(innerA, tr_mu_chain.target, tr_mu_fn, "tr∘mu")
+    # one replay evaluates the shared side tr∘μ once per draw
+    tr_mu = _tr(mu_A.target).after(mu_A).after(bv(outerA))
     tr_outer = _tr(outerA)
-    replay(mu_map(tr_outer.target).after(tr_outer).after(bv(outerA)),
-           tr_mu, q, cfg.seed, "outer transition compatibility fails")
     tr_inner = pushforward(_tr(innerA), outerA)
-    replay(mu_map(tr_inner.target).after(tr_inner).after(bv(outerA)),
-           tr_mu, q, cfg.seed, "inner transition compatibility fails")
+    replay([(mu_map(tr_outer.target).after(tr_outer).after(bv(outerA)), tr_mu,
+             "outer transition compatibility fails"),
+            (mu_map(tr_inner.target).after(tr_inner).after(bv(outerA)), tr_mu,
+             "inner transition compatibility fails")], q, cfg.seed)
     # (3) associativity on triple towers
     F111 = function_algebra(outerA, S1, 0)
     mu_out = mu_map(F111)
     mu_in = pushforward(mu_A, F111)
-    replay(mu_map(mu_out.target).after(mu_out).after(bv(F111)),
-           mu_map(mu_in.target).after(mu_in).after(bv(F111)),
-           q, cfg.seed, "associativity fails")
+    replay([(mu_map(mu_out.target).after(mu_out).after(bv(F111)),
+             mu_map(mu_in.target).after(mu_in).after(bv(F111)),
+             "associativity fails")], q, cfg.seed)
     # (4) a point outer factor acts as the transition morphism
     outer_pt = function_algebra(innerA, point(), 1)
     const = Morphism(innerA, outer_pt, lambda x: constant_function(outer_pt, x), "const")
-    replay(mu_map(outer_pt).after(const).after(bv(innerA)),
-           _tr(innerA).after(bv(innerA)),
-           q, cfg.seed, "point-factor unit law fails")
+    replay([(mu_map(outer_pt).after(const).after(bv(innerA)),
+             _tr(innerA).after(bv(innerA)),
+             "point-factor unit law fails")], q, cfg.seed)
     return PASS, f"laws (1)-(4) hold exactly on {4 * q} samples"
 
 
@@ -316,7 +309,7 @@ def check_kappa_pq(cfg: CheckConfig) -> Tuple[str, str]:
     """
     A = cfg.algebra
     rhs = kappa1(j_kernel(A), 1).after(j_of(kappa(1, 1, A)))
-    n = replay(kappa(2, 1, A), rhs, cfg.samples, cfg.seed, "decomposition fails")
+    n = replay([(kappa(2, 1, A), rhs, "decomposition fails")], cfg.samples, cfg.seed)
     return PASS, f"exchange decomposition exact on {n} samples"
 
 
@@ -331,8 +324,8 @@ def check_penta(cfg: CheckConfig) -> Tuple[str, str]:
     kk = pushforward(kappa(1, 1, A), k_outer.target).after(k_outer)
     one_at_a_time = mu_map(kk.target).after(kk)
     flat_first = kappa(1, 2, A).after(j_of(mu_map(function_algebra(fa1, S1, 0))))
-    n = replay(one_at_a_time, flat_first, cfg.samples, cfg.seed,
-               "exchange/flattening square fails")
+    n = replay([(one_at_a_time, flat_first, "exchange/flattening square fails")],
+               cfg.samples, cfg.seed)
     return PASS, f"exchange commutes with flattening on {n} samples"
 
 
@@ -401,15 +394,13 @@ def check_splitting_independence(cfg: CheckConfig) -> Tuple[str, str]:
     A = cfg.algebra
     E = path_extension(A, 0)
     s2 = alternate_path_splitting(A, E.mid)
-    cert = splitting_homotopy(E, s2)
-    n = cert.verify(samples=cfg.samples, seed=cfg.seed)
+    n = splitting_homotopy(E, s2).verify(cfg.samples, cfg.seed)
     return PASS, f"interpolation certificate verified on {n} samples"
 
 
 def check_tr2_homotopy(cfg: CheckConfig) -> Tuple[str, str]:
     """The rotation homotopy of the mapping-path triangle."""
-    cert = tr2_certificate(identity_morphism(cfg.algebra))
-    n = cert.verify(samples=cfg.samples, seed=cfg.seed)
+    n = tr2_certificate(identity_morphism(cfg.algebra)).verify(cfg.samples, cfg.seed)
     return PASS, f"rotation homotopy verified on {n} samples"
 
 
@@ -419,8 +410,8 @@ def check_tr4_homotopies(cfg: CheckConfig) -> Tuple[str, str]:
     A = cfg.algebra
     ida = identity_morphism(A)
     tw = tr4_tower(ida, ida)
-    replay(tw.theta.after(tw.section_theta), identity_morphism(tw.mp_a.mid),
-           cfg.samples, cfg.seed, "section identity fails")
+    replay([(tw.theta.after(tw.section_theta), identity_morphism(tw.mp_a.mid),
+             "section identity fails")], cfg.samples, cfg.seed)
     # the endpoints and chaining of [H1, rev H2]: H1(0) = ξ∘θ,
     # H1(1) = H2(1), H2(0) = the projection
     n = tw.triangle.verify(samples=cfg.samples, seed=cfg.seed)
@@ -433,8 +424,7 @@ def check_tr4_homotopies(cfg: CheckConfig) -> Tuple[str, str]:
 
 def check_pb_contraction(cfg: CheckConfig) -> Tuple[str, str]:
     """The contraction of the path algebra."""
-    cert = pb_contraction_certificate(cfg.algebra)
-    n = cert.verify(samples=cfg.samples, seed=cfg.seed)
+    n = pb_contraction_certificate(cfg.algebra).verify(cfg.samples, cfg.seed)
     return PASS, f"path-algebra contraction verified on {n} samples"
 
 
@@ -445,8 +435,8 @@ def check_cylinder_classifying(cfg: CheckConfig) -> Tuple[str, str]:
     cyl = mapping_cylinder(identity_morphism(A))
     lam = lambda_(A)
     rev = omega_map(lam.target)
-    replay(classifying_map(cyl.extension), cyl.mp.iota.after(rev).after(lam),
-           cfg.samples, cfg.seed, "classifying map deviates")
+    replay([(classifying_map(cyl.extension), cyl.mp.iota.after(rev).after(lam),
+             "classifying map deviates")], cfg.samples, cfg.seed)
     n = cyl.retract.verify(samples=min(cfg.samples, 10), seed=cfg.seed)
     if n == cfg.samples:
         return PASS, f"classifying formula and retract homotopy on {n} samples"
@@ -474,13 +464,13 @@ def check_star_unit(cfg: CheckConfig) -> Tuple[str, str]:
     if hr.pending_sign != 1 or hr.v != 0:
         raise Mismatch("unit composite has wrong index data",
                        sign=hr.pending_sign, v=hr.v)
-    n = replay(hr.rep, lam, cfg.samples, cfg.seed, "unit absorption fails")
+    n = replay([(hr.rep, lam, "unit absorption fails")], cfg.samples, cfg.seed)
     # the graded identity on the shifted object
     h1 = star(identity_hom(A, 1), lamH)
     if h1.pending_sign != 1:
         raise Mismatch("graded unit composite has a pending sign",
                        sign=h1.pending_sign)
-    replay(h1.rep, lam, min(cfg.samples, 10), cfg.seed + 1, "graded unit law fails")
+    replay([(h1.rep, lam, "graded unit law fails")], min(cfg.samples, 10), cfg.seed + 1)
     return PASS, f"unit laws exact on {n} samples"
 
 
@@ -506,18 +496,17 @@ def check_star_lambda(cfg: CheckConfig) -> Tuple[str, str]:
         raise Mismatch("sign did not materialize", sign=hres.pending_sign)
     k11 = kappa(1, 1, A)
     rev_exchange = omega_map(k11.target).after(k11).after(j_of(lam))
-    xs2 = hres.rep.source.draws(min(cfg.samples, 10), cfg.seed)
-    reps = []  # hres.rep on xs2, shared by both comparisons
-    for i, x in enumerate(xs2):
-        rep = hres.rep(x)
-        if rep != rev_exchange(x):
-            raise Mismatch(f"resolved composite deviates from the reversed "
-                           f"exchange at sample {i}", element=x)
-        reps.append(rep)
-    # compare against the loop classifier of the kernel, by exact equality
-    lamJ = lambda_(JA)
-    n = min(len(xs2), 4)
-    if any(rep != lamJ(x) for x, rep in zip(xs2[:n], reps)):
+    # then compare against the loop classifier of the kernel, by exact
+    # equality on the first few of the same draws
+    count, unequal = min(cfg.samples, 10), "left composite unequal to lambda[J]"
+    n = min(count, 4)
+    try:
+        replay([(hres.rep, rev_exchange,
+                 "resolved composite deviates from the reversed exchange"),
+                (hres.rep, lambda_(JA), unequal, lambda xs: xs[:n])], count, cfg.seed)
+    except Mismatch as e:
+        if not str(e).startswith(unequal):
+            raise
         return NOT_FOUND, (
             "unit and sign identities exact; an exact equality test found "
             "the left composite unequal to the kernel's loop classifier "
@@ -540,8 +529,8 @@ def check_triangle_signs(cfg: CheckConfig) -> Tuple[str, str]:
         raise Mismatch("boundary signs deviate",
                        signs=(t0.boundary.pending_sign, t1.boundary.pending_sign,
                               tm.boundary.pending_sign))
-    replay(t0.boundary.rep, lam, min(cfg.samples, 10), cfg.seed,
-           "grading-zero extension boundary deviates from λ")
+    replay([(t0.boundary.rep, lam, "grading-zero extension boundary deviates from λ")],
+           min(cfg.samples, 10), cfg.seed)
     return PASS, "boundary signs and the grading-zero boundary replayed"
 
 
@@ -556,23 +545,23 @@ def check_appendix_m1n1(cfg: CheckConfig) -> Tuple[str, str]:
     om1 = omega_map(function_algebra(A, S1, 1))  # on concatenations
     k11 = kappa(1, 1, A)
     n = max(2, cfg.samples // 3)
-    replay(k11.after(j_of(om)), omega_map(k11.target).after(k11), n, cfg.seed,
-           "exchange does not intertwine the reversal")
-    xs = fa.draws(2 * n, cfg.seed + 1)
-    for i, (x, y) in enumerate(zip(xs[::2], xs[1::2])):
-        fa1, c = concatenate(fa, x, y)
-        _, rev_first = concatenate(fa, om(y), om(x))
-        if om1(c) != rev_first:
-            raise Mismatch(f"reversal does not reverse concatenation at sample "
-                           f"{i}", x=x, y=y)
-        # both operations are additive and the reversal is multiplicative
-        if om(fa.add(x, y)) != fa.add(om(x), om(y)):
-            raise Mismatch(f"reversal not additive at sample {i}", x=x, y=y)
-        if om(fa.mul(x, y)) != fa.mul(om(x), om(y)):
-            raise Mismatch(f"reversal not multiplicative at sample {i}", x=x, y=y)
-        _, cs = concatenate(fa, fa.add(x, x), fa.add(y, y))
-        if cs != fa1.add(c, c):
-            raise Mismatch(f"concatenation not additive at sample {i}", x=x, y=y)
+    replay([(k11.after(j_of(om)), omega_map(k11.target).after(k11),
+             "exchange does not intertwine the reversal")], n, cfg.seed)
+
+    def concat(at, x, y):  # x⋆y, shared by both concatenation laws
+        return concatenate(fa, x, y)[1]
+
+    # both operations are additive and the reversal is multiplicative
+    replay([], 2 * n, cfg.seed + 1, sources=[fa], pairs=[
+        (lambda at, x, y: om1(at(concat, x, y)),
+         lambda at, x, y: concat(at, at(om, y), at(om, x)),
+         "reversal does not reverse concatenation"),
+        preserves(om, "add", "reversal"),
+        preserves(om, "mul", "reversal"),
+        (lambda at, x, y: concat(at, fa.add(x, x), fa.add(y, y)),
+         lambda at, x, y: om1.source.add(at(concat, x, y), at(concat, x, y)),
+         "concatenation not additive"),
+    ])
     return PASS, f"reversal/concatenation/exchange identities on {3 * n} samples"
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from loopstable.algebras import AlgebraMap, dual_numbers, rationals
+from loopstable.algebras import AlgebraMap, dual_numbers, product_algebra, rationals
 from loopstable.carriers import Mismatch
 from loopstable.extensions import (
     ExtensionData,
@@ -207,7 +207,7 @@ class TestClassifyingNaturality:
         E0, E1 = path_extension(B, 0), path_extension(B, 1)
         a = self._transition_times(1, E0.kernel, E1.kernel)
         b2 = self._transition_times(2, E0.mid, E1.mid)
-        with pytest.raises(Mismatch, match="does not commute with iota") as e:
+        with pytest.raises(Mismatch, match="does not commute with iota at sample 0") as e:
             strong_morphism_check(E0, E1, a, b2, identity_morphism(B), samples=6, seed=1)
         x = E0.kernel.sample(random.Random(1))
         assert x and e.value.values == {"element": x}
@@ -356,12 +356,12 @@ class TestCertificates:
         # the path algebra over Q has no zero divisors, so the cross term
         # u(1−u)·(H(x)H(y) + H(y)H(x)) of a nonzero pair is nonzero
         cert = self._bent(pb_contraction_certificate(Q), lambda px, h: px.mul(h, h))
-        with pytest.raises(Mismatch, match="not additive"):
+        with pytest.raises(Mismatch, match="not additive at sample 0"):
             cert.verify(samples=2, seed=3)
 
     def test_non_multiplicative_link_detected(self):
         cert = self._bent(pb_contraction_certificate(Q), lambda px, h: h)
-        with pytest.raises(Mismatch, match="not multiplicative"):
+        with pytest.raises(Mismatch, match="not multiplicative at sample 0"):
             cert.verify(samples=2, seed=3)
 
 
@@ -509,8 +509,30 @@ class TestExtensionInvariants:
         s2 = Morphism(
             B, ta, lambda b: ta.add(ta.sigma(b), ta.curvature(b, b)), "sigma+curv"
         )
-        with pytest.raises(Mismatch, match="splitting not additive"):
+        with pytest.raises(Mismatch, match="splitting not additive at sample 0"):
             with_splitting(U, s2)
+
+    def test_kernel_that_is_the_quotient(self):
+        # A → A × A → A: kernel and quotient are one carrier, yet the kernel
+        # draws at the seed and the quotient at seed + 1, so π is replayed
+        # on m = s(q) + ι(x) for independent x and q
+        P, p1, p2 = product_algebra(B, B)
+        E = make_extension(
+            kernel=B, mid=P, quotient=B,
+            iota=Morphism(B, P, lambda a: tuple((f"l.{k}", c) for k, c in a), "inl"),
+            pi=Morphism(P, B, p2.apply, "pr2"),
+            s=Morphism(B, P, lambda a: tuple((f"r.{k}", c) for k, c in a), "inr"),
+            name="BxB", into_kernel=p1.apply,
+        )
+        ids = (identity_morphism(B), identity_morphism(P), identity_morphism(B))
+        ms = []
+        pi = Morphism(P, B, lambda m: ms.append(m) or p2.apply(m), "pr2")
+        assert strong_morphism_check(E, E._replace(pi=pi), *ids, samples=3, seed=2) == 3
+        xs, qs = B.draws(3, 2), B.draws(3, 3)
+        assert xs != qs
+        assert ms == [P.add(E.s(q), E.iota(x)) for x, q in zip(xs, qs)]
+        with pytest.raises(Mismatch, match="^BxB<inl>: pi∘s != id at sample 0$"):
+            with_splitting(E, E.iota)
 
 
 class TestBuilderCaches:

@@ -1,7 +1,7 @@
 """Carriers sample themselves: every carrier the catalog draws from yields
 members of itself, a carrier without a sampler says so by name, and every
 sample comes from ``Carrier.draws``, the one place that seeds a
-``random.Random``."""
+``random.Random``, called only by ``tensorj.replay``."""
 
 import ast
 import random
@@ -87,9 +87,9 @@ def test_carrier_without_sampler_names_itself(make):
 SRC = Path(__file__).resolve().parent.parent / "src" / "loopstable"
 
 
-def rng_constructions(source: str):
-    """The qualified name of the definition around each call of
-    ``random.Random`` (or a bare ``Random``), ``<module>`` at top level."""
+def call_scopes(source: str, is_target) -> list:
+    """The qualified name of the definition around each call whose callee
+    expression satisfies ``is_target``, ``<module>`` at top level."""
     found = []
 
     def visit(node, scope):
@@ -97,13 +97,22 @@ def rng_constructions(source: str):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
-            elif (isinstance(child, ast.Call)
-                  and ast.unparse(child.func) in ("random.Random", "Random")):
+            elif isinstance(child, ast.Call) and is_target(child.func):
                 found.append(".".join(scope) or "<module>")
             visit(child, inner)
 
     visit(ast.parse(source), ())
     return found
+
+
+def rng_constructions(source: str):
+    """The scope of each call of ``random.Random`` (or a bare ``Random``)."""
+    return call_scopes(source, lambda f: ast.unparse(f) in ("random.Random", "Random"))
+
+
+def draws_calls(source: str):
+    """The scope of each call of a ``.draws`` method."""
+    return call_scopes(source, lambda f: isinstance(f, ast.Attribute) and f.attr == "draws")
 
 
 def test_only_draws_seeds_a_generator():
@@ -124,3 +133,24 @@ def test_detects_a_private_generator():
         "    return [random.Random(s) for s in (seed,)]\n"
     )
     assert rng_constructions(src) == ["C.draws", "check", "check"]
+
+
+def test_only_replay_draws():
+    # every sampled law is compared through tensorj.replay, so sample counts
+    # and the choice of draws change in one place
+    calls = {p.stem: draws_calls(p.read_text(encoding="utf-8"))
+             for p in SRC.glob("*.py")}
+    assert {m: c for m, c in calls.items() if c} == {"tensorj": ["replay"]}
+
+
+def test_detects_a_draw_outside_replay():
+    src = (
+        "def replay(laws, n, seed):\n"
+        "    return [s.draws(n, seed) for s in laws]\n"
+        "class E:\n"
+        "    def validate(self):\n"
+        "        for x in self.kernel.draws(4, 0):\n"
+        "            pass\n"
+        "xs = A.draws(2, 1)\n"
+    )
+    assert draws_calls(src) == ["replay", "E.validate", "<module>"]

@@ -330,7 +330,7 @@ class TestReplay:
     def test_different_sources_rejected(self):
         # λ_A lives on J(A), λ_{JA} on J(JA): no common draws to compare on
         with pytest.raises(ValueError, match="different sources") as e:
-            replay(lambda_(B), lambda_(j_kernel(B)), 3, 0, "λ")
+            replay([(lambda_(B), lambda_(j_kernel(B)), "λ")], 3, 0)
         assert type(e.value) is ValueError
 
     def test_wrong_side_raises_with_its_sample(self):
@@ -339,13 +339,13 @@ class TestReplay:
             lam.source, lam.target, lambda x: lam.target.scale(2, lam(x)), "2λ"
         )
         with pytest.raises(Mismatch, match="λ doubled at sample 0") as e:
-            replay(lam, doubled, 5, 1, "λ doubled")
+            replay([(lam, doubled, "λ doubled")], 5, 1)
         (x,) = j_kernel(B).draws(1, 1)
         assert lam(x) and e.value.values == {"element": x}
 
     def test_agreeing_pair_returns_its_count(self):
         lam = lambda_(B)
-        assert replay(lam, identity_morphism(lam.target).after(lam), 7, 2, "λ") == 7
+        assert replay([(lam, identity_morphism(lam.target).after(lam), "λ")], 7, 2) == 7
 
 
 class TestMorphismForms:

@@ -16,8 +16,11 @@ from loopstable.algebras import (
     dual_numbers,
     format_algebra_file,
     parse_algebra_file,
+    rationals,
 )
-from loopstable.funalg import transition
+from loopstable.funalg import concatenate, function_algebra, omega, transition
+from loopstable.simplicial import cube
+from loopstable.tensorj import j_kernel
 from loopstable.verifier import (
     CATALOG,
     CheckConfig,
@@ -191,6 +194,36 @@ class TestFalsification:
         r = run_check("mu-properties-1-4", _cfg())
         assert r.status == "FAIL"
         assert r.detail == "point-factor unit law fails at sample 0"
+        assert set(r.counterexample) == CE_KEYS | {"element"}
+
+    def test_concatenation_that_reverses_both_halves_fails_with_its_pair(self, monkeypatch):
+        # reversing the first argument too keeps concatenation additive, but
+        # the reversal no longer reverses it; swapping the two arguments
+        # would not be caught, since it keeps both laws
+        monkeypatch.setattr(verifier, "concatenate",
+                            lambda fa, x, y: concatenate(fa, omega(fa, x), y))
+        cfg = _cfg()
+        r = run_check("appendix-m1n1", cfg)
+        assert r.status == "FAIL"
+        assert r.detail == "reversal does not reverse concatenation at sample 0"
+        # the pairs are drawn at seed + 1, 2·max(2, samples // 3) of them
+        x, y = function_algebra(cfg.algebra, cube(1), 0).draws(4, cfg.seed + 1)[:2]
+        assert (r.counterexample["x"], r.counterexample["y"]) == (repr(x), repr(y))
+        assert set(r.counterexample) == CE_KEYS | {"x", "y"}
+
+    def test_unreversed_composite_fails_before_the_equality_test(self, monkeypatch):
+        # materialising the crossing sign without the reversal breaks only
+        # the resolved composite.  On Q at seed 1 it first differs at the
+        # third draw, while the equality test with the kernel's loop
+        # classifier fails at the second: the composite is replayed on every
+        # draw first, so this is a FAIL and not a NOT-FOUND
+        monkeypatch.setattr(verifier, "resolve_sign", lambda h: h._replace(pending_sign=1))
+        cfg = CheckConfig(algebra_name="q", algebra=rationals(), samples=4, seed=1)
+        r = run_check("star-lambda-identities", cfg)
+        assert r.status == "FAIL"
+        assert r.detail == "resolved composite deviates from the reversed exchange at sample 2"
+        x = j_kernel(j_kernel(cfg.algebra)).draws(4, 1)[2]
+        assert r.counterexample["element"] == repr(x)
         assert set(r.counterexample) == CE_KEYS | {"element"}
 
 
