@@ -143,7 +143,7 @@ LINK_CALLS = {
     "pb-contraction": 5, "cylinder-classifying": 5,
 }
 WORD_IMAGE_CALLS = {
-    "subdi1-presentations": 9, "kappa-pq": 26, "penta": 20,
+    "subdi1-presentations": 9, "kappa-pq": 23, "penta": 20,
     "lambda-curvature-formula": 4, "classifying-uniqueness": 42,
     "splitting-independence": 11, "cylinder-classifying": 6, "star-unit": 12,
     "star-lambda-identities": 289, "triangle-boundary-signs": 6,

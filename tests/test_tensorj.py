@@ -7,9 +7,11 @@ import pytest
 
 from loopstable.algebras import BUILTIN_ALGEBRAS, AlgebraMap, dual_numbers, m2q, rationals
 from loopstable.carriers import Mismatch
+from loopstable.extensions import PolyExtension
 from loopstable.funalg import (
     apply_to_coefficients,
     function_algebra,
+    global_poly,
     make_element,
     mu,
     sample_element,
@@ -24,6 +26,7 @@ from loopstable.tensorj import (
     identity_morphism,
     j_kernel,
     j_of,
+    j_of_n,
     j_tower,
     kappa,
     kappa1,
@@ -274,6 +277,25 @@ class TestKappa:
         lhs = kappa(2, 1, B)
         rhs = kappa1(towers[1], 1).after(j_of(kappa(1, 1, B)))
         for x in j_kernel(j_kernel(C)).draws(10, 11):
+            assert lhs(x) == rhs(x)
+
+    @pytest.mark.parametrize("name", ["dual", "sq0"])
+    @pytest.mark.parametrize("t", [2, -1], ids=["t=2", "t=-1"])
+    @pytest.mark.parametrize("n", [1, 2], ids=["kappa11", "kappa21"])
+    def test_kappa_at_a_point_is_j_of_the_evaluation(self, name, t, n):
+        # κ is natural and the identity at a point: ev_t ∘ κ^{n,1} = Jⁿ(ev_t)
+        # at every rational t, independently of how κ^{n,1} is built
+        def ev(fa):
+            px = PolyExtension(fa.base)
+            return Morphism(fa, fa.base, lambda x: px.evaluate(global_poly(fa, x), t), "ev")
+
+        A = BUILTIN_ALGEBRAS[name]()
+        k = kappa(n, 1, A)
+        lhs = ev(k.target).after(k)
+        rhs = j_of_n(ev(function_algebra(A, S1, 0)), n)
+        xs = k.source.draws(6, 5)
+        assert any(lhs(x) for x in xs)
+        for x in xs:
             assert lhs(x) == rhs(x)
 
     def test_bounds(self):

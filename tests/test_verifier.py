@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from loopstable import cli, kkcat, verifier
+from loopstable import cli, kkcat, tensorj, verifier
 from loopstable.algebras import (
     BUILTIN_ALGEBRAS,
     FinAlgebra,
@@ -18,9 +18,11 @@ from loopstable.algebras import (
     parse_algebra_file,
     rationals,
 )
+from loopstable.carriers import RAT
 from loopstable.funalg import concatenate, function_algebra, omega, transition
+from loopstable.poly import cp_norm
 from loopstable.simplicial import cube
-from loopstable.tensorj import j_kernel
+from loopstable.tensorj import JKernel, Morphism, j_kernel, kappa, omega_map
 from loopstable.verifier import (
     CATALOG,
     CheckConfig,
@@ -139,6 +141,17 @@ def _doubled_transition(fa, x):
     return tgt, tgt.scale(2, y)
 
 
+def _words_reversed(k):
+    """``k`` after reversing each word of its argument."""
+    return Morphism(k.source, k.target,
+                    lambda x: k(cp_norm(RAT, {w[::-1]: c for w, c in x})), k.name)
+
+
+def _reversed_after(k):
+    """``k`` followed by the reversal of its one loop coordinate."""
+    return omega_map(k.target).after(k)
+
+
 class TestFalsification:
     def test_corrupted_structure_constant_detected(self):
         one = Fraction(1)
@@ -198,8 +211,7 @@ class TestFalsification:
 
     def test_concatenation_that_reverses_both_halves_fails_with_its_pair(self, monkeypatch):
         # reversing the first argument too keeps concatenation additive, but
-        # the reversal no longer reverses it; swapping the two arguments
-        # would not be caught, since it keeps both laws
+        # the reversal no longer reverses it
         monkeypatch.setattr(verifier, "concatenate",
                             lambda fa, x, y: concatenate(fa, omega(fa, x), y))
         cfg = _cfg()
@@ -210,6 +222,42 @@ class TestFalsification:
         x, y = function_algebra(cfg.algebra, cube(1), 0).draws(4, cfg.seed + 1)[:2]
         assert (r.counterexample["x"], r.counterexample["y"]) == (repr(x), repr(y))
         assert set(r.counterexample) == CE_KEYS | {"x", "y"}
+
+    def test_concatenation_that_swaps_its_arguments_fails_with_its_pair(self, monkeypatch):
+        # y⋆x keeps the reversal law (it is the law for the pair (y, x)) and
+        # additivity; only its first half, y, tells it from x⋆y
+        monkeypatch.setattr(verifier, "concatenate",
+                            lambda fa, x, y: concatenate(fa, y, x))
+        cfg = _cfg()
+        r = run_check("appendix-m1n1", cfg)
+        assert r.status == "FAIL"
+        assert r.detail == "first half of concatenation is not its first argument at sample 0"
+        x, y = function_algebra(cfg.algebra, cube(1), 0).draws(4, cfg.seed + 1)[:2]
+        assert (r.counterexample["x"], r.counterexample["y"]) == (repr(x), repr(y))
+        assert set(r.counterexample) == CE_KEYS | {"x", "y"}
+
+    @pytest.mark.parametrize("mutation", [_words_reversed, _reversed_after],
+                             ids=["words-reversed", "then-reversal"])
+    @pytest.mark.parametrize("outer", [False, True], ids=["inner", "outer"])
+    def test_mutated_exchange_fails_with_its_sample(self, monkeypatch, mutation, outer):
+        # κ^{2,1} = κ^{1,1}[J(A)] ∘ J(κ^{1,1}[A]); one of the two levels is
+        # mutated.  Reversing both levels would leave κ^{2,1} as it is,
+        # since κ^{1,1} intertwines the reversal
+        kappa1 = tensorj.kappa1
+
+        def mutated(Bc, m):
+            k = kappa1(Bc, m)
+            return mutation(k) if isinstance(Bc, JKernel) == outer else k
+
+        monkeypatch.setattr(tensorj, "kappa1", mutated)
+        cfg = _cfg()
+        r = run_check("kappa-pq", cfg)
+        assert r.status == "FAIL"
+        assert r.detail == ("exchange deviates from J² of the evaluation at t = 2 "
+                            "at sample 0")
+        x = kappa(2, 1, cfg.algebra).source.draws(cfg.samples, cfg.seed)[0]
+        assert r.counterexample["element"] == repr(x)
+        assert set(r.counterexample) == CE_KEYS | {"element"}
 
     def test_unreversed_composite_fails_before_the_equality_test(self, monkeypatch):
         # materialising the crossing sign without the reversal breaks only
