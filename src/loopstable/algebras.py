@@ -269,21 +269,23 @@ def _parse_combo(text: str, labels: Tuple[str, ...]) -> Vec:
     text = text.strip()
     if text == "0":
         return ()
-    for part in text.replace("-", "+-").split("+"):
-        part = part.strip()
-        if not part:
+    # a term ends at each + and before each - that does not follow * or /
+    for term in re.split(r"\+|(?<![*/])(?=-)", text):
+        term = term.strip()
+        if not term:
             continue
+        part = term
         if part.startswith("-") and "*" not in part:
             part = f"-1*{part[1:].strip()}"
         if "*" not in part:
             part = f"1*{part}"
         m = _TERM.match(part)
         if not m:
-            raise ValueError(f"cannot parse term {part!r}")
+            raise ValueError(f"cannot parse term {term!r}")
         try:
             coeff = Fraction(m.group(1))
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in term {part!r}") from None
+            raise ValueError(f"zero denominator in term {term!r}") from None
         label = m.group(2)
         if label not in labels:
             raise ValueError(f"unknown label {label!r}")

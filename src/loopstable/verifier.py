@@ -2,12 +2,14 @@
 
 Each check replays one construction of the engine — presentations,
 composition laws, exchange morphisms, classifying maps, homotopy
-certificates — exactly, on deterministic samples.  A check either passes,
-fails with a replayable counterexample, is skipped (zero samples), or
-reports NOT-FOUND together with the search it ran.  A failed identity
-raises :class:`~loopstable.carriers.Mismatch` with its offending values;
-any other exception in a check is reported as ERROR, and the remaining
-checks still run.
+certificates — exactly, through :func:`~loopstable.tensorj.replay`: on
+deterministic samples, or, for a law on the basis, on the basis vectors
+or basis label pairs at zero samples.  A check either passes, fails with a
+replayable counterexample, is skipped (zero samples), or reports NOT-FOUND
+together with the search it ran.  A failed identity raises
+:class:`~loopstable.carriers.Mismatch` with its offending values; only
+index and sign data are compared outside ``replay``.  Any other exception
+in a check is reported as ERROR, and the remaining checks still run.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .funalg import (
     FunctionAlgebra,
     concatenate,
     constant_function,
-    d1,
     function_algebra,
     global_poly,
     make_element,
@@ -79,6 +80,7 @@ from .tensorj import (
     preserves,
     pushforward,
     replay,
+    zero_morphism,
 )
 
 PASS = "PASS"
@@ -86,8 +88,6 @@ FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 NOT_FOUND = "NOT-FOUND"
 ERROR = "ERROR"
-
-V0, V1, EDGE = ((0,),), ((1,),), ((0,), (1,))
 
 
 class CheckConfig:
@@ -205,48 +205,39 @@ def check_subdi1_presentations(cfg: CheckConfig) -> Tuple[str, str]:
     """Replay the explicit presentations of the unsubdivided and once-
     subdivided path extension, their splittings, and the transition
     strong morphism p ↦ (p, 0)."""
-    A = cfg.algebra
-    E0 = path_extension(A, 0)
-    E1 = path_extension(A, 1)
-    S1 = cube(1)
-    # kernel presentation at r=0: b ⊗ (t²−t), a single-edge family
-    for l in A.labels:
-        v = A.basis_vec(l)
-        gen = make_element(E0.kernel, v, vanishing_scalar(S1))
-        expected = ((EDGE, (((1,), A.neg(v)), ((2,), v))),)
-        if gen != expected:
-            raise Mismatch(f"kernel generator for basis {l!r} deviates",
-                           got=gen, expected=expected)
-    # splitting at r=0: b ↦ b(1−t); the oracle builds 1 − t as a constant
+    A, S1 = cfg.algebra, cube(1)
+    E0, E1 = path_extension(A, 0), path_extension(A, 1)
+    # the kernel generator b ↦ b ⊗ (t²−t) at r=0 against its single-edge family
+    gen = Morphism(A, E0.kernel, lambda b: make_element(E0.kernel, b, vanishing_scalar(S1)), "b⊗V")
+    literal = Morphism(A, E0.kernel, lambda b: ((((0,), (1,)), (((1,), A.neg(b)), ((2,), b))),),
+                       "b(t²−t)")
+    # the splitting at r=0 is b ↦ b(1−t); the oracle builds 1 − t as a constant
     # minus the coordinate, not from poly.ONE_MINUS_T, which the splitting uses
     sfa = scalar_algebra(free_pair(interval_rel_one()), 0)
-    one_minus_t = sfa.sub(
-        constant_function(sfa, 1), poly_family(sfa, qp_var(1, 1))
-    )
-    for l in A.labels:
-        v = A.basis_vec(l)
-        if E0.s(v) != scalar_to_base(E0.mid, one_minus_t, v):
-            raise Mismatch(f"splitting formula b(1-t) fails at basis {l!r}", element=v)
-    # splitting at r=1: supported on the first half, second edge zero,
-    # value at the global 0-endpoint recovers the element
-    second_edge = (V1, (V0, V1))
-    for l in A.labels:
-        v = A.basis_vec(l)
-        x = E1.s(v)
-        if second_edge in dict(x):
-            raise Mismatch(f"subdivided splitting carries the second half at "
-                           f"{l!r}", element=x)
-        if d1(E1.mid, x) != v:
-            raise Mismatch(f"subdivided splitting endpoint value wrong at {l!r}",
-                           element=x)
-    # the transition image of the kernel generator is the pair (p, 0)
-    gen = make_element(E0.kernel, A.basis_vec(A.labels[0]), vanishing_scalar(S1))
-    t = transition(E0.kernel, gen)[1]
-    if second_edge in dict(t):
-        raise Mismatch("transition of the kernel generator is not of the form "
-                       "(p, 0)", element=t)
+    one_minus_t = sfa.sub(constant_function(sfa, 1), poly_family(sfa, qp_var(1, 1)))
+    s0 = Morphism(A, E0.mid, lambda b: scalar_to_base(E0.mid, one_minus_t, b), "b(1−t)")
+    # the second half of a once-subdivided family, which the splitting at
+    # r=1 and the transition image (p, 0) of the generator leave zero
+    free, half = function_algebra(A, free_pair(S1), 0), interval_halves(0)[1]
+
+    def second(fa):
+        return Morphism(fa, free, lambda x: pullback_along(fa, x, half, free), "2nd half")
+
+    zero, a, basis = zero_morphism(A, free), _tr(E0.kernel), A.basis()
+
+    def on_basis(xs):  # the laws run on the basis and draw nothing
+        return basis
+
+    replay([(gen, literal, "kernel generator deviates", on_basis),
+            (E0.s, s0, "splitting formula b(1-t) fails", on_basis),
+            (second(E1.mid).after(E1.s), zero, "subdivided splitting carries the second half",
+             on_basis),
+            (E1.pi.after(E1.s), identity_morphism(A),
+             "subdivided splitting endpoint value wrong", on_basis),
+            (second(E1.kernel).after(a).after(gen), zero,
+             "transition of the kernel generator is not of the form (p, 0)",
+             lambda xs: basis[:1])], 0, cfg.seed)
     # the transition is a strong morphism of extensions over the identity
-    a = _tr(E0.kernel)
     strong_morphism_check(E0, E1, a, _tr(E0.mid), identity_morphism(A),
                           samples=min(cfg.samples, 6), seed=cfg.seed)
     naturality_check(E0, E1, a, identity_morphism(A),
@@ -350,31 +341,24 @@ def check_lambda_curvature(cfg: CheckConfig) -> Tuple[str, str]:
     """λ sends each curvature element b ⊗ b′ to the family bb′·(t²−t),
     with the basis products compared against a frozen oracle for the
     built-in algebras."""
-    A = cfg.algebra
-    S1 = cube(1)
-    lam = lambda_(A)
-    fa = function_algebra(A, S1, 0)
-    V = vanishing_scalar(S1)
+    A, S1 = cfg.algebra, cube(1)
+    lam, fa, V = lambda_(A), function_algebra(A, S1, 0), vanishing_scalar(S1)
     oracle = FROZEN_PRODUCTS.get(cfg.algebra_name)
-    for la in A.labels:
-        for lb in A.labels:
-            a, b = A.basis_vec(la), A.basis_vec(lb)
-            if oracle is not None:
-                if (la, lb) not in oracle:
-                    raise Mismatch(f"basis pair ({la},{lb}) missing from the "
-                                   "product oracle", pair=(la, lb))
-                prod = oracle[(la, lb)]
-                if A.mul(a, b) != prod:
-                    raise Mismatch(f"product {la}·{lb} deviates from the recorded "
-                                   "value", got=A.mul(a, b), expected=prod)
-            else:
-                prod = A.mul(a, b)
-            x = curvature(A, a, b)
-            if lam(x) != scalar_to_base(fa, V, prod):
-                raise Mismatch(f"curvature image wrong at basis pair ({la},{lb})",
-                               element=x)
-    n = len(A.labels) ** 2
-    return PASS, f"curvature formula exact on all {n} basis pairs"
+    labels = [(la, lb) for la in A.labels for lb in A.labels]
+
+    def product(at, la, lb):
+        return A.mul(A.basis_vec(la), A.basis_vec(lb))
+
+    # the laws run on the basis label pairs and draw nothing; a pair missing
+    # from the oracle reads as None
+    pairs = [] if oracle is None else [
+        (lambda at, la, lb: at(product, la, lb), lambda at, la, lb: oracle.get((la, lb)),
+         "product deviates from the recorded value", lambda xs: labels)]
+    pairs.append((lambda at, la, lb: lam(curvature(A, A.basis_vec(la), A.basis_vec(lb))),
+                  lambda at, la, lb: scalar_to_base(fa, V, at(product, la, lb)),
+                  "curvature image wrong", lambda xs: labels))
+    replay([], 0, cfg.seed, pairs, sources=[A])
+    return PASS, f"curvature formula exact on all {len(labels)} basis pairs"
 
 
 def check_classifying_uniqueness(cfg: CheckConfig) -> Tuple[str, str]:
@@ -470,10 +454,7 @@ def check_star_unit(cfg: CheckConfig) -> Tuple[str, str]:
     idA = identity_morphism(A)
     # plain composition with the identity
     h = star(identity_hom(A), from_algebra_map(idA))
-    for l in A.labels:
-        v = A.basis_vec(l)
-        if h.rep(v) != v:
-            raise Mismatch(f"plain unit law fails at basis {l!r}", element=v)
+    replay([(h.rep, idA, "plain unit law fails", lambda xs: A.basis())], 0, cfg.seed)
     # the degree-shift unit absorbed on the right
     id_JA = kk_hom((A, 1), (JA, 0), 0, identity_morphism(JA))
     lamH = kk_hom((JA, 0), (A, 1), 0, lam)

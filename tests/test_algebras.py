@@ -71,6 +71,21 @@ def test_file_format_roundtrip(A):
     assert (B.name, B.labels, B.table, B.unit) == (A.name, A.labels, A.table, A.unit)
 
 
+@pytest.mark.parametrize("rhs", ["1/-2*a", "2*-a", "a a"])
+def test_unparsable_term_is_named_as_written(rhs):
+    with pytest.raises(ValueError) as e:
+        parse_algebra_file(f"basis: a\na*a = 1*a + {rhs}\n")
+    assert str(e.value) == f"cannot parse term {rhs!r}"
+
+
+def test_signs_split_terms_but_not_coefficients():
+    # the dual numbers, each product written as a sum of signed terms
+    A = parse_algebra_file("basis: a b\na*a = 2*a-1*a\na*b = -1/2*b+3/2*b\n"
+                           "b*a = -b + 2*b\nb*b = 1*a -1*a\n")
+    assert A.table == {("a", "a"): (("a", 1),), ("a", "b"): (("b", 1),),
+                       ("b", "a"): (("b", 1),)}
+
+
 def test_every_algebra_map_is_checked_multiplicative():
     B, Q = dual_numbers(), rationals()
     one = Q.basis_vec("1")

@@ -145,7 +145,7 @@ LINK_CALLS = {
 WORD_IMAGE_CALLS = {
     "subdi1-presentations": 9, "kappa-pq": 23, "penta": 20,
     "lambda-curvature-formula": 4, "classifying-uniqueness": 42,
-    "splitting-independence": 11, "cylinder-classifying": 6, "star-unit": 12,
+    "splitting-independence": 11, "cylinder-classifying": 6, "star-unit": 9,
     "star-lambda-identities": 289, "triangle-boundary-signs": 6,
     "appendix-m1n1": 6,
 }

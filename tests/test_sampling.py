@@ -1,7 +1,8 @@
 """Carriers sample themselves: every carrier the catalog draws from yields
 members of itself, a carrier without a sampler says so by name, and every
 sample comes from ``Carrier.draws``, the one place that seeds a
-``random.Random``, called only by ``tensorj.replay``."""
+``random.Random``, called only by ``tensorj.replay``; no check compares
+elements in a loop of its own."""
 
 import ast
 import random
@@ -113,6 +114,40 @@ def rng_constructions(source: str):
 def draws_calls(source: str):
     """The scope of each call of a ``.draws`` method."""
     return call_scopes(source, lambda f: isinstance(f, ast.Attribute) and f.attr == "draws")
+
+
+def mismatches_in_loops(source: str) -> list:
+    """The line of each ``raise Mismatch`` inside a ``for`` or ``while`` loop."""
+    def names_mismatch(exc):
+        f = exc.func if isinstance(exc, ast.Call) else exc
+        return getattr(f, "id", getattr(f, "attr", None)) == "Mismatch"
+
+    return sorted({node.lineno for loop in ast.walk(ast.parse(source))
+                   if isinstance(loop, (ast.For, ast.AsyncFor, ast.While))
+                   for node in ast.walk(loop)
+                   if isinstance(node, ast.Raise) and node.exc and names_mismatch(node.exc)})
+
+
+def test_no_check_compares_elements_by_hand():
+    # a law on the basis is a replay law on fixed elements, so its failure
+    # names its sample like any other law's
+    assert mismatches_in_loops((SRC / "verifier.py").read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_mismatch_raised_in_a_loop():
+    src = (
+        "def check(A):\n"
+        "    if A.bad:\n"
+        "        raise Mismatch('index data', v=1)\n"
+        "    for l in A.labels:\n"
+        "        if l:\n"
+        "            raise Mismatch(f'law fails at {l!r}', element=l)\n"
+        "    while A:\n"
+        "        raise carriers.Mismatch\n"
+        "    for l in A.labels:\n"
+        "        raise ValueError(l)\n"
+    )
+    assert mismatches_in_loops(src) == [6, 8]
 
 
 def test_only_draws_seeds_a_generator():

@@ -19,7 +19,7 @@ from loopstable.algebras import (
     rationals,
 )
 from loopstable.carriers import RAT
-from loopstable.funalg import concatenate, function_algebra, omega, transition
+from loopstable.funalg import concatenate, function_algebra, make_element, omega, transition
 from loopstable.poly import cp_norm
 from loopstable.simplicial import cube
 from loopstable.tensorj import JKernel, Morphism, j_kernel, kappa, omega_map
@@ -141,6 +141,11 @@ def _doubled_transition(fa, x):
     return tgt, tgt.scale(2, y)
 
 
+def _doubled(f):
+    """``f`` scaled by 2 in every value."""
+    return Morphism(f.source, f.target, lambda x: f.target.scale(2, f(x)), f"2{f.name}")
+
+
 def _words_reversed(k):
     """``k`` after reversing each word of its argument."""
     return Morphism(k.source, k.target,
@@ -170,7 +175,10 @@ class TestFalsification:
         assert r.counterexample["check"] == "lambda-curvature-formula"
         assert r.counterexample["algebra"] == "dual"
         assert "seed" in r.counterexample
-        assert set(r.counterexample) > CE_KEYS
+        # the oracle law runs on the label pairs in order; x·x is the fourth
+        assert r.detail == "product deviates from the recorded value at sample 3"
+        assert (r.counterexample["x"], r.counterexample["y"]) == ("'x'", "'x'")
+        assert set(r.counterexample) == CE_KEYS | {"x", "y"}
 
     def test_nonassociative_corruption_detected(self):
         one = Fraction(1)
@@ -197,6 +205,36 @@ class TestFalsification:
         r = run_check("subdi1-presentations", _cfg())
         assert r.status == "FAIL"
         assert "does not commute with the splittings" in r.detail
+        assert set(r.counterexample) == CE_KEYS | {"element"}
+
+    def test_doubled_kernel_generator_fails_with_its_basis_vector(self, monkeypatch):
+        monkeypatch.setattr(verifier, "make_element",
+                            lambda fa, b, q: fa.scale(2, make_element(fa, b, q)))
+        cfg = _cfg()
+        r = run_check("subdi1-presentations", cfg)
+        assert r.status == "FAIL"
+        assert r.detail == "kernel generator deviates at sample 0"
+        assert r.counterexample["element"] == repr(cfg.algebra.basis()[0])
+        assert set(r.counterexample) == CE_KEYS | {"element"}
+
+    def test_doubled_lambda_fails_the_curvature_law_with_its_pair(self, monkeypatch):
+        lambda_ = tensorj.lambda_
+        monkeypatch.setattr(verifier, "lambda_", lambda A: _doubled(lambda_(A)))
+        r = run_check("lambda-curvature-formula", _cfg())
+        assert r.status == "FAIL"
+        assert r.detail == "curvature image wrong at sample 0"
+        assert (r.counterexample["x"], r.counterexample["y"]) == ("'1'", "'1'")
+        assert set(r.counterexample) == CE_KEYS | {"x", "y"}
+
+    def test_doubled_plain_map_fails_the_plain_unit_law(self, monkeypatch):
+        from_algebra_map = kkcat.from_algebra_map
+        monkeypatch.setattr(verifier, "from_algebra_map",
+                            lambda f: from_algebra_map(_doubled(f)))
+        cfg = _cfg()
+        r = run_check("star-unit", cfg)
+        assert r.status == "FAIL"
+        assert r.detail == "plain unit law fails at sample 0"
+        assert r.counterexample["element"] == repr(cfg.algebra.basis()[0])
         assert set(r.counterexample) == CE_KEYS | {"element"}
 
     def test_broken_transition_breaks_the_point_factor_law(self, monkeypatch):
