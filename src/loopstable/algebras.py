@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from .carriers import RAT, Carrier, Mismatch, rat
+from .carriers import RAT, Carrier, Morphism, rat, replay
 from .poly import cp_add, cp_norm, cp_scale
 
 #: ``((label, coefficient), ...)``; a coefficient is an int, or a Fraction
@@ -39,8 +39,8 @@ class FinAlgebra(Carrier):
     table : structure constants, ``(i, j) -> Vec`` for the product of basis
         elements ``i·j``; missing entries mean zero.
     unit : optional two-sided unit vector.
-    validate : check associativity/unit at construction (on by default;
-        deliberately corrupted instances for falsification tests turn it off).
+
+    Every algebra is validated when it is built (:meth:`validate`).
     """
 
     based = True
@@ -51,7 +51,6 @@ class FinAlgebra(Carrier):
         labels: Iterable[str],
         table: Dict[Tuple[str, str], Vec],
         unit: Optional[Vec] = None,
-        validate: bool = True,
     ) -> None:
         self.name = name
         self.labels = tuple(labels)
@@ -59,8 +58,7 @@ class FinAlgebra(Carrier):
             raise ValueError("duplicate basis labels")
         self.table = {k: vec(dict(v)) for k, v in table.items() if v}
         self.unit = None if unit is None else vec(dict(unit))
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- carrier interface ----------------------------------------------
 
@@ -121,64 +119,47 @@ class FinAlgebra(Carrier):
     # -- validation ------------------------------------------------------
 
     def validate(self) -> None:
+        """Replay the algebra's own laws at zero samples: the unit laws
+        u·b = b = b·u on the basis, then associativity on the label pairs
+        (i, (j, k)).  A structure constant on an unknown label, or with an
+        invalid value, is an argument error."""
         for (i, j), v in self.table.items():
             if i not in self.labels or j not in self.labels:
-                raise Mismatch(f"structure constant on unknown pair ({i},{j})",
-                               pair=(i, j))
+                raise ValueError(f"structure constant on unknown pair ({i},{j})")
             if not self.contains(v):
-                raise Mismatch(f"structure constant value for ({i},{j}) invalid",
-                               value=v)
-        for i in self.labels:
-            for j in self.labels:
-                for k in self.labels:
-                    lhs = self.mul(self.mul(self.basis_vec(i), self.basis_vec(j)), self.basis_vec(k))
-                    rhs = self.mul(self.basis_vec(i), self.mul(self.basis_vec(j), self.basis_vec(k)))
-                    if lhs != rhs:
-                        raise Mismatch(
-                            f"multiplication not associative at ({i},{j},{k})",
-                            lhs=lhs, rhs=rhs,
-                        )
-        if self.unit is not None:
-            for i in self.labels:
-                b = self.basis_vec(i)
-                if self.mul(self.unit, b) != b or self.mul(b, self.unit) != b:
-                    raise Mismatch(f"declared unit is not two-sided at {i}",
-                                   unit=self.unit)
+                raise ValueError(f"structure constant value for ({i},{j}) invalid")
+        b, mul, u = self.basis_vec, self.mul, self.unit
+        laws = []
+        if u is not None:
+            # not identity_morphism, whose cache would keep every algebra alive
+            ida = Morphism(self, self, lambda x: x, "id")
+            left = Morphism(self, self, lambda x: mul(u, x), "u*")
+            right = Morphism(self, self, lambda x: mul(x, u), "*u")
+            laws = [(side, ida, "declared unit is not two-sided", lambda xs: self.basis())
+                    for side in (left, right)]
+        triples = [(i, (j, k)) for i in self.labels for j in self.labels for k in self.labels]
+        replay(laws, 0, 0, [(lambda at, i, jk: mul(mul(b(i), b(jk[0])), b(jk[1])),
+                             lambda at, i, jk: mul(b(i), mul(b(jk[0]), b(jk[1]))),
+                             "multiplication not associative", lambda xs: triples)],
+               sources=[self])
 
 
-class AlgebraMap:
-    """An algebra map between finite-dimensional algebras given on basis,
-    checked for multiplicativity on all basis pairs when built."""
-
-    def __init__(
-        self,
-        source: FinAlgebra,
-        target: FinAlgebra,
-        images: Dict[str, Vec],
-        name: str = "",
-    ) -> None:
-        self.source = source
-        self.target = target
-        self.images = {l: vec(dict(v)) for l, v in images.items()}
-        self.name = name
-        if set(self.images) != set(source.labels):
-            raise ValueError("images must be given on the whole basis")
-        self.validate()
-
-    def apply(self, x: Vec) -> Vec:
-        return self.target.combine((c, (self.images[k],)) for k, c in x)
-
-    def __call__(self, x: Vec) -> Vec:
-        return self.apply(x)
-
-    def validate(self) -> None:
-        for i in self.source.labels:
-            for j in self.source.labels:
-                lhs = self.apply(self.source.mul(self.source.basis_vec(i), self.source.basis_vec(j)))
-                rhs = self.target.mul(self.images[i], self.images[j])
-                if lhs != rhs:
-                    raise Mismatch(f"not multiplicative at ({i},{j})",
-                                   got=lhs, expected=rhs)
+def algebra_map(source: FinAlgebra, target: FinAlgebra, images: Dict[str, Vec],
+                name: str) -> Morphism:
+    """The algebra map x ↦ Σ c·images[k] given on the basis of ``source``,
+    replayed multiplicative on the basis label pairs when built."""
+    images = {l: vec(dict(v)) for l, v in images.items()}
+    if set(images) != set(source.labels):
+        raise ValueError("images must be given on the whole basis")
+    f = Morphism(source, target,
+                 lambda x: target.combine((c, (images[k],)) for k, c in x), name)
+    b = source.basis_vec
+    pairs = [(i, j) for i in source.labels for j in source.labels]
+    replay([], 0, 0, [(lambda at, i, j: f(source.mul(b(i), b(j))),
+                       lambda at, i, j: target.mul(images[i], images[j]),
+                       f"{name} not multiplicative", lambda xs: pairs)],
+           sources=[source])
+    return f
 
 
 # -- built-in algebras ---------------------------------------------------
@@ -230,7 +211,7 @@ BUILTIN_ALGEBRAS = {
 }
 
 
-def product_algebra(B: FinAlgebra, C: FinAlgebra) -> Tuple[FinAlgebra, AlgebraMap, AlgebraMap]:
+def product_algebra(B: FinAlgebra, C: FinAlgebra) -> Tuple[FinAlgebra, Morphism, Morphism]:
     """B × C with componentwise structure constants, plus projections."""
     labels = [f"l.{l}" for l in B.labels] + [f"r.{l}" for l in C.labels]
     table: Dict[Tuple[str, str], Vec] = {}
@@ -244,13 +225,13 @@ def product_algebra(B: FinAlgebra, C: FinAlgebra) -> Tuple[FinAlgebra, AlgebraMa
             (f"r.{k}", c) for k, c in C.unit
         )
     P = FinAlgebra(f"({B.name}x{C.name})", labels, table, unit=unit)
-    pr1 = AlgebraMap(
+    pr1 = algebra_map(
         P, B,
         {**{f"l.{l}": B.basis_vec(l) for l in B.labels},
          **{f"r.{l}": B.zero() for l in C.labels}},
         name="pr1",
     )
-    pr2 = AlgebraMap(
+    pr2 = algebra_map(
         P, C,
         {**{f"l.{l}": C.zero() for l in B.labels},
          **{f"r.{l}": C.basis_vec(l) for l in C.labels}},
@@ -261,7 +242,8 @@ def product_algebra(B: FinAlgebra, C: FinAlgebra) -> Tuple[FinAlgebra, AlgebraMa
 
 # -- algebra file format -------------------------------------------------
 
-_TERM = re.compile(r"^\s*(-?\d+(?:/\d+)?)\s*\*\s*([A-Za-z0-9_.]+)\s*$")
+# a term's sign may stand apart from its coefficient: "- 1*b"
+_TERM = re.compile(r"^\s*(-?)\s*(\d+(?:/\d+)?)\s*\*\s*([A-Za-z0-9_.]+)\s*$")
 
 
 def _parse_combo(text: str, labels: Tuple[str, ...]) -> Vec:
@@ -283,10 +265,10 @@ def _parse_combo(text: str, labels: Tuple[str, ...]) -> Vec:
         if not m:
             raise ValueError(f"cannot parse term {term!r}")
         try:
-            coeff = Fraction(m.group(1))
+            coeff = Fraction(m.group(1) + m.group(2))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in term {term!r}") from None
-        label = m.group(2)
+        label = m.group(3)
         if label not in labels:
             raise ValueError(f"unknown label {label!r}")
         d[label] = d.get(label, 0) + coeff

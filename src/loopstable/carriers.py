@@ -22,8 +22,15 @@ finite-dimensional algebras (:mod:`loopstable.algebras`), polynomial
 function algebras (:mod:`loopstable.funalg`), tensor algebras and
 J-kernels (:mod:`loopstable.tensorj`), and the homotopy carrier ``C[u]``
 (:mod:`loopstable.extensions`); here live the ground field ``RAT``, the
-coefficient carrier of scalar polynomials, and the generic pullback.  This
-module imports nothing from the package.
+coefficient carrier of scalar polynomials, and the generic pullback.
+
+A map between carriers is a :class:`Morphism`, an algebra map of
+:mod:`loopstable.algebras` included; composites are chains of
+:meth:`Morphism.after`.  :func:`replay`, the one caller of
+``Carrier.draws``, checks lists of laws (two morphisms on one source) and
+pair laws (such as additivity) exactly on draws, or at zero samples on
+fixed elements such as a basis, each morphism evaluated once per element.
+This module imports nothing from the package.
 
 A rational coefficient is an ``int``, or a ``Fraction`` when it is not
 integral.  ``hash`` and ``==`` agree across the two types, so canonical
@@ -39,7 +46,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence, Tuple
+from functools import cache
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 
 class Mismatch(ValueError):
@@ -222,3 +230,121 @@ class PullbackCarrier(Carrier):
         if not self.over.can_decide_zero:
             return True
         return self.lmap(l) == self.rmap(r)
+
+
+# -- morphisms -----------------------------------------------------------
+
+
+class Morphism:
+    """A named morphism with exact evaluation semantics.
+
+    The ``name`` is the expression tree in textual form; composites record
+    their constituents.  Equality of morphisms is never decided here — only
+    observational agreement on sampled elements (:func:`replay`).
+    """
+
+    def __init__(self, source: Carrier, target: Carrier, fn: Callable, name: str,
+                 factors: Optional[Tuple["Morphism", "Morphism"]] = None):
+        self.source = source
+        self.target = target
+        self.fn = fn
+        self.name = name
+        self.factors = factors  # (g, f) for the composite g ∘ f of :meth:`after`
+
+    def __call__(self, x):
+        return self.fn(x)
+
+    def after(self, other: "Morphism") -> "Morphism":
+        """The composite self ∘ other.  When one side is the identity of
+        its carrier (``identity_morphism``), the other side is returned
+        itself; a map with an identity function between two different
+        carriers, such as an inclusion, is composed like any other."""
+        if is_identity(other) and other.target is self.source:
+            return self
+        if is_identity(self) and self.source is other.target:
+            return other
+        return Morphism(
+            other.source,
+            self.target,
+            lambda x: self.fn(other.fn(x)),
+            f"({self.name} . {other.name})",
+            (self, other),
+        )
+
+    def named(self, name: str) -> "Morphism":
+        """This map under another name."""
+        return Morphism(self.source, self.target, self.fn, name, self.factors)
+
+    def __repr__(self):
+        return f"<Morphism {self.name}: {self.source.name} -> {self.target.name}>"
+
+
+@cache
+def identity_morphism(car: Carrier) -> Morphism:
+    """id on ``car``, one per carrier (by identity)."""
+    return Morphism(car, car, lambda x: x, f"id[{car.name}]")
+
+
+def is_identity(f: Morphism) -> bool:
+    """Whether ``f`` is :func:`identity_morphism` of its carrier; only an
+    endomorphism is looked up."""
+    return f.source is f.target and f is identity_morphism(f.source)
+
+
+def zero_morphism(source: Carrier, target: Carrier) -> Morphism:
+    return Morphism(source, target, lambda x: target.zero(), "0")
+
+
+def replay(laws: Sequence[tuple], samples: int, seed: int, pairs: Sequence[tuple] = (),
+           sources: Optional[Sequence[Carrier]] = None) -> int:
+    """Replay laws exactly on deterministic draws; returns ``samples``.
+
+    ``sources`` (by default the first law's source) draw ``samples``
+    elements each, the k-th at ``seed + k``, so a carrier listed twice
+    draws two lists xs₀, xs₁.  A law ``(lhs, rhs, what)`` compares two
+    morphisms on each element of xs₀, or of ``on(xs₀, xs₁, …)`` if it has a
+    fourth item ``on``.  Then a pair law ``(lhs, rhs, what)`` compares
+    ``lhs(at, x, y)`` with ``rhs(at, x, y)`` on each pair of xs₀[::2] with
+    xs₀[1::2], or of its own ``on``.  ``at(f, x)`` is ``f(x)`` for a
+    morphism, ``at(g, x, y)`` is ``g(at, x, y)``, and each, like the right
+    factor of each composite of :meth:`Morphism.after`, is evaluated once
+    per element or pair.  The first element or pair i where the sides
+    differ raises ``Mismatch("<what> at sample i")`` naming it ``element``,
+    or ``x`` and ``y``.
+    """
+    for lhs, rhs, *_ in laws:
+        if lhs.source is not rhs.source:
+            raise ValueError(f"{lhs.name} and {rhs.name} have different sources: "
+                             f"{lhs.source.name} and {rhs.source.name}")
+    drawn = [s.draws(samples, seed + k)
+             for k, s in enumerate(sources or [laws[0][0].source])]
+    memo: Dict[tuple, Tuple[tuple, Any]] = {}
+
+    def at(f, *xs):
+        key = (f, *map(id, xs))
+        if key not in memo:  # holding xs keeps their ids their own
+            memo[key] = (xs, f(at, *xs) if not isinstance(f, Morphism) else
+                         f.factors[0].fn(at(f.factors[1], *xs)) if f.factors else f.fn(*xs))
+        return memo[key][1]
+
+    try:
+        for lhs, rhs, what, *on in laws:
+            for i, x in enumerate(on[0](*drawn) if on else drawn[0]):
+                if at(lhs, x) != at(rhs, x):
+                    raise Mismatch(f"{what} at sample {i}", element=x)
+        xs = drawn[0]
+        for lhs, rhs, what, *on in pairs:
+            for i, (x, y) in enumerate(on[0](*drawn) if on else zip(xs[::2], xs[1::2])):
+                if lhs(at, x, y) != rhs(at, x, y):
+                    raise Mismatch(f"{what} at sample {i}", x=x, y=y)
+    finally:
+        memo.clear()  # `at` refers to itself: free the values now, not at the next collection
+    return samples
+
+
+def preserves(f: Morphism, op: str, what: str) -> tuple:
+    """The pair law f(x + y) = f(x) + f(y) for ``op`` "add", "<what> not
+    additive", or f(xy) = f(x)f(y) for "mul", "<what> not multiplicative"."""
+    src_op, tgt_op = getattr(f.source, op), getattr(f.target, op)
+    return (lambda at, x, y: f(src_op(x, y)), lambda at, x, y: tgt_op(at(f, x), at(f, y)),
+            f"{what} not {'additive' if op == 'add' else 'multiplicative'}")

@@ -16,6 +16,7 @@ import sys
 from typing import List, Optional
 
 from .algebras import BUILTIN_ALGEBRAS, parse_algebra_file
+from .carriers import Mismatch
 from .verifier import (
     ALIASES,
     CATALOG,
@@ -96,7 +97,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         name, algebra = _load_algebra(args.algebra)
     except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # an algebra that fails its own laws names the offending values
+        values = e.values if isinstance(e, Mismatch) else {}
+        named = ", ".join(f"{k}={v!r}" for k, v in values.items())
+        print(f"error: {e}" + (f" ({named})" if named else ""), file=sys.stderr)
         return 2
     if args.samples < 0:
         print("error: --samples must be >= 0", file=sys.stderr)

@@ -7,7 +7,7 @@ with their t0-splitting, classifying maps of split extensions, mapping paths
 map into a double mapping path, mapping cylinders, and the three-map tower
 used to rotate composable morphisms, with all accompanying elementary-homotopy
 certificates.  Certificates, validation and the strong-morphism check are
-:func:`~loopstable.tensorj.replay` laws and pair laws.  Each elementary homotopy is
+:func:`~loopstable.carriers.replay` laws and pair laws.  Each elementary homotopy is
 a polynomial substitution h(t, u): read the family's global polynomial
 (:func:`~loopstable.funalg.global_poly`), substitute the images of h
 (:func:`~loopstable.poly.cp_subst`), and split the result by powers of the
@@ -24,7 +24,17 @@ from functools import cache
 from typing import Any, Callable, Dict, List, NamedTuple
 
 from .algebras import FinAlgebra
-from .carriers import RAT, Carrier, Mismatch, PullbackCarrier
+from .carriers import (
+    RAT,
+    Carrier,
+    Mismatch,
+    Morphism,
+    PullbackCarrier,
+    identity_morphism,
+    preserves,
+    replay,
+    zero_morphism,
+)
 from .funalg import (
     Element,
     FunctionAlgebra,
@@ -57,18 +67,13 @@ from .poly import (
 )
 from .simplicial import cube, free_pair, interval_rel_one, path_pair
 from .tensorj import (
-    Morphism,
-    identity_morphism,
     j_kernel,
     j_of,
     omega_map,
     path_splitting,
-    preserves,
     pushforward,
-    replay,
     tensor_algebra,
     word_image,
-    zero_morphism,
 )
 
 class PolyExtension(Carrier):
@@ -477,27 +482,18 @@ def _mapping_path(f: Morphism) -> ExtensionData:
 # -- the comparison map into the double mapping path ----------------------
 
 
-class PhiData(NamedTuple):
-    phi: Morphism
-    mp_f: ExtensionData
-    mp_pi: ExtensionData
-
-
-def phi(f: Morphism) -> PhiData:
+def phi(f: Morphism) -> Morphism:
     """Loops in the target included into the mapping path of the mapping
-    path projection, with zero path component: p ↦ ((p, 0), path-slot 0)."""
+    path projection, with zero path component: p ↦ ((p, 0), path-slot 0).
+    Both mapping paths are ``mapping_path(f)`` and
+    ``mapping_path(mapping_path(f).pi)``, built once each."""
     mp_f = mapping_path(f)
-    mp_pi = mapping_path(mp_f.pi)
-    car = mp_pi.mid
+    car = mapping_path(mp_f.pi).mid
 
     def fn(p):
         return car.make(car.left.zero(), mp_f.iota(p))
 
-    return PhiData(
-        phi=Morphism(mp_f.kernel, car, fn, f"phi[{f.name}]"),
-        mp_f=mp_f,
-        mp_pi=mp_pi,
-    )
+    return Morphism(mp_f.kernel, car, fn, f"phi[{f.name}]")
 
 
 def tr2_certificate(f: Morphism) -> HomotopyCertificate:
@@ -505,10 +501,11 @@ def tr2_certificate(f: Morphism) -> HomotopyCertificate:
     mapping path is elementarily homotopic to the comparison map composed
     with the pushforward of the reversed loop:
     H(q) = (q(1−(1−t)(1−u)), (f(q((1−t)u)), q(u)))."""
-    ph = phi(f)
+    mp_f = mapping_path(f)
+    mp_pi = mapping_path(mp_f.pi)
     Bc = f.target
-    loopA = ph.mp_pi.kernel
-    Pf, Ppi = ph.mp_f.mid, ph.mp_pi.mid
+    loopA = mp_pi.kernel
+    Pf, Ppi = mp_f.mid, mp_pi.mid
     PA, PB = Ppi.left, Pf.left
     px = PolyExtension(Ppi)
 
@@ -522,8 +519,8 @@ def tr2_certificate(f: Morphism) -> HomotopyCertificate:
     link = Morphism(loopA, px, H, "rotation-interpolation")
     return HomotopyCertificate(
         name=f"rotation[{f.name}]",
-        left=ph.mp_pi.iota,
-        right=ph.phi.after(pushforward(f, loopA)).after(omega_map(loopA))
+        left=mp_pi.iota,
+        right=phi(f).after(pushforward(f, loopA)).after(omega_map(loopA))
         .named(f"phi∘{f.name}*∘rev"),
         chain=[link],
     )

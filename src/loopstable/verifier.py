@@ -2,7 +2,7 @@
 
 Each check replays one construction of the engine — presentations,
 composition laws, exchange morphisms, classifying maps, homotopy
-certificates — exactly, through :func:`~loopstable.tensorj.replay`: on
+certificates — exactly, through :func:`~loopstable.carriers.replay`: on
 deterministic samples, or, for a law on the basis, on the basis vectors
 or basis label pairs at zero samples.  A check either passes, fails with a
 replayable counterexample, is skipped (zero samples), or reports NOT-FOUND
@@ -18,13 +18,16 @@ import json
 import time
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .algebras import (
-    AlgebraMap,
-    FinAlgebra,
-    dual_numbers,
-    rationals,
+from .algebras import FinAlgebra, algebra_map, dual_numbers, rationals
+from .carriers import (
+    Carrier,
+    Mismatch,
+    Morphism,
+    identity_morphism,
+    preserves,
+    replay,
+    zero_morphism,
 )
-from .carriers import Carrier, Mismatch
 from .extensions import (
     PolyExtension,
     alternate_path_splitting,
@@ -67,9 +70,7 @@ from .kkcat import (
 from .poly import qp_var
 from .simplicial import cube, free_pair, interval_halves, interval_rel_one, point
 from .tensorj import (
-    Morphism,
     curvature,
-    identity_morphism,
     j_kernel,
     j_of,
     j_of_n,
@@ -77,10 +78,7 @@ from .tensorj import (
     lambda_,
     mu_map,
     omega_map,
-    preserves,
     pushforward,
-    replay,
-    zero_morphism,
 )
 
 PASS = "PASS"
@@ -182,8 +180,7 @@ FROZEN_PRODUCTS: Dict[str, Dict[Tuple[str, str], Tuple]] = {
 def _dual_to_q() -> Tuple[FinAlgebra, FinAlgebra, Morphism]:
     B = dual_numbers()
     Q = rationals()
-    g = AlgebraMap(B, Q, {"1": Q.basis_vec("1"), "x": Q.zero()})
-    return B, Q, Morphism(B, Q, g.apply, "aug")
+    return B, Q, algebra_map(B, Q, {"1": Q.basis_vec("1"), "x": Q.zero()}, "aug")
 
 
 def _ev(fa: FunctionAlgebra, t) -> Morphism:

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from loopstable.algebras import (
     BUILTIN_ALGEBRAS,
-    AlgebraMap,
     FinAlgebra,
+    algebra_map,
     dual_numbers,
     format_algebra_file,
     parse_algebra_file,
@@ -84,11 +84,19 @@ def test_signs_split_terms_but_not_coefficients():
                            "b*a = -b + 2*b\nb*b = 1*a -1*a\n")
     assert A.table == {("a", "a"): (("a", 1),), ("a", "b"): (("b", 1),),
                        ("b", "a"): (("b", 1),)}
+    # a space may stand between a term's minus sign and its coefficient:
+    # a·a = −2/3·b with a·b = b·a = b·b = 0, and the dual numbers on
+    # a = 1 + 4x, b = 1/2 + x
+    A = parse_algebra_file("basis: a b\na*a = -  2/3*b\n")
+    assert A.table == {("a", "a"): (("b", Fraction(-2, 3)),)}
+    A = parse_algebra_file("basis: a b\nunit: -1*a + 4*b\na*a = 3*a - 4*b\n"
+                           "a*b = 1*a - 1*b\nb*a = 1*a - 1*b\nb*b = 1/4*a\n")
+    assert A.table[("a", "b")] == A.table[("b", "a")] == (("a", 1), ("b", -1))
 
 
 def test_every_algebra_map_is_checked_multiplicative():
     B, Q = dual_numbers(), rationals()
     one = Q.basis_vec("1")
-    assert AlgebraMap(B, Q, {"1": one, "x": Q.zero()}).apply(B.basis_vec("1")) == one
+    assert algebra_map(B, Q, {"1": one, "x": Q.zero()}, "aug")(B.basis_vec("1")) == one
     with pytest.raises(ValueError, match="not multiplicative"):
-        AlgebraMap(B, Q, {"1": one, "x": one})  # x*x = 0 but 1*1 = 1
+        algebra_map(B, Q, {"1": one, "x": one}, "aug")  # x*x = 0 but 1*1 = 1

@@ -19,18 +19,12 @@ from fractions import Fraction as F
 import pytest
 
 from loopstable.algebras import FinAlgebra, dual_numbers, m2q, parse_algebra_file
-from loopstable.carriers import RAT, PullbackCarrier, Rationals
+from loopstable.carriers import RAT, PullbackCarrier, Rationals, identity_morphism
 from loopstable.extensions import PolyExtension, mapping_path
 from loopstable.funalg import FunctionAlgebra, function_algebra, sample_element
 from loopstable.poly import cp_norm
 from loopstable.simplicial import cube, free_pair
-from loopstable.tensorj import (
-    JKernel,
-    TensorAlgebra,
-    identity_morphism,
-    j_tower,
-    tensor_algebra,
-)
+from loopstable.tensorj import JKernel, TensorAlgebra, j_tower, tensor_algebra
 
 # both have integral structure constants
 ALGEBRAS = {"dual": dual_numbers(), "m2q": m2q()}

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from loopstable.algebras import AlgebraMap, dual_numbers, product_algebra, rationals
-from loopstable.carriers import Mismatch
+from loopstable.algebras import algebra_map, dual_numbers, product_algebra, rationals
+from loopstable.carriers import Mismatch, Morphism, identity_morphism
 from loopstable.extensions import (
     ExtensionData,
     HomotopyCertificate,
@@ -45,9 +45,7 @@ from loopstable.funalg import (
 from loopstable.poly import qp_var
 from loopstable.simplicial import cube, free_pair, interval_rel_one, path_pair
 from loopstable.tensorj import (
-    Morphism,
     curvature,
-    identity_morphism,
     lambda_,
     sample_j_element,
     tensor_algebra,
@@ -62,13 +60,11 @@ V0, V1, EDGE = ((0,),), ((1,),), ((0,), (1,))
 
 
 def _g_map():
-    g = AlgebraMap(B, Q, {"1": Q.basis_vec("1"), "x": Q.zero()})
-    return Morphism(B, Q, g.apply, "g")
+    return algebra_map(B, Q, {"1": Q.basis_vec("1"), "x": Q.zero()}, "g")
 
 
 def _a_map():
-    a = AlgebraMap(Q, B, {"1": B1})
-    return Morphism(Q, B, a.apply, "a")
+    return algebra_map(Q, B, {"1": B1}, "a")
 
 
 class TestUniversalExtension:
@@ -267,14 +263,17 @@ class TestPhi:
     def test_formula_and_projection(self):
         gm = _g_map()
         ph = phi(gm)
+        mp_f = mapping_path(gm)
+        mp_pi = mapping_path(mp_f.pi)
+        assert ph.source is mp_f.kernel and ph.target is mp_pi.mid
         rng = random.Random(12)
         for _ in range(8):
-            p = sample_element(ph.mp_f.kernel, rng)
-            z = ph.phi(p)
+            p = sample_element(mp_f.kernel, rng)
+            z = ph(p)
             # the path component is zero ...
-            assert ph.mp_pi.mid.left.is_zero(z[0])
+            assert mp_pi.mid.left.is_zero(z[0])
             # ... and the double projection recovers the loop inclusion
-            assert ph.mp_pi.pi(z) == ph.mp_f.iota(p)
+            assert mp_pi.pi(z) == mp_f.iota(p)
 
 
 class TestCertificates:
@@ -520,13 +519,13 @@ class TestExtensionInvariants:
         E = make_extension(
             kernel=B, mid=P, quotient=B,
             iota=Morphism(B, P, lambda a: tuple((f"l.{k}", c) for k, c in a), "inl"),
-            pi=Morphism(P, B, p2.apply, "pr2"),
+            pi=p2,
             s=Morphism(B, P, lambda a: tuple((f"r.{k}", c) for k, c in a), "inr"),
-            name="BxB", into_kernel=p1.apply,
+            name="BxB", into_kernel=p1,
         )
         ids = (identity_morphism(B), identity_morphism(P), identity_morphism(B))
         ms = []
-        pi = Morphism(P, B, lambda m: ms.append(m) or p2.apply(m), "pr2")
+        pi = Morphism(P, B, lambda m: ms.append(m) or p2(m), "pr2")
         assert strong_morphism_check(E, E._replace(pi=pi), *ids, samples=3, seed=2) == 3
         xs, qs = B.draws(3, 2), B.draws(3, 3)
         assert xs != qs

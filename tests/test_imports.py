@@ -143,3 +143,32 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
     ).stdout.split()
     assert "loopstable.verifier" in out
     assert {"dataclasses", "inspect"}.isdisjoint(out)
+
+
+def package_imports(source: str) -> set:
+    """The modules of ``loopstable`` that ``source`` imports, relatively or
+    by the package name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [("loopstable." if node.level else "") + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found.update(n.removeprefix("loopstable.") for n in names if n.startswith("loopstable"))
+    return found
+
+
+def test_carriers_and_algebras_stay_below_the_tensor_layer():
+    # carriers holds the protocol, morphisms and replay, so an algebra map
+    # is a Morphism without the tensor layer
+    read = lambda name: (SRC / f"{name}.py").read_text(encoding="utf-8")
+    assert package_imports(read("carriers")) == set()
+    assert package_imports(read("algebras")) == {"carriers", "poly"}
+
+
+def test_detects_a_package_import():
+    src = ("import os\nfrom .poly import cp_add\nfrom loopstable.tensorj import j_of\n"
+           "import loopstable.funalg\nfrom typing import Any\n")
+    assert package_imports(src) == {"poly", "tensorj", "funalg"}

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from loopstable.algebras import dual_numbers, square_zero
-from loopstable.carriers import RAT
+from loopstable.carriers import RAT, Morphism, identity_morphism
 from loopstable.extensions import (
     G_SHRINK,
     SQUARE_SHRINK,
@@ -40,7 +40,7 @@ from loopstable.poly import (
     qp_var,
 )
 from loopstable.simplicial import cube
-from loopstable.tensorj import Morphism, identity_morphism, tensor_algebra
+from loopstable.tensorj import tensor_algebra
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ALGEBRAS = {"dual": dual_numbers(), "sq0": square_zero()}
@@ -171,7 +171,7 @@ def test_tr4_tower_of_identities_builds_two_mapping_paths():
     code = """
 from loopstable.algebras import dual_numbers
 from loopstable.extensions import _mapping_path, mapping_path, tr4_tower
-from loopstable.tensorj import identity_morphism
+from loopstable.carriers import identity_morphism
 ida = identity_morphism(dual_numbers())
 before = _mapping_path.cache_info().misses
 tw = tr4_tower(ida, ida)

@@ -5,13 +5,14 @@ import random
 import pytest
 
 from loopstable.algebras import (
-    AlgebraMap,
     FinAlgebra,
+    algebra_map,
     dual_numbers,
     product_algebra,
     rationals,
     square_zero,
 )
+from loopstable.carriers import Morphism, identity_morphism, zero_morphism
 from loopstable.extensions import path_extension
 from loopstable.funalg import function_algebra, mu, omega, sample_element
 from loopstable.kkcat import (
@@ -27,15 +28,7 @@ from loopstable.kkcat import (
     swap_pullback,
 )
 from loopstable.simplicial import cube
-from loopstable.tensorj import (
-    Morphism,
-    identity_morphism,
-    j_kernel,
-    j_of,
-    kappa,
-    lambda_,
-    zero_morphism,
-)
+from loopstable.tensorj import j_kernel, j_of, kappa, lambda_
 
 B = dual_numbers()
 Q = rationals()
@@ -44,13 +37,11 @@ LAM = lambda_(B)
 
 
 def _a_map():
-    a = AlgebraMap(Q, B, {"1": B.basis_vec("1")})
-    return Morphism(Q, B, a.apply, "a")
+    return algebra_map(Q, B, {"1": B.basis_vec("1")}, "a")
 
 
 def _g_map():
-    g = AlgebraMap(B, Q, {"1": Q.basis_vec("1"), "x": Q.zero()})
-    return Morphism(B, Q, g.apply, "g")
+    return algebra_map(B, Q, {"1": Q.basis_vec("1"), "x": Q.zero()}, "g")
 
 
 class TestHoms:

@@ -20,9 +20,9 @@ def mismatches(source: str):
 
 def test_every_mismatch_names_an_offending_value():
     calls = {p.name: mismatches(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
-    # the algebra, extension and certificate validators and the check
+    # replay, the extension and certificate validators and the check
     # bodies all fail through the one class
-    for module in ("algebras.py", "extensions.py", "verifier.py"):
+    for module in ("carriers.py", "extensions.py", "verifier.py"):
         assert calls[module], module
     valueless = [(name, line) for name, found in calls.items()
                  for line, n in found if n == 0]

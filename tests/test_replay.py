@@ -1,4 +1,4 @@
-"""``tensorj.replay``, the one comparison of every sampled law: its list
+"""``carriers.replay``, the one comparison of every sampled law: its list
 and pairwise forms, its draws, and what the catalog evaluates through it."""
 
 from collections import Counter
@@ -7,15 +7,8 @@ import pytest
 
 from loopstable import extensions, tensorj, verifier
 from loopstable.algebras import dual_numbers, rationals
-from loopstable.carriers import Mismatch
-from loopstable.tensorj import (
-    Morphism,
-    identity_morphism,
-    j_kernel,
-    lambda_,
-    preserves,
-    replay,
-)
+from loopstable.carriers import Mismatch, Morphism, identity_morphism, preserves, replay
+from loopstable.tensorj import j_kernel, lambda_
 
 B = dual_numbers()
 J = j_kernel(B)

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from loopstable.algebras import BUILTIN_ALGEBRAS, AlgebraMap, dual_numbers, m2q, rationals
-from loopstable.carriers import Mismatch
+from loopstable.algebras import BUILTIN_ALGEBRAS, algebra_map, dual_numbers, m2q, rationals
+from loopstable.carriers import Mismatch, Morphism, identity_morphism, replay
 from loopstable.extensions import PolyExtension
 from loopstable.funalg import (
     apply_to_coefficients,
@@ -21,9 +21,7 @@ from loopstable.funalg import (
 )
 from loopstable.simplicial import cube
 from loopstable.tensorj import (
-    Morphism,
     curvature,
-    identity_morphism,
     j_kernel,
     j_of,
     j_of_n,
@@ -33,7 +31,6 @@ from loopstable.tensorj import (
     lambda_,
     mu_map,
     pushforward,
-    replay,
     tensor_algebra,
     word_image,
 )
@@ -228,19 +225,16 @@ class TestJFunctor:
             assert jid(x) == x
 
     def test_curvature_naturality(self):
-        g = AlgebraMap(B, Q, {"1": Q.basis_vec("1"), "x": Q.zero()})
-        gm = Morphism(B, Q, g.apply, "g")
-        jg = j_of(gm)
+        g = algebra_map(B, Q, {"1": Q.basis_vec("1"), "x": Q.zero()}, "g")
+        jg = j_of(g)
         for a in B.basis():
             for b in B.basis():
                 assert jg(curvature(B, a, b)) == curvature(Q, g(a), g(b))
 
     def test_functoriality(self):
-        f = AlgebraMap(Q, B, {"1": B1})
-        g = AlgebraMap(B, Q, {"1": Q.basis_vec("1"), "x": Q.zero()})
-        fm = Morphism(Q, B, f.apply, "f")
-        gm = Morphism(B, Q, g.apply, "g")
-        gf = Morphism(Q, Q, lambda x: g.apply(f.apply(x)), "gf")
+        fm = algebra_map(Q, B, {"1": B1}, "f")
+        gm = algebra_map(B, Q, {"1": Q.basis_vec("1"), "x": Q.zero()}, "g")
+        gf = Morphism(Q, Q, lambda x: gm(fm(x)), "gf")
         lhs = j_of(gf)
         rhs = j_of(gm).after(j_of(fm))
         for x in j_kernel(Q).draws(10, 7):
@@ -372,8 +366,7 @@ class TestReplay:
 
 class TestMorphismForms:
     def test_pushforward_needs_coefficients_in_the_source(self):
-        g = AlgebraMap(B, Q, {"1": Q.basis_vec("1"), "x": Q.zero()})
-        aug = Morphism(B, Q, g.apply, "aug")
+        aug = algebra_map(B, Q, {"1": Q.basis_vec("1"), "x": Q.zero()}, "aug")
         fa = function_algebra(B, S1, 0)
         assert pushforward(aug, fa).target is function_algebra(Q, S1, 0)
         with pytest.raises(ValueError, match="coefficients"):

@@ -12,17 +12,16 @@ import pytest
 from loopstable import cli, kkcat, tensorj, verifier
 from loopstable.algebras import (
     BUILTIN_ALGEBRAS,
-    FinAlgebra,
     dual_numbers,
     format_algebra_file,
     parse_algebra_file,
     rationals,
 )
-from loopstable.carriers import RAT
+from loopstable.carriers import RAT, Morphism
 from loopstable.funalg import concatenate, function_algebra, make_element, omega, transition
 from loopstable.poly import cp_norm
 from loopstable.simplicial import cube
-from loopstable.tensorj import JKernel, Morphism, j_kernel, kappa, omega_map
+from loopstable.tensorj import JKernel, j_kernel, kappa, omega_map
 from loopstable.verifier import (
     CATALOG,
     CheckConfig,
@@ -159,13 +158,8 @@ def _reversed_after(k):
 
 class TestFalsification:
     def test_corrupted_structure_constant_detected(self):
-        one = Fraction(1)
-        corrupt = FinAlgebra(
-            "Q[x]/(x^2)", ["1", "x"],
-            {("1", "1"): (("1", one),), ("1", "x"): (("x", one),),
-             ("x", "1"): (("x", one),), ("x", "x"): (("1", one),)},
-            unit=(("1", one),), validate=False,
-        )
+        corrupt = dual_numbers()
+        corrupt.table[("x", "x")] = (("1", 1),)  # x·x = 1: associative, not dual
         r = run_check(
             "lambda-curvature-formula",
             _cfg(algebra=corrupt, algebra_name="dual"),
@@ -181,13 +175,8 @@ class TestFalsification:
         assert set(r.counterexample) == CE_KEYS | {"x", "y"}
 
     def test_nonassociative_corruption_detected(self):
-        one = Fraction(1)
-        corrupt = FinAlgebra(
-            "Q[x]/(x^2)", ["1", "x"],
-            {("1", "1"): (("1", one),), ("1", "x"): (("x", one),),
-             ("x", "1"): (("1", one),)},  # x·1 broken
-            unit=(("1", one),), validate=False,
-        )
+        corrupt = dual_numbers()
+        corrupt.table[("x", "1")] = (("1", 1),)  # x·1 broken
         r = run_check("tr2-homotopy", _cfg(algebra=corrupt))
         assert r.status == "FAIL" and r.counterexample is not None
         assert set(r.counterexample) > CE_KEYS
@@ -412,7 +401,8 @@ class TestCLI:
         p.write_text("basis: a b\na*a = 1*b\nb*a = 1*a\n")
         assert cli.main(["--algebra", f"file:{p}", "--samples", "0"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: multiplication not associative at (a,a,a)\n"
+        # (a·a)·a = b·a = a but a·(a·a) = a·b = 0, named by its labels
+        assert err == "error: multiplication not associative at sample 0 (x='a', y=('a', 'a'))\n"
 
     def test_exit_one_on_failure(self, monkeypatch):
         monkeypatch.setattr(kkcat, "crossing_sign", lambda n2, n3: 1)
