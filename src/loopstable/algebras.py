@@ -246,15 +246,19 @@ def product_algebra(B: FinAlgebra, C: FinAlgebra) -> Tuple[FinAlgebra, Morphism,
 _TERM = re.compile(r"^\s*(-?)\s*(\d+(?:/\d+)?)\s*\*\s*([A-Za-z0-9_.]+)\s*$")
 
 
-def _parse_combo(text: str, labels: Tuple[str, ...]) -> Vec:
+def _parse_combo(text: str, labels: Tuple[str, ...], line: str) -> Vec:
+    """The vector ``text`` spells on ``labels``; an empty term, or an empty
+    ``text``, is an error naming ``line``.  The zero vector is ``0``."""
     d: Dict[str, Any] = {}
     text = text.strip()
     if text == "0":
         return ()
+    if not all(chunk.strip() for chunk in text.split("+")):
+        raise ValueError(f"empty term in {line!r}")
     # a term ends at each + and before each - that does not follow * or /
     for term in re.split(r"\+|(?<![*/])(?=-)", text):
         term = term.strip()
-        if not term:
+        if not term:  # what the split leaves before a leading -
             continue
         part = term
         if part.startswith("-") and "*" not in part:
@@ -292,7 +296,7 @@ def parse_algebra_file(text: str) -> FinAlgebra:
     """
     name = "unnamed"
     labels: Tuple[str, ...] = ()
-    unit_text: Optional[str] = None
+    unit: Optional[Tuple[str, str]] = None  # (line, right-hand side)
     products: Dict[Tuple[str, str], Tuple[str, str]] = {}
     headers = set()
     for raw in text.splitlines():
@@ -309,7 +313,7 @@ def parse_algebra_file(text: str) -> FinAlgebra:
             elif header == "basis":
                 labels = tuple(rest.split())
             else:
-                unit_text = rest
+                unit = (line, rest)
         elif "=" in line:
             lhs, rhs = line.split("=", 1)
             if "*" not in lhs:
@@ -326,9 +330,9 @@ def parse_algebra_file(text: str) -> FinAlgebra:
     for (i, j), (line, rhs) in products.items():
         if i not in labels or j not in labels:
             raise ValueError(f"unknown labels in {line!r}")
-        table[(i, j)] = _parse_combo(rhs, labels)
-    unit = None if unit_text is None else _parse_combo(unit_text, labels)
-    return FinAlgebra(name, labels, table, unit=unit)
+        table[(i, j)] = _parse_combo(rhs, labels, line)
+    return FinAlgebra(name, labels, table,
+                      unit=None if unit is None else _parse_combo(unit[1], labels, unit[0]))
 
 
 def format_algebra_file(A: FinAlgebra) -> str:

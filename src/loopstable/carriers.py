@@ -144,9 +144,6 @@ class Rationals(Carrier):
     def scale(self, a, x):
         return a * x
 
-    def mul(self, x, y):
-        return x * y
-
     def combine(self, terms):
         s = 0
         for a, xs in terms:

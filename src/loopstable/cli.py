@@ -17,13 +17,7 @@ from typing import List, Optional
 
 from .algebras import BUILTIN_ALGEBRAS, parse_algebra_file
 from .carriers import Mismatch
-from .verifier import (
-    ALIASES,
-    CATALOG,
-    CheckConfig,
-    UnknownCheckError,
-    run_suite,
-)
+from .verifier import CATALOG, CheckConfig, UnknownCheckError, run_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,10 +82,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        lines = [f"{cid:28s} {entry.description}" for cid, entry in CATALOG.items()]
-        lines += [f"{alias:28s} (alias for {target})"
-                  for alias, target in sorted(ALIASES.items())]
-        _print("\n".join(lines))
+        _print("\n".join(f"{cid:28s} {entry.description}"
+                          for cid, entry in CATALOG.items()))
         return 0
 
     try:

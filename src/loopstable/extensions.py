@@ -44,7 +44,6 @@ from .funalg import (
     d1,
     function_algebra,
     global_poly,
-    omega,
     poly_family,
     sample_element,
     scalar_algebra,
@@ -257,10 +256,9 @@ def with_splitting(E: ExtensionData, s2: Morphism) -> ExtensionData:
 # -- the universal extension ---------------------------------------------
 
 
-@cache
 def universal_extension(A: Carrier) -> ExtensionData:
-    """J(A) → T(A) → A with the length-one-word splitting, one per carrier
-    (by identity)."""
+    """J(A) → T(A) → A with the length-one-word splitting, validated on
+    each call; T(A) and J(A) themselves are one per carrier."""
     ta = tensor_algebra(A)
     J = j_kernel(A)
     return make_extension(
@@ -557,17 +555,23 @@ def square_contraction_certificate(B: Carrier) -> HomotopyCertificate:
 
 
 class MappingCylinder(NamedTuple):
+    """The mapping cylinder Z[g] of g : B → C as an extension by the
+    mapping path, with the projection onto B, its section and the
+    certificate that section∘pr ≃ id."""
+
     extension: ExtensionData
     pr: Morphism
     section: Morphism
     retract: HomotopyCertificate
-    beta: Morphism
     mp: ExtensionData
 
 
 def mapping_cylinder(g: Morphism) -> MappingCylinder:
     """Pairs (p, b) with p a free path in the target and p(0) = g(b);
-    the evaluation at 1 exhibits an extension by the mapping path of g."""
+    the evaluation at 1 exhibits an extension by the mapping path of g.
+    The projection (p, b) ↦ b and the section b ↦ (g(b), b) are inverse
+    up to the path-scaling homotopy ``retract``, so Z[g] retracts onto
+    B."""
     B, C = g.source, g.target
     mp = mapping_path(g)
     Pg = mp.mid
@@ -618,19 +622,11 @@ def mapping_cylinder(g: Morphism) -> MappingCylinder:
         chain=[Morphism(car, px, H, "path-scale")],
     )
 
-    def beta_fn(p):
-        rev = omega(CI, CI.canon(dict(p)))
-        return car.make(rev, B.zero())
-
-    beta = Morphism(
-        function_algebra(C, interval_rel_one(), 0), car, beta_fn, "p->(p(1-t),0)"
-    )
     return MappingCylinder(
         extension=ext,
         pr=pr,
         section=section,
         retract=retract,
-        beta=beta,
         mp=mp,
     )
 
@@ -639,6 +635,9 @@ def mapping_cylinder(g: Morphism) -> MappingCylinder:
 
 
 class TR4Tower(NamedTuple):
+    """The mapping paths of a and of η : P[b∘a] → P[b], the comparison maps
+    θ, its section and ξ, and the two certificates of :func:`tr4_tower`."""
+
     mp_a: ExtensionData
     mp_eta: ExtensionData
     theta: Morphism
@@ -646,15 +645,15 @@ class TR4Tower(NamedTuple):
     xi: Morphism
     triangle: HomotopyCertificate
     ker_theta_contraction: HomotopyCertificate
-    ker_embed: Morphism
 
 
 def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
     """All comparison maps and homotopies relating the mapping paths of
     a, b and b∘a: the double-path projection θ with its section, the
     shortcut ξ, the two elementary homotopies showing ξ∘θ ≃ projection,
-    and the contraction of ker θ."""
-    A, Bc, C = a.source, a.target, b.target
+    and the contraction of ker θ, the functions on the square vanishing
+    on t ∈ {0,1} and s = 1 (:func:`square_contraction_certificate`)."""
+    Bc, C = a.target, b.target
     c = b.after(a)  # b∘a, or a or b itself when the other is an identity
     mp_a = mapping_path(a)
     mp_b = mapping_path(b)
@@ -718,18 +717,6 @@ def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
         chain=[H1, reversed_link(H2)],
     )
 
-    K = function_algebra(C, path_pair(1), 0)
-
-    def embed_fn(x):
-        # x(t, s) by powers of s
-        per_s = _substitute(global_poly(K, x), (T, U), PC)
-        rho = poly_family(
-            faPPb, tuple(((j,), Pb.make(q, Bc.zero())) for j, q in per_s.items())
-        )
-        return Peta.make(rho, Pc.make(per_s.get(0, PC.zero()), A.zero()))
-
-    ker_embed = Morphism(K, Peta, embed_fn, "square-as-double-path")
-
     return TR4Tower(
         mp_a=mp_a,
         mp_eta=mp_eta,
@@ -738,5 +725,4 @@ def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
         xi=xi,
         triangle=triangle,
         ker_theta_contraction=square_contraction_certificate(C),
-        ker_embed=ker_embed,
     )

@@ -48,9 +48,6 @@ class KKHom(NamedTuple):
     def cod_index(self) -> int:
         return self.target[1] + self.v
 
-    def __call__(self, x):
-        return self.rep(x)
-
 
 def kk_hom(
     source: Obj,

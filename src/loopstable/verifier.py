@@ -615,27 +615,20 @@ CATALOG: Dict[str, CatalogEntry] = {
         check_appendix_m1n1),
 }
 
-ALIASES: Dict[str, str] = {
-    "mu-associativity": "mu-properties-1-4",
-    "clascon": "star-lambda-identities",
-}
-
-
 class UnknownCheckError(ValueError):
     def __init__(self, check_id: str):
-        valid = ", ".join(sorted(list(CATALOG) + list(ALIASES)))
+        valid = ", ".join(sorted(CATALOG))
         super().__init__(f"unknown check id {check_id!r}; valid ids: {valid}")
         self.check_id = check_id
 
 
 def resolve_check_ids(requested: List[str]) -> List[str]:
-    """Expand 'all' and aliases into catalog order; reject unknown ids."""
+    """Expand 'all' into catalog order; reject unknown ids."""
     wanted = set()
     for cid in requested:
         if cid == "all":
             wanted.update(CATALOG)
             continue
-        cid = ALIASES.get(cid, cid)
         if cid not in CATALOG:
             raise UnknownCheckError(cid)
         wanted.add(cid)
@@ -645,8 +638,11 @@ def resolve_check_ids(requested: List[str]) -> List[str]:
 # -- runner ----------------------------------------------------------------
 
 
-def run_check(check_id: str, cfg: CheckConfig) -> CheckResult:
-    check_id = ALIASES.get(check_id, check_id)
+def run_check(check_id: str, cfg: CheckConfig,
+              invalid: Optional[Exception] = None) -> CheckResult:
+    """Run one check on ``cfg.algebra`` as given.  ``invalid`` is what the
+    algebra's validation in :func:`run_suite` raised: it is reported in
+    place of running the check."""
     if check_id not in CATALOG:
         raise UnknownCheckError(check_id)
     if cfg.samples == 0:
@@ -655,8 +651,8 @@ def run_check(check_id: str, cfg: CheckConfig) -> CheckResult:
     ce: Optional[Dict[str, Any]] = None
     with paused_gc():
         try:
-            if isinstance(cfg.algebra, FinAlgebra):
-                cfg.algebra.validate()
+            if invalid is not None:
+                raise invalid
             status, detail = CATALOG[check_id].fn(cfg)
         except Mismatch as e:
             status, detail = FAIL, str(e)
@@ -712,6 +708,15 @@ class Report(NamedTuple):
 
 
 def run_suite(check_ids: List[str], cfg: CheckConfig) -> Report:
-    """Run the requested checks (in catalog order) and assemble a report."""
-    results = [run_check(cid, cfg) for cid in resolve_check_ids(check_ids)]
+    """Validate the configured algebra once, then run the requested checks
+    (in catalog order) and assemble a report.  If the algebra fails its own
+    laws, every check reports that failure and none runs."""
+    ids = resolve_check_ids(check_ids)
+    invalid = None
+    try:
+        if cfg.samples and isinstance(cfg.algebra, FinAlgebra):
+            cfg.algebra.validate()
+    except Exception as e:
+        invalid = e
+    results = [run_check(cid, cfg, invalid) for cid in ids]
     return Report(config=cfg.echo(), results=results)

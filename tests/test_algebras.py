@@ -78,6 +78,16 @@ def test_unparsable_term_is_named_as_written(rhs):
     assert str(e.value) == f"cannot parse term {rhs!r}"
 
 
+@pytest.mark.parametrize("line", [
+    "a*a =", "a*a = 1*a +", "a*a = + 1*a", "a*a = 1*a + + 1*a", "unit:",
+])
+def test_empty_term_is_named_by_its_line(line):
+    with pytest.raises(ValueError) as e:
+        parse_algebra_file(f"basis: a\n{line}\n")
+    assert str(e.value) == f"empty term in {line!r}"
+    assert parse_algebra_file("basis: a\na*a = 0\n").table == {}  # zero is written 0
+
+
 def test_signs_split_terms_but_not_coefficients():
     # the dual numbers, each product written as a sum of signed terms
     A = parse_algebra_file("basis: a b\na*a = 2*a-1*a\na*b = -1/2*b+3/2*b\n"

@@ -1,9 +1,12 @@
 """Every name a ``loopstable`` module or a test module imports is used in
 that module, every public top-level function and class of ``loopstable``
-is reached from the command line or the module-level tables, and the
-command line starts without ``dataclasses`` or ``inspect``."""
+is reached from the command line or the module-level tables, every
+function of ``loopstable`` is entered by the whole catalog and every cache
+hit there (or is allowlisted with a reason), and the command line starts
+without ``dataclasses`` or ``inspect``."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -66,8 +69,8 @@ def test_string_annotation_counts_as_use():
 
 # Public definitions no check reaches, each kept for a stated reason.
 UNREACHED_ALLOWED = {
-    "kkcat.promote": "the colimit structure map, kept for ROADMAP item 4",
-    "kkcat.lambda_rep": "the degree-raising operator, kept for ROADMAP item 4",
+    "kkcat.promote": "the colimit structure map; ROADMAP items 4 and 12 reach it",
+    "kkcat.lambda_rep": "the degree raise behind promote; ROADMAP item 12 reaches it",
     "algebras.format_algebra_file": "the writer half of the algebra file format",
     "algebras.product_algebra": "finite products; generates the round-trip test",
 }
@@ -129,6 +132,137 @@ def test_detects_unreached_definition():
         ),
     }
     assert unreached_definitions(sources) == ["core.Orphan", "core.dead"]
+
+
+# Functions and methods of ``loopstable`` (nested ones included, lambdas
+# not) that the catalog runs of test_every_function_is_entered_and_every_cache_hit
+# never enter, each kept for a stated reason.
+_STUB = "a stub of the carrier protocol, which every carrier overrides"
+_MEMBERSHIP = "membership, the carrier protocol's validation; tests check it"
+UNENTERED_ALLOWED = {
+    **UNREACHED_ALLOWED,
+    "kkcat.swap_pullback": "a pending sign at N >= 2; ROADMAP items 4 and 6 reach it",
+    "kkcat.swap_pullback.vmap": "the vertex map of swap_pullback",
+    "tensorj.TensorAlgebra.basis_vec": "words as a basis; ROADMAP item 14 reaches it",
+    "tensorj.TensorAlgebra.coordinates": "words as a basis; ROADMAP item 14 reaches it",
+    **{f"carriers.Carrier.{m}": _STUB
+       for m in ("zero", "add", "scale", "combine", "contains", "sample")},
+    "carriers.Rationals.sample": "the carrier protocol: a decidable carrier samples",
+    "extensions.PolyExtension.zero": "the carrier protocol of C[u], whose values "
+                                     "a certificate only combines and compares",
+    "extensions.PolyExtension.scale": "the carrier protocol of C[u], as zero",
+    "extensions.PolyExtension.contains": _MEMBERSHIP,
+    "tensorj.TensorAlgebra.contains": _MEMBERSHIP,
+    "tensorj.JKernel.contains": _MEMBERSHIP,
+    "carriers.Carrier.__repr__": "debugging output; no report prints a carrier",
+    "carriers.Morphism.__repr__": "debugging output; no report prints a morphism",
+    "simplicial.SimplicialPair.__eq__": "value equality behind __hash__; the run "
+                                        "looks up each pair by the same object",
+    "verifier.UnknownCheckError.__init__": "an unknown --check id, a CLI path "
+                                           "TestCLI drives",
+}
+
+# The catalog on each algebra at one sample, under a profiler that records
+# every code object entered; prints the exit codes, those code objects and
+# the hits of each module-level cache of loopstable.
+_CATALOG_UNDER_PROFILE = """
+import contextlib, io, json, sys
+entered = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(frame.f_code))
+from loopstable import cli
+codes = []
+for source, form in zip(sys.argv[1::2], sys.argv[2::2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(["--check", "all", "--samples", "1", "--seed", "0",
+                               "--algebra", source, "--format", form]))
+sys.setprofile(None)
+print(json.dumps({
+    "exit": codes,
+    "entered": sorted({(c.co_filename, c.co_firstlineno, c.co_name) for c in entered}),
+    "hits": {f"{name.partition('.')[2]}.{var}": obj.cache_info().hits
+             for name, mod in list(sys.modules.items()) if name.startswith("loopstable.")
+             for var, obj in vars(mod).items()
+             if hasattr(obj, "cache_info") and obj.__module__ == name},
+}))
+"""
+
+# the dual numbers on a = 1 + 4x, b = 1/2 + x, in the file format
+_DUAL_FILE = ("basis: a b\nunit: -1*a + 4*b\na*a = 3*a - 4*b\n"
+              "a*b = 1*a - 1*b\nb*a = 1*a - 1*b\nb*b = 1/4*a\n")
+
+
+def defined_functions(sources):
+    """``(module, first line, name) -> qualified name`` for each ``def`` in
+    ``sources`` (module name -> source text), nested ones included; the
+    first line is that of the first decorator, as in ``co_firstlineno``."""
+    found = {}
+
+    def visit(node, mod, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+            if isinstance(child, ast.FunctionDef):
+                line = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                found[mod, line, child.name] = name
+            visit(child, mod, name)
+
+    for mod, text in sources.items():
+        visit(ast.parse(text), mod, mod)
+    return found
+
+
+def cache_sites(sources):
+    """``module.name`` of each module-level ``@cache`` function and
+    ``name = cache(...)`` in ``sources``; any other use of ``cache`` is
+    ``module:line``, which no module-level cache can match."""
+    sites = set()
+    for mod, text in sources.items():
+        tree = ast.parse(text)
+        named = {}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                named.update({id(d): stmt.name for d in stmt.decorator_list})
+            elif isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call):
+                named[id(stmt.value.func)] = stmt.targets[0].id
+        sites.update(f"{mod}.{named[id(n)]}" if id(n) in named else f"{mod}:{n.lineno}"
+                     for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "cache")
+    return sites
+
+
+def test_every_function_is_entered_and_every_cache_hit(tmp_path):
+    alg = tmp_path / "dual.alg"
+    alg.write_text(_DUAL_FILE, encoding="utf-8")
+    runs = [f"builtin:{a}" for a in ("q", "dual", "sq0", "m2q")]
+    argv = [arg for a in runs for arg in (a, "text")] + [f"file:{alg}", "json"]
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", _CATALOG_UNDER_PROFILE, *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout)
+    assert out["exit"] == [0] * 5
+    entered = {(Path(f).stem, line, name) for f, line, name in out["entered"]
+               if Path(f).parent == SRC}
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    defs = defined_functions(sources)
+    assert sorted(q for key, q in defs.items() if key not in entered) == sorted(UNENTERED_ALLOWED)
+    assert set(out["hits"]) == cache_sites(sources)
+    assert [c for c, hits in out["hits"].items() if not hits] == []
+
+
+def test_detects_defs_and_caches():
+    src = ("from functools import cache\n"
+           "class C:\n    @property\n    def p(self):\n"
+           "        def inner():\n            return 1\n        return lambda: inner\n"
+           "@cache\ndef f():\n    return 0\n"
+           "g = cache(f)\n"
+           "def h():\n    return cache(f)\n")
+    assert defined_functions({"m": src}) == {
+        ("m", 3, "p"): "m.C.p", ("m", 5, "inner"): "m.C.p.inner",
+        ("m", 8, "f"): "m.f", ("m", 12, "h"): "m.h",
+    }
+    assert cache_sites({"m": src}) == {"m.f", "m.g", "m:13"}
 
 
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():

@@ -61,7 +61,7 @@ class TestHoms:
         h = identity_hom(B, 1)
         assert h.dom_index == 0 and h.cod_index == 0
         x = B.basis_vec("x")
-        assert h(x) == x
+        assert h.rep(x) == x
 
 
 class TestDegreeRaising:

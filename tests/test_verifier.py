@@ -12,6 +12,7 @@ import pytest
 from loopstable import cli, kkcat, tensorj, verifier
 from loopstable.algebras import (
     BUILTIN_ALGEBRAS,
+    FinAlgebra,
     dual_numbers,
     format_algebra_file,
     parse_algebra_file,
@@ -88,9 +89,15 @@ class TestCatalog:
         report = run_suite(["all"], _cfg())
         assert [r.check for r in report.results] == list(CATALOG)
 
-    def test_aliases(self):
-        assert resolve_check_ids(["mu-associativity"]) == ["mu-properties-1-4"]
-        assert resolve_check_ids(["clascon"]) == ["star-lambda-identities"]
+    def test_suite_validates_the_algebra_once(self, monkeypatch):
+        cfg = _cfg(samples=1)  # built, and so validated, before counting
+        calls = []
+        validate = FinAlgebra.validate
+        monkeypatch.setattr(FinAlgebra, "validate",
+                            lambda A: calls.append(A) or validate(A))
+        run_suite(["all"], cfg)
+        # the checks build and validate algebras of their own, such as Q
+        assert [A for A in calls if A is cfg.algebra] == [cfg.algebra]
 
     def test_unknown_id(self):
         with pytest.raises(UnknownCheckError):
@@ -177,9 +184,21 @@ class TestFalsification:
     def test_nonassociative_corruption_detected(self):
         corrupt = dual_numbers()
         corrupt.table[("x", "1")] = (("1", 1),)  # x·1 broken
-        r = run_check("tr2-homotopy", _cfg(algebra=corrupt))
+        [r] = run_suite(["tr2-homotopy"], _cfg(algebra=corrupt)).results
         assert r.status == "FAIL" and r.counterexample is not None
         assert set(r.counterexample) > CE_KEYS
+
+    def test_invalid_algebra_fails_every_check_and_runs_none(self, monkeypatch):
+        corrupt = dual_numbers()
+        corrupt.table[("x", "1")] = (("1", 1),)  # x·1 = 1, not x
+        for cid, entry in CATALOG.items():
+            monkeypatch.setitem(CATALOG, cid, entry._replace(fn=None))  # not callable
+        report = run_suite(["all"], _cfg(algebra=corrupt))
+        assert [r.check for r in report.results] == list(CATALOG)
+        for r in report.results:
+            assert (r.status, r.detail) == ("FAIL", "declared unit is not two-sided at sample 1")
+            assert r.counterexample["check"] == r.check
+            assert set(r.counterexample) == CE_KEYS | {"element"}
 
     def test_dropped_sign_detected(self, monkeypatch):
         monkeypatch.setattr(kkcat, "crossing_sign", lambda n2, n3: 1)
@@ -341,6 +360,16 @@ class TestCLI:
         out = capsys.readouterr().out
         for cid in CATALOG:
             assert cid in out
+
+    def test_list_prints_exactly_the_catalog(self, capsys):
+        assert cli.main(["--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(CATALOG)
+        assert len(lines) == 15
+
+    def test_exit_two_on_a_former_alias(self, capsys):
+        assert cli.main(["--check", "clascon"]) == 2
+        assert "unknown check id 'clascon'" in capsys.readouterr().err
 
     def test_exit_zero_on_pass(self):
         assert cli.main(["--check", "star-unit", "--samples", "4"]) == 0
