@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from .algebras import BUILTIN_ALGEBRAS, parse_algebra_file
 from .carriers import Mismatch
-from .verifier import CATALOG, CheckConfig, UnknownCheckError, run_suite
+from .verifier import CATALOG, CheckConfig, resolve_check_ids, run_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,23 +94,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         named = ", ".join(f"{k}={v!r}" for k, v in values.items())
         print(f"error: {e}" + (f" ({named})" if named else ""), file=sys.stderr)
         return 2
-    if args.samples < 0:
-        print("error: --samples must be >= 0", file=sys.stderr)
-        return 2
 
-    cfg = CheckConfig(
-        algebra_name=name,
-        algebra=algebra,
-        samples=args.samples,
-        seed=args.seed,
-    )
-    checks = args.check if args.check else ["all"]
     try:
-        report = run_suite(checks, cfg)
-    except UnknownCheckError as e:
+        cfg = CheckConfig(algebra_name=name, algebra=algebra, samples=args.samples,
+                          seed=args.seed)
+        checks = resolve_check_ids(args.check or ["all"])
+    except ValueError as e:  # a negative sample count or an unknown check id
         print(f"error: {e}", file=sys.stderr)
         return 2
 
+    report = run_suite(checks, cfg)
     _print(report.to_json() if args.format == "json" else report.to_text())
     if report.errored:
         return 3

@@ -2,7 +2,9 @@
 
 Provides: extension records with a validated module splitting, the universal
 extension (counit-kernel inclusion into the tensor algebra), path extensions
-with their t0-splitting, classifying maps of split extensions, mapping paths
+with the one path-splitting constructor b ↦ b·q(t), classifying maps of split
+extensions, the loop classifying map λ as the classifying map of the path
+extension (the loop extension ΩB → PB → B), mapping paths
 (each returned as its split extension loops → P[f] → source), the comparison
 map into a double mapping path, mapping cylinders, and the three-map tower
 used to rotate composable morphisms, with all accompanying elementary-homotopy
@@ -44,7 +46,9 @@ from .funalg import (
     d1,
     function_algebra,
     global_poly,
+    omega_map,
     poly_family,
+    pushforward,
     sample_element,
     scalar_algebra,
     scalar_to_base,
@@ -65,15 +69,7 @@ from .poly import (
     qp_var,
 )
 from .simplicial import cube, free_pair, interval_rel_one, path_pair
-from .tensorj import (
-    j_kernel,
-    j_of,
-    omega_map,
-    path_splitting,
-    pushforward,
-    tensor_algebra,
-    word_image,
-)
+from .tensorj import j_kernel, j_of, tensor_algebra, word_image
 
 class PolyExtension(Carrier):
     """``C[u]``: polynomials in one homotopy variable with C coefficients.
@@ -320,6 +316,17 @@ def naturality_check(E1: ExtensionData, E2: ExtensionData, a: Morphism, c: Morph
 # -- path extensions ------------------------------------------------------
 
 
+def path_splitting(B: Carrier, fa_path: FunctionAlgebra, q: CPoly, label: str) -> Morphism:
+    """b ↦ b·q(t) into functions on (I,{1}), for a scalar polynomial q with
+    q(0) = 1 and q(1) = 0, transitioned to ``fa_path.r``; named
+    ``s[b->b(<label>)]``."""
+    sfa = scalar_algebra(fa_path.pair0, 0)
+    scal = transition_n(sfa, poly_family(sfa, q), fa_path.r)[1]
+    return Morphism(
+        B, fa_path, lambda b: scalar_to_base(fa_path, scal, b), f"s[b->b({label})]"
+    )
+
+
 def path_extension(B: Carrier, r: int = 0) -> ExtensionData:
     """Functions on the interval vanishing at 1, as an extension of B by
     the loops, split by b ↦ b·(1 − t); built once per ``(B, r)``, the
@@ -338,23 +345,17 @@ def _path_extension(B: Carrier, r: int) -> ExtensionData:
         quotient=B,
         iota=Morphism(kernel, mid, lambda x: mid.canon(dict(x)), "incl"),
         pi=Morphism(mid, B, lambda x: d1(mid, x), "ev0"),
-        s=path_splitting(B, mid),
+        s=path_splitting(B, mid, ONE_MINUS_T, "1-t"),
         # the 0 is the dimension of the base cube, as reports have printed it
         name=f"P[0,{B.name}]_{r}",
         into_kernel=lambda y: kernel.canon(dict(y)),
     )
 
 
-def alternate_path_splitting(B: Carrier, fa_path: FunctionAlgebra) -> Morphism:
-    """b ↦ b(1 − t²): a second module splitting of the 0-index path
-    extension, used for splitting-independence interpolation."""
-    sfa = scalar_algebra(free_pair(fa_path.pair0), 0)
-    h = poly_family(sfa, qp_var(1, 1))
-    scal0 = sfa.sub(constant_function(sfa, 1), sfa.mul(h, h))
-    scal = transition_n(sfa, scal0, fa_path.r)[1]
-    return Morphism(
-        B, fa_path, lambda b: scalar_to_base(fa_path, scal, b), "s[b->b(1-t^2)]"
-    )
+def lambda_(B: Carrier) -> Morphism:
+    """λ : J(B) → B^{𝔖_1}, by definition the classifying map of the loop
+    extension ΩB → PB → B, the path extension at r = 0."""
+    return classifying_map(path_extension(B, 0)).named(f"lambda[{B.name}]_0")
 
 
 def splitting_homotopy(E: ExtensionData, s2: Morphism) -> "HomotopyCertificate":
@@ -440,7 +441,7 @@ def _mapping_path(f: Morphism) -> ExtensionData:
     A, Bc = f.source, f.target
     PB = function_algebra(Bc, interval_rel_one(), 0)
     loop = function_algebra(Bc, cube(1), 0)
-    s_path = path_splitting(Bc, PB)
+    s_path = path_splitting(Bc, PB, ONE_MINUS_T, "1-t")
 
     def sample(rng):
         a = A.sample(rng)
@@ -635,14 +636,14 @@ def mapping_cylinder(g: Morphism) -> MappingCylinder:
 
 
 class TR4Tower(NamedTuple):
-    """The mapping paths of a and of η : P[b∘a] → P[b], the comparison maps
-    θ, its section and ξ, and the two certificates of :func:`tr4_tower`."""
+    """The mapping paths of a and of η : P[b∘a] → P[b], the comparison map
+    θ and its section, and the two certificates of :func:`tr4_tower`; the
+    shortcut ξ lives inside the left end of ``triangle``."""
 
     mp_a: ExtensionData
     mp_eta: ExtensionData
     theta: Morphism
     section_theta: Morphism
-    xi: Morphism
     triangle: HomotopyCertificate
     ker_theta_contraction: HomotopyCertificate
 
@@ -722,7 +723,6 @@ def tr4_tower(a: Morphism, b: Morphism) -> TR4Tower:
         mp_eta=mp_eta,
         theta=theta,
         section_theta=section_theta,
-        xi=xi,
         triangle=triangle,
         ker_theta_contraction=square_contraction_certificate(C),
     )

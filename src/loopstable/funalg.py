@@ -17,10 +17,14 @@ carriers on the same cube.
 
 Provides restriction (pullback along simplicial maps), the transition map
 (pullback along the last-vertex map), the multiplication morphisms μ onto
-the flat cube, path concatenation, the reversal ω, deterministic samples,
-and the global-polynomial presentation of families on a flat cube at r = 0
-(:func:`global_poly` and its inverse :func:`poly_family`), through which
-every elementary homotopy is a polynomial substitution.
+the flat cube, path concatenation, the reversal ω, change of coefficients,
+deterministic samples, and the global-polynomial presentation of families
+on a flat cube at r = 0 (:func:`global_poly` and its inverse
+:func:`poly_family`), through which every elementary homotopy is a
+polynomial substitution.  Change of coefficients, μ and ω also come as
+:class:`~loopstable.carriers.Morphism` (:func:`pushforward`,
+:func:`mu_map`, :func:`omega_map`), so every composite is a chain of
+``Morphism.after``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from functools import cache, reduce
 from operator import add
 from typing import Any, Dict, Tuple
 
-from .carriers import RAT, Carrier
+from .carriers import RAT, Carrier, Morphism
 from .poly import (
     CPoly,
     ONE_MINUS_T,
@@ -292,6 +296,11 @@ def mu(outer: FunctionAlgebra, x: Element) -> Tuple[FunctionAlgebra, Element]:
     return target, target.canon(parts)
 
 
+def mu_map(outer: FunctionAlgebra) -> Morphism:
+    """The flattening μ on ``outer``, onto the flat cube of its plan."""
+    return Morphism(outer, mu_plan(outer)[0], lambda x: mu(outer, x)[1], "mu")
+
+
 # -- interval structure: endpoints, ω, concatenation ---------------------
 
 
@@ -342,6 +351,11 @@ def omega(fa: FunctionAlgebra, x: Element) -> Element:
     return pullback_along(fa, x, rev, fa)
 
 
+def omega_map(fa: FunctionAlgebra) -> Morphism:
+    """The reversal ω of a one-coordinate function algebra."""
+    return Morphism(fa, fa, lambda x: omega(fa, x), "rev")
+
+
 def concatenate(fa: FunctionAlgebra, x: Element, y: Element) -> Tuple[FunctionAlgebra, Element]:
     """Concatenation of interval families: x on the first half, the
     reversal of y on the second; requires d₀(x) = d₁(y)."""
@@ -382,6 +396,16 @@ def apply_to_coefficients(
     """
     tgt = function_algebra(tgt_base, src.pair0, src.r)
     return tgt.canon({b: cp_map_coeffs(tgt_base, p, fn) for b, p in x})
+
+
+def pushforward(f: Morphism, fa: FunctionAlgebra) -> Morphism:
+    """Change of coefficients along ``f``: fa → f.target^{(pair)}_r, where
+    ``fa`` has coefficients in ``f.source``."""
+    if fa.base is not f.source:
+        raise ValueError(f"{fa.name} does not have coefficients in {f.source.name}")
+    tgt = function_algebra(f.target, fa.pair0, fa.r)
+    return Morphism(fa, tgt, lambda x: apply_to_coefficients(fa, x, f.target, f),
+                    f"{f.name}*")
 
 
 # -- scalar families, samples, make_element ------------------------------

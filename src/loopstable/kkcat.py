@@ -13,10 +13,10 @@ constructors: mapping-path triangles and extension triangles.
 from typing import NamedTuple, Tuple
 
 from .carriers import Carrier, Morphism, identity_morphism
-from .extensions import ExtensionData, classifying_map, mapping_path
-from .funalg import FunctionAlgebra, pullback_along
+from .extensions import ExtensionData, classifying_map, lambda_, mapping_path
+from .funalg import FunctionAlgebra, mu_map, omega_map, pullback_along, pushforward
 from .simplicial import SimplicialMap
-from .tensorj import j_of_n, kappa, lambda_, mu_map, omega_map, pushforward
+from .tensorj import j_of_n, kappa
 
 INDEX_BOUND = 2
 J_DEPTH_BOUND = 3

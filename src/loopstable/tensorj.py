@@ -1,4 +1,4 @@
-"""Nonunital tensor algebras, counit kernels, and classifying-map machinery.
+"""Nonunital tensor algebras, counit kernels, J and the exchange maps κ.
 
 Two flavors of tensor carrier share one element shape
 ``((word, coefficient), ...)``, a sparse combination of words over the
@@ -24,12 +24,10 @@ an ideal of T(A) with T's arithmetic — that adds only its membership test
 On top of these live the counit ``η`` (multiply the letters), the module
 splitting ``σ``, curvature elements ``σ(a)σ(b) − σ(ab)``, the kernel
 functor ``J`` on objects and morphisms, the word-map evaluation behind
-classifying maps, the loop classifying map ``λ``, and the exchange maps
-``κ^{n,m}``, each a :class:`~loopstable.carriers.Morphism`.  Change of
-coefficients, the flattening μ and the reversal ω of
-:mod:`loopstable.funalg` come as morphisms too (:func:`pushforward`,
-:func:`mu_map`, :func:`omega_map`), so every composite is a chain of
-``Morphism.after``.
+classifying maps (:func:`word_image`), and the exchange maps
+``κ^{n,m}``, each a :class:`~loopstable.carriers.Morphism`.  The loop
+classifying map λ is the classifying map of the path extension, in
+:mod:`loopstable.extensions`.
 """
 
 from __future__ import annotations
@@ -40,20 +38,9 @@ from functools import cache, reduce
 from typing import Any, Callable, Dict, List, Tuple, Union
 
 from .carriers import RAT, Carrier, Morphism, identity_morphism
-from .funalg import (
-    FunctionAlgebra,
-    apply_to_coefficients,
-    function_algebra,
-    mu,
-    mu_plan,
-    omega,
-    poly_family,
-    scalar_algebra,
-    scalar_to_base,
-    transition_n,
-)
-from .poly import ONE_MINUS_T, cp_add, cp_norm, cp_scale
-from .simplicial import cube, interval_rel_one
+from .funalg import apply_to_coefficients, function_algebra
+from .poly import cp_add, cp_norm, cp_scale
+from .simplicial import cube
 
 Word = Tuple[Any, ...]
 #: ``((word, coefficient), ...)``; a coefficient is an int, or a Fraction
@@ -219,29 +206,6 @@ def curvature(base: Carrier, a, b) -> TElement:
     return tensor_algebra(base).curvature(a, b)
 
 
-# -- morphisms of function algebras -------------------------------------
-
-
-def pushforward(f: Morphism, fa: FunctionAlgebra) -> Morphism:
-    """Change of coefficients along ``f``: fa → f.target^{(pair)}_r, where
-    ``fa`` has coefficients in ``f.source``."""
-    if fa.base is not f.source:
-        raise ValueError(f"{fa.name} does not have coefficients in {f.source.name}")
-    tgt = function_algebra(f.target, fa.pair0, fa.r)
-    return Morphism(fa, tgt, lambda x: apply_to_coefficients(fa, x, f.target, f),
-                    f"{f.name}*")
-
-
-def mu_map(outer: FunctionAlgebra) -> Morphism:
-    """The flattening μ on ``outer``, onto the flat cube of its plan."""
-    return Morphism(outer, mu_plan(outer)[0], lambda x: mu(outer, x)[1], "mu")
-
-
-def omega_map(fa: FunctionAlgebra) -> Morphism:
-    """The reversal ω of a one-coordinate function algebra."""
-    return Morphism(fa, fa, lambda x: omega(fa, x), "rev")
-
-
 def word_image(ta: TensorAlgebra, x: TElement, letter_fn: Callable, target: Carrier):
     """Σ c_w Π letter_fn(letter): the evaluation scheme of classifying maps,
     every word multiplied out and summed in one ``target.combine``.  Each
@@ -274,32 +238,6 @@ def j_of_n(f: Morphism, n: int) -> Morphism:
     for _ in range(n):
         f = j_of(f)
     return f
-
-
-# -- the loop classifying map λ ------------------------------------------
-
-
-def path_splitting(B: Carrier, fa_path: FunctionAlgebra) -> Morphism:
-    """b ↦ b(1−t) into functions on (I,{1}) (vanishing at the 1-endpoint)."""
-    sfa = scalar_algebra(fa_path.pair0, 0)
-    scal = transition_n(sfa, poly_family(sfa, ONE_MINUS_T), fa_path.r)[1]
-    return Morphism(
-        B, fa_path, lambda b: scalar_to_base(fa_path, scal, b), "s[b->b(1-t)]"
-    )
-
-
-def lambda_(B: Carrier) -> Morphism:
-    """The classifying map J(B) → B^{𝔖_1} of the loop extension."""
-    fa_path = function_algebra(B, interval_rel_one(), 0)
-    fa_loop = function_algebra(B, cube(1), 0)
-    s = path_splitting(B, fa_path)
-    dom = j_kernel(B)
-
-    def fn(x):
-        mid = word_image(dom, x, s, fa_path)
-        return fa_loop.canon(dict(mid))
-
-    return Morphism(dom, fa_loop, fn, f"lambda[{B.name}]_0")
 
 
 # -- the exchange maps κ^{n,m} -------------------------------------------

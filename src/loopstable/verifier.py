@@ -20,6 +20,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .algebras import FinAlgebra, algebra_map, dual_numbers, rationals
 from .carriers import (
+    RAT,
     Carrier,
     Mismatch,
     Morphism,
@@ -30,11 +31,12 @@ from .carriers import (
 )
 from .extensions import (
     PolyExtension,
-    alternate_path_splitting,
     classifying_map,
+    lambda_,
     mapping_cylinder,
     naturality_check,
     path_extension,
+    path_splitting,
     paused_gc,
     pb_contraction_certificate,
     splitting_homotopy,
@@ -50,8 +52,11 @@ from .funalg import (
     function_algebra,
     global_poly,
     make_element,
+    mu_map,
+    omega_map,
     poly_family,
     pullback_along,
+    pushforward,
     scalar_algebra,
     scalar_to_base,
     transition,
@@ -67,19 +72,9 @@ from .kkcat import (
     resolve_sign,
     star,
 )
-from .poly import qp_var
+from .poly import cp_norm, qp_var
 from .simplicial import cube, free_pair, interval_halves, interval_rel_one, point
-from .tensorj import (
-    curvature,
-    j_kernel,
-    j_of,
-    j_of_n,
-    kappa,
-    lambda_,
-    mu_map,
-    omega_map,
-    pushforward,
-)
+from .tensorj import curvature, j_kernel, j_of, j_of_n, kappa
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -91,7 +86,8 @@ ERROR = "ERROR"
 class CheckConfig:
     """Configuration shared by every check: the algebra under test and
     the deterministic sampling parameters.  Without an algebra, each
-    configuration gets its own dual numbers."""
+    configuration gets its own dual numbers.  A negative sample count
+    raises ``ValueError``."""
 
     __slots__ = ("algebra_name", "algebra", "samples", "seed")
 
@@ -102,6 +98,8 @@ class CheckConfig:
         samples: int = 20,
         seed: int = 0,
     ) -> None:
+        if samples < 0:
+            raise ValueError(f"samples must be >= 0, not {samples}")
         self.algebra_name = algebra_name
         self.algebra = dual_numbers() if algebra is None else algebra
         self.samples = samples
@@ -122,16 +120,14 @@ class CheckResult(NamedTuple):
     counterexample: Optional[Dict[str, Any]]
     seconds: float
 
-    def to_dict(self, include_timing: bool = True) -> Dict[str, Any]:
-        d: Dict[str, Any] = {
+    def to_dict(self) -> Dict[str, Any]:
+        return {
             "check": self.check,
             "status": self.status,
             "detail": self.detail,
             "counterexample": self.counterexample,
+            "seconds": round(self.seconds, 4),
         }
-        if include_timing:
-            d["seconds"] = round(self.seconds, 4)
-        return d
 
 
 # -- frozen product oracles ----------------------------------------------
@@ -391,7 +387,7 @@ def check_splitting_independence(cfg: CheckConfig) -> Tuple[str, str]:
     classifying maps exactly."""
     A = cfg.algebra
     E = path_extension(A, 0)
-    s2 = alternate_path_splitting(A, E.mid)
+    s2 = path_splitting(A, E.mid, cp_norm(RAT, {(0,): 1, (2,): -1}), "1-t^2")
     n = splitting_homotopy(E, s2).verify(cfg.samples, cfg.seed)
     return PASS, f"interpolation certificate verified on {n} samples"
 
@@ -512,9 +508,11 @@ def check_star_lambda(cfg: CheckConfig) -> Tuple[str, str]:
 
 def check_triangle_signs(cfg: CheckConfig) -> Tuple[str, str]:
     """Boundary signs of the two triangle constructors alternate with the
-    grading, and the extension boundary at grading zero is λ."""
+    grading.  The boundary of the path extension's triangle at grading zero
+    is λ by construction, its classifying map, so only its sign is
+    compared; lambda-curvature-formula, cylinder-classifying and star-unit
+    check λ's values."""
     A = cfg.algebra
-    lam = lambda_(A)
     E = path_extension(A, 0)
     t0 = extension_triangle(E, 0)
     t1 = extension_triangle(E, 1)
@@ -524,9 +522,8 @@ def check_triangle_signs(cfg: CheckConfig) -> Tuple[str, str]:
         raise Mismatch("boundary signs deviate",
                        signs=(t0.boundary.pending_sign, t1.boundary.pending_sign,
                               tm.boundary.pending_sign))
-    replay([(t0.boundary.rep, lam, "grading-zero extension boundary deviates from λ")],
-           min(cfg.samples, 10), cfg.seed)
-    return PASS, "boundary signs and the grading-zero boundary replayed"
+    return PASS, ("boundary signs alternate with the grading; the grading-zero "
+                  "boundary is λ by construction")
 
 
 def check_appendix_m1n1(cfg: CheckConfig) -> Tuple[str, str]:
@@ -686,15 +683,15 @@ class Report(NamedTuple):
         statuses = [r.status for r in self.results]
         return {s: statuses.count(s) for s in sorted(set(statuses))}
 
-    def to_dict(self, include_timing: bool = True) -> Dict[str, Any]:
+    def to_dict(self) -> Dict[str, Any]:
         return {
             "config": self.config,
-            "results": [r.to_dict(include_timing) for r in self.results],
+            "results": [r.to_dict() for r in self.results],
             "summary": self.summary,
         }
 
-    def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         lines = []

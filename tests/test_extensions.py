@@ -6,17 +6,18 @@ from fractions import Fraction as F
 import pytest
 
 from loopstable.algebras import algebra_map, dual_numbers, product_algebra, rationals
-from loopstable.carriers import Mismatch, Morphism, identity_morphism
+from loopstable.carriers import RAT, Mismatch, Morphism, identity_morphism
 from loopstable.extensions import (
     ExtensionData,
     HomotopyCertificate,
-    alternate_path_splitting,
     classifying_map,
+    lambda_,
     mapping_cylinder,
     mapping_path,
     make_extension,
     naturality_check,
     path_extension,
+    path_splitting,
     pb_contraction_certificate,
     phi,
     reversed_link,
@@ -42,11 +43,10 @@ from loopstable.funalg import (
     transition,
     vanishing_scalar,
 )
-from loopstable.poly import qp_var
+from loopstable.poly import cp_norm, qp_var
 from loopstable.simplicial import cube, free_pair, interval_rel_one
 from loopstable.tensorj import (
     curvature,
-    lambda_,
     sample_j_element,
     tensor_algebra,
     word_image,
@@ -120,6 +120,21 @@ class TestPathExtension:
         for l in B.labels:
             v = B.basis_vec(l)
             assert E.s(v) == scalar_to_base(E.mid, one_minus_t, v)
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_splitting_by_one_minus_t_squared(self, r):
+        # the one constructor at q = 1 − t², against 1 − h·h built from the
+        # coordinate h on the free interval and transitioned r times
+        fa_path = path_extension(B, r).mid
+        s2 = path_splitting(B, fa_path, cp_norm(RAT, {(0,): 1, (2,): -1}), "1-t^2")
+        sfa = scalar_algebra(free_pair(interval_rel_one()), 0)
+        h = poly_family(sfa, qp_var(1, 1))
+        q = sfa.sub(constant_function(sfa, 1), sfa.mul(h, h))
+        for _ in range(r):
+            sfa, q = transition(sfa, q)
+        assert s2.name == "s[b->b(1-t^2)]"
+        for v in B.basis() + B.draws(5, 3):
+            assert s2(v) == scalar_to_base(fa_path, q, v)
 
     def test_splitting_formula_r1(self):
         # at one subdivision the splitting is supported on the first half
@@ -301,7 +316,7 @@ class TestCertificates:
 
     def test_splitting_independence(self):
         E = path_extension(B, 0)
-        s2 = alternate_path_splitting(B, E.mid)
+        s2 = path_splitting(B, E.mid, cp_norm(RAT, {(0,): 1, (2,): -1}), "1-t^2")
         cert = splitting_homotopy(E, s2)
         cert.verify(samples=20, seed=17)
 

@@ -302,6 +302,16 @@ def test_carriers_and_algebras_stay_below_the_tensor_layer():
     assert package_imports(read("algebras")) == {"carriers", "poly"}
 
 
+def test_tensor_layer_takes_only_cube_algebras_and_coefficient_maps_from_funalg():
+    # κ lands in cube algebras and lifts coefficients; the function-algebra
+    # morphisms live in funalg and λ in extensions
+    tree = ast.parse((SRC / "tensorj.py").read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.module or "").removeprefix("loopstable.") == "funalg"
+             for alias in node.names}
+    assert names == {"function_algebra", "apply_to_coefficients"}
+
+
 def test_detects_a_package_import():
     src = ("import os\nfrom .poly import cp_add\nfrom loopstable.tensorj import j_of\n"
            "import loopstable.funalg\nfrom typing import Any\n")

@@ -13,7 +13,7 @@ from loopstable.algebras import (
     square_zero,
 )
 from loopstable.carriers import Morphism, identity_morphism, zero_morphism
-from loopstable.extensions import path_extension
+from loopstable.extensions import lambda_, path_extension
 from loopstable.funalg import function_algebra, mu, omega, sample_element
 from loopstable.kkcat import (
     extension_triangle,
@@ -28,7 +28,7 @@ from loopstable.kkcat import (
     swap_pullback,
 )
 from loopstable.simplicial import cube
-from loopstable.tensorj import j_kernel, j_of, kappa, lambda_
+from loopstable.tensorj import j_kernel, j_of, kappa
 
 B = dual_numbers()
 Q = rationals()

@@ -7,13 +7,15 @@ import pytest
 
 from loopstable.algebras import BUILTIN_ALGEBRAS, algebra_map, dual_numbers, m2q, rationals
 from loopstable.carriers import Mismatch, Morphism, identity_morphism, replay
-from loopstable.extensions import PolyExtension
+from loopstable.extensions import PolyExtension, lambda_
 from loopstable.funalg import (
     apply_to_coefficients,
     function_algebra,
     global_poly,
     make_element,
     mu,
+    mu_map,
+    pushforward,
     sample_element,
     scalar_algebra,
     scalar_to_base,
@@ -28,9 +30,6 @@ from loopstable.tensorj import (
     j_tower,
     kappa,
     kappa1,
-    lambda_,
-    mu_map,
-    pushforward,
     tensor_algebra,
     word_image,
 )

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from loopstable import cli, kkcat, tensorj, verifier
+from loopstable import cli, extensions, kkcat, tensorj, verifier
 from loopstable.algebras import (
     BUILTIN_ALGEBRAS,
     FinAlgebra,
@@ -19,10 +19,17 @@ from loopstable.algebras import (
     rationals,
 )
 from loopstable.carriers import RAT, Morphism
-from loopstable.funalg import concatenate, function_algebra, make_element, omega, transition
+from loopstable.funalg import (
+    concatenate,
+    function_algebra,
+    make_element,
+    omega,
+    omega_map,
+    transition,
+)
 from loopstable.poly import cp_norm
 from loopstable.simplicial import cube
-from loopstable.tensorj import JKernel, j_kernel, kappa, omega_map
+from loopstable.tensorj import JKernel, j_kernel, kappa
 from loopstable.verifier import (
     CATALOG,
     CheckConfig,
@@ -120,6 +127,11 @@ class TestCatalog:
         assert r.detail == ("classifying formula on 1 samples, retract "
                             "homotopy on 2 samples")
 
+    def test_negative_sample_count_is_rejected(self):
+        # a negative count would draw nothing and pass every check
+        with pytest.raises(ValueError, match="^samples must be >= 0, not -2$"):
+            CheckConfig(samples=-2)
+
     def test_zero_samples_skip(self):
         report = run_suite(["all"], _cfg(samples=0))
         assert all(r.status == "SKIPPED" for r in report.results)
@@ -128,17 +140,11 @@ class TestCatalog:
 
 class TestDeterminism:
     def test_json_identical_modulo_timing(self):
-        a = run_suite(["all"], _cfg(samples=6, seed=42))
-        b = run_suite(["all"], _cfg(samples=6, seed=42))
-        assert a.to_json(include_timing=False) == b.to_json(include_timing=False)
-
-    def test_timing_fields_only_difference(self):
-        a = run_suite(["tr2-homotopy"], _cfg())
-        d = a.to_dict(include_timing=True)
-        d2 = a.to_dict(include_timing=False)
-        for r in d["results"]:
-            r.pop("seconds")
-        assert d == d2
+        a, b = (run_suite(["all"], _cfg(samples=6, seed=42)).to_dict() for _ in range(2))
+        for d in (a, b):
+            for r in d["results"]:
+                r.pop("seconds")
+        assert a == b
 
 
 def _doubled_transition(fa, x):
@@ -226,13 +232,29 @@ class TestFalsification:
         assert set(r.counterexample) == CE_KEYS | {"element"}
 
     def test_doubled_lambda_fails_the_curvature_law_with_its_pair(self, monkeypatch):
-        lambda_ = tensorj.lambda_
+        lambda_ = extensions.lambda_
         monkeypatch.setattr(verifier, "lambda_", lambda A: _doubled(lambda_(A)))
         r = run_check("lambda-curvature-formula", _cfg())
         assert r.status == "FAIL"
         assert r.detail == "curvature image wrong at sample 0"
         assert (r.counterexample["x"], r.counterexample["y"]) == ("'1'", "'1'")
         assert set(r.counterexample) == CE_KEYS | {"x", "y"}
+
+    def test_dropped_extension_boundary_sign_fails_with_the_signs(self, monkeypatch):
+        # the grading-one boundary of an extension triangle carries −1; without
+        # it the three boundary signs read (1, 1, −1)
+        extension_triangle = kkcat.extension_triangle
+
+        def unsigned(E, n=0):
+            t = extension_triangle(E, n)
+            return t._replace(maps=(t.boundary._replace(pending_sign=1),) + t.maps[1:])
+
+        monkeypatch.setattr(verifier, "extension_triangle", unsigned)
+        r = run_check("triangle-boundary-signs", _cfg())
+        assert r.status == "FAIL"
+        assert r.detail == "boundary signs deviate"
+        assert r.counterexample["signs"] == repr((1, 1, -1))
+        assert set(r.counterexample) == CE_KEYS | {"signs"}
 
     def test_doubled_plain_map_fails_the_plain_unit_law(self, monkeypatch):
         from_algebra_map = kkcat.from_algebra_map
@@ -373,6 +395,12 @@ class TestCLI:
 
     def test_exit_zero_on_pass(self):
         assert cli.main(["--check", "star-unit", "--samples", "4"]) == 0
+
+    def test_exit_two_on_negative_samples(self, capsys):
+        assert cli.main(["--samples", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: samples must be >= 0, not -1\n"
+        assert captured.out == ""
 
     def test_exit_two_on_unknown_check(self, capsys):
         assert cli.main(["--check", "bogus"]) == 2
