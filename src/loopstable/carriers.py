@@ -76,6 +76,10 @@ class Carrier:
     #: ``basis_vec(key)`` and ``coordinates(x)`` (the ``(key, coefficient)``
     #: pairs of ``x`` in key order)
     based: bool = False
+    #: whether an element is a sparse combination ``((word, rational), ...)``
+    #: of tuples multiplied by concatenation (the tensor carriers), so that
+    #: ``poly.cp_combine`` may multiply its polynomials word by word
+    concatenates: bool = False
 
     def zero(self) -> Any:
         raise NotImplementedError

@@ -3,13 +3,18 @@
 A *sparse combination* is a tuple ``((key, coefficient), ...)`` sorted by
 the native order of its keys, with zero coefficients dropped; the keys
 may be anything Python orders natively (exponent tuples, basis labels,
-tensor words, simplices).  :func:`cp_norm` is the one place that builds
-this canonical form, so two combinations are equal exactly when they are
-``==``.  The ``cp_`` functions do the arithmetic with the coefficients
-interpreted by a :class:`~loopstable.carriers.Carrier`.  A sum of
-products canonicalises once: :func:`cp_combine` (Σ aᵢ·pᵢ₁⋯pᵢₖ, of which
+tensor words, simplices).  :func:`cp_norm` builds this canonical form
+from a dict, so two combinations are equal exactly when they are ``==``.
+The ``cp_`` functions do the arithmetic with the coefficients interpreted
+by a :class:`~loopstable.carriers.Carrier`.  A sum of products
+canonicalises once: :func:`cp_combine` (Σ aᵢ·pᵢ₁⋯pᵢₖ, of which
 :func:`cp_mul` is the one-term case) groups the coefficient products by
-exponent and hands each group to the carrier's ``combine``.
+exponent and hands each group to the carrier's ``combine``, except over
+a carrier whose elements are word combinations multiplied by
+concatenation (``Carrier.concatenates``: the tensor carriers).  There a
+large product, which builds each product word in many exponents, goes
+word by word instead and builds the canonical form of its tensor
+coefficients itself, sorting the words once.
 
 A *polynomial* is a sparse combination keyed by exponent tuples.  A
 *scalar* polynomial (``QPoly``) is a carrier polynomial over
@@ -25,6 +30,7 @@ eliminated via ``t_0 = 1 − Σ t_i``); exponent tuples have length ``n``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cache, partial, reduce
 from operator import add, itemgetter
 from typing import Any, Callable, Dict, Iterable, Sequence, Tuple
@@ -115,11 +121,26 @@ def cp_scale(car, a, p: CPoly) -> CPoly:
     return tuple((e, car.scale(a, c)) for e, c in p)
 
 
+#: fewer exponent pairs repeat too few product words to pay for keying factors by word
+WORD_MAJOR_PAIRS = 8
+
+
 def cp_combine(car, terms: Iterable[Tuple[Any, Sequence[CPoly]]]) -> CPoly:
     """``Σ aᵢ·pᵢ₁⋯pᵢₖ`` over terms ``(aᵢ, (pᵢ₁, …, pᵢₖ))`` of a rational
-    and k ≥ 1 carrier polynomials: the coefficient products are grouped by
-    exponent and summed by one ``car.combine`` per exponent.  The head of
-    a term of three or more factors is multiplied out first."""
+    and k ≥ 1 carrier polynomials.  The head of a term of three or more
+    factors is multiplied out first.
+
+    Exponent-major: the coefficient products are grouped by exponent and
+    summed by one ``car.combine`` per exponent.  Over a carrier that
+    ``concatenates`` words, a call with a two-factor term of at least
+    :data:`WORD_MAJOR_PAIRS` exponent pairs goes word-major instead
+    (:func:`_combine_words`), since there one product word recurs in many
+    exponents."""
+    if car.concatenates:
+        terms = list(terms)
+        if any(len(ps) == 2 and len(ps[0]) * len(ps[1]) >= WORD_MAJOR_PAIRS
+               for _, ps in terms):
+            return _combine_words(car, terms)
     groups: Dict[Exps, list] = {}
     for a, ps in terms:
         n = len(ps)
@@ -143,6 +164,69 @@ def cp_combine(car, terms: Iterable[Tuple[Any, Sequence[CPoly]]]) -> CPoly:
                 else:
                     g.append((a, (c1, c2)))
     return cp_norm(car, {e: car.combine(g) for e, g in groups.items()})
+
+
+def _combine_words(car, terms: Sequence[Tuple[Any, Sequence[CPoly]]]) -> CPoly:
+    """:func:`cp_combine` over a concatenating carrier, word by word.
+
+    The output exponents are numbered once per call, and each two-factor
+    term gets the table of its exponent sums by position.  The products
+    are summed in one row per product word, with one column per output
+    exponent: a one-factor term adds each entry to its row, and a
+    two-factor term keys both factors by word, so that each pair of factor
+    words is concatenated and hashed once.  The words are sorted once, and
+    the rows are read out column by column into the canonical form."""
+    index: Dict[Exps, int] = {}  # output exponent -> column
+    plans = []
+    for a, ps in terms:
+        if len(ps) > 2:
+            ps = (reduce(partial(cp_mul, car), ps[:-1]), ps[-1])
+        p = ps[0]
+        if len(ps) == 1:
+            plans.append((a, p, [index.setdefault(e, len(index)) for e, _ in p], None))
+            continue
+        q = ps[1]
+        table = [[index.setdefault(tuple(map(add, e1, e2)), len(index)) for e2, _ in q]
+                 for e1, _ in p]
+        plans.append((a, p, table, q))
+    width = len(index)
+    rows: Dict[Any, list] = defaultdict(lambda: [0] * width)
+    for a, p, cols, q in plans:
+        if q is None:
+            for k, (_, x) in zip(cols, p):
+                for w, c in x:
+                    rows[w][k] += a * c
+            continue
+        right = _by_word(q, range(len(q)), 1).items()
+        for w1, l1 in _by_word(p, cols, a).items():
+            for w2, l2 in right:
+                row = rows[w1 + w2]
+                for ks, c1 in l1:
+                    for j, c2 in l2:
+                        row[ks[j]] += c1 * c2
+    columns: list = [[] for _ in range(width)]
+    for w in sorted(rows):
+        for k, c in enumerate(rows[w]):
+            if c:
+                columns[k].append((w, c))
+    out = [(e, tuple(columns[k])) for e, k in index.items() if columns[k]]
+    out.sort(key=_BY_KEY)
+    return tuple(out)
+
+
+def _by_word(p: CPoly, cols: Sequence, a) -> Dict[Any, list]:
+    """``{word: [(cols[i], a·c), ...]}`` over the entries c·word of the
+    i-th coefficient of ``p``."""
+    d: Dict[Any, list] = {}
+    for col, (_, x) in zip(cols, p):
+        for w, c in x:
+            entry = (col, a * c)
+            entries = d.get(w)
+            if entries is None:
+                d[w] = [entry]
+            else:
+                entries.append(entry)
+    return d
 
 
 def cp_mul(car, p: CPoly, q: CPoly) -> CPoly:

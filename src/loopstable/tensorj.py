@@ -51,6 +51,8 @@ TElement = Tuple[Tuple[Word, Union[int, Fraction]], ...]
 class TensorAlgebra(Carrier):
     """The nonunital tensor algebra T(A) (words of length ≥ 1)."""
 
+    concatenates = True
+
     def __init__(self, base: Carrier) -> None:
         self.base = base
         self.based = base.based

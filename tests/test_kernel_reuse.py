@@ -1,11 +1,12 @@
 """The substitution and flattening kernels reuse what they computed.
 
 ``qp_monomial`` builds each monomial from its cached predecessor,
-``cp_subst`` sums each output exponent in one ``combine``, one ``mu`` call
-reads each projected value once, and composing with an identity returns
-the other map, so ``tr4_tower(id, id)`` shares one mapping path for id and
-id∘id.  Each shortcut is checked against the plain computation it
-replaces.
+``cp_subst`` sums each output exponent in one ``combine``, ``cp_combine``
+multiplies polynomials with tensor coefficients word by word, one ``mu``
+call reads each projected value once, and composing with an identity
+returns the other map, so ``tr4_tower(id, id)`` shares one mapping path
+for id and id∘id.  Each shortcut is checked against the plain computation
+it replaces.
 """
 
 import itertools
@@ -14,11 +15,14 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from loopstable.algebras import dual_numbers, square_zero
+from loopstable import extensions, funalg, poly
+from loopstable.algebras import dual_numbers, m2q, square_zero
 from loopstable.carriers import RAT, Morphism, identity_morphism
 from loopstable.extensions import (
     G_SHRINK,
@@ -30,6 +34,9 @@ from loopstable.extensions import (
 from loopstable.funalg import FunctionAlgebra, function_algebra, mu, sample_element
 from loopstable.poly import (
     ONE_MINUS_T,
+    WORD_MAJOR_PAIRS,
+    _combine_words,
+    cp_combine,
     cp_mul,
     cp_norm,
     cp_subst,
@@ -40,7 +47,8 @@ from loopstable.poly import (
     qp_var,
 )
 from loopstable.simplicial import cube
-from loopstable.tensorj import tensor_algebra
+from loopstable.tensorj import JKernel, TensorAlgebra, j_kernel, tensor_algebra
+from loopstable.verifier import CheckConfig, run_check
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ALGEBRAS = {"dual": dual_numbers(), "sq0": square_zero()}
@@ -138,6 +146,124 @@ def test_subst_equals_the_scale_add_fold(kind, alg):
     p = cp_norm(car, {(1, 0): c, (0, 1): car.neg(c)})
     t = qp_var(1, 1)
     assert cp_subst(car, p, (t, t), 1) == ()  # the zero polynomial
+
+
+# -- word-major products over tensor coefficients ----------------------------
+
+
+def _formal_letters():
+    fa = function_algebra(ALGEBRAS["dual"], cube(1), 0)
+    return fa, [sample_element(fa, random.Random(k)) for k in range(3)]
+
+
+#: (coefficient carrier, class, letters): words over the basis keys of a
+#: based carrier, and formal words over function-algebra elements
+_FA, _FORMAL = _formal_letters()
+TENSOR_CARRIERS = {
+    "T(dual)": (tensor_algebra(ALGEBRAS["dual"]), TensorAlgebra, ["1", "x"]),
+    "J(J(dual))": (j_kernel(j_kernel(ALGEBRAS["dual"])), JKernel,
+                   [("1", "x"), ("x", "x"), ("x", "1", "x")]),
+    "T'(dual^S1)": (tensor_algebra(_FA), TensorAlgebra, _FORMAL),
+    "J'(dual^S1)": (j_kernel(_FA), JKernel, _FORMAL),
+}
+RATIONALS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+def exponent_major(name):
+    """A fresh copy of a tensor carrier that does not declare concatenation,
+    so ``cp_combine`` takes its exponent-major path over it."""
+    car, cls, _ = TENSOR_CARRIERS[name]
+    plain = cls(car.base)
+    plain.concatenates = False
+    return plain
+
+
+@st.composite
+def tensor_terms(draw, name):
+    """Terms ``(a, (p₁, …, p_k))`` of one to three factors, polynomials in
+    one to three variables with tensor coefficients, on either side of the
+    size rule, and a negated copy of some terms, so that products cancel."""
+    car, _, letters = TENSOR_CARRIERS[name]
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    words = st.lists(st.sampled_from(letters), min_size=1, max_size=3).map(tuple)
+    element = st.dictionaries(words, RATIONALS, min_size=1, max_size=3).map(
+        lambda d: cp_norm(RAT, d))
+    # one or two exponents a factor stay below the size rule, three to five
+    # mostly reach it
+    low, high = draw(st.sampled_from([(1, 2), (3, 5)]))
+    polys = st.dictionaries(exps, element, min_size=low, max_size=high).map(
+        lambda d: cp_norm(car, d))
+    terms = draw(st.lists(st.tuples(RATIONALS, st.lists(polys, min_size=1, max_size=3)
+                                    .map(tuple)), min_size=1, max_size=3))
+    cancel = draw(st.lists(st.booleans(), min_size=len(terms), max_size=len(terms)))
+    return terms + [(-a, ps) for (a, ps), c in zip(terms, cancel) if c]
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_CARRIERS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_word_major_products_equal_the_exponent_major_ones(name, data):
+    car = TENSOR_CARRIERS[name][0]
+    terms = data.draw(tensor_terms(name))
+    plain = cp_combine(exponent_major(name), terms)
+    # repr tells an int from an integral Fraction: the forms are identical
+    assert repr(_combine_words(car, terms)) == repr(plain)
+    assert repr(cp_combine(car, terms)) == repr(plain)
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_CARRIERS))
+def test_word_major_products_cancel_to_zero(name):
+    car, _, letters = TENSOR_CARRIERS[name]
+    rng = random.Random(5)
+    x = lambda: cp_norm(RAT, {tuple(rng.choices(letters, k=rng.randint(1, 3))):
+                              rng.choice([1, Fraction(1, 2)]) for _ in range(3)})
+    p = cp_norm(car, {e: x() for e in exponents(2, 2)})
+    q = cp_norm(car, {e: x() for e in exponents(2, 1)})
+    assert len(p) * len(q) >= WORD_MAJOR_PAIRS
+    pq = cp_combine(car, [(Fraction(1, 2), (p, q))])
+    assert pq and pq == cp_combine(exponent_major(name), [(Fraction(1, 2), (p, q))])
+    assert cp_combine(car, [(Fraction(1, 2), (p, q)), (-1, (pq,))]) == ()
+    assert cp_combine(car, [(2, (p, q)), (-2, (p, q)), (1, (p,)), (-1, (p,))]) == ()
+
+
+def _routing(monkeypatch):
+    """Count the sums of products over concatenating carriers: the largest
+    two-factor product of each call, in exponent pairs, for every call and
+    for the calls that went word by word."""
+    every, word_major = [], []
+    combine, words = poly.cp_combine, poly._combine_words
+    largest = lambda terms: max(
+        [len(ps[0]) * len(ps[1]) for _, ps in terms if len(ps) == 2], default=0)
+
+    def counted(car, terms):
+        if car.concatenates:
+            terms = list(terms)
+            every.append(largest(terms))
+        return combine(car, terms)
+
+    def counted_words(car, terms):
+        word_major.append(largest(terms))
+        return words(car, terms)
+
+    monkeypatch.setattr(poly, "_combine_words", counted_words)
+    for mod in (poly, funalg, extensions):
+        monkeypatch.setattr(mod, "cp_combine", counted)
+    return every, word_major
+
+
+def test_kappa_takes_the_word_path_and_small_products_do_not(monkeypatch):
+    every, word_major = _routing(monkeypatch)
+    # seed 21 draws an exchange-benchmark input: κ^{2,1} has ~19k entries
+    result = run_check("kappa-pq", CheckConfig("m2q", m2q(), samples=1, seed=21))
+    assert result.status == "PASS"
+    assert max(word_major) >= 20
+    assert word_major == [n for n in every if n >= WORD_MAJOR_PAIRS]
+    every.clear()
+    word_major.clear()
+    run_check("star-lambda-identities", CheckConfig("m2q", m2q(), samples=1, seed=1))
+    assert every.count(4) > 1000 and 4 not in word_major
+    assert word_major == [n for n in every if n >= WORD_MAJOR_PAIRS]
 
 
 # -- μ reads each projected value once -------------------------------------
