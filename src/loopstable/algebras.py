@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from .carriers import RAT, Carrier, Morphism, rat, replay
@@ -88,13 +87,10 @@ class FinAlgebra(Carrier):
         get = d.get
         tbl = self.table
         for a, xs in terms:
-            n = len(xs)
-            if n == 1:
+            if len(xs) == 1:
                 for k, c in xs[0]:
                     d[k] = get(k, 0) + a * c
                 continue
-            if n > 2:
-                xs = (reduce(self.mul, xs[:-1]), xs[-1])
             x, y = xs
             for i, ci in x:
                 ci = a * ci

@@ -5,22 +5,22 @@ Python values; the carrier object interprets them (arithmetic, zero test,
 membership) and, where it can, draws deterministic samples of them from a
 ``random.Random`` (:meth:`Carrier.sample`, and :meth:`Carrier.draws` for a
 list of them from one seed, the one place in the package that seeds a
-``random.Random``).  The arithmetic is ``zero``,
-``add``, ``scale`` and one sum of products, :meth:`Carrier.combine`
-(Σ aᵢ·xᵢ₁⋯xᵢₖ), of which ``mul`` is the one-term case.  Every carrier
-sums in one pass: ``RAT``, ``FinAlgebra``, ``TensorAlgebra`` (and its
-subclass ``JKernel``) and ``FunctionAlgebra`` build one dict and
-canonicalise it once, instead of once per term; a ``PullbackCarrier``
-sums each component in one pass of its own carrier, and the homotopy
-carrier ``PolyExtension`` sums with ``poly.cp_combine``.  Where zero
-is decidable every element has exactly one representation, so ``==`` is
-equality and ``x == zero()`` is the zero test.  A carrier with a
-canonical basis sets ``based`` and answers ``basis_vec`` and
-``coordinates``; these are ``FinAlgebra`` and the tensor carriers over a
-based carrier.  Concrete carriers:
-finite-dimensional algebras (:mod:`loopstable.algebras`), polynomial
-function algebras (:mod:`loopstable.funalg`), tensor algebras and
-J-kernels (:mod:`loopstable.tensorj`), and the homotopy carrier ``C[u]``
+``random.Random``).  The arithmetic is ``zero``, ``add``, ``scale`` and one
+sum of products of one or two factors, :meth:`Carrier.combine`, of which
+``mul`` is the one-term case; a longer word is multiplied out in
+:mod:`loopstable.tensorj` alone.  Every carrier sums in one pass: ``RAT``,
+``FinAlgebra``, ``TensorAlgebra`` (and its subclass ``JKernel``) and
+``FunctionAlgebra`` build one dict and canonicalise it once, instead of
+once per term; a ``PullbackCarrier`` sums each component in one pass of its
+own carrier, and the homotopy carrier ``PolyExtension`` sums with
+``poly.cp_combine``.  Where zero is decidable every element has exactly one
+representation, so ``==`` is equality and ``x == zero()`` is the zero test.
+A carrier with a canonical basis sets ``based`` and answers ``basis_vec``
+and ``coordinates``; these are ``FinAlgebra`` and the tensor carriers over
+a based carrier.  Concrete carriers: finite-dimensional algebras
+(:mod:`loopstable.algebras`), polynomial function algebras
+(:mod:`loopstable.funalg`), tensor algebras and J-kernels
+(:mod:`loopstable.tensorj`), and the homotopy carrier ``C[u]``
 (:mod:`loopstable.extensions`); here live the ground field ``RAT``, the
 coefficient carrier of scalar polynomials, and the generic pullback.
 
@@ -102,8 +102,8 @@ class Carrier:
         return self.combine(((1, (x, y)),))
 
     def combine(self, terms: Iterable[Tuple[int | Fraction, Sequence[Any]]]) -> Any:
-        """Σ aᵢ·xᵢ₁⋯xᵢₖ over terms ``(aᵢ, (xᵢ₁, …, xᵢₖ))`` of a rational and
-        k ≥ 1 elements."""
+        """Σ aᵢ·xᵢ and Σ aᵢ·xᵢ·yᵢ in one, over terms ``(aᵢ, (xᵢ,))`` and
+        ``(aᵢ, (xᵢ, yᵢ))`` of a rational and one or two elements."""
         raise NotImplementedError
 
     def is_zero(self, x: Any) -> bool:

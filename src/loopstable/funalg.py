@@ -30,7 +30,7 @@ polynomial substitution.  Change of coefficients, μ and ω also come as
 from __future__ import annotations
 
 import random
-from functools import cache, reduce
+from functools import cache
 from operator import add
 from typing import Any, Dict, Tuple
 
@@ -128,13 +128,10 @@ class FunctionAlgebra(Carrier):
         # a product lives on the simplices where both factors are nonzero
         groups: Dict[Any, list] = {}
         for a, xs in terms:
-            n = len(xs)
-            if n == 1:
+            if len(xs) == 1:
                 for b, p in xs[0]:
                     groups.setdefault(b, []).append((a, (p,)))
                 continue
-            if n > 2:
-                xs = (reduce(self.mul, xs[:-1]), xs[-1])
             x, y = xs
             dy = dict(y)
             for b, p in x:

@@ -7,7 +7,7 @@ tensor words, simplices).  :func:`cp_norm` builds this canonical form
 from a dict, so two combinations are equal exactly when they are ``==``.
 The ``cp_`` functions do the arithmetic with the coefficients interpreted
 by a :class:`~loopstable.carriers.Carrier`.  A sum of products
-canonicalises once: :func:`cp_combine` (Σ aᵢ·pᵢ₁⋯pᵢₖ, of which
+canonicalises once: :func:`cp_combine` (Σ aᵢ·pᵢ and Σ aᵢ·pᵢ·qᵢ, of which
 :func:`cp_mul` is the one-term case) groups the coefficient products by
 exponent and hands each group to the carrier's ``combine``, except over
 a carrier whose elements are word combinations multiplied by
@@ -31,7 +31,7 @@ eliminated via ``t_0 = 1 − Σ t_i``); exponent tuples have length ``n``.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cache, partial, reduce
+from functools import cache
 from operator import add, itemgetter
 from typing import Any, Callable, Dict, Iterable, Sequence, Tuple
 
@@ -126,9 +126,8 @@ WORD_MAJOR_PAIRS = 8
 
 
 def cp_combine(car, terms: Iterable[Tuple[Any, Sequence[CPoly]]]) -> CPoly:
-    """``Σ aᵢ·pᵢ₁⋯pᵢₖ`` over terms ``(aᵢ, (pᵢ₁, …, pᵢₖ))`` of a rational
-    and k ≥ 1 carrier polynomials.  The head of a term of three or more
-    factors is multiplied out first.
+    """Σ aᵢ·pᵢ and Σ aᵢ·pᵢ·qᵢ in one, over terms ``(aᵢ, (pᵢ,))`` and
+    ``(aᵢ, (pᵢ, qᵢ))`` of a rational and one or two carrier polynomials.
 
     Exponent-major: the coefficient products are grouped by exponent and
     summed by one ``car.combine`` per exponent.  Over a carrier that
@@ -143,8 +142,7 @@ def cp_combine(car, terms: Iterable[Tuple[Any, Sequence[CPoly]]]) -> CPoly:
             return _combine_words(car, terms)
     groups: Dict[Exps, list] = {}
     for a, ps in terms:
-        n = len(ps)
-        if n == 1:
+        if len(ps) == 1:
             for e, c in ps[0]:
                 g = groups.get(e)
                 if g is None:
@@ -152,8 +150,6 @@ def cp_combine(car, terms: Iterable[Tuple[Any, Sequence[CPoly]]]) -> CPoly:
                 else:
                     g.append((a, (c,)))
             continue
-        if n > 2:
-            ps = (reduce(partial(cp_mul, car), ps[:-1]), ps[-1])
         p, q = ps
         for e1, c1 in p:
             for e2, c2 in q:
@@ -179,8 +175,6 @@ def _combine_words(car, terms: Sequence[Tuple[Any, Sequence[CPoly]]]) -> CPoly:
     index: Dict[Exps, int] = {}  # output exponent -> column
     plans = []
     for a, ps in terms:
-        if len(ps) > 2:
-            ps = (reduce(partial(cp_mul, car), ps[:-1]), ps[-1])
         p = ps[0]
         if len(ps) == 1:
             plans.append((a, p, [index.setdefault(e, len(index)) for e, _ in p], None))

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from typing import Any, Callable, Dict, List, Tuple, Union
 
 from .carriers import RAT, Carrier, Morphism, identity_morphism
@@ -71,13 +71,10 @@ class TensorAlgebra(Carrier):
         d: Dict[Word, Any] = {}
         get = d.get
         for a, xs in terms:
-            n = len(xs)
-            if n == 1:
+            if len(xs) == 1:
                 for w, c in xs[0]:
                     d[w] = get(w, 0) + a * c
                 continue
-            if n > 2:
-                xs = (reduce(self.mul, xs[:-1]), xs[-1])
             x, y = xs
             for w1, c1 in x:
                 c1 = a * c1
@@ -125,7 +122,7 @@ class TensorAlgebra(Carrier):
 
     def eta(self, x: TElement):
         """The counit: multiply each word out in the base carrier."""
-        return self.base.combine((c, tuple(map(self.letter, w))) for w, c in x)
+        return self.base.combine(_word_terms(x, self.letter, self.base))
 
     def sigma(self, b) -> TElement:
         """The module splitting A → T(A) by length-1 words."""
@@ -208,19 +205,33 @@ def curvature(base: Carrier, a, b) -> TElement:
     return tensor_algebra(base).curvature(a, b)
 
 
-def word_image(ta: TensorAlgebra, x: TElement, letter_fn: Callable, target: Carrier):
-    """Σ c_w Π letter_fn(letter): the evaluation scheme of classifying maps,
-    every word multiplied out and summed in one ``target.combine``.  Each
-    distinct letter is evaluated once."""
+def _word_terms(x: TElement, image: Callable, target: Carrier):
+    """The terms of Σ c_w Π image(letter) for ``target.combine``, the one
+    place where a word is multiplied out: ``(c, (image(k),))`` for a word
+    ``(k,)``, else ``(c, (head, image(last)))``.  Each distinct letter's
+    image is taken once, and each distinct head is built once in
+    ``target``, from the next-shorter one.  A plain generator: a closure
+    calling itself would keep a call's images alive while checks pause the
+    cyclic garbage collector."""
     images: Dict[Any, Any] = {}
+    heads: Dict[Word, Any] = {}
+    for w, c in x:
+        for k in w:
+            if k not in images:
+                images[k] = image(k)
+        head = images[w[0]]
+        for i in range(2, len(w)):
+            v = heads.get(w[:i])
+            if v is None:
+                v = heads[w[:i]] = target.mul(head, images[w[i - 1]])
+            head = v
+        yield (c, (head, images[w[-1]])) if len(w) > 1 else (c, (head,))
 
-    def image(k):
-        v = images.get(k)
-        if v is None:
-            v = images[k] = letter_fn(ta.letter(k))
-        return v
 
-    return target.combine((c, tuple(map(image, w))) for w, c in x)
+def word_image(ta: TensorAlgebra, x: TElement, letter_fn: Callable, target: Carrier):
+    """Σ c_w Π letter_fn(letter), the evaluation scheme of classifying maps,
+    summed by one ``target.combine`` of one- and two-factor terms."""
+    return target.combine(_word_terms(x, lambda k: letter_fn(ta.letter(k)), target))
 
 
 def j_of(f: Morphism) -> Morphism:

@@ -382,12 +382,14 @@ def check_classifying_uniqueness(cfg: CheckConfig) -> Tuple[str, str]:
 
 
 def check_splitting_independence(cfg: CheckConfig) -> Tuple[str, str]:
-    """Two module splittings of the path extension give linearly
-    interpolated classifying maps; the interpolation's faces are the two
-    classifying maps exactly."""
+    """Two module splittings of the path extension, which differ on some
+    basis vector, give linearly interpolated classifying maps; the
+    interpolation's faces are the two classifying maps exactly."""
     A = cfg.algebra
     E = path_extension(A, 0)
     s2 = path_splitting(A, E.mid, cp_norm(RAT, {(0,): 1, (2,): -1}), "1-t^2")
+    if all(E.s(b) == s2(b) for b in A.basis()):
+        raise Mismatch("the two splittings agree on every basis vector", basis=A.basis())
     n = splitting_homotopy(E, s2).verify(cfg.samples, cfg.seed)
     return PASS, f"interpolation certificate verified on {n} samples"
 

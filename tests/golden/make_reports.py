@@ -6,7 +6,9 @@ of every result removed, printed with ``indent=2, sort_keys=True``:
 - ``--check all`` at ``--samples`` 1 and 3 on q, dual and sq0, at seeds 0
   and 7;
 - ``--check all --samples 1`` on m2q at seeds 0 and 7;
-- ``--check kappa-pq --samples 1`` on m2q at seeds 2 and 12.
+- ``--check kappa-pq --samples 1`` on m2q at seeds 2 and 12;
+- ``--check star-lambda-identities --check splitting-independence
+  --samples 5 --seed 1`` on m2q, whose word images share many heads.
 
 Run ``python tests/golden/make_reports.py`` from the repository root to
 rewrite them after an intended report change, and
@@ -45,6 +47,9 @@ def runs():
         yield (f"kappa-pq-m2q-samples1-seed{seed}.json",
                ["--check", "kappa-pq", "--algebra", "builtin:m2q",
                 "--samples", "1", "--seed", str(seed)])
+    yield ("star-lambda-splitting-m2q-samples5-seed1.json",
+           ["--check", "star-lambda-identities", "--check", "splitting-independence",
+            "--algebra", "builtin:m2q", "--samples", "5", "--seed", "1"])
 
 
 def report(args) -> str:
@@ -67,8 +72,9 @@ def main() -> int:
     p.add_argument("--check", action="store_true",
                    help="compare with the committed reports instead of rewriting them")
     check = p.parse_args().check
-    bad = 0
+    bad = total = 0
     for name, args in runs():
+        total += 1
         text = report(args)
         path = HERE / name
         if not check:
@@ -80,7 +86,7 @@ def main() -> int:
             sys.stdout.writelines(difflib.unified_diff(
                 old.splitlines(True), text.splitlines(True), str(path), name))
     if check:
-        print(f"{bad} of 16 reports differ" if bad else "16 reports identical")
+        print(f"{bad} of {total} reports differ" if bad else f"{total} reports identical")
     return 1 if bad else 0
 
 

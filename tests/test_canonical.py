@@ -24,7 +24,7 @@ from loopstable.extensions import PolyExtension, mapping_path
 from loopstable.funalg import FunctionAlgebra, function_algebra, sample_element
 from loopstable.poly import cp_norm
 from loopstable.simplicial import cube, free_pair
-from loopstable.tensorj import JKernel, TensorAlgebra, j_tower, tensor_algebra
+from loopstable.tensorj import JKernel, TensorAlgebra, j_tower, tensor_algebra, word_image
 
 # both have integral structure constants
 ALGEBRAS = {"dual": dual_numbers(), "m2q": m2q()}
@@ -229,26 +229,58 @@ def test_sums_equal_the_fold(kind, alg):
     assert_canonical(car, p, integral=True)
 
 
+#: words of one to four letters over four letters, several sharing a head
+#: (the word minus its last letter) or a shorter part of one
+WORDS = {(0,): 2, (3,): F(-1, 2), (0, 1): -1, (1, 0): 3, (0, 1, 2): 1, (0, 1, 3): -2,
+         (0, 1, 2, 3): F(1, 3), (0, 1, 2, 0): 1, (0, 1, 3, 3): 2, (2, 3, 1): -1,
+         (3, 3, 3, 3): 1}
+
+
+def spelled(letters):
+    """:data:`WORDS` as an element of a tensor algebra, letter i spelled
+    ``letters[i]``; words that come out alike add up."""
+    d = {}
+    for w, c in WORDS.items():
+        k = tuple(letters[i] for i in w)
+        d[k] = d.get(k, 0) + c
+    return cp_norm(RAT, d)
+
+
+def fold_words(car, x, image):
+    """Σ c_w · image(w₁)⋯image(w_k), each word multiplied up from its first
+    letter with ``mul`` and the terms summed with ``scale`` and ``add``."""
+    out = car.zero()
+    for w, c in x:
+        prod = image(w[0])
+        for k in w[1:]:
+            prod = car.mul(prod, image(k))
+        out = car.add(out, car.scale(c, prod))
+    return out
+
+
 @pytest.mark.parametrize("alg", sorted(ALGEBRAS))
 @pytest.mark.parametrize("kind", KINDS)
 def test_three_factor_terms_equal_the_fold(kind, alg):
+    """``combine`` takes one- or two-factor terms; three and more factors
+    are words, multiplied out by ``word_image`` and the counit ``eta``.
+    Both equal the letterwise fold on words of one to four letters."""
     car, sample = carrier_and_sampler(kind, ALGEBRAS[alg])
-    x, y, z, w = nonzero_samples(car, sample, random.Random(13), 4)
-    for a in (1, -2, F(1, 2)):
-        s = car.combine([(a, (x, y, z))])
-        assert s == car.scale(a, car.mul(car.mul(x, y), z))
-        assert_canonical(car, s, integral=type(a) is int)
-    # mixed lengths in one sum, including a four-factor term
-    terms = [(2, (x, y, z)), (-1, (w,)), (1, (z, x)), (3, (y, z, w, x))]
-    expected = car.zero()
-    for a, factors in terms:
-        prod = factors[0]
-        for f in factors[1:]:
-            prod = car.mul(prod, f)
-        expected = car.add(expected, car.scale(a, prod))
-    s = car.combine(iter(terms))
-    assert s == expected
-    assert_canonical(car, s, integral=True)
+    xs = nonzero_samples(car, sample, random.Random(13), 4)
+    x = spelled(range(4))  # formal words of ints, letter i standing for xs[i]
+    s = word_image(tensor_algebra(RAT), x, xs.__getitem__, car)
+    assert s == fold_words(car, x, xs.__getitem__)
+    assert_canonical(car, s)
+    ta = tensor_algebra(car)
+    keys = xs
+    if car.based:  # the letters of T(car) are basis keys
+        keys = car.labels if kind == "A" else sorted({k for y in xs for k, _ in car.coordinates(y)})
+    x = spelled([keys[i % len(keys)] for i in range(4)])
+    assert len(keys) > 1 and any(len(w) == 4 for w, _ in x)
+    s = ta.eta(x)
+    assert s == fold_words(car, x, ta.letter)
+    assert_canonical(car, s)
+    for w, c in x:
+        assert ta.eta(((w, c),)) == fold_words(car, ((w, c),), ta.letter)
 
 
 @pytest.mark.parametrize("alg", sorted(ALGEBRAS))

@@ -2,13 +2,15 @@
 
 ``qp_monomial`` builds each monomial from its cached predecessor,
 ``cp_subst`` sums each output exponent in one ``combine``, ``cp_combine``
-multiplies polynomials with tensor coefficients word by word, one ``mu``
+multiplies polynomials with tensor coefficients word by word, a word image
+multiplies out each distinct head of its words once, one ``mu``
 call reads each projected value once, and composing with an identity
 returns the other map, so ``tr4_tower(id, id)`` shares one mapping path
 for id and id∘id.  Each shortcut is checked against the plain computation
 it replaces.
 """
 
+import gc
 import itertools
 import os
 import random
@@ -47,7 +49,7 @@ from loopstable.poly import (
     qp_var,
 )
 from loopstable.simplicial import cube
-from loopstable.tensorj import JKernel, TensorAlgebra, j_kernel, tensor_algebra
+from loopstable.tensorj import JKernel, TensorAlgebra, j_kernel, tensor_algebra, word_image
 from loopstable.verifier import CheckConfig, run_check
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -180,9 +182,9 @@ def exponent_major(name):
 
 @st.composite
 def tensor_terms(draw, name):
-    """Terms ``(a, (p₁, …, p_k))`` of one to three factors, polynomials in
-    one to three variables with tensor coefficients, on either side of the
-    size rule, and a negated copy of some terms, so that products cancel."""
+    """Terms ``(a, (p₁,))`` and ``(a, (p₁, p₂))``, polynomials in one to
+    three variables with tensor coefficients, on either side of the size
+    rule, and a negated copy of some terms, so that products cancel."""
     car, _, letters = TENSOR_CARRIERS[name]
     nvars = draw(st.integers(1, 3))
     exps = st.tuples(*[st.integers(0, 3)] * nvars)
@@ -194,7 +196,7 @@ def tensor_terms(draw, name):
     low, high = draw(st.sampled_from([(1, 2), (3, 5)]))
     polys = st.dictionaries(exps, element, min_size=low, max_size=high).map(
         lambda d: cp_norm(car, d))
-    terms = draw(st.lists(st.tuples(RATIONALS, st.lists(polys, min_size=1, max_size=3)
+    terms = draw(st.lists(st.tuples(RATIONALS, st.lists(polys, min_size=1, max_size=2)
                                     .map(tuple)), min_size=1, max_size=3))
     cancel = draw(st.lists(st.booleans(), min_size=len(terms), max_size=len(terms)))
     return terms + [(-a, ps) for (a, ps), c in zip(terms, cancel) if c]
@@ -262,8 +264,70 @@ def test_kappa_takes_the_word_path_and_small_products_do_not(monkeypatch):
     every.clear()
     word_major.clear()
     run_check("star-lambda-identities", CheckConfig("m2q", m2q(), samples=1, seed=1))
-    assert every.count(4) > 1000 and 4 not in word_major
+    # 752 small products: each distinct head of a word image is built once
+    assert every.count(4) > 700 and 4 not in word_major
     assert word_major == [n for n in every if n >= WORD_MAJOR_PAIRS]
+
+
+# -- word images build each head once ---------------------------------------
+
+
+#: targets of word images: a finite-dimensional algebra and a function
+#: algebra, each given three letter images
+WORD_TARGETS = {"m2q": m2q(), "dual^S1": function_algebra(ALGEBRAS["dual"], cube(1), 0)}
+
+
+def head_words(seed):
+    """An element of T'(QQ): 30 words of one to four letters 0, 1, 2, so
+    that many share a head (the word minus its last letter)."""
+    rng = random.Random(seed)
+    words = [w for n in range(1, 5) for w in itertools.product(range(3), repeat=n)]
+    return cp_norm(RAT, {w: rng.choice([1, -2, Fraction(1, 2)]) for w in rng.sample(words, 30)})
+
+
+def fold_words(target, x, image):
+    """Σ c_w · image(w₁)⋯image(w_k), each word multiplied up from its
+    first letter."""
+    out = target.zero()
+    for w, c in x:
+        prod = image(w[0])
+        for k in w[1:]:
+            prod = target.mul(prod, image(k))
+        out = target.add(out, target.scale(c, prod))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(WORD_TARGETS))
+def test_word_image_multiplies_out_each_head_once(name, monkeypatch):
+    target = WORD_TARGETS[name]
+    images = target.draws(3, 4)
+    x = head_words(1)
+    # every head of two or more letters, and every shorter part of one
+    heads = {w[:i] for w, _ in x for i in range(2, len(w))}
+    assert len(heads) < sum(max(len(w) - 2, 0) for w, _ in x)  # heads are shared
+    calls = []
+    mul = target.mul
+    monkeypatch.setattr(target, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    out = word_image(tensor_algebra(RAT), x, images.__getitem__, target)
+    monkeypatch.undo()
+    assert len(calls) == len(heads)
+    assert out == fold_words(target, x, images.__getitem__) != target.zero()
+
+
+@pytest.mark.parametrize("name", sorted(WORD_TARGETS))
+def test_word_image_leaves_no_cyclic_garbage(name):
+    # the checks pause the cyclic collector, so a cycle made per call, such
+    # as a closure that calls itself, would hold its images until the end
+    target = WORD_TARGETS[name]
+    images, x, ta = target.draws(3, 4), head_words(2), tensor_algebra(RAT)
+    word_image(ta, x, images.__getitem__, target)  # fill the carriers' caches
+    gc.collect()
+    gc.disable()
+    try:
+        word_image(ta, x, images.__getitem__, target)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- μ reads each projected value once -------------------------------------

@@ -27,7 +27,7 @@ from loopstable.funalg import (
     omega_map,
     transition,
 )
-from loopstable.poly import cp_norm
+from loopstable.poly import ONE_MINUS_T, cp_norm
 from loopstable.simplicial import cube
 from loopstable.tensorj import JKernel, j_kernel, kappa
 from loopstable.verifier import (
@@ -220,6 +220,19 @@ class TestFalsification:
         assert r.status == "FAIL"
         assert "does not commute with the splittings" in r.detail
         assert set(r.counterexample) == CE_KEYS | {"element"}
+
+    def test_splittings_that_agree_fail_with_the_basis(self, monkeypatch):
+        # a path splitting that ignores its polynomial makes the second
+        # splitting the first, so the certificate would relate a classifying
+        # map to itself
+        monkeypatch.setattr(verifier, "path_splitting", lambda B, fa, q, label:
+                            extensions.path_splitting(B, fa, ONE_MINUS_T, label))
+        cfg = _cfg()
+        r = run_check("splitting-independence", cfg)
+        assert r.status == "FAIL"
+        assert r.detail == "the two splittings agree on every basis vector"
+        assert r.counterexample["basis"] == repr(cfg.algebra.basis())
+        assert set(r.counterexample) == CE_KEYS | {"basis"}
 
     def test_doubled_kernel_generator_fails_with_its_basis_vector(self, monkeypatch):
         monkeypatch.setattr(verifier, "make_element",
